@@ -176,7 +176,7 @@ impl RepairEngine for SelfVerifyEngine {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let anchor = ranked.iter().take(self.shortlist).copied().find(|&i| {
-            let Ok(patched) = asv_verilog::compile(&cands[i].patched_source) else {
+            let Ok(patched) = asv_verilog::compile(&cands[i].patched_source()) else {
                 return false;
             };
             matches!(self.verifier.check(&patched), Ok(v) if v.holds_non_vacuously())

@@ -165,7 +165,7 @@ pub fn render_response(
         line_no: cand.line_no,
         buggy_line: cand.old_line.clone(),
         fix: cand.new_line.clone(),
-        patched_source: cand.patched_source.clone(),
+        patched_source: cand.patched_source(),
         cot,
     }
 }

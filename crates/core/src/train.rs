@@ -17,7 +17,7 @@ use crate::features::{extract, CaseContext, Features, FEATURE_DIM};
 use crate::lm::NgramLm;
 use crate::policy::Policy;
 use asv_datagen::dataset::{SvaBugEntry, VerilogBugEntry, VerilogPtEntry};
-use asv_mutation::repairspace::candidates;
+use asv_mutation::repairspace::{candidates, golden_candidates, splice_line};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -53,9 +53,11 @@ pub struct PreparedCase {
     pub features: Vec<Features>,
     /// Candidate indices that exactly restore the golden source.
     pub golden: Vec<usize>,
-    /// `(line_no, new_line, patched_source)` per candidate, for response
-    /// rendering and correctness checks.
-    pub meta: Vec<(u32, String, String)>,
+    /// `(line_no, new_line)` per candidate: the edit it makes to the
+    /// design's canonical rendering, which identifies it (the patched
+    /// source is that rendering with the line spliced, see
+    /// `asv_mutation::splice_line`).
+    pub meta: Vec<(u32, String)>,
 }
 
 impl PreparedCase {
@@ -80,16 +82,8 @@ pub fn prepare_case(entry: &SvaBugEntry, lm: &NgramLm) -> Option<PreparedCase> {
         return None;
     }
     let features: Vec<Features> = cands.iter().map(|c| extract(&ctx, lm, c)).collect();
-    let golden: Vec<usize> = cands
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.patched_source == entry.golden_source)
-        .map(|(i, _)| i)
-        .collect();
-    let meta = cands
-        .into_iter()
-        .map(|c| (c.line_no, c.new_line, c.patched_source))
-        .collect();
+    let golden = golden_candidates(&cands, &entry.golden_source);
+    let meta = cands.into_iter().map(|c| (c.line_no, c.new_line)).collect();
     Some(PreparedCase {
         features,
         golden,
@@ -209,8 +203,9 @@ pub fn sft(
             spec: vb.spec.clone(),
             buggy_source: vb.buggy_source.clone(),
             // The golden source is unknown for the auxiliary task; the
-            // fixed line stands in via line matching below.
-            golden_source: patched_with(&vb.buggy_source, vb.line_no, &vb.fixed_line),
+            // buggy source with the fixed line spliced in stands in.
+            golden_source: splice_line(&vb.buggy_source, vb.line_no, &vb.fixed_line)
+                .unwrap_or_else(|| vb.buggy_source.clone()),
             logs: Vec::new(),
             line_no: vb.line_no,
             buggy_line: vb.buggy_line.clone(),
@@ -392,23 +387,6 @@ fn nll_grad(policy: &Policy, case: &PreparedCase, golden: usize) -> Features {
     g
 }
 
-/// Applies a single-line replacement (1-based) to a source text.
-pub fn patched_with(source: &str, line_no: u32, new_line: &str) -> String {
-    let mut out = String::with_capacity(source.len() + new_line.len());
-    for (i, line) in source.lines().enumerate() {
-        if i as u32 + 1 == line_no {
-            // Preserve the original indentation.
-            let indent: String = line.chars().take_while(|c| c.is_whitespace()).collect();
-            out.push_str(&indent);
-            out.push_str(new_line.trim());
-        } else {
-            out.push_str(line);
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,13 +472,6 @@ mod tests {
         let a = mine_challenging(&sft_model, &cases, &cfg);
         let b = mine_challenging(&sft_model, &cases, &cfg);
         assert_eq!(a.len(), b.len());
-    }
-
-    #[test]
-    fn patched_with_replaces_one_line() {
-        let src = "a\n  b\nc\n";
-        let out = patched_with(src, 2, "B;");
-        assert_eq!(out, "a\n  B;\nc\n");
     }
 
     #[test]

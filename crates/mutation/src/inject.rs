@@ -6,14 +6,17 @@
 //! downstream by the compiler and the bounded verifier.
 
 use crate::kinds::{BugClass, SyntacticKind};
-use crate::sites::{collect_sites, transform_site, SiteInfo};
+use crate::repairspace::splice_line;
+use crate::sites::{collect_sites, transform_node, SiteInfo};
 use asv_verilog::ast::*;
-use asv_verilog::pretty::render_module;
+use asv_verilog::pretty::{render_expr, render_module_slots};
 use asv_verilog::sema::Design;
 use asv_verilog::Span;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// A concrete single-site edit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -42,6 +45,50 @@ impl fmt::Display for Edit {
     }
 }
 
+impl Edit {
+    /// `e` rewritten by this edit, or `None` when the edit does not fit
+    /// `e`'s shape.
+    pub fn rewrite(&self, e: &Expr) -> Option<Expr> {
+        match (e, self) {
+            (Expr::Binary { lhs, rhs, span, .. }, Edit::SwapBinOp(op)) => Some(Expr::Binary {
+                op: *op,
+                lhs: lhs.clone(),
+                rhs: rhs.clone(),
+                span: *span,
+            }),
+            (
+                Expr::Number {
+                    width, base, span, ..
+                },
+                Edit::SetLiteral(v),
+            ) => Some(Expr::Number {
+                value: *v,
+                width: *width,
+                base: *base,
+                span: *span,
+            }),
+            (Expr::Ident { span, .. }, Edit::SetIdent(n)) => Some(Expr::Ident {
+                name: n.clone(),
+                span: *span,
+            }),
+            (expr, Edit::Negate) => Some(Expr::Unary {
+                op: UnaryOp::LogicNot,
+                operand: Box::new(expr.clone()),
+                span: expr.span(),
+            }),
+            (
+                Expr::Unary {
+                    op: UnaryOp::LogicNot | UnaryOp::BitNot,
+                    operand,
+                    ..
+                },
+                Edit::Unnegate,
+            ) => Some((**operand).clone()),
+            _ => None,
+        }
+    }
+}
+
 /// One enumerated mutation: a site plus an edit plus its classification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Mutation {
@@ -62,8 +109,6 @@ pub struct Mutation {
 /// The rendered artefacts of applying a mutation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Injection {
-    /// The mutated module.
-    pub module: Module,
     /// Canonically rendered buggy source.
     pub buggy_source: String,
     /// Canonically rendered golden source.
@@ -82,12 +127,15 @@ pub struct Injection {
 /// order. Identifier swaps are restricted to same-width signals from the
 /// design's symbol table (never the clock or reset).
 pub fn enumerate(design: &Design) -> Vec<Mutation> {
-    let module = &design.module;
-    let sites = collect_sites(module);
+    enumerate_sites(design, &collect_sites(&design.module))
+}
+
+/// [`enumerate`] over the design's already collected sites.
+pub(crate) fn enumerate_sites(design: &Design, sites: &[SiteInfo]) -> Vec<Mutation> {
     let clock = design.clock().map(str::to_string);
     let reset = design.reset().map(|(n, _)| n.to_string());
     let mut out = Vec::new();
-    for site in &sites {
+    for site in sites {
         // Sites touching only clock/reset are infrastructure (e.g. the
         // `!rst_n` guard): excluded from mutation entirely so the edit
         // space stays closed under inversion.
@@ -240,79 +288,144 @@ impl std::error::Error for InjectError {}
 
 /// Applies a mutation, producing the rendered buggy/golden pair.
 ///
+/// The golden module is rendered once and the mutated line spliced into
+/// it, as [`crate::candidates`] builds its candidates; the result equals
+/// rendering the mutated module in full.
+///
 /// # Errors
 ///
 /// Returns [`InjectError`] when the site is stale, the node shape does not
 /// match the edit, or the edit is a no-op after rendering.
 pub fn apply(design: &Design, mutation: &Mutation) -> Result<Injection, InjectError> {
-    let module = &design.module;
-    let mut shape_ok = true;
-    let mutated = transform_site(module, mutation.site_id, |e| {
-        apply_edit(e, &mutation.edit).unwrap_or_else(|| {
-            shape_ok = false;
-            e.clone()
-        })
-    })
-    .ok_or(InjectError::StaleSite(mutation.site_id))?;
-    if !shape_ok {
-        return Err(InjectError::ShapeMismatch(mutation.site_id));
-    }
-    let golden_source = render_module(module);
-    let buggy_source = render_module(&mutated);
-    let diff = first_diff_line(&golden_source, &buggy_source).ok_or(InjectError::NoOp)?;
+    let sites = collect_sites(&design.module);
+    let rendering = Rendering::new(&design.module, &sites);
+    let edit = rendering.edit(mutation)?;
+    let buggy_source = splice_line(&rendering.source, edit.line_no, &edit.new_line)
+        .expect("the edited line exists");
     Ok(Injection {
-        module: mutated,
-        line_no: diff.0,
-        fixed_line: diff.1,
-        buggy_line: diff.2,
         buggy_source,
-        golden_source,
+        golden_source: rendering.source.to_string(),
+        line_no: edit.line_no,
+        buggy_line: edit.new_line,
+        fixed_line: edit.old_line,
         mutation: mutation.clone(),
     })
 }
 
-fn apply_edit(e: &Expr, edit: &Edit) -> Option<Expr> {
-    match (e, edit) {
-        (Expr::Binary { lhs, rhs, span, .. }, Edit::SwapBinOp(op)) => Some(Expr::Binary {
-            op: *op,
-            lhs: lhs.clone(),
-            rhs: rhs.clone(),
-            span: *span,
-        }),
-        (
-            Expr::Number {
-                width, base, span, ..
-            },
-            Edit::SetLiteral(v),
-        ) => Some(Expr::Number {
-            value: *v,
-            width: *width,
-            base: *base,
-            span: *span,
-        }),
-        (Expr::Ident { span, .. }, Edit::SetIdent(n)) => Some(Expr::Ident {
-            name: n.clone(),
-            span: *span,
-        }),
-        (expr, Edit::Negate) => Some(Expr::Unary {
-            op: UnaryOp::LogicNot,
-            operand: Box::new(expr.clone()),
-            span: expr.span(),
-        }),
-        (
-            Expr::Unary {
-                op: UnaryOp::LogicNot | UnaryOp::BitNot,
-                operand,
-                ..
-            },
-            Edit::Unnegate,
-        ) => Some((**operand).clone()),
-        _ => None,
+/// A module rendered once, with the place of every slot root (see
+/// `asv_verilog::pretty`). A single-site edit re-renders only the root that
+/// holds its site and splices it into that root's line, which equals the
+/// full re-render of the mutated module by construction.
+pub(crate) struct Rendering<'a> {
+    /// The canonical rendering (`render_module`).
+    pub source: Arc<str>,
+    /// The slot roots in site order.
+    roots: Vec<Root<'a>>,
+}
+
+/// One slot root of a [`Rendering`].
+struct Root<'a> {
+    /// Site id of the root itself; its subtree holds the following ids.
+    first_site: usize,
+    expr: &'a Expr,
+    /// Byte range of the root in the rendering.
+    span: Range<usize>,
+    /// Byte range of the line holding it, without the newline.
+    line: Range<usize>,
+    /// 1-based number of that line.
+    line_no: u32,
+}
+
+/// One edited line: 1-based number, and the line before and after the
+/// edit, trimmed.
+pub(crate) struct LineEdit {
+    pub line_no: u32,
+    pub old_line: String,
+    pub new_line: String,
+}
+
+impl<'a> Rendering<'a> {
+    /// Renders `module`; `sites` are its sites as [`collect_sites`]
+    /// returns them.
+    pub fn new(module: &Module, sites: &'a [SiteInfo]) -> Self {
+        let (source, spans) = render_module_slots(module);
+        let mut root_sites = sites.iter().filter(|s| s.is_root);
+        let mut roots = Vec::with_capacity(spans.len());
+        let (mut line_no, mut counted) = (1u32, 0usize);
+        for span in spans {
+            let site = root_sites.next().expect("one root site per recorded slot");
+            line_no += source.as_bytes()[counted..span.start]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count() as u32;
+            counted = span.start;
+            let start = source[..span.start].rfind('\n').map_or(0, |i| i + 1);
+            let end = source[span.end..]
+                .find('\n')
+                .map_or(source.len(), |i| span.end + i);
+            roots.push(Root {
+                first_site: site.id,
+                expr: &site.expr,
+                span,
+                line: start..end,
+                line_no,
+            });
+        }
+        assert!(
+            root_sites.next().is_none(),
+            "one recorded slot per root site"
+        );
+        Rendering {
+            source: source.into(),
+            roots,
+        }
+    }
+
+    /// The line `mutation` edits, rendered by re-rendering its slot root.
+    ///
+    /// # Errors
+    ///
+    /// As [`apply`].
+    pub fn edit(&self, mutation: &Mutation) -> Result<LineEdit, InjectError> {
+        let id = mutation.site_id;
+        let stale = InjectError::StaleSite(id);
+        let last = self.roots.partition_point(|r| r.first_site <= id);
+        let root = &self.roots[last.checked_sub(1).ok_or(stale.clone())?];
+        let mut expr = root.expr.clone();
+        let mut shape_ok = true;
+        let hit = transform_node(&mut expr, id - root.first_site, |e| {
+            mutation.edit.rewrite(e).unwrap_or_else(|| {
+                shape_ok = false;
+                e.clone()
+            })
+        });
+        if !hit {
+            return Err(stale);
+        }
+        if !shape_ok {
+            return Err(InjectError::ShapeMismatch(id));
+        }
+        let text = render_expr(&expr);
+        if text == self.source[root.span.clone()] {
+            return Err(InjectError::NoOp);
+        }
+        let new_line = [
+            &self.source[root.line.start..root.span.start],
+            &text,
+            &self.source[root.span.end..root.line.end],
+        ]
+        .concat();
+        Ok(LineEdit {
+            line_no: root.line_no,
+            old_line: self.source[root.line.clone()].trim().to_string(),
+            new_line: new_line.trim().to_string(),
+        })
     }
 }
 
 /// Finds the first differing line between two renderings.
-/// Returns `(1-based line, golden line, buggy line)`.
+/// Returns `(1-based line, golden line, buggy line)`. The test oracle for
+/// the spliced edits of [`apply`] and [`crate::candidates`].
 pub fn first_diff_line(golden: &str, buggy: &str) -> Option<(u32, String, String)> {
     for (i, (g, b)) in golden.lines().zip(buggy.lines()).enumerate() {
         if g != b {

@@ -32,4 +32,4 @@ pub mod sites;
 
 pub use inject::{apply, classify_direct, enumerate, Edit, InjectError, Injection, Mutation};
 pub use kinds::{BugCategory, BugClass, SyntacticKind};
-pub use repairspace::{candidates, matches_golden, Candidate};
+pub use repairspace::{candidates, golden_candidates, matches_golden, splice_line, Candidate};

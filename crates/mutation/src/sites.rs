@@ -49,7 +49,9 @@ pub fn collect_sites(module: &Module) -> Vec<SiteInfo> {
 }
 
 /// Returns a copy of `module` with the expression at `site_id` replaced by
-/// `f(original)`. Returns `None` if the id is out of range.
+/// `f(original)`. Returns `None` if the id is out of range. Rendered in
+/// full, this is the test oracle for the spliced single-line edits of
+/// [`crate::candidates`] and [`crate::apply`].
 pub fn transform_site(
     module: &Module,
     site_id: usize,
@@ -69,6 +71,31 @@ pub fn transform_site(
         next_id += 1;
     });
     hit.then_some(m)
+}
+
+/// Replaces the node at pre-order position `index` of a slot root by
+/// `f(node)`, numbering the nodes as site ids number them within the root
+/// (0 is the root itself). Returns false when the root has no such node.
+pub(crate) fn transform_node(root: &mut Expr, index: usize, f: impl FnOnce(&Expr) -> Expr) -> bool {
+    let ctx = Ctx {
+        in_condition: false,
+        stmt_span: Span::default(),
+        assigned: Vec::new(),
+        is_root: true,
+    };
+    let mut next = 0usize;
+    let mut f = Some(f);
+    let mut hit = false;
+    visit_expr(root, &ctx, &mut |_ctx, expr| {
+        if next == index {
+            if let Some(f) = f.take() {
+                *expr = f(expr);
+                hit = true;
+            }
+        }
+        next += 1;
+    });
+    hit
 }
 
 /// Visitor context.

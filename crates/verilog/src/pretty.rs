@@ -5,9 +5,25 @@
 //! "buggy line / fixed line" pair used for training and evaluation is
 //! well-defined. Round-tripping (`parse ∘ render ∘ parse`) is validated by
 //! property tests in the crate root.
+//!
+//! # Slot roots and splicing
+//!
+//! The design-logic expressions sit in *slot roots*: the right-hand side of
+//! a continuous or procedural assignment, an `if` condition, a `case`
+//! scrutinee and a case label, in continuous assigns and `always` bodies.
+//! The printer renders every slot root with [`render_expr`] at precedence
+//! 0, on one line, and nothing around a root depends on its text. So
+//! replacing a root's bytes in the module rendering with `render_expr` of
+//! a new root gives exactly `render_module` of the module with that root
+//! replaced. [`render_module_slots`] renders a module once and returns
+//! where each slot root landed, which lets the repair-candidate enumeration
+//! build every single-site edit from its own line instead of re-rendering
+//! the design. [`render_module`] records nothing: it keys the compile cache
+//! and the verification service's job keys.
 
 use crate::ast::*;
 use std::fmt::Write;
+use std::ops::Range;
 
 /// Renders a full source unit.
 pub fn render_unit(unit: &SourceUnit) -> String {
@@ -26,6 +42,19 @@ pub fn render_module(m: &Module) -> String {
     let mut p = Printer::new();
     p.module(m);
     p.out
+}
+
+/// Renders one module exactly as [`render_module`] does and returns the
+/// byte range of every slot root in the rendering (see the module docs):
+/// the roots of continuous assigns and `always` bodies, in source order,
+/// which is the order of a pre-order walk of the items and statements.
+/// Roots in `initial` blocks, parameters, properties and assertions are not
+/// recorded.
+pub fn render_module_slots(m: &Module) -> (String, Vec<Range<usize>>) {
+    let mut p = Printer::new();
+    p.slots = Some(Vec::new());
+    p.module(m);
+    (p.out, p.slots.unwrap_or_default())
 }
 
 /// Renders a single expression (used in diffs, CoT text and candidate fixes).
@@ -57,11 +86,33 @@ pub fn render_lvalue(lv: &LValue) -> String {
 
 struct Printer {
     out: String,
+    /// Byte ranges of the slot roots rendered so far, when recording.
+    slots: Option<Vec<Range<usize>>>,
 }
 
 impl Printer {
     fn new() -> Self {
-        Printer { out: String::new() }
+        Printer {
+            out: String::new(),
+            slots: None,
+        }
+    }
+
+    /// Renders a slot root at precedence 0 and records its byte range.
+    fn root(&mut self, e: &Expr) {
+        let start = self.out.len();
+        expr(&mut self.out, e, 0);
+        if let Some(slots) = &mut self.slots {
+            slots.push(start..self.out.len());
+        }
+    }
+
+    /// Renders `lhs op rhs;` and the newline.
+    fn assign(&mut self, lhs: &LValue, rhs: &Expr, nonblocking: bool) {
+        self.out.push_str(&render_lvalue(lhs));
+        self.out.push_str(if nonblocking { " <= " } else { " = " });
+        self.root(rhs);
+        self.out.push_str(";\n");
     }
 
     fn indent(&mut self, level: usize) {
@@ -145,13 +196,8 @@ impl Printer {
             }
             Item::Assign(a) => {
                 self.indent(1);
-                writeln!(
-                    self.out,
-                    "assign {} = {};",
-                    render_lvalue(&a.lhs),
-                    render_expr(&a.rhs)
-                )
-                .expect("write to string");
+                self.out.push_str("assign ");
+                self.assign(&a.lhs, &a.rhs, false);
             }
             Item::Always(a) => {
                 self.indent(1);
@@ -192,7 +238,10 @@ impl Printer {
             Item::Initial(i) => {
                 self.indent(1);
                 self.out.push_str("initial ");
+                // Initial blocks hold no slot roots.
+                let slots = self.slots.take();
                 self.stmt_inline(&i.body, 1);
+                self.slots = slots;
             }
             Item::Property(p) => {
                 self.indent(1);
@@ -291,24 +340,7 @@ impl Printer {
                 ..
             } => {
                 self.indent(level);
-                write!(self.out, "if ({}) ", render_expr(cond)).expect("write to string");
-                self.branch_body(then_branch, level);
-                if let Some(e) = else_branch {
-                    self.indent(level);
-                    if let Stmt::If { .. } = **e {
-                        self.out.push_str("else ");
-                        // `else if` chains stay on one logical construct.
-                        let rendered = {
-                            let mut sub = Printer::new();
-                            sub.stmt(e, level);
-                            sub.out
-                        };
-                        self.out.push_str(rendered.trim_start());
-                    } else {
-                        self.out.push_str("else ");
-                        self.branch_body(e, level);
-                    }
-                }
+                self.if_stmt(cond, then_branch, else_branch.as_deref(), level);
             }
             Stmt::Case {
                 kind,
@@ -318,16 +350,22 @@ impl Printer {
                 ..
             } => {
                 self.indent(level);
-                let kw = match kind {
-                    CaseKind::Case => "case",
-                    CaseKind::Casez => "casez",
-                    CaseKind::Casex => "casex",
-                };
-                writeln!(self.out, "{kw} ({})", render_expr(scrutinee)).expect("write");
+                self.out.push_str(match kind {
+                    CaseKind::Case => "case (",
+                    CaseKind::Casez => "casez (",
+                    CaseKind::Casex => "casex (",
+                });
+                self.root(scrutinee);
+                self.out.push_str(")\n");
                 for arm in arms {
                     self.indent(level + 1);
-                    let labels: Vec<String> = arm.labels.iter().map(render_expr).collect();
-                    write!(self.out, "{}: ", labels.join(", ")).expect("write to string");
+                    for (i, label) in arm.labels.iter().enumerate() {
+                        if i > 0 {
+                            self.out.push_str(", ");
+                        }
+                        self.root(label);
+                    }
+                    self.out.push_str(": ");
                     self.branch_body(&arm.body, level + 1);
                 }
                 if let Some(d) = default {
@@ -345,18 +383,39 @@ impl Printer {
                 ..
             } => {
                 self.indent(level);
-                writeln!(
-                    self.out,
-                    "{} {} {};",
-                    render_lvalue(lhs),
-                    if *nonblocking { "<=" } else { "=" },
-                    render_expr(rhs)
-                )
-                .expect("write to string");
+                self.assign(lhs, rhs, *nonblocking);
             }
             Stmt::Empty { .. } => {
                 self.indent(level);
                 self.out.push_str(";\n");
+            }
+        }
+    }
+
+    /// Prints an `if` statement, its indentation already emitted. An `else
+    /// if` continues on the `else` line, so a chain reads as one construct.
+    fn if_stmt(
+        &mut self,
+        cond: &Expr,
+        then_branch: &Stmt,
+        else_branch: Option<&Stmt>,
+        level: usize,
+    ) {
+        self.out.push_str("if (");
+        self.root(cond);
+        self.out.push_str(") ");
+        self.branch_body(then_branch, level);
+        if let Some(e) = else_branch {
+            self.indent(level);
+            self.out.push_str("else ");
+            match e {
+                Stmt::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                    ..
+                } => self.if_stmt(cond, then_branch, else_branch.as_deref(), level),
+                other => self.branch_body(other, level),
             }
         }
     }
@@ -377,16 +436,7 @@ impl Printer {
                 rhs,
                 nonblocking,
                 ..
-            } => {
-                writeln!(
-                    self.out,
-                    "{} {} {};",
-                    render_lvalue(lhs),
-                    if *nonblocking { "<=" } else { "=" },
-                    render_expr(rhs)
-                )
-                .expect("write to string");
-            }
+            } => self.assign(lhs, rhs, *nonblocking),
             Stmt::Empty { .. } => self.out.push_str(";\n"),
             other => {
                 self.out.push('\n');
