@@ -1,13 +1,9 @@
-//! Criterion benches for the `asv-serve` orchestration layer.
+//! Criterion benches for the `asv-serve` orchestration layer, all over
+//! one batch of 64 mixed-archetype `Engine::Auto` jobs (goldens and
+//! injected mutants across all 12 datagen archetypes).
 //!
-//! * `serve_batch64_portfolio` — end-to-end throughput of a batch of 64
-//!   mixed-archetype jobs (goldens and injected mutants across all 12
-//!   datagen archetypes) through the portfolio service with all cores;
-//!   memoisation is disabled so every iteration pays for real
-//!   verification. Jobs/sec = 64 / (reported time).
-//! * `serve_batch64_sequential_auto` — the same 64 jobs through a plain
-//!   `Verifier` loop (the pre-serve call pattern), for the speedup
-//!   denominator.
+//! * `serve_batch64_sequential_auto` — the 64 jobs through a plain
+//!   `Verifier` loop (the pre-serve call pattern).
 //! * `serve_memoized_reverify` — the same batch against a warm verdict
 //!   memo: every job answers in O(hash) (key computation + one sharded
 //!   lookup), not O(solve). The gap to the cold bench is the point of
@@ -22,7 +18,7 @@
 use asv_datagen::corpus::{Archetype, CorpusGen};
 use asv_mutation::inject::{apply, enumerate};
 use asv_serve::{ServeOptions, VerifyJob, VerifyService};
-use asv_sva::bmc::{Engine, Verifier};
+use asv_sva::bmc::Verifier;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::path::PathBuf;
 
@@ -44,20 +40,19 @@ impl Drop for ScratchDir {
     }
 }
 
-fn bounds(engine: Engine) -> Verifier {
+fn bounds() -> Verifier {
     Verifier {
         depth: 8,
         reset_cycles: 2,
         exhaustive_limit: 256,
         random_runs: 24,
-        engine,
         ..Verifier::default()
     }
 }
 
 /// 64 jobs cycling golden + first-compilable-mutant designs over all 12
 /// archetypes.
-fn mixed_batch(engine: Engine) -> Vec<VerifyJob> {
+fn mixed_batch() -> Vec<VerifyJob> {
     let designs = CorpusGen::new(0x5E27E).generate(2 * Archetype::ALL.len());
     let mut pool: Vec<std::sync::Arc<asv_verilog::Design>> = Vec::new();
     for gd in &designs {
@@ -71,22 +66,12 @@ fn mixed_batch(engine: Engine) -> Vec<VerifyJob> {
         pool.push(std::sync::Arc::new(golden));
     }
     (0..64)
-        .map(|i| VerifyJob::new(std::sync::Arc::clone(&pool[i % pool.len()]), bounds(engine)))
+        .map(|i| VerifyJob::new(std::sync::Arc::clone(&pool[i % pool.len()]), bounds()))
         .collect()
 }
 
 fn bench_serve(c: &mut Criterion) {
-    let portfolio_jobs = mixed_batch(Engine::Portfolio);
-    let auto_jobs = mixed_batch(Engine::Auto);
-
-    c.bench_function("serve_batch64_portfolio", |b| {
-        let service = VerifyService::new(ServeOptions {
-            workers: 0,
-            memoize: false,
-            ..ServeOptions::default()
-        });
-        b.iter(|| service.verify_batch(black_box(&portfolio_jobs)).len())
-    });
+    let auto_jobs = mixed_batch();
 
     c.bench_function("serve_batch64_sequential_auto", |b| {
         b.iter(|| {
@@ -99,10 +84,10 @@ fn bench_serve(c: &mut Criterion) {
 
     // Warm the memo once, then measure pure re-verification.
     let memoized = VerifyService::new(ServeOptions::default());
-    let cold = memoized.verify_batch(&portfolio_jobs);
+    let cold = memoized.verify_batch(&auto_jobs);
     assert_eq!(cold.len(), 64);
     c.bench_function("serve_memoized_reverify", |b| {
-        b.iter(|| memoized.verify_batch(black_box(&portfolio_jobs)).len())
+        b.iter(|| memoized.verify_batch(black_box(&auto_jobs)).len())
     });
     assert_eq!(
         memoized.stats().executed,

@@ -42,7 +42,7 @@ fn mixed_batch() -> Vec<VerifyJob> {
         }
         pool.push(Arc::new(golden));
     }
-    let engines = [Engine::Auto, Engine::Portfolio, Engine::Simulation];
+    let engines = [Engine::Auto, Engine::Simulation];
     (0..64)
         .map(|i| {
             let verifier = Verifier {

@@ -9,7 +9,7 @@
 
 use crate::corpus::Corpus;
 use crate::mutate::Mutator;
-use asv_sim::cancel::{Budget, CancelToken, Exhausted, Stop};
+use asv_sim::cancel::{Budget, Exhausted, Stop};
 use asv_sim::compile::CompiledDesign;
 use asv_sim::cover::{CovMap, CoverageReport};
 use asv_sim::exec::{SimError, Simulator};
@@ -118,8 +118,8 @@ pub enum FuzzError {
     /// A failing stimulus did not replay bit-identically on the
     /// interpreter oracle — a simulator bug, never a design property.
     OracleDivergence,
-    /// The campaign's [`CancelToken`] was poisoned (this engine lost a
-    /// portfolio race); no verdict, never a wrong one.
+    /// The campaign's [`CancelToken`](asv_sim::cancel::CancelToken) was
+    /// poisoned (the caller gave up); no verdict, never a wrong one.
     Cancelled,
     /// A [`Budget`] resource (deadline, fuzz-round cap) ran out before a
     /// verdict.
@@ -232,10 +232,10 @@ fn run_chunk<O: AssertionOracle>(
 ) -> Vec<RunOutcome> {
     let mut out = Vec::with_capacity(part.len());
     for group in part.chunks(lanes.max(1)) {
-        // Per-group poll: a losing portfolio campaign cancelled
-        // mid-batch stops before the next lane group instead of
-        // finishing the whole chunk. In fault-free unbounded runs this
-        // never fires, so the merge stays bit-identical.
+        // Per-group poll: a campaign cancelled mid-batch stops before
+        // the next lane group instead of finishing the whole chunk. In
+        // fault-free unbounded runs this never fires, so the merge stays
+        // bit-identical.
         if let Err(stop) = budget.check() {
             out.push(Err(stop.into()));
             return out;
@@ -279,34 +279,19 @@ pub fn fuzz<O: AssertionOracle>(
     fuzz_budgeted(compiled, oracle, opts, &Budget::unbounded())
 }
 
-/// [`fuzz`] with a cooperative [`CancelToken`] polled at the top of every
-/// campaign round (the scheduling granularity, [`FuzzOptions::batch`]
-/// executions): once the token is poisoned the campaign returns
-/// [`FuzzError::Cancelled`] within one round. Used by the portfolio racer
-/// so a losing fuzzing campaign stops promptly.
-///
-/// # Errors
-///
-/// As [`fuzz`], plus [`FuzzError::Cancelled`].
-pub fn fuzz_cancellable<O: AssertionOracle>(
-    compiled: &Arc<CompiledDesign>,
-    oracle: &O,
-    opts: &FuzzOptions,
-    cancel: Option<&CancelToken>,
-) -> Result<FuzzResult, FuzzError> {
-    fuzz_budgeted(compiled, oracle, opts, &Budget::from_cancel(cancel))
-}
-
 /// [`fuzz`] under a full resource [`Budget`]: the round loop polls the
 /// budget (token, deadline, fault probes) before every round and honours
 /// the fuzz-round cap; workers additionally poll the token before each
-/// stimulus so a cancelled campaign stops mid-batch.
+/// lane group so a cancelled campaign stops mid-batch. Once the token is
+/// poisoned the campaign returns [`FuzzError::Cancelled`] within one
+/// round (the scheduling granularity, [`FuzzOptions::batch`]
+/// executions).
 ///
 /// # Errors
 ///
-/// As [`fuzz_cancellable`], plus a structured [`FuzzError::Exhausted`]
-/// whenever a budget dimension runs out before the campaign's own
-/// stimulus budget.
+/// As [`fuzz`], plus [`FuzzError::Cancelled`] and a structured
+/// [`FuzzError::Exhausted`] whenever a budget dimension runs out before
+/// the campaign's own stimulus budget.
 pub fn fuzz_budgeted<O: AssertionOracle>(
     compiled: &Arc<CompiledDesign>,
     oracle: &O,
@@ -331,7 +316,7 @@ pub fn fuzz_budgeted<O: AssertionOracle>(
     let sink = budget.trace().clone();
     'campaign: while runs < opts.budget {
         // Poll before scheduling the round, not only inside it, so a
-        // loser cancelled between rounds never starts another batch.
+        // campaign cancelled between rounds never starts another batch.
         budget.check_fuzz_rounds(rounds)?;
         budget.probe(probe::FUZZ_ROUND)?;
         rounds += 1;
@@ -482,6 +467,7 @@ pub fn novelty_rank(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asv_sim::cancel::CancelToken;
 
     /// An oracle for tests that flags a failure whenever the named signal
     /// samples 1 after reset.
@@ -591,7 +577,7 @@ mod tests {
             ..FuzzOptions::default()
         };
         let start = std::time::Instant::now();
-        let res = fuzz_cancellable(&cd, &oracle, &opts, Some(&token));
+        let res = fuzz_budgeted(&cd, &oracle, &opts, &Budget::unbounded().with_cancel(token));
         assert!(matches!(res, Err(FuzzError::Cancelled)), "got {res:?}");
         assert!(
             start.elapsed() < std::time::Duration::from_secs(5),
@@ -604,7 +590,8 @@ mod tests {
             seed: 5,
             ..FuzzOptions::default()
         };
-        let a = fuzz_cancellable(&cd, &oracle, &small, Some(&live)).expect("runs");
+        let a = fuzz_budgeted(&cd, &oracle, &small, &Budget::unbounded().with_cancel(live))
+            .expect("runs");
         let b = fuzz(&cd, &oracle, &small).expect("runs");
         assert_eq!(a.verdict, b.verdict);
         assert_eq!(a.corpus_fingerprint, b.corpus_fingerprint);

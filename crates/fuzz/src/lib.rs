@@ -37,7 +37,7 @@ pub mod mutate;
 
 pub use corpus::{Corpus, CorpusEntry};
 pub use engine::{
-    fuzz, fuzz_budgeted, fuzz_cancellable, novelty_rank, AssertionOracle, FuzzError, FuzzOptions,
-    FuzzResult, FuzzVerdict,
+    fuzz, fuzz_budgeted, novelty_rank, AssertionOracle, FuzzError, FuzzOptions, FuzzResult,
+    FuzzVerdict,
 };
 pub use mutate::{design_dictionary, Mutator};

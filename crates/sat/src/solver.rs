@@ -91,7 +91,7 @@ pub enum SolveResult {
     Unsat,
     /// The conflict budget was exhausted before a verdict.
     Unknown,
-    /// [`Solver::cancel`] was poisoned mid-search (portfolio racing);
+    /// [`Solver::cancel`] was poisoned mid-search (the caller gave up);
     /// clauses learned so far are kept, and a later `solve` call may
     /// resume the search.
     Cancelled,

@@ -27,13 +27,6 @@
 //!   are additionally shared process-wide through the sharded
 //!   [`asv_sim::cache`], so a design submitted under several engines or
 //!   budgets is lowered once.
-//! * **Portfolio racing** — jobs submitted with
-//!   [`Engine::Portfolio`](asv_sva::bmc::Engine) race symbolic BMC
-//!   against bounded enumeration/fuzzing per job with cooperative
-//!   [`CancelToken`](asv_sim::cancel::CancelToken)s; first decisive
-//!   verdict wins and losers stop within one check interval. Verdicts
-//!   stay bit-identical to sequential `Engine::Auto` (see
-//!   `asv_sva::bmc` for the canonical-verdict rule).
 //! * **Fault tolerance** — each job runs under its own
 //!   [`Budget`](asv_sim::cancel::Budget) (deadline, SAT-conflict /
 //!   fuzz-round / AIG-node caps from [`ServeOptions`]) behind a
@@ -65,7 +58,7 @@
 //!      p: assert property (@(posedge clk) disable iff (!rst_n) d |-> ##1 q);\n\
 //!      endmodule",
 //! )?;
-//! let verifier = Verifier { engine: Engine::Portfolio, ..Verifier::default() };
+//! let verifier = Verifier { engine: Engine::Auto, ..Verifier::default() };
 //! let service = VerifyService::new(ServeOptions::default());
 //! let verdicts = service.verify_batch(&[VerifyJob::new(design, verifier)]);
 //! assert!(verdicts[0].as_ref().expect("verdict").holds_non_vacuously());

@@ -23,8 +23,8 @@
 //!
 //! 1. **Eligibility** — the job must be one whose canonical verdict is
 //!    the symbolic engine's: `OptLevel::Full`, an engine whose decision
-//!    rule is symbolic-first ([`Engine::Auto`] / [`Engine::Symbolic`] /
-//!    [`Engine::Portfolio`]), and a design inside the symbolic subset
+//!    rule is symbolic-first ([`Engine::Auto`] / [`Engine::Symbolic`]),
+//!    and a design inside the symbolic subset
 //!    ([`asv_sat::engine::supports`]). Fuzz and enumeration verdicts
 //!    depend on whole-design coverage feedback and budgets, never on the
 //!    cone alone.
@@ -40,11 +40,10 @@
 //!    the module/directive identity a `Fails` report embeds, and the
 //!    clock/reset/opt facts (see `asv_sat::cone`); depth and
 //!    reset-cycles are mixed here. Verifier knobs that cannot influence
-//!    a symbolic verdict (seed, fuzz budget, enumeration limit, the
-//!    Auto-vs-Portfolio engine choice) are deliberately *excluded*, so
-//!    e.g. a Portfolio job warm-hits a verdict stored by an Auto job —
-//!    sound because both define their result as the canonical symbolic
-//!    verdict.
+//!    a symbolic verdict (seed, fuzz budget, enumeration limit) are
+//!    deliberately *excluded*, so e.g. an Auto job with a different seed
+//!    warm-hits a stored verdict — sound because the symbolic engine
+//!    never reads those knobs.
 
 use crate::job::{JobOutcome, VerdictError, VerifyJob};
 use asv_ir::StableHasher;
@@ -82,10 +81,7 @@ pub fn cone_outcome_key(job: &VerifyJob) -> Option<StoreKey> {
     if job.verifier.opt != OptLevel::Full {
         return None;
     }
-    if !matches!(
-        job.verifier.engine,
-        Engine::Auto | Engine::Symbolic | Engine::Portfolio
-    ) {
+    if !matches!(job.verifier.engine, Engine::Auto | Engine::Symbolic) {
         return None;
     }
     let cd = asv_sim::cache::global().get_or_compile_opt(&job.design, job.verifier.opt);
@@ -167,6 +163,28 @@ mod tests {
     }
 
     #[test]
+    fn exact_keys_are_pinned() {
+        // Exact keys name on-disk artifacts across processes: an edit to
+        // `Engine`, `Verifier` or the key derivation that moves these
+        // digests silently retires every stored verdict. Pin one design
+        // under every engine as the canary.
+        let pinned = [
+            (Engine::Auto, "db3aae09399592331eb3e6d613179944"),
+            (Engine::Symbolic, "3b7469f80ff71ad2f8015bf191208851"),
+            (Engine::Simulation, "472df8154ac0d51971899863cd4fb13b"),
+            (Engine::Fuzz, "84d7265df129493e887783818d8700c1"),
+        ];
+        for (engine, hex) in pinned {
+            let v = Verifier {
+                engine,
+                ..Verifier::default()
+            };
+            let key = exact_outcome_key(&job(&simple("d"), v));
+            assert_eq!(format!("{:032x}", key.hash), hex, "{engine:?}");
+        }
+    }
+
+    #[test]
     fn cone_keys_require_symbolic_canonical_jobs() {
         let v = Verifier::default();
         assert!(cone_outcome_key(&job(&simple("d"), v)).is_some());
@@ -186,8 +204,7 @@ mod tests {
     fn cone_keys_ignore_symbolically_irrelevant_knobs() {
         let v = Verifier::default();
         let base = cone_outcome_key(&job(&simple("d"), v)).unwrap();
-        let portfolio = Verifier {
-            engine: Engine::Portfolio,
+        let knobs = Verifier {
             seed: 99,
             random_runs: 3,
             exhaustive_limit: 17,
@@ -195,8 +212,8 @@ mod tests {
         };
         assert_eq!(
             base,
-            cone_outcome_key(&job(&simple("d"), portfolio)).unwrap(),
-            "engine choice and sampling budgets must not split cone keys"
+            cone_outcome_key(&job(&simple("d"), knobs)).unwrap(),
+            "seed and sampling budgets must not split cone keys"
         );
         let deeper = Verifier {
             depth: v.depth + 1,

@@ -3,8 +3,8 @@
 //!
 //! The bounded verifier used to keep a *thread-local* MRU slot of
 //! compiled designs, which meant every worker thread of a parallel
-//! sampling/fuzzing/portfolio run re-lowered the same AST once per
-//! thread. This cache replaces that path with a single process-wide
+//! sampling/fuzzing run re-lowered the same AST once per thread. This
+//! cache replaces that path with a single process-wide
 //! table sharded by design hash: lookups take one shard mutex (shards
 //! are independent, so concurrent verification jobs on different designs
 //! never contend), hits bump the entry to most-recently-used, and misses

@@ -1,14 +1,13 @@
 //! Cooperative cancellation and resource budgets for long-running
 //! verification work.
 //!
-//! A [`CancelToken`] is a cheap, clonable flag shared between a
-//! controller (the portfolio racer or job service in `asv-serve`) and the
-//! hot loops of the verification engines: the CDCL search in `asv-sat`,
-//! the campaign rounds in `asv-fuzz`, and the per-stimulus loops of the
+//! A [`CancelToken`] is a cheap, clonable flag shared between a caller
+//! (for example the job service in `asv-serve`) and the hot loops of the
+//! verification engines: the CDCL search in `asv-sat`, the campaign
+//! rounds in `asv-fuzz`, and the per-stimulus loops of the
 //! enumeration/sampling oracle in `asv-sva`. Engines poll the token at a
 //! bounded interval and unwind with an explicit `Cancelled` error — never
-//! a panic — so a losing portfolio engine stops within one check
-//! interval of the winner's verdict.
+//! a panic — so a cancelled check stops within one check interval.
 //!
 //! A [`Budget`] generalises the token into a full resource envelope: an
 //! optional wall-clock (or injected-clock) [`Deadline`] plus caps on SAT
@@ -113,8 +112,8 @@ impl std::fmt::Display for Exhausted {
 /// resource budget. Returned by the [`Budget`] polling helpers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stop {
-    /// The [`CancelToken`] was poisoned (portfolio loser, service
-    /// teardown, or an injected spurious cancellation).
+    /// The [`CancelToken`] was poisoned (caller teardown or an injected
+    /// spurious cancellation).
     Cancelled,
     /// A resource cap was hit.
     Exhausted(Exhausted),
@@ -318,33 +317,6 @@ impl Budget {
         &self.trace
     }
 
-    /// A sibling budget with tracing stripped. The portfolio debug
-    /// cross-check re-runs `Engine::Auto` on the same budget; without
-    /// stripping, the re-run would duplicate every rung span of the job.
-    pub fn without_trace(&self) -> Self {
-        let mut b = self.clone();
-        b.trace = TraceHandle::disabled();
-        b
-    }
-
-    /// A budget wrapping just a token (the pre-budget `*_cancellable`
-    /// entry points build these).
-    pub fn from_cancel(token: Option<&CancelToken>) -> Self {
-        Budget {
-            cancel: token.cloned(),
-            ..Budget::default()
-        }
-    }
-
-    /// A sibling budget with the same limits and fault session but a
-    /// different token — portfolio racers each get their own token so
-    /// the loser can be cancelled without touching the winner.
-    pub fn derive_with_cancel(&self, token: CancelToken) -> Self {
-        let mut b = self.clone();
-        b.cancel = Some(token);
-        b
-    }
-
     /// The attached token, if any.
     pub fn cancel_token(&self) -> Option<&CancelToken> {
         self.cancel.as_ref()
@@ -382,10 +354,9 @@ impl Budget {
     }
 
     /// True when the budget imposes nothing at all: no token, no
-    /// deadline, no caps, no fault session. The portfolio debug
-    /// cross-check (re-running sequential Auto after a portfolio
-    /// verdict) only fires for plain budgets, since a limited or faulty
-    /// run is not comparable to an unbounded one.
+    /// deadline, no caps, no fault session. The degradation ladder backs
+    /// the stimulus budget off after an exhausted rung only when the
+    /// budget is not plain.
     ///
     /// A [`TraceHandle`] deliberately does **not** count: tracing is
     /// observational, and letting it flip `is_plain` would change
@@ -531,13 +502,6 @@ mod tests {
             "tracing is observational; it must not affect ladder semantics"
         );
         assert!(b.trace().is_enabled());
-        assert!(!b.without_trace().trace().is_enabled());
-        // Limits and fault sessions survive the strip.
-        let capped = Budget::unbounded()
-            .with_max_conflicts(5)
-            .with_trace(tracer.handle())
-            .without_trace();
-        assert!(capped.check_conflicts(5).is_err());
     }
 
     #[test]
@@ -605,25 +569,6 @@ mod tests {
                 ..
             }))
         ));
-    }
-
-    #[test]
-    fn derive_with_cancel_keeps_limits_but_swaps_token() {
-        let outer = CancelToken::new();
-        let b = Budget::unbounded()
-            .with_cancel(outer.clone())
-            .with_max_conflicts(7);
-        let racer_token = CancelToken::new();
-        let racer = b.derive_with_cancel(racer_token.clone());
-        outer.cancel();
-        assert!(b.is_cancelled());
-        assert!(!racer.is_cancelled(), "racer has its own token");
-        assert!(
-            matches!(racer.check_conflicts(7), Err(Stop::Exhausted(_))),
-            "limits are inherited"
-        );
-        racer_token.cancel();
-        assert_eq!(racer.check(), Err(Stop::Cancelled));
     }
 
     /// The satellite contract: a token poisoned mid-run stops the loop

@@ -136,15 +136,6 @@ impl StimulusGen {
         self.random(cycles, reset_cycles, &mut rng)
     }
 
-    /// Whether [`StimulusGen::exhaustive`] would succeed at these bounds,
-    /// without materialising anything (the portfolio racer decides its
-    /// engine line-up with this before spawning threads).
-    pub fn exhaustive_feasible(&self, cycles: usize, limit: u64) -> bool {
-        let bits_per_cycle: u32 = self.inputs.iter().map(|(_, w)| *w).sum();
-        let total_bits = bits_per_cycle as u64 * cycles as u64;
-        total_bits < 63 && (1u64 << total_bits) <= limit
-    }
-
     /// Enumerates *every* input sequence of length `cycles` (after
     /// `reset_cycles` of reset), provided the total input space
     /// `2^(bits × cycles)` does not exceed `limit`. Returns `None` when the
@@ -155,11 +146,11 @@ impl StimulusGen {
         reset_cycles: usize,
         limit: u64,
     ) -> Option<Vec<Stimulus>> {
-        if !self.exhaustive_feasible(cycles, limit) {
-            return None;
-        }
         let bits_per_cycle: u32 = self.inputs.iter().map(|(_, w)| *w).sum();
         let total_bits = bits_per_cycle as u64 * cycles as u64;
+        if total_bits >= 63 || (1u64 << total_bits) > limit {
+            return None;
+        }
         let count = 1u64 << total_bits;
         let mut all = Vec::with_capacity(count as usize);
         for idx in 0..count {

@@ -8,8 +8,7 @@
 //! children carrying its [`EngineTag`](crate::EngineTag), compiles
 //! contain opt passes. [`Profile::from_events`] rebuilds exactly that
 //! hierarchy — the same engine-tag (not time-containment) attribution
-//! rule `asv_serve::report::assemble_reports` uses, so concurrent
-//! portfolio rungs group correctly.
+//! rule `asv_serve::report::assemble_reports` uses.
 //!
 //! Two outputs:
 //!
@@ -30,8 +29,8 @@ pub struct FrameStat {
     /// Total span duration, children included.
     pub incl_ns: u64,
     /// Inclusive time minus the inclusive time of direct children
-    /// (saturating: overlapping portfolio children can exceed their
-    /// parent's wall clock).
+    /// (saturating, so children whose summed time exceeds their
+    /// parent's never underflow it).
     pub excl_ns: u64,
 }
 

@@ -5,29 +5,24 @@
 //! same job batch must produce bit-identical verdict vectors:
 //!
 //! * across worker counts {1, 2, 8};
-//! * between `Engine::Portfolio` (racing symbolic BMC, bounded
-//!   enumeration and fuzzing with cooperative cancellation) and
-//!   sequential `Engine::Auto` through a plain `Verifier` loop;
+//! * between the service and a plain sequential `Verifier` loop;
 //! * with and without verdict memoisation (a warm re-submission answers
 //!   from the sharded cache without running a single engine).
 //!
-//! In debug builds (this suite) every portfolio check additionally
-//! re-runs the sequential Auto chain internally and asserts equality, so
-//! a divergence fails twice over.
+//! Every job runs `Engine::Auto`, the engine every pipeline judge uses.
 
 use asv_datagen::corpus::{Archetype, CorpusGen};
 use asv_mutation::inject::{apply, enumerate};
 use asv_serve::{VerifyJob, VerifyService};
-use asv_sva::bmc::{Engine, Verifier};
+use asv_sva::bmc::Verifier;
 use asv_verilog::sema::Design;
 
-fn bounds(engine: Engine) -> Verifier {
+fn bounds() -> Verifier {
     Verifier {
         depth: 8,
         reset_cycles: 2,
         exhaustive_limit: 256,
         random_runs: 24,
-        engine,
         ..Verifier::default()
     }
 }
@@ -59,33 +54,31 @@ fn archetype_designs() -> Vec<(String, Design)> {
     out
 }
 
-fn jobs(engine: Engine) -> Vec<VerifyJob> {
+fn jobs() -> Vec<VerifyJob> {
     archetype_designs()
         .into_iter()
-        .map(|(_, d)| VerifyJob::new(d, bounds(engine)))
+        .map(|(_, d)| VerifyJob::new(d, bounds()))
         .collect()
 }
 
 #[test]
 fn verdict_vector_is_identical_across_worker_counts() {
-    for engine in [Engine::Auto, Engine::Portfolio] {
-        let batch = jobs(engine);
-        let reference = VerifyService::with_workers(1).verify_batch(&batch);
-        for workers in [2, 8] {
-            let out = VerifyService::with_workers(workers).verify_batch(&batch);
-            assert_eq!(
-                out, reference,
-                "{engine:?} with {workers} workers changed the verdict vector"
-            );
-        }
+    let batch = jobs();
+    let reference = VerifyService::with_workers(1).verify_batch(&batch);
+    for workers in [2, 8] {
+        let out = VerifyService::with_workers(workers).verify_batch(&batch);
+        assert_eq!(
+            out, reference,
+            "{workers} workers changed the verdict vector"
+        );
     }
 }
 
 #[test]
-fn portfolio_service_matches_sequential_auto() {
+fn auto_service_matches_sequential_verifier_loop() {
     let designs = archetype_designs();
     // Sequential reference: one Auto check per design, no service.
-    let auto = bounds(Engine::Auto);
+    let auto = bounds();
     let sequential: Vec<_> = designs
         .iter()
         .map(|(_, d)| auto.check(d).map_err(asv_serve::VerdictError::from))
@@ -102,11 +95,11 @@ fn portfolio_service_matches_sequential_auto() {
             .any(|v| matches!(v, Ok(x) if !x.is_failure())),
         "suite must contain holding goldens"
     );
-    let batched = VerifyService::with_workers(8).verify_batch(&jobs(Engine::Portfolio));
+    let batched = VerifyService::with_workers(8).verify_batch(&jobs());
     for (((name, _), seq), batch) in designs.iter().zip(&sequential).zip(&batched) {
         assert_eq!(
             batch, seq,
-            "{name}: portfolio verdict must be bit-identical to sequential Auto"
+            "{name}: service verdict must be bit-identical to the sequential loop"
         );
     }
 }
@@ -123,14 +116,11 @@ fn mixed_ok_and_error_batches_report_per_job() {
     let no_assertions =
         asv_verilog::compile("module bare(input a, output y); assign y = a; endmodule")
             .expect("compiles");
-    let healthy = jobs(Engine::Portfolio);
+    let healthy = jobs();
     let step = 3;
     let mut batch = Vec::new();
     for chunk in healthy.chunks(step) {
-        batch.push(VerifyJob::new(
-            no_assertions.clone(),
-            bounds(Engine::Portfolio),
-        ));
+        batch.push(VerifyJob::new(no_assertions.clone(), bounds()));
         batch.extend_from_slice(chunk);
     }
     let reference = VerifyService::with_workers(1).submit_batch(&batch);
@@ -160,7 +150,7 @@ fn mixed_ok_and_error_batches_report_per_job() {
 
 #[test]
 fn warm_resubmission_runs_no_engine() {
-    let batch = jobs(Engine::Portfolio);
+    let batch = jobs();
     let service = VerifyService::with_workers(8);
     let cold = service.verify_batch(&batch);
     let cold_stats = service.stats();

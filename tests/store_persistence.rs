@@ -22,7 +22,7 @@ use asv_sva::bmc::{Engine, Verifier};
 use asv_verilog::sema::Design;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A scratch store directory, removed on drop.
 struct ScratchDir(PathBuf);
@@ -130,30 +130,44 @@ fn store_backed_verdicts_match_storeless_across_worker_counts() {
 
 #[test]
 fn warm_disk_reverify_is_20x_faster_and_runs_no_engine() {
+    // Best of three on each side, so one slow sample on a busy machine
+    // cannot decide the ratio.
+    const RUNS: usize = 3;
     let batch = mixed_batch();
-    let dir = ScratchDir::new("speed");
-    asv_serve::clear_design_cache();
-    let cold_service = stored_service(&dir, 4);
-    let t0 = Instant::now();
-    let cold = cold_service.verify_batch(&batch);
-    let cold_time = t0.elapsed();
-    assert!(cold_service.stats().executed > 0);
-    drop(cold_service);
+    let dirs: Vec<ScratchDir> = (0..RUNS).map(|_| ScratchDir::new("speed")).collect();
+    let mut cold = Vec::new();
+    let mut cold_time = Duration::MAX;
+    for dir in &dirs {
+        asv_serve::clear_design_cache();
+        let cold_service = stored_service(dir, 4);
+        let t0 = Instant::now();
+        let out = cold_service.verify_batch(&batch);
+        cold_time = cold_time.min(t0.elapsed());
+        assert!(cold_service.stats().executed > 0);
+        if cold.is_empty() {
+            cold = out;
+        } else {
+            assert_eq!(out, cold, "cold runs on fresh stores must agree");
+        }
+    }
 
-    // A fresh process would also start with a cold compile cache.
-    asv_serve::clear_design_cache();
-    let warm_service = stored_service(&dir, 4);
-    let t1 = Instant::now();
-    let warm = warm_service.verify_batch(&batch);
-    let warm_time = t1.elapsed();
+    let mut warm_time = Duration::MAX;
+    for _ in 0..RUNS {
+        // A fresh process would also start with a cold compile cache.
+        asv_serve::clear_design_cache();
+        let warm_service = stored_service(&dirs[0], 4);
+        let t1 = Instant::now();
+        let warm = warm_service.verify_batch(&batch);
+        warm_time = warm_time.min(t1.elapsed());
 
-    assert_eq!(cold, warm, "disk-warm verdicts must be bit-identical");
-    let stats = warm_service.stats();
-    assert_eq!(stats.executed, 0, "warm batch must run no engine");
-    assert_eq!(stats.store_misses, 0, "every unique job must hit the store");
+        assert_eq!(cold, warm, "disk-warm verdicts must be bit-identical");
+        let stats = warm_service.stats();
+        assert_eq!(stats.executed, 0, "warm batch must run no engine");
+        assert_eq!(stats.store_misses, 0, "every unique job must hit the store");
+    }
     assert!(
         warm_time.as_secs_f64() * 20.0 <= cold_time.as_secs_f64(),
-        "warm disk replay must be >= 20x faster: cold {cold_time:?}, warm {warm_time:?}"
+        "warm disk replay must be >= 20x faster: best cold {cold_time:?}, best warm {warm_time:?}"
     );
 }
 

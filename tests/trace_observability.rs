@@ -55,7 +55,7 @@ fn archetype_designs() -> Vec<Design> {
 /// duplicates so the dedup tier is exercised too.
 fn mixed_batch() -> Vec<VerifyJob> {
     let pool: Vec<Arc<Design>> = archetype_designs().into_iter().map(Arc::new).collect();
-    let engines = [Engine::Auto, Engine::Portfolio, Engine::Simulation];
+    let engines = [Engine::Auto, Engine::Simulation];
     (0..64)
         .map(|i| {
             VerifyJob::new(
