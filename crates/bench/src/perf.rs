@@ -553,6 +553,8 @@ pub struct DesignPool {
     pub golden: Vec<Arc<Design>>,
     /// Golden + first-injectable-bug variants, interleaved.
     pub pool: Vec<Arc<Design>>,
+    /// The source text of every design in `pool`, in the same order.
+    pub sources: Vec<String>,
 }
 
 /// Builds the benchmark design pool. Fully deterministic in `quick`.
@@ -561,21 +563,26 @@ pub fn design_pool(quick: bool) -> DesignPool {
     let designs = CorpusGen::new(0x0B5E7).generate(per * Archetype::ALL.len());
     let mut golden_out = Vec::new();
     let mut pool = Vec::new();
-    for gd in &designs {
+    let mut sources = Vec::new();
+    for gd in designs {
         let golden = asv_verilog::compile(&gd.source).expect("golden corpus design compiles");
-        if let Some(buggy) = enumerate(&golden).into_iter().find_map(|m| {
+        if let Some((buggy, buggy_source)) = enumerate(&golden).into_iter().find_map(|m| {
             let injection = apply(&golden, &m).ok()?;
-            asv_verilog::compile(&injection.buggy_source).ok()
+            let buggy = asv_verilog::compile(&injection.buggy_source).ok()?;
+            Some((buggy, injection.buggy_source))
         }) {
             pool.push(Arc::new(buggy));
+            sources.push(buggy_source);
         }
         let golden = Arc::new(golden);
         pool.push(Arc::clone(&golden));
+        sources.push(gd.source);
         golden_out.push(golden);
     }
     DesignPool {
         golden: golden_out,
         pool,
+        sources,
     }
 }
 
@@ -686,6 +693,22 @@ fn workload_compile(golden: &[Arc<Design>], runs: usize) -> WorkloadResult {
     WorkloadResult {
         wall_ns,
         counters: CostCounters::from_events(&tracer.drain()),
+        job_ns: None,
+    }
+}
+
+/// Parses and elaborates every source with `asv_verilog::compile`. The
+/// front end emits no spans, so the counter vector is all zero and the
+/// leg is gated on wall time alone.
+fn workload_frontend(sources: &[String], runs: usize) -> WorkloadResult {
+    let wall_ns = time_runs(runs, || {
+        for src in sources {
+            std::hint::black_box(asv_verilog::compile(src)).expect("pool source compiles");
+        }
+    });
+    WorkloadResult {
+        wall_ns,
+        counters: CostCounters::default(),
         job_ns: None,
     }
 }
@@ -919,6 +942,14 @@ pub fn run_matrix(cfg: &MatrixConfig) -> (BenchReport, Vec<Event>) {
     let cycles = if cfg.quick { 64 } else { 256 };
     let mut workloads = BTreeMap::new();
 
+    eprintln!(
+        "[perf] frontend: {} golden + injected-bug sources ...",
+        pool.sources.len()
+    );
+    workloads.insert(
+        "frontend".to_string(),
+        workload_frontend(&pool.sources, cfg.runs),
+    );
     eprintln!("[perf] compile: {} designs ...", pool.golden.len());
     workloads.insert(
         "compile".to_string(),
@@ -1271,6 +1302,28 @@ mod tests {
         let outcome = compare(&baseline, &current, false, 25.0);
         assert!(!outcome.passed());
         assert!(outcome.table().contains("missing now"));
+    }
+
+    #[test]
+    fn gate_reports_a_leg_missing_from_the_baseline_as_new() {
+        let baseline = sample_report("base");
+        let mut current = baseline.clone();
+        current.workloads.insert(
+            "frontend".to_string(),
+            WorkloadResult {
+                wall_ns: vec![500],
+                counters: CostCounters::default(),
+                job_ns: None,
+            },
+        );
+        for counters_only in [false, true] {
+            let outcome = compare(&baseline, &current, counters_only, 25.0);
+            assert!(outcome.passed(), "{}", outcome.table());
+            assert!(outcome
+                .deltas
+                .iter()
+                .any(|d| d.workload == "frontend" && d.note.starts_with("new workload")));
+        }
     }
 
     #[test]

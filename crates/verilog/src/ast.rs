@@ -124,9 +124,10 @@ pub struct BitRange {
 }
 
 impl BitRange {
-    /// Width in bits.
+    /// Width in bits. Wraps instead of overflowing: `[4294967295:0]` is
+    /// width 0, which elaboration rejects like any width outside 1..=64.
     pub fn width(&self) -> u32 {
-        self.msb - self.lsb + 1
+        self.msb.wrapping_sub(self.lsb).wrapping_add(1)
     }
 }
 
@@ -618,15 +619,16 @@ impl Expr {
         }
     }
 
-    /// Collects the names of all identifiers referenced by the expression.
-    pub fn collect_idents(&self, out: &mut Vec<String>) {
+    /// Calls `f` with the name of every identifier the expression
+    /// references, in source order, repeats included.
+    pub(crate) fn for_each_ident<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         match self {
             Expr::Number { .. } => {}
-            Expr::Ident { name, .. } => out.push(name.clone()),
-            Expr::Unary { operand, .. } => operand.collect_idents(out),
+            Expr::Ident { name, .. } | Expr::Part { name, .. } => f(name),
+            Expr::Unary { operand, .. } => operand.for_each_ident(f),
             Expr::Binary { lhs, rhs, .. } => {
-                lhs.collect_idents(out);
-                rhs.collect_idents(out);
+                lhs.for_each_ident(f);
+                rhs.for_each_ident(f);
             }
             Expr::Ternary {
                 cond,
@@ -634,30 +636,34 @@ impl Expr {
                 else_expr,
                 ..
             } => {
-                cond.collect_idents(out);
-                then_expr.collect_idents(out);
-                else_expr.collect_idents(out);
+                cond.for_each_ident(f);
+                then_expr.for_each_ident(f);
+                else_expr.for_each_ident(f);
             }
             Expr::Concat { parts, .. } => {
                 for p in parts {
-                    p.collect_idents(out);
+                    p.for_each_ident(f);
                 }
             }
             Expr::Repeat { count, value, .. } => {
-                count.collect_idents(out);
-                value.collect_idents(out);
+                count.for_each_ident(f);
+                value.for_each_ident(f);
             }
             Expr::Bit { name, index, .. } => {
-                out.push(name.clone());
-                index.collect_idents(out);
+                f(name);
+                index.for_each_ident(f);
             }
-            Expr::Part { name, .. } => out.push(name.clone()),
             Expr::SysCall { args, .. } => {
                 for a in args {
-                    a.collect_idents(out);
+                    a.for_each_ident(f);
                 }
             }
         }
+    }
+
+    /// Collects the names of all identifiers referenced by the expression.
+    pub fn collect_idents(&self, out: &mut Vec<String>) {
+        self.for_each_ident(&mut |name| out.push(name.to_string()));
     }
 
     /// Convenience wrapper returning a fresh vector of referenced names.
@@ -717,16 +723,18 @@ impl SeqExpr {
     /// All identifiers referenced anywhere in the sequence.
     pub fn idents(&self) -> Vec<String> {
         let mut out = Vec::new();
-        self.collect_idents(&mut out);
+        self.for_each_ident(&mut |name| out.push(name.to_string()));
         out
     }
 
-    fn collect_idents(&self, out: &mut Vec<String>) {
+    /// Calls `f` with every identifier of the sequence, in
+    /// [`SeqExpr::idents`] order.
+    pub(crate) fn for_each_ident<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         match self {
-            SeqExpr::Expr(e) => e.collect_idents(out),
+            SeqExpr::Expr(e) => e.for_each_ident(f),
             SeqExpr::Delay { lhs, rhs, .. } => {
-                lhs.collect_idents(out);
-                rhs.collect_idents(out);
+                lhs.for_each_ident(f);
+                rhs.for_each_ident(f);
             }
         }
     }
@@ -758,16 +766,23 @@ impl PropExpr {
 
     /// All identifiers referenced by the property body.
     pub fn idents(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        self.for_each_ident(&mut |name| out.push(name.to_string()));
+        out
+    }
+
+    /// Calls `f` with every identifier of the body, in
+    /// [`PropExpr::idents`] order.
+    pub(crate) fn for_each_ident<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         match self {
-            PropExpr::Seq(s) => s.idents(),
+            PropExpr::Seq(s) => s.for_each_ident(f),
             PropExpr::Implication {
                 antecedent,
                 consequent,
                 ..
             } => {
-                let mut v = antecedent.idents();
-                v.extend(consequent.idents());
-                v
+                antecedent.for_each_ident(f);
+                consequent.for_each_ident(f);
             }
         }
     }

@@ -174,9 +174,12 @@ impl<'s> Lexer<'s> {
         Ok(())
     }
 
+    /// Lexes a string literal. `\n` and `\t` are newline and tab, and any
+    /// other escaped byte stands for itself (`\"`, `\\`). The bytes are
+    /// decoded as UTF-8 once, at the closing quote.
     fn lex_string(&mut self, start: usize) -> Result<()> {
         self.pos += 1; // opening quote
-        let mut out = String::new();
+        let mut bytes = Vec::new();
         loop {
             match self.bump() {
                 Some(b'"') => break,
@@ -184,17 +187,19 @@ impl<'s> Lexer<'s> {
                     let esc = self
                         .bump()
                         .ok_or_else(|| self.err("unterminated string", start))?;
-                    out.push(match esc {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        other => other as char,
+                    bytes.push(match esc {
+                        b'n' => b'\n',
+                        b't' => b'\t',
+                        other => other,
                     });
                 }
-                Some(c) => out.push(c as char),
+                Some(c) => bytes.push(c),
                 None => return Err(self.err("unterminated string", start)),
             }
         }
-        self.push(TokenKind::Str(out), start);
+        let text =
+            String::from_utf8(bytes).map_err(|_| self.err("non-utf8 string literal", start))?;
+        self.push(TokenKind::Str(text), start);
         Ok(())
     }
 
@@ -209,14 +214,8 @@ impl<'s> Lexer<'s> {
             while matches!(self.peek(), Some(b'0'..=b'9') | Some(b'_')) {
                 self.pos += 1;
             }
-            let text: String = self.src[num_start..self.pos]
-                .iter()
-                .filter(|&&b| b != b'_')
-                .map(|&b| b as char)
-                .collect();
-            let value: u64 = text
-                .parse()
-                .map_err(|_| self.err("integer literal out of range", start))?;
+            let value = digits_value(&self.src[num_start..self.pos], 10)
+                .ok_or_else(|| self.err("integer literal out of range", start))?;
             if self.peek() == Some(b'\'') {
                 width = Some(
                     u32::try_from(value)
@@ -273,25 +272,8 @@ impl<'s> Lexer<'s> {
         if self.pos == digits_start {
             return Err(self.err("missing digits in based literal", start));
         }
-        let digits: String = self.src[digits_start..self.pos]
-            .iter()
-            .filter(|&&b| b != b'_')
-            .map(|&b| b as char)
-            .collect();
-        // x/z/? digits are treated as 0: the 2-state substitution documented
-        // in DESIGN.md.
-        let cleaned: String = digits
-            .chars()
-            .map(|c| {
-                if matches!(c, 'x' | 'X' | 'z' | 'Z' | '?') {
-                    '0'
-                } else {
-                    c
-                }
-            })
-            .collect();
-        let value = u64::from_str_radix(&cleaned, radix)
-            .map_err(|_| self.err("based literal out of range", start))?;
+        let value = digits_value(&self.src[digits_start..self.pos], radix)
+            .ok_or_else(|| self.err("based literal out of range", start))?;
         let value = match width {
             Some(w) if w < 64 => value & ((1u64 << w) - 1),
             _ => value,
@@ -457,6 +439,27 @@ impl<'s> Lexer<'s> {
     }
 }
 
+/// The value of a literal's digits in `radix`, skipping `_` separators;
+/// `x`, `z` and `?` read as 0 (the simulator is 2-state). `None` if there
+/// is no digit or the value overflows 64 bits.
+fn digits_value(digits: &[u8], radix: u32) -> Option<u64> {
+    let mut value: Option<u64> = None;
+    for &b in digits {
+        let digit = match b {
+            b'_' => continue,
+            b'x' | b'X' | b'z' | b'Z' | b'?' => 0,
+            _ => char::from(b).to_digit(radix)?,
+        };
+        value = Some(
+            value
+                .unwrap_or(0)
+                .checked_mul(u64::from(radix))?
+                .checked_add(u64::from(digit))?,
+        );
+    }
+    value
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,6 +534,37 @@ mod tests {
                 base: Some('b')
             }
         );
+    }
+
+    #[test]
+    fn number_literal_limits() {
+        assert_eq!(
+            kinds("18446744073709551615 64'hFFFF_FFFF_FFFF_FFFF")[..2],
+            [
+                T::Number {
+                    value: u64::MAX,
+                    width: None,
+                    base: None
+                },
+                T::Number {
+                    value: u64::MAX,
+                    width: Some(64),
+                    base: Some('h')
+                }
+            ]
+        );
+        let message = |src: &str| lex(src).expect_err(src).primary().message.clone();
+        assert_eq!(
+            message("18446744073709551616"),
+            "integer literal out of range"
+        );
+        assert_eq!(
+            message("'h1_0000_0000_0000_0000"),
+            "based literal out of range"
+        );
+        assert_eq!(message("4'b__"), "based literal out of range");
+        assert_eq!(message("4'q1"), "expected base after `'`");
+        assert_eq!(message("4'h"), "missing digits in based literal");
     }
 
     #[test]

@@ -33,6 +33,20 @@ struct Parser {
     pos: usize,
 }
 
+/// `list` in an allocation of exactly its length. Every list the parser
+/// completes goes into the AST, and a [`crate::Design`] keeps its parsed
+/// module for as long as it lives. The items move to a fresh allocation:
+/// shrinking in place leaves the freed tails scattered among live blocks,
+/// which raised peak memory when judging thousands of patches.
+fn trimmed<T>(mut list: Vec<T>) -> Vec<T> {
+    if list.len() == list.capacity() {
+        return list;
+    }
+    let mut exact = Vec::with_capacity(list.len());
+    exact.append(&mut list);
+    exact
+}
+
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
         Parser { tokens, pos: 0 }
@@ -55,12 +69,34 @@ impl Parser {
         self.tokens[self.pos.saturating_sub(1)].span
     }
 
+    /// Consumes the current token and returns it. The kind is moved out,
+    /// so an identifier's name reaches the AST without a copy; the parser
+    /// never looks back at a consumed token. The final [`TokenKind::Eof`]
+    /// stays in place for every later `peek`.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+        let span = self.tokens[self.pos].span;
+        if self.pos + 1 == self.tokens.len() {
+            return Token {
+                kind: TokenKind::Eof,
+                span,
+            };
         }
-        t
+        let kind = std::mem::replace(&mut self.tokens[self.pos].kind, TokenKind::Eof);
+        self.pos += 1;
+        Token { kind, span }
+    }
+
+    /// Consumes the current token, which the caller has peeked to be an
+    /// identifier, system identifier or string literal, and returns its
+    /// text.
+    fn take_text(&mut self) -> (String, Span) {
+        let Token { kind, span } = self.bump();
+        match kind {
+            TokenKind::Ident(text) | TokenKind::SysIdent(text) | TokenKind::Str(text) => {
+                (text, span)
+            }
+            _ => (String::new(), span),
+        }
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
@@ -106,11 +142,8 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<(String, Span)> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                let span = self.bump().span;
-                Ok((name, span))
-            }
+        match self.peek() {
+            TokenKind::Ident(_) => Ok(self.take_text()),
             _ => Err(self.unexpected("expected identifier")),
         }
     }
@@ -181,8 +214,8 @@ impl Parser {
         let end = self.expect_kw(Keyword::Endmodule)?;
         Ok(Module {
             name,
-            ports,
-            items,
+            ports: trimmed(ports),
+            items: trimmed(items),
             span: start.merge(end),
         })
     }
@@ -267,7 +300,7 @@ impl Parser {
     }
 
     fn const_u32(&mut self) -> Result<u32> {
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Number { value, .. } => {
                 self.bump();
                 u32::try_from(value)
@@ -279,7 +312,7 @@ impl Parser {
 
     fn item(&mut self, items: &mut Vec<Item>, ports: &mut Vec<Port>) -> Result<()> {
         let start = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Keyword(Keyword::Input) | TokenKind::Keyword(Keyword::Output) => {
                 // Non-ANSI port declarations in the body.
                 let dir = if self.eat_kw(Keyword::Input) {
@@ -357,7 +390,7 @@ impl Parser {
                 items.push(Item::Net(NetDecl {
                     kind,
                     range,
-                    names,
+                    names: trimmed(names),
                     span: start.merge(end),
                 }));
                 if let Some((lhs, rhs, span)) = init {
@@ -440,8 +473,8 @@ impl Parser {
                 items.push(Item::Assert(a));
                 Ok(())
             }
-            TokenKind::Ident(label) if *self.peek_at(1) == TokenKind::Colon => {
-                self.bump();
+            TokenKind::Ident(_) if *self.peek_at(1) == TokenKind::Colon => {
+                let (label, _) = self.take_text();
                 self.bump();
                 if self.at_kw(Keyword::Assert) {
                     let a = self.assert_directive(Some(label), start)?;
@@ -480,12 +513,12 @@ impl Parser {
             }
         }
         self.expect(&TokenKind::RParen)?;
-        Ok(Sensitivity::List(list))
+        Ok(Sensitivity::List(trimmed(list)))
     }
 
     fn stmt(&mut self) -> Result<Stmt> {
         let start = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Keyword(Keyword::Begin) => {
                 self.bump();
                 // Optional block label `begin : name`.
@@ -501,7 +534,7 @@ impl Parser {
                 }
                 let end = self.expect_kw(Keyword::End)?;
                 Ok(Stmt::Block {
-                    stmts,
+                    stmts: trimmed(stmts),
                     span: start.merge(end),
                 })
             }
@@ -555,7 +588,7 @@ impl Parser {
                     let body = self.stmt()?;
                     let aspan = astart.merge(body.span());
                     arms.push(CaseArm {
-                        labels,
+                        labels: trimmed(labels),
                         body,
                         span: aspan,
                     });
@@ -564,7 +597,7 @@ impl Parser {
                 Ok(Stmt::Case {
                     kind,
                     scrutinee,
-                    arms,
+                    arms: trimmed(arms),
                     default,
                     span: start.merge(end),
                 })
@@ -610,14 +643,13 @@ impl Parser {
             }
             let end = self.expect(&TokenKind::RBrace)?;
             return Ok(LValue::Concat {
-                parts,
+                parts: trimmed(parts),
                 span: start.merge(end),
             });
         }
         let (name, nspan) = self.expect_ident()?;
         if self.at(&TokenKind::LBracket) {
             // Distinguish bit select from part select by lookahead for `:`.
-            let save = self.pos;
             self.bump();
             let first = self.expr()?;
             if self.eat(&TokenKind::Colon) {
@@ -640,7 +672,6 @@ impl Parser {
                 });
             }
             let end = self.expect(&TokenKind::RBracket)?;
-            let _ = save;
             return Ok(LValue::Bit {
                 name,
                 index: Box::new(first),
@@ -756,7 +787,7 @@ impl Parser {
     fn primary(&mut self) -> Result<Expr> {
         use TokenKind as T;
         let start = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             T::Number { value, width, base } => {
                 let span = self.bump().span;
                 Ok(Expr::Number {
@@ -770,8 +801,8 @@ impl Parser {
                 "string literals are only allowed in $error actions",
                 start,
             )),
-            T::Ident(name) => {
-                let nspan = self.bump().span;
+            T::Ident(_) => {
+                let (name, nspan) = self.take_text();
                 if self.at(&T::LBracket) {
                     self.bump();
                     let first = self.expr()?;
@@ -804,8 +835,8 @@ impl Parser {
                 }
                 Ok(Expr::Ident { name, span: nspan })
             }
-            T::SysIdent(name) => {
-                self.bump();
+            T::SysIdent(_) => {
+                let (name, _) = self.take_text();
                 let mut args = Vec::new();
                 if self.eat(&T::LParen) {
                     if !self.at(&T::RParen) {
@@ -818,7 +849,7 @@ impl Parser {
                 }
                 Ok(Expr::SysCall {
                     name,
-                    args,
+                    args: trimmed(args),
                     span: start.merge(self.prev_span()),
                 })
             }
@@ -849,7 +880,7 @@ impl Parser {
                 }
                 let end = self.expect(&T::RBrace)?;
                 Ok(Expr::Concat {
-                    parts,
+                    parts: trimmed(parts),
                     span: start.merge(end),
                 })
             }
@@ -961,13 +992,12 @@ impl Parser {
         self.expect_kw(Keyword::Assert)?;
         self.expect_kw(Keyword::Property)?;
         self.expect(&TokenKind::LParen)?;
-        let target = if let TokenKind::Ident(name) = self.peek().clone() {
+        let target = if let TokenKind::Ident(_) = self.peek() {
             // Either a reference to a named property or an inline
             // expression starting with an identifier. A bare identifier
             // followed by `)` is a reference.
             if *self.peek_at(1) == TokenKind::RParen {
-                self.bump();
-                AssertTarget::Named(name)
+                AssertTarget::Named(self.take_text().0)
             } else {
                 let p = self.inline_property(&label)?;
                 AssertTarget::Inline(Box::new(p))
@@ -982,13 +1012,12 @@ impl Parser {
         let mut message = None;
         if self.eat_kw(Keyword::Else) {
             // `$error("...")` or `$fatal`/`$display` treated alike.
-            match self.peek().clone() {
+            match self.peek() {
                 TokenKind::SysIdent(_) => {
                     self.bump();
                     if self.eat(&TokenKind::LParen) {
-                        if let TokenKind::Str(s) = self.peek().clone() {
-                            self.bump();
-                            message = Some(s);
+                        if let TokenKind::Str(_) = self.peek() {
+                            message = Some(self.take_text().0);
                         }
                         // Skip any trailing args.
                         while !self.at(&TokenKind::RParen) {

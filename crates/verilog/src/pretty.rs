@@ -296,7 +296,9 @@ impl Printer {
                     }
                 }
                 if let Some(msg) = &a.message {
-                    write!(self.out, " else $error(\"{msg}\")").expect("write to string");
+                    self.out.push_str(" else $error(\"");
+                    push_escaped(&mut self.out, msg);
+                    self.out.push_str("\")");
                 }
                 self.out.push_str(";\n");
             }
@@ -482,6 +484,20 @@ pub fn render_seq(s: &SeqExpr) -> String {
             } else {
                 format!("{} ##{cycles} {}", render_seq(lhs), render_seq(rhs))
             }
+        }
+    }
+}
+
+/// Appends `text` as the body of a string literal: the inverse of the
+/// lexer's escapes, so a message survives render and re-parse unchanged.
+fn push_escaped(out: &mut String, text: &str) {
+    for c in text.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c => out.push(c),
         }
     }
 }
@@ -673,6 +689,26 @@ mod tests {
         let s = render_module(&unit.modules[0]);
         assert!(s.contains("else if (b)"), "got: {s}");
         roundtrip(src);
+    }
+
+    #[test]
+    fn assertion_messages_survive_render_and_parse() {
+        // `\"`, `\\`, `\n` and `\t` are escaped in the source; UTF-8 text
+        // passes through as is.
+        let src = "module m(input clk, input a);\n\
+            chk: assert property (@(posedge clk) a)\n\
+              else $error(\"café → \\\"ok\\\" \\\\ done\\n\\tnext\");\nendmodule";
+        let message = |src: &str| {
+            let design = crate::compile(src).expect("compiles");
+            let assertion = design.module.assertions().next().expect("one assertion");
+            assertion.message.clone().expect("has a message")
+        };
+        let expected = "café → \"ok\" \\ done\n\tnext";
+        assert_eq!(message(src), expected);
+        let once = render_unit(&parse(src).expect("parse"));
+        assert_eq!(message(&once), expected);
+        let twice = render_unit(&parse(&once).expect("reparse"));
+        assert_eq!(twice, once, "render is not a fixpoint");
     }
 
     #[test]

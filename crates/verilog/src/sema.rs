@@ -7,7 +7,7 @@
 //! analysis" text.
 
 use crate::ast::*;
-use crate::error::{CompileError, Diagnostic, Result, Severity};
+use crate::error::{CompileError, Diagnostic, Result};
 use crate::source::Span;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -152,20 +152,33 @@ impl Design {
     }
 }
 
-/// Elaborates a single-module source unit.
+/// Elaborates the first module of a source unit, which the returned
+/// [`Design`] takes over without a copy.
 ///
 /// # Errors
 ///
 /// Rejects designs with undeclared identifiers, conflicting drivers,
 /// `assign` to a `reg`, procedural writes to a `wire`, width-zero signals,
 /// unresolvable parameters, or assertions referencing unknown signals.
-pub fn elaborate(unit: &SourceUnit) -> Result<Design> {
+pub fn elaborate(unit: SourceUnit) -> Result<Design> {
     let module = unit
         .modules
-        .first()
-        .ok_or_else(|| CompileError::single("empty source unit", Span::point(0)))?
-        .clone();
-    Elaborator::new(module).run()
+        .into_iter()
+        .next()
+        .ok_or_else(|| CompileError::single("empty source unit", Span::point(0)))?;
+    let mut elab = Elaborator::default();
+    elab.run(&module);
+    if !elab.errors.is_empty() {
+        let mut diagnostics = elab.errors;
+        diagnostics.extend(elab.warnings);
+        return Err(CompileError { diagnostics });
+    }
+    Ok(Design {
+        module,
+        signals: elab.signals,
+        params: elab.params,
+        warnings: elab.warnings,
+    })
 }
 
 /// Convenience: parse then elaborate.
@@ -174,62 +187,55 @@ pub fn elaborate(unit: &SourceUnit) -> Result<Design> {
 ///
 /// Propagates both syntax and semantic diagnostics.
 pub fn compile(src: &str) -> Result<Design> {
-    elaborate(&crate::parser::parse(src)?)
+    elaborate(crate::parser::parse(src)?)
 }
 
+/// The symbol tables and diagnostics built while elaborating; every pass
+/// borrows the module.
+#[derive(Default)]
 struct Elaborator {
-    module: Module,
     signals: BTreeMap<String, SignalInfo>,
     params: BTreeMap<String, u64>,
     errors: Vec<Diagnostic>,
     warnings: Vec<Diagnostic>,
 }
 
+/// System functions the front end accepts in expressions.
+fn is_supported_sys_fn(name: &str) -> bool {
+    matches!(
+        name,
+        "past"
+            | "rose"
+            | "fell"
+            | "stable"
+            | "countones"
+            | "onehot"
+            | "onehot0"
+            | "signed"
+            | "unsigned"
+    )
+}
+
 impl Elaborator {
-    fn new(module: Module) -> Self {
-        Elaborator {
-            module,
-            signals: BTreeMap::new(),
-            params: BTreeMap::new(),
-            errors: Vec::new(),
-            warnings: Vec::new(),
-        }
+    fn run(&mut self, module: &Module) {
+        self.collect_params(module);
+        self.collect_signals(module);
+        self.check_drivers(module);
+        self.check_references(module);
+        self.check_assertions(module);
     }
 
-    fn run(mut self) -> Result<Design> {
-        self.collect_params();
-        self.collect_signals();
-        self.check_drivers();
-        self.check_references();
-        self.check_assertions();
-        if !self.errors.is_empty() {
-            let mut diagnostics = self.errors;
-            diagnostics.extend(self.warnings);
-            return Err(CompileError { diagnostics });
-        }
-        Ok(Design {
-            module: self.module,
-            signals: self.signals,
-            params: self.params,
-            warnings: self.warnings,
-        })
+    /// Whether `name` is a declared signal or parameter.
+    fn is_declared(&self, name: &str) -> bool {
+        self.signals.contains_key(name) || self.params.contains_key(name)
     }
 
     fn err(&mut self, msg: impl Into<String>, span: Span) {
         self.errors.push(Diagnostic::error(msg, span));
     }
 
-    fn warn(&mut self, msg: impl Into<String>, span: Span) {
-        self.warnings.push(Diagnostic {
-            severity: Severity::Warning,
-            message: msg.into(),
-            span,
-        });
-    }
-
-    fn collect_params(&mut self) {
-        let items = self.module.items.clone();
-        for item in &items {
+    fn collect_params(&mut self, module: &Module) {
+        for item in &module.items {
             if let Item::Param(p) = item {
                 match const_eval(&p.value, &self.params) {
                     Some(v) => {
@@ -246,9 +252,8 @@ impl Elaborator {
         }
     }
 
-    fn collect_signals(&mut self) {
-        let ports = self.module.ports.clone();
-        for p in &ports {
+    fn collect_signals(&mut self, module: &Module) {
+        for p in &module.ports {
             let width = p.width();
             if width == 0 || width > 64 {
                 self.err(
@@ -278,8 +283,7 @@ impl Elaborator {
                 self.err(format!("duplicate port `{}`", p.name), p.span);
             }
         }
-        let items = self.module.items.clone();
-        for item in &items {
+        for item in &module.items {
             if let Item::Net(n) = item {
                 let width = n.width();
                 if width == 0 || width > 64 {
@@ -318,9 +322,8 @@ impl Elaborator {
         }
     }
 
-    fn check_drivers(&mut self) {
-        let items = self.module.items.clone();
-        for item in &items {
+    fn check_drivers(&mut self, module: &Module) {
+        for item in &module.items {
             match item {
                 Item::Assign(a) => {
                     for name in a.lhs.target_names() {
@@ -336,7 +339,7 @@ impl Elaborator {
                     let mut targets = Vec::new();
                     collect_stmt_targets(&al.body, &mut targets);
                     for (name, span) in targets {
-                        self.record_driver(&name, kind, span);
+                        self.record_driver(name, kind, span);
                     }
                     self.check_sensitivity(al);
                 }
@@ -346,19 +349,18 @@ impl Elaborator {
         }
         // Floating non-port signals are warnings (dead nets are common in
         // scraped corpora and the paper keeps such code for pretraining).
-        let floating: Vec<String> = self
-            .signals
-            .values()
-            .filter(|s| s.driver == DriverKind::None && !matches!(s.dir, Some(PortDir::Input)))
-            .map(|s| s.name.clone())
-            .collect();
-        for name in floating {
-            self.warn(format!("signal `{name}` is never driven"), Span::point(0));
+        for s in self.signals.values() {
+            if s.driver == DriverKind::None && !matches!(s.dir, Some(PortDir::Input)) {
+                self.warnings.push(Diagnostic::warning(
+                    format!("signal `{}` is never driven", s.name),
+                    Span::point(0),
+                ));
+            }
         }
     }
 
     fn record_driver(&mut self, name: &str, kind: DriverKind, span: Span) {
-        let Some(sig) = self.signals.get(name).cloned() else {
+        let Some(sig) = self.signals.get_mut(name) else {
             self.err(format!("assignment to undeclared signal `{name}`"), span);
             return;
         };
@@ -366,20 +368,17 @@ impl Elaborator {
             self.err(format!("cannot drive input port `{name}`"), span);
             return;
         }
-        match (sig.driver, kind) {
-            (DriverKind::None, k) => {
-                if let Some(s) = self.signals.get_mut(name) {
-                    s.driver = k;
-                }
-            }
-            (a, b) if a == b => {}
-            (a, b) => self.err(
-                format!("signal `{name}` has conflicting drivers ({a:?} and {b:?})"),
+        let (driver, net_kind) = (sig.driver, sig.kind);
+        if driver == DriverKind::None {
+            sig.driver = kind;
+        } else if driver != kind {
+            self.err(
+                format!("signal `{name}` has conflicting drivers ({driver:?} and {kind:?})"),
                 span,
-            ),
+            );
         }
         // Net-kind compatibility.
-        match (sig.kind, kind) {
+        match (net_kind, kind) {
             (NetKind::Wire, DriverKind::Combinational | DriverKind::Sequential) => self.err(
                 format!("procedural assignment to wire `{name}` (declare it reg)"),
                 span,
@@ -395,8 +394,8 @@ impl Elaborator {
     fn check_sensitivity(&mut self, al: &AlwaysBlock) {
         if let Sensitivity::List(list) = &al.sensitivity {
             for item in list {
-                let sig = item.signal().to_string();
-                if !self.signals.contains_key(&sig) {
+                let sig = item.signal();
+                if !self.signals.contains_key(sig) {
                     self.err(
                         format!("sensitivity list references undeclared signal `{sig}`"),
                         al.span,
@@ -416,9 +415,8 @@ impl Elaborator {
         }
     }
 
-    fn check_references(&mut self) {
-        let items = self.module.items.clone();
-        for item in &items {
+    fn check_references(&mut self, module: &Module) {
+        for item in &module.items {
             match item {
                 Item::Assign(a) => self.check_expr(&a.rhs),
                 Item::Always(al) => self.check_stmt(&al.body),
@@ -469,25 +467,54 @@ impl Elaborator {
         }
     }
 
-    fn check_expr(&mut self, e: &Expr) {
-        for name in e.idents() {
-            if !self.signals.contains_key(&name) && !self.params.contains_key(&name) {
-                self.err(format!("undeclared identifier `{name}`"), e.span());
+    /// Whether every identifier in `e` is declared and every system
+    /// function is supported: one walk that allocates nothing.
+    fn expr_is_clean(&self, e: &Expr) -> bool {
+        match e {
+            Expr::Number { .. } => true,
+            Expr::Ident { name, .. } | Expr::Part { name, .. } => self.is_declared(name),
+            Expr::Unary { operand, .. } => self.expr_is_clean(operand),
+            Expr::Binary { lhs, rhs, .. } => self.expr_is_clean(lhs) && self.expr_is_clean(rhs),
+            Expr::Ternary {
+                cond,
+                then_expr,
+                else_expr,
+                ..
+            } => {
+                self.expr_is_clean(cond)
+                    && self.expr_is_clean(then_expr)
+                    && self.expr_is_clean(else_expr)
+            }
+            Expr::Concat { parts, .. } => parts.iter().all(|p| self.expr_is_clean(p)),
+            Expr::Repeat { count, value, .. } => {
+                self.expr_is_clean(count) && self.expr_is_clean(value)
+            }
+            Expr::Bit { name, index, .. } => self.is_declared(name) && self.expr_is_clean(index),
+            Expr::SysCall { name, args, .. } => {
+                is_supported_sys_fn(name) && args.iter().all(|a| self.expr_is_clean(a))
             }
         }
+    }
+
+    /// Reports undeclared identifiers and unsupported system functions in
+    /// `e`. An undeclared name is reported once for every expression that
+    /// encloses it, with that expression's span: stage-1 datagen stores
+    /// these diagnostics as pretraining text, so the list stays as it is.
+    fn check_expr(&mut self, e: &Expr) {
+        if self.expr_is_clean(e) {
+            return;
+        }
+        let mut undeclared = Vec::new();
+        e.for_each_ident(&mut |name| {
+            if !self.is_declared(name) {
+                undeclared.push(format!("undeclared identifier `{name}`"));
+            }
+        });
+        for msg in undeclared {
+            self.err(msg, e.span());
+        }
         if let Expr::SysCall { name, span, .. } = e {
-            if !matches!(
-                name.as_str(),
-                "past"
-                    | "rose"
-                    | "fell"
-                    | "stable"
-                    | "countones"
-                    | "onehot"
-                    | "onehot0"
-                    | "signed"
-                    | "unsigned"
-            ) {
+            if !is_supported_sys_fn(name) {
                 self.err(format!("unsupported system function `${name}`"), *span);
             }
         }
@@ -519,8 +546,7 @@ impl Elaborator {
         }
     }
 
-    fn check_assertions(&mut self) {
-        let module = self.module.clone();
+    fn check_assertions(&mut self, module: &Module) {
         let prop_names: BTreeSet<&str> = module.properties().map(|p| p.name.as_str()).collect();
         for a in module.assertions() {
             match &a.target {
@@ -550,19 +576,19 @@ impl Elaborator {
         if let Some(d) = &p.disable {
             self.check_expr(d);
         }
-        let idents = p.body.idents();
-        for name in idents {
-            if !self.signals.contains_key(&name) && !self.params.contains_key(&name) {
-                self.err(
-                    format!("property references undeclared signal `{name}`"),
-                    p.span,
-                );
+        let mut undeclared = Vec::new();
+        p.body.for_each_ident(&mut |name| {
+            if !self.is_declared(name) {
+                undeclared.push(format!("property references undeclared signal `{name}`"));
             }
+        });
+        for msg in undeclared {
+            self.err(msg, p.span);
         }
     }
 }
 
-fn collect_stmt_targets(s: &Stmt, out: &mut Vec<(String, Span)>) {
+fn collect_stmt_targets<'m>(s: &'m Stmt, out: &mut Vec<(&'m str, Span)>) {
     match s {
         Stmt::Block { stmts, .. } => stmts.iter().for_each(|st| collect_stmt_targets(st, out)),
         Stmt::If {
@@ -585,7 +611,7 @@ fn collect_stmt_targets(s: &Stmt, out: &mut Vec<(String, Span)>) {
         }
         Stmt::Assign { lhs, span, .. } => {
             for n in lhs.target_names() {
-                out.push((n.to_string(), *span));
+                out.push((n, *span));
             }
         }
         Stmt::Empty { .. } => {}

@@ -9,7 +9,8 @@ use asv_verilog::pretty::render_module;
 use asv_verilog::Design;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// `design` with `m` applied, rendered in full: the oracle for the spliced
 /// single-line edits.
@@ -168,6 +169,89 @@ proptest! {
                 let Ok(mutant) = asv_verilog::compile(&inj.buggy_source) else { continue };
                 check_splices(&mutant, &format!("{} with `{}`", d.name, m.description))?;
             }
+        }
+    }
+}
+
+/// What a byte-mutation edit may write in place of a byte: the characters
+/// that open or escape a token, a few delimiters, and multi-byte UTF-8.
+const MUTATION_SPLICES: &[&str] = &[
+    "\"", "\\", "$", "'", "[", "#", "é", "→", "(", ")", "{", "}", ";", ":", "`", "/", "*", "0",
+    "9", "\n", " ",
+];
+
+/// One to three random edits of `src`: delete a byte, duplicate a byte or
+/// replace a byte with one of [`MUTATION_SPLICES`].
+fn mutate_bytes(src: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    let mut out = src.to_vec();
+    for _ in 0..rng.gen_range(1..=3) {
+        if out.is_empty() {
+            break;
+        }
+        let at = rng.gen_range(0..out.len());
+        match rng.gen_range(0..3) {
+            0 => {
+                out.remove(at);
+            }
+            1 => out.insert(at, out[at]),
+            _ => {
+                let splice = MUTATION_SPLICES[rng.gen_range(0..MUTATION_SPLICES.len())];
+                out.splice(at..=at, splice.bytes());
+            }
+        }
+    }
+    out
+}
+
+/// Compiles `src` twice under `catch_unwind`: both calls must return (no
+/// panic) and agree.
+fn assert_compiles_without_panic(src: &str, what: &str) {
+    let first = catch_unwind(AssertUnwindSafe(|| asv_verilog::compile(src)));
+    let second = catch_unwind(AssertUnwindSafe(|| asv_verilog::compile(src)));
+    match (first, second) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "{what}: two compiles differ\n{src}"),
+        _ => panic!("{what}: the front end panicked on\n{src}"),
+    }
+}
+
+/// Minimized inputs that reach front-end arithmetic a mutant could
+/// overflow: the width of `[4294967295:0]` does not fit in a `u32`.
+const FRONTEND_PANIC_CASES: &[(&str, &str)] = &[(
+    "full_u32_range_width",
+    "module m(input [4294967295:0] a, output y); assign y = a[0]; endmodule",
+)];
+
+/// The front end returns `Ok` or `Err` and never panics on byte-mutated
+/// sources of the 12 archetypes, and compiling one input twice gives
+/// equal results. A fixed seed and budget (12 × 400 mutants); a failure
+/// prints the seed and the mutant.
+#[test]
+fn frontend_never_panics_on_byte_mutated_sources() {
+    const SEED: u64 = 0xF0E5_B17E;
+    const MUTANTS_PER_SOURCE: usize = 400;
+    eprintln!("byte-mutation seed {SEED:#x}");
+    for (name, src) in FRONTEND_PANIC_CASES {
+        assert_compiles_without_panic(src, name);
+    }
+    let gen = CorpusGen::new(SEED);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for (k, arch) in Archetype::ALL.into_iter().enumerate() {
+        let d = gen.instantiate(
+            arch,
+            k,
+            SizeHint {
+                stages: 2,
+                width: 4,
+            },
+            &mut rng,
+        );
+        for i in 0..MUTANTS_PER_SOURCE {
+            let mutant =
+                String::from_utf8_lossy(&mutate_bytes(d.source.as_bytes(), &mut rng)).into_owned();
+            assert_compiles_without_panic(
+                &mutant,
+                &format!("seed {SEED:#x}, {} mutant {i}", d.name),
+            );
         }
     }
 }
