@@ -753,10 +753,12 @@ fn batch_stimuli(golden: &[Arc<Design>], cycles: usize) -> Vec<Vec<Stimulus>> {
 }
 
 /// Stimulus-throughput workload: the same 64 stimuli per design drained
-/// through [`run_stimulus_group`] at lane width `lanes` (1 = the scalar
-/// fallback loop, reusing one simulator via `restart`). The scalar and
-/// batched legs therefore simulate identical work — their wall-time
-/// ratio *is* the lane speedup, and their `ops` counters must be equal.
+/// through [`run_stimulus_group`] at lane width `lanes` (1 = one
+/// single-lane `LaneBatch<1>` per stimulus, what `Simulator` runs; that
+/// leg keeps its `simulate_64x_scalar` name so it still matches the
+/// committed baselines). The single-lane and batched legs therefore
+/// simulate identical work — their wall-time ratio *is* the lane
+/// speedup, and their `ops` counters must be equal.
 fn workload_simulate_stimuli(
     golden: &[Arc<Design>],
     runs: usize,
@@ -775,8 +777,8 @@ fn workload_simulate_stimuli(
             }
         }
     });
-    // Counter leg: per-lane op tallies are scalar-basis (bit-identical
-    // to a scalar run of each stimulus); batch occupancy is a pure
+    // Counter leg: per-lane op tallies are bit-identical to a
+    // single-lane run of each stimulus; batch occupancy is a pure
     // function of the stimulus count and the lane width.
     let mut counters = CostCounters::default();
     for (c, stims) in compiled.iter().zip(&stim_sets) {
@@ -965,7 +967,7 @@ pub fn run_matrix(cfg: &MatrixConfig) -> (BenchReport, Vec<Event>) {
     );
     let stim_cycles = if cfg.quick { 16 } else { 64 };
     eprintln!(
-        "[perf] simulate_64x: {} designs x 64 stimuli x {stim_cycles} cycles, scalar + batch ...",
+        "[perf] simulate_64x: {} designs x 64 stimuli x {stim_cycles} cycles, K=1 + batch ...",
         pool.golden.len()
     );
     workloads.insert(

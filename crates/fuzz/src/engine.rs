@@ -56,8 +56,8 @@ pub struct FuzzOptions {
     pub threads: usize,
     /// Simulation lanes per bytecode pass (`asv_sim::LaneBatch`
     /// widths 8/16/32; anything else — including 1, the differential
-    /// configuration — drains through the scalar executor). Results are
-    /// bit-identical at every setting; only throughput changes.
+    /// configuration — runs one single-lane batch per stimulus). Results
+    /// are bit-identical at every setting; only throughput changes.
     pub lanes: usize,
 }
 
@@ -242,8 +242,8 @@ fn run_chunk<O: AssertionOracle>(
         }
         // The whole group simulates together; results are still judged
         // and reported in index order, and everything after the chunk's
-        // first failure/error is dropped — exactly what the scalar loop
-        // produced, since the round merge discards post-stop results.
+        // first failure/error is dropped — exactly what a one-at-a-time
+        // loop produces, since the round merge discards post-stop results.
         for outcome in run_stimulus_group(compiled, group, lanes, Some(oracle.assertions()), false)
         {
             let r = match outcome {
@@ -551,15 +551,15 @@ mod tests {
             threads: 2,
             ..FuzzOptions::default()
         };
-        let scalar = fuzz(&cd, &oracle, &FuzzOptions { lanes: 1, ..base }).expect("scalar");
+        let single = fuzz(&cd, &oracle, &FuzzOptions { lanes: 1, ..base }).expect("lanes=1");
         for lanes in [8, 16, 32] {
             let batched = fuzz(&cd, &oracle, &FuzzOptions { lanes, ..base })
                 .unwrap_or_else(|e| panic!("lanes={lanes}: {e}"));
-            assert_eq!(scalar.verdict, batched.verdict, "lanes={lanes}");
-            assert_eq!(scalar.runs, batched.runs, "lanes={lanes}");
-            assert_eq!(scalar.coverage, batched.coverage, "lanes={lanes}");
+            assert_eq!(single.verdict, batched.verdict, "lanes={lanes}");
+            assert_eq!(single.runs, batched.runs, "lanes={lanes}");
+            assert_eq!(single.coverage, batched.coverage, "lanes={lanes}");
             assert_eq!(
-                scalar.corpus_fingerprint, batched.corpus_fingerprint,
+                single.corpus_fingerprint, batched.corpus_fingerprint,
                 "lanes={lanes}"
             );
         }

@@ -1,11 +1,11 @@
 //! Time-frame symbolic execution of a [`CompiledDesign`].
 //!
-//! The functions here mirror the concrete executor step for step —
-//! [`settle_sym`] is `CompiledDesign::settle` (levelized order only),
-//! [`clock_edge_sym`] is `CompiledDesign::clock_edge` with its exact
-//! commit discipline (per block: blocking-write diffs in signal order,
-//! then nonblocking assignments in execution order, all applied
-//! atomically) — but over [`SymVec`] state.
+//! The functions here mirror the concrete lane executor
+//! (`asv_sim::compile::batch`) step for step — [`settle_sym`] is its
+//! combinational settle (levelized order only), [`clock_edge_sym`] its
+//! clock edge with the exact commit discipline (per block:
+//! blocking-write diffs in signal order, then nonblocking assignments in
+//! execution order, all applied atomically) — but over [`SymVec`] state.
 //!
 //! Control flow with symbolic conditions is handled by *guarded updates*:
 //! each assignment under an `if`/`case` becomes a per-bit mux between the
@@ -28,8 +28,8 @@ pub struct SymState {
 }
 
 impl SymState {
-    /// The all-zero initial state of a design (the simulator's
-    /// `init_state`).
+    /// The all-zero initial state of a design (the simulator's initial
+    /// state).
     pub fn init(cd: &CompiledDesign) -> Self {
         SymState {
             vals: (0..cd.names().len())
@@ -307,7 +307,8 @@ pub fn settle_sym(
 /// One pending commit of the clock-edge phase.
 enum Commit<'a> {
     /// A blocking-write diff: committed when the value actually changed
-    /// (the symbolic form of the executor's `pre_edge[i] != *v` test).
+    /// (the symbolic form of the executor's pre-edge vs post-block
+    /// comparison).
     Whole {
         sig: usize,
         val: SymVec,
@@ -322,7 +323,7 @@ enum Commit<'a> {
 }
 
 /// Executes every clocked block against the pre-edge state and commits
-/// updates atomically, mirroring `CompiledDesign::clock_edge`.
+/// updates atomically, mirroring the lane executor's clock edge.
 ///
 /// `live` masks clocked blocks exactly like [`settle_sym`]'s comb mask.
 ///

@@ -1,13 +1,17 @@
 //! Lane-batched (structure-of-arrays) execution: run `K` independent
 //! simulation states through every bytecode op in one pass.
 //!
-//! The scalar executor pays the stack machine's dispatch/decode cost per
-//! stimulus. [`LaneBatch`] amortises it: the value store holds `K` lanes
-//! per signal (`state[sig * K + lane]`, lane-minor so one op touches one
-//! contiguous block), the operand stack holds slots of `K` values, and
-//! each op applies the *exact* scalar semantics from [`crate::eval`] to
-//! every active lane in a tight constant-operator loop the optimizer can
-//! autovectorize.
+//! This is the one statement executor of compiled designs. [`LaneBatch`]
+//! amortises the stack machine's dispatch/decode cost over `K` stimuli:
+//! the value store holds `K` lanes per signal (`state[sig * K + lane]`,
+//! lane-minor so one op touches one contiguous block), the operand stack
+//! holds slots of `K` values, and each op applies the *exact* scalar
+//! semantics from [`crate::eval`] to every active lane in a tight
+//! constant-operator loop the optimizer can autovectorize. The
+//! single-stimulus [`Simulator`](crate::Simulator) is `LaneBatch<1>`
+//! with its lane fixed at 0, and the AST interpreter
+//! ([`crate::interp::AstSimulator`]) is the oracle every width is
+//! differential-tested against.
 //!
 //! ## Masking and divergence rules (bit-identity contract)
 //!
@@ -15,9 +19,10 @@
 //!
 //! - **`alive`** — lanes that have not raised a [`SimError`]. A lane's
 //!   first error is recorded and the lane is masked out of *all*
-//!   subsequent evaluation, exactly like the scalar machine aborting that
-//!   stimulus (first-use error order is preserved because a masked-out
-//!   lane can never evaluate — and therefore never error — again).
+//!   subsequent evaluation, exactly like a single-stimulus run stopping
+//!   at its first error (first-use error order is preserved because a
+//!   masked-out lane can never evaluate — and therefore never error —
+//!   again).
 //! - **`exec`** — lanes executing the current straight-line region.
 //!   Ternaries compile to `JumpIfFalse`/`Jump`; when lanes disagree on
 //!   the condition the executor pushes a divergence frame, runs the THEN
@@ -34,25 +39,23 @@
 //!
 //! Statement execution (`if`/`case`) re-applies the same discipline at
 //! statement granularity, charging coverage probes and op counts per
-//! lane so instrumented results are bit-identical to `K` scalar runs.
-//! When a target lane count is not one of the supported widths,
-//! [`run_stimulus_group`] falls back to the scalar [`Simulator`] —
-//! semantics never depend on which executor ran.
+//! lane, so each lane's instrumented results equal those of a
+//! single-lane run of its stimulus. [`run_stimulus_group`] runs any lane
+//! count outside [`LANE_WIDTHS`] as one `LaneBatch<1>` per stimulus.
 
 use super::bytecode::{run, ExecEnv, ExprProg, Op};
-use super::{CLValue, CStmt, CombStep, CompiledDesign, SigId, StateEnv, MAX_SETTLE_ITERS};
-use crate::cover::{CovMap, CovSink};
+use super::{CLValue, CStmt, CombStep, CompiledDesign, SigId, MAX_SETTLE_ITERS};
+use crate::cover::CovMap;
 use crate::eval::EvalError;
-use crate::exec::{SimError, Simulator};
+use crate::exec::SimError;
 use crate::stimulus::Stimulus;
 use crate::trace::Trace;
 use crate::value::Value;
 use asv_verilog::ast::{BinaryOp, UnaryOp};
 use std::sync::Arc;
 
-/// Lane counts the batched executor is instantiated at; any other group
-/// size handed to [`run_stimulus_group`] drains through the scalar
-/// executor instead.
+/// Lane counts [`run_stimulus_group`] batches stimuli at; any other lane
+/// count runs one `LaneBatch<1>` per stimulus instead.
 pub const LANE_WIDTHS: [usize; 3] = [8, 16, 32];
 
 /// Mask with the low `K` lane bits set.
@@ -107,6 +110,7 @@ fn kill(errors: &mut [Option<SimError>], alive: &mut u64, exec: &mut u64, l: usi
 /// result slot, reveals the join point, and switches execution to the
 /// falsy lanes. When the program counter reaches the join, the THEN
 /// lanes' results are merged back into the top slot.
+#[derive(Clone)]
 struct Frame<const K: usize> {
     /// First op of the ELSE region (the `JumpIfFalse` target).
     else_start: u32,
@@ -124,7 +128,7 @@ struct Frame<const K: usize> {
 /// to a signal inside a clocked block records its pre-block lane values,
 /// so the edge commit can diff and restore exactly the touched signals
 /// instead of cloning and scanning the whole state per block.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct EdgeLog<const K: usize> {
     /// Journaling enabled (only while a clocked block executes).
     on: bool,
@@ -191,11 +195,10 @@ struct Ctx<'a, const K: usize> {
     edge_log: &'a mut EdgeLog<K>,
 }
 
-/// Per-lane instrumentation: the batched analogue of
-/// [`CovSink`] — branch probes and op tallies carry the lane index, and
-/// preponed row samples are routed to the lane's coverage map. Four
-/// monomorphised implementations mirror the scalar executor's four-way
-/// dispatch, so the uninstrumented path compiles to nothing.
+/// Per-lane instrumentation: branch probes and op tallies carry the lane
+/// index, and preponed row samples are routed to the lane's coverage
+/// map. One monomorphised implementation per combination of coverage and
+/// op counting, so the uninstrumented path compiles to nothing.
 trait LaneSink {
     /// Whether [`row`](LaneSink::row) observes sample rows. When false
     /// (the uninstrumented paths) the tick loop skips the per-lane row
@@ -222,7 +225,8 @@ impl LaneSink for NoLaneSink {
     fn row(&mut self, _lane: usize, _row: &[Value]) {}
 }
 
-/// Per-lane op tallies only (the scalar `OpsTally` over `NoCov`).
+/// Per-lane op tallies only. A tally is a pure function of bytecode and
+/// stimulus, so it is deterministic across thread counts and reruns.
 struct OpsLanes<'a> {
     ops: &'a mut [u64],
 }
@@ -243,8 +247,9 @@ impl LaneSink for OpsLanes<'_> {
     fn row(&mut self, _lane: usize, _row: &[Value]) {}
 }
 
-/// Per-lane coverage maps (branch + toggle axes; no op tallies, exactly
-/// like [`CovMap`]'s scalar `CovSink` implementation).
+/// Per-lane coverage maps (branch + toggle axes). Op tallies never land
+/// in a coverage map: maps must stay bit-identical across opt levels
+/// while optimized programs are shorter.
 struct CovLanes<'a> {
     covs: &'a mut [CovMap],
 }
@@ -253,7 +258,7 @@ impl LaneSink for CovLanes<'_> {
     const NEEDS_ROWS: bool = true;
     #[inline]
     fn branch(&mut self, lane: usize, site: u32) {
-        CovSink::branch(&mut self.covs[lane], site);
+        self.covs[lane].branch(site);
     }
     #[inline(always)]
     fn ops(&mut self, _mask: u64, _n: u64) {}
@@ -263,8 +268,7 @@ impl LaneSink for CovLanes<'_> {
     }
 }
 
-/// Coverage and op tallies together (the scalar `OpsTally` over a
-/// `CovMap`).
+/// Coverage and op tallies together.
 struct CovOpsLanes<'a> {
     covs: &'a mut [CovMap],
     ops: &'a mut [u64],
@@ -274,7 +278,7 @@ impl LaneSink for CovOpsLanes<'_> {
     const NEEDS_ROWS: bool = true;
     #[inline]
     fn branch(&mut self, lane: usize, site: u32) {
-        CovSink::branch(&mut self.covs[lane], site);
+        self.covs[lane].branch(site);
     }
     #[inline]
     fn ops(&mut self, mask: u64, n: u64) {
@@ -406,7 +410,7 @@ struct LaneNba<'a, const K: usize> {
     vals: [Value; K],
 }
 
-/// A pending clock-edge commit (the batched `NbaUpdate`).
+/// A pending clock-edge commit.
 enum EdgeUpdate<'a, const K: usize> {
     /// Whole-signal commit of a blocking-write diff, for the masked lanes.
     Whole(SigId, u64, [Value; K]),
@@ -734,10 +738,12 @@ impl CompiledDesign {
         exec
     }
 
-    /// Batched [`CompiledDesign::settle`]: levelized designs settle in
-    /// one ordered pass; otherwise each lane runs the declaration-order
-    /// fixpoint until *its own* column stabilises, preserving per-lane
-    /// iteration counts (and thus coverage/op tallies) exactly.
+    /// Settles combinational logic: levelized designs settle in one
+    /// ordered pass; otherwise each lane runs the interpreter's
+    /// declaration-order fixpoint until *its own* column stabilises, so
+    /// per-lane iteration counts (and thus coverage/op tallies) never
+    /// depend on the other lanes. A lane still changing after
+    /// `MAX_SETTLE_ITERS` passes dies with [`SimError::CombDivergence`].
     fn settle_lanes<const K: usize, S: LaneSink>(
         &self,
         ctx: &mut Ctx<'_, K>,
@@ -827,18 +833,19 @@ impl CompiledDesign {
         }
     }
 
-    /// Batched [`CompiledDesign::clock_edge`]: every block runs against
-    /// the pre-edge state; per block, blocking diffs commit in signal
-    /// order and then that block's nonblocking writes in execution
-    /// order — chronologically across blocks, each update masked to the
-    /// lanes it belongs to (and to whatever is still alive when it
-    /// applies, matching the scalar abort-on-error commit).
+    /// Executes every clocked block against the pre-edge state and
+    /// commits the updates atomically, in the interpreter's order: per
+    /// block, blocking diffs in signal order and then that block's
+    /// nonblocking writes in execution order — chronologically across
+    /// blocks, each update masked to the lanes it belongs to (and to
+    /// whatever is still alive when it applies: a lane that errors
+    /// mid-commit stops committing).
     ///
     /// Blocks execute in place under the [`EdgeLog`] journal: the first
     /// write to a signal saves its pre-block lane values, and after the
-    /// block only the journaled signals are diffed (ascending signal id,
-    /// the scalar commit order) and restored to their pre-edge values —
-    /// no whole-state clone or scan per block.
+    /// block only the journaled signals are diffed (ascending signal id)
+    /// and restored to their pre-edge values — no whole-state clone or
+    /// scan per block.
     fn clock_edge_lanes<const K: usize, S: LaneSink>(
         &self,
         ctx: &mut Ctx<'_, K>,
@@ -1029,8 +1036,7 @@ impl CompiledDesign {
                 for_lanes::<K>(mask, |l| ctx.state[b + l] = vals[l].resize(w));
             }
             CLValue::Bit { sig, index } => {
-                // Index programs are not charged to op tallies (the scalar
-                // write path doesn't either).
+                // Index programs are not charged to op tallies.
                 let mut iv = [Value::zero(1); K];
                 let sur = self.eval_lanes(ctx, index, mask, &mut iv);
                 let b = sig.idx() * K;
@@ -1048,12 +1054,12 @@ impl CompiledDesign {
                 });
             }
             CLValue::Concat(_) => {
-                // Concat targets take the scalar path per lane: extract
+                // Concat targets are written one lane at a time: extract
                 // the lane's column, snapshot it (nested reads observe
                 // pre-write values throughout, exactly like the
-                // interpreter), run the scalar writer, and copy back only
-                // on success — a failed write kills the lane, whose state
-                // is never observed again.
+                // interpreter), run `write_concat_part` on it, and copy
+                // back only on success — a failed write kills the lane
+                // and leaves its column untouched.
                 let n_sigs = self.names.len();
                 let mut m = mask;
                 while m != 0 {
@@ -1101,11 +1107,10 @@ impl CompiledDesign {
     }
 }
 
-/// The completed run of one lane: what the scalar executor would have
-/// produced for the same stimulus.
+/// The completed run of one lane's stimulus.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneRun {
-    /// The recorded waveform (preponed samples, like [`Simulator`]).
+    /// The recorded waveform (one preponed sample per tick).
     pub trace: Trace,
     /// The lane's coverage map, when coverage was enabled.
     pub coverage: Option<CovMap>,
@@ -1114,13 +1119,12 @@ pub struct LaneRun {
     pub ops: u64,
 }
 
-/// Per-lane result: a completed run, or the first error the lane raised
-/// — exactly the `Result` the scalar driver would have returned.
+/// Per-lane result: a completed run, or the first error the lane raised.
 pub type LaneOutcome = Result<LaneRun, SimError>;
 
 /// A lane-batched simulation of up to `K` independent stimuli over one
 /// compiled design. See the module docs for the execution model.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LaneBatch<const K: usize> {
     compiled: Arc<CompiledDesign>,
     n_sigs: usize,
@@ -1138,8 +1142,7 @@ pub struct LaneBatch<const K: usize> {
     /// per-lane row pushes.
     flat_samples: Vec<Value>,
     /// Which lanes actually sampled each recorded tick (errored and
-    /// finished lanes drop out, exactly like the scalar step returning
-    /// before its trace push).
+    /// finished lanes drop out).
     live_rows: Vec<u64>,
     covs: Vec<CovMap>,
     ops: Vec<u64>,
@@ -1226,16 +1229,21 @@ impl<const K: usize> LaneBatch<K> {
         self.alive
     }
 
-    /// Enables per-lane coverage recording (see
-    /// [`Simulator::enable_coverage`]).
+    /// Enables per-lane coverage recording (branch arms + signal
+    /// toggles) for subsequent ticks. `assertions` sizes the antecedent
+    /// axis the SVA checker fills in (pass 0 when no checker is
+    /// attached). Without this call ticks run uninstrumented.
     pub fn enable_coverage(&mut self, assertions: usize) {
         self.covs = (0..self.lanes)
             .map(|_| CovMap::new(&self.compiled, assertions))
             .collect();
     }
 
-    /// Enables per-lane bytecode op counting (see
-    /// [`Simulator::enable_op_count`]).
+    /// Enables per-lane bytecode op counting for subsequent ticks, at
+    /// statement-expression program granularity. Like coverage this is
+    /// opt-in; unlike coverage, the tally is a pure function of bytecode
+    /// and stimulus — the deterministic work metric the perf harness
+    /// records.
     pub fn enable_op_count(&mut self) {
         self.count_ops = true;
     }
@@ -1265,18 +1273,41 @@ impl<const K: usize> LaneBatch<K> {
         self.state[sig.idx() * K + lane] = Value::new(value, self.compiled.width(sig));
     }
 
-    /// Current (post-settle) value of a signal in one lane.
+    /// Current (post-settle) value of a signal in one lane; `None` for an
+    /// unknown signal or a lane outside `0..lanes()`.
     pub fn value(&self, lane: usize, name: &str) -> Option<Value> {
+        if lane >= self.lanes {
+            return None;
+        }
         self.compiled
             .sig(name)
             .map(|s| self.state[s.idx() * K + lane])
     }
 
+    /// The shared compiled design.
+    pub(crate) fn compiled(&self) -> &Arc<CompiledDesign> {
+        &self.compiled
+    }
+
+    /// The first error `lane` raised, if any.
+    pub(crate) fn error(&self, lane: usize) -> Option<&SimError> {
+        self.errors[lane].as_ref()
+    }
+
+    /// `lane`'s coverage map, when coverage is enabled.
+    pub(crate) fn coverage(&self, lane: usize) -> Option<&CovMap> {
+        self.covs.get(lane)
+    }
+
+    /// Bytecode ops `lane` dispatched (0 unless op counting is enabled).
+    pub(crate) fn ops_executed(&self, lane: usize) -> u64 {
+        self.ops[lane]
+    }
+
     /// Runs one clock tick for every lane in `active` (errored and
-    /// out-of-range lanes are ignored), applying the same
-    /// settle → sample → clock-edge → settle sequence as
-    /// [`Simulator::step`]. Ragged batches simply leave finished lanes
-    /// out of `active`.
+    /// out-of-range lanes are ignored): settle, sample the preponed row,
+    /// run the clock edge, settle again (see [`crate::exec`]). Ragged
+    /// batches simply leave finished lanes out of `active`.
     pub fn step_active(&mut self, active: u64) {
         let occupied = if self.lanes >= 64 {
             u64::MAX
@@ -1321,9 +1352,8 @@ impl<const K: usize> LaneBatch<K> {
         };
         cd.settle_lanes(&mut ctx, active, sink, &mut self.settle_before);
         // Preponed sample: lanes that errored while settling record no
-        // row, exactly like the scalar step returning before the push.
-        // The whole lane-minor state is appended to the flat log in one
-        // bulk copy; per-lane rows are transposed out in
+        // row. The whole lane-minor state is appended to the flat log in
+        // one bulk copy; per-lane rows are transposed out in
         // `into_outcomes`. Only coverage sinks need rows right now (the
         // toggle axis is per tick), so only they pay for a transpose.
         let live = active & *ctx.alive;
@@ -1478,11 +1508,10 @@ impl<const K: usize> LaneBatch<K> {
     }
 }
 
-/// Runs a group of stimuli with `lanes` lanes per bytecode pass,
-/// dispatching to the const-generic executor for the supported widths
-/// ([`LANE_WIDTHS`]) and draining through the scalar [`Simulator`] for
-/// any other width (including `lanes == 1`, the scalar-differential
-/// configuration). Outcomes are bit-identical either way.
+/// Runs a group of stimuli with `lanes` lanes per bytecode pass: one
+/// `LaneBatch` when `lanes` is one of [`LANE_WIDTHS`] and the group fits,
+/// otherwise (including `lanes == 1`) one `LaneBatch<1>` per stimulus.
+/// Outcomes do not depend on the lane count.
 pub fn run_stimulus_group(
     compiled: &Arc<CompiledDesign>,
     group: &[Stimulus],
@@ -1501,71 +1530,38 @@ pub fn run_stimulus_group(
         32 if group.len() <= 32 => {
             LaneBatch::<32>::run_group(compiled, group, assertions, count_ops)
         }
-        _ => {
-            // One simulator, restarted in place between stimuli: the
-            // O(#signals), zero-allocation scalar hot loop.
-            let mut sim = Simulator::from_compiled(Arc::clone(compiled));
-            if let Some(a) = assertions {
-                sim.enable_coverage(a);
-            }
-            if count_ops {
-                sim.enable_op_count();
-            }
-            group
-                .iter()
-                .map(|stim| {
-                    sim.restart();
-                    for t in 0..stim.len() {
-                        sim.step(&stim.cycle(t))?;
-                    }
-                    Ok(LaneRun {
-                        trace: sim.take_trace(),
-                        coverage: sim.coverage().cloned(),
-                        ops: sim.ops_executed(),
-                    })
-                })
-                .collect()
-        }
+        _ => group
+            .iter()
+            .flat_map(|stim| {
+                LaneBatch::<1>::run_group(
+                    compiled,
+                    std::slice::from_ref(stim),
+                    assertions,
+                    count_ops,
+                )
+            })
+            .collect(),
     }
 }
 
-/// The scalar fallback of [`run_stimulus_group`]: one [`Simulator`] run,
-/// packaged as a [`LaneOutcome`].
-pub fn run_stimulus_scalar(
-    compiled: &Arc<CompiledDesign>,
-    stim: &Stimulus,
-    assertions: Option<usize>,
-    count_ops: bool,
-) -> LaneOutcome {
-    let mut sim = Simulator::from_compiled(Arc::clone(compiled));
-    if let Some(a) = assertions {
-        sim.enable_coverage(a);
+impl LaneBatch<1> {
+    /// Consumes a single-lane batch, returning its trace and coverage
+    /// map whether or not the lane errored (a [`crate::Simulator`] keeps
+    /// the rows recorded before its first error). With one lane every
+    /// logged row is that lane's, so the flat sample log *is* the trace.
+    pub(crate) fn into_trace_and_coverage(self) -> (Trace, Option<CovMap>) {
+        let header = Arc::clone(self.compiled.trace_header());
+        (
+            Trace::from_parts(header, self.flat_samples),
+            self.covs.into_iter().next(),
+        )
     }
-    if count_ops {
-        sim.enable_op_count();
-    }
-    for t in 0..stim.len() {
-        sim.step(&stim.cycle(t))?;
-    }
-    let ops = sim.ops_executed();
-    let (trace, coverage) = sim.into_trace_and_coverage();
-    Ok(LaneRun {
-        trace,
-        coverage,
-        ops,
-    })
-}
-
-// A compile-time guard that the StateEnv import stays shared with the
-// scalar machine (the per-lane fallbacks must use the same env type).
-#[allow(dead_code)]
-fn _env_parity(state: &[Value]) -> StateEnv<'_> {
-    StateEnv { state }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::AstSimulator;
     use crate::stimulus::StimulusGen;
     use asv_verilog::compile as velab;
 
@@ -1573,34 +1569,40 @@ mod tests {
         Arc::new(CompiledDesign::compile(&velab(src).expect("compile")))
     }
 
-    /// Differential harness: runs `n` seeded stimuli through the scalar
-    /// executor and through `LaneBatch::<K>` groups, and requires
-    /// bit-identical outcomes (traces, errors, coverage, op tallies).
+    /// The AST interpreter oracle's outcome for one stimulus: its trace,
+    /// or its first error.
+    fn oracle(cd: &CompiledDesign, stim: &Stimulus) -> Result<Trace, SimError> {
+        let mut sim = AstSimulator::new(cd.design());
+        for t in 0..stim.len() {
+            sim.step(&stim.cycle(t))?;
+        }
+        Ok(sim.into_trace())
+    }
+
+    /// Differential harness: runs `n` seeded stimuli through
+    /// `LaneBatch::<K>` groups and requires each lane's trace or first
+    /// error to equal the interpreter oracle's, and its coverage map and
+    /// op tally (which the interpreter does not record) to equal a
+    /// single-lane run of the same stimulus.
     fn assert_differential<const K: usize>(src: &str, n: usize, cycles: usize) {
         let cd = compiled(src);
         let gen = StimulusGen::new(cd.design());
         let stimuli: Vec<Stimulus> = (0..n)
             .map(|i| gen.random_seeded(cycles, 2, 0xBA7C_4000 + i as u64))
             .collect();
-        let scalar: Vec<LaneOutcome> = stimuli
-            .iter()
-            .map(|s| run_stimulus_scalar(&cd, s, Some(3), true))
-            .collect();
+        let single = run_stimulus_group(&cd, &stimuli, 1, Some(3), true);
         let mut batched = Vec::new();
         for group in stimuli.chunks(K) {
             batched.extend(LaneBatch::<K>::run_group(&cd, group, Some(3), true));
         }
-        assert_eq!(scalar.len(), batched.len());
-        for (i, (s, b)) in scalar.iter().zip(&batched).enumerate() {
-            match (s, b) {
-                (Ok(sr), Ok(br)) => {
-                    assert_eq!(sr.trace, br.trace, "trace diverged at stimulus {i}");
-                    assert_eq!(sr.coverage, br.coverage, "coverage diverged at {i}");
-                    assert_eq!(sr.ops, br.ops, "op tally diverged at {i}");
-                }
-                (Err(se), Err(be)) => assert_eq!(se, be, "error diverged at stimulus {i}"),
-                _ => panic!("outcome kind diverged at stimulus {i}: {s:?} vs {b:?}"),
+        assert_eq!(single.len(), batched.len());
+        for (i, (b, s)) in batched.iter().zip(&single).enumerate() {
+            match (oracle(&cd, &stimuli[i]), b) {
+                (Ok(trace), Ok(run)) => assert_eq!(trace, run.trace, "trace diverged at {i}"),
+                (Err(oe), Err(be)) => assert_eq!(oe, *be, "error diverged at stimulus {i}"),
+                (o, _) => panic!("outcome kind diverged at stimulus {i}: {o:?} vs {b:?}"),
             }
+            assert_eq!(b, s, "K={K} diverged from the single-lane run at {i}");
         }
     }
 
@@ -1693,16 +1695,15 @@ mod tests {
         let cd = compiled(COUNTER);
         let gen = StimulusGen::new(cd.design());
         let stimuli: Vec<Stimulus> = (0..5).map(|i| gen.random_seeded(6, 2, i)).collect();
-        // lanes = 1 (and any unsupported width) drains scalar; lanes = 8
-        // uses the batch. Results must agree regardless.
-        let scalar = run_stimulus_group(&cd, &stimuli, 1, Some(0), true);
+        // lanes = 1 (and any unsupported width) runs one single-lane
+        // batch per stimulus; lanes = 8 runs one batch. Results must
+        // agree regardless.
         let batch = run_stimulus_group(&cd, &stimuli, 8, Some(0), true);
-        for (s, b) in scalar.iter().zip(&batch) {
-            let (s, b) = (s.as_ref().expect("scalar"), b.as_ref().expect("batch"));
-            assert_eq!(s.trace, b.trace);
-            assert_eq!(s.coverage, b.coverage);
-            assert_eq!(s.ops, b.ops);
+        for lanes in [1, 5] {
+            let single = run_stimulus_group(&cd, &stimuli, lanes, Some(0), true);
+            assert_eq!(single, batch, "lanes = {lanes}");
         }
+        assert!(batch.iter().all(Result::is_ok));
         assert!(run_stimulus_group(&cd, &[], 8, None, false).is_empty());
     }
 
@@ -1711,14 +1712,14 @@ mod tests {
         let cd = compiled(COUNTER);
         let gen = StimulusGen::new(cd.design());
         // Lane 0 runs 9 cycles, lane 1 only 3: lane 1's trace must stop
-        // at 3 rows and match its scalar run exactly.
+        // at 3 rows and match the oracle's run exactly.
         let long = gen.random_seeded(7, 2, 1);
         let short = gen.random_seeded(1, 2, 2);
         let out = LaneBatch::<8>::run_group(&cd, &[long.clone(), short.clone()], None, false);
-        let s_long = run_stimulus_scalar(&cd, &long, None, false).expect("scalar");
-        let s_short = run_stimulus_scalar(&cd, &short, None, false).expect("scalar");
-        assert_eq!(out[0].as_ref().expect("lane 0").trace, s_long.trace);
-        assert_eq!(out[1].as_ref().expect("lane 1").trace, s_short.trace);
+        let o_long = oracle(&cd, &long).expect("oracle");
+        let o_short = oracle(&cd, &short).expect("oracle");
+        assert_eq!(out[0].as_ref().expect("lane 0").trace, o_long);
+        assert_eq!(out[1].as_ref().expect("lane 1").trace, o_short);
         assert_eq!(out[1].as_ref().expect("lane 1").trace.len(), 3);
     }
 
@@ -1730,5 +1731,24 @@ mod tests {
         let out = LaneBatch::<8>::run_group(&cd, &[stim], None, false);
         let run = out[0].as_ref().expect("lane 0");
         assert!(Arc::ptr_eq(run.trace.header(), cd.trace_header()));
+    }
+
+    #[test]
+    fn value_is_none_for_out_of_range_lanes() {
+        let cd = compiled(
+            "module m(input clk, input [3:0] a, input [3:0] b, output [3:0] y);\n\
+             assign y = a + b;\nendmodule",
+        );
+        assert_eq!(cd.names(), &["a", "b", "clk", "y"]);
+        let mut batch = LaneBatch::<8>::new(Arc::clone(&cd), 2);
+        batch.set_input(1, "b", 7);
+        batch.step_active(0b11);
+        assert_eq!(batch.value(1, "b"), Some(Value::new(7, 4)));
+        assert_eq!(batch.value(1, "y"), Some(Value::new(7, 4)));
+        // Lane 9 of `a` would alias `b`'s lane 1, and lane 5 never ran.
+        assert_eq!(batch.value(9, "a"), None);
+        assert_eq!(batch.value(5, "b"), None);
+        assert_eq!(batch.value(2, "y"), None);
+        assert_eq!(batch.value(0, "ghost"), None);
     }
 }

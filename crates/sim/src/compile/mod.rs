@@ -35,7 +35,6 @@ pub mod lower;
 pub use asv_ir::{param_value, OptLevel, SigId};
 pub use bytecode::{compile_expr, run, ExecEnv, ExprProg, HistoryKind, NameRef, Op};
 
-use crate::cover::{CovSink, NoCov};
 use crate::eval::EvalError;
 use crate::exec::SimError;
 use crate::trace::TraceHeader;
@@ -307,19 +306,14 @@ impl CompiledDesign {
         self.widths[sig.idx()]
     }
 
-    /// A fresh all-zero state vector.
-    pub fn init_state(&self) -> Vec<Value> {
-        self.init.clone()
-    }
-
-    /// The initial state as a slice, for in-place restarts that reuse an
-    /// existing state buffer instead of allocating.
+    /// The initial state as a slice (the lane executor replicates it into
+    /// every lane).
     pub(crate) fn init_slice(&self) -> &[Value] {
         &self.init
     }
 
     /// The interned trace name table shared by every trace of this design
-    /// (see [`crate::trace::Trace::with_header`]).
+    /// (see [`crate::trace::Trace::from_parts`]).
     pub fn trace_header(&self) -> &Arc<TraceHeader> {
         &self.trace_header
     }
@@ -343,8 +337,8 @@ impl CompiledDesign {
         &self.order
     }
 
-    /// The clocked `always` bodies in declaration order, as executed by
-    /// [`CompiledDesign::clock_edge`].
+    /// The clocked `always` bodies in declaration order, as executed on
+    /// every clock edge.
     pub fn seq_blocks(&self) -> &[CStmt] {
         &self.seq
     }
@@ -426,237 +420,11 @@ impl CompiledDesign {
         (comb_live, seq_live)
     }
 
-    /// Settles combinational logic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::CombDivergence`] when the (cyclic) fallback
-    /// fixpoint fails to stabilise, and propagates evaluation errors.
-    pub fn settle(&self, state: &mut Vec<Value>, stack: &mut Vec<Value>) -> Result<(), SimError> {
-        self.settle_cov(state, stack, &mut NoCov)
-    }
-
-    /// [`CompiledDesign::settle`] with branch coverage recorded into
-    /// `cov`. With [`NoCov`] this monomorphises to the uninstrumented
-    /// executor (zero cost when coverage is disabled).
-    ///
-    /// # Errors
-    ///
-    /// As for [`CompiledDesign::settle`].
-    pub fn settle_cov<C: CovSink>(
-        &self,
-        state: &mut Vec<Value>,
-        stack: &mut Vec<Value>,
-        cov: &mut C,
-    ) -> Result<(), SimError> {
-        if self.levelized {
-            for &i in &self.order {
-                self.run_comb_step(&self.comb[i], state, stack, cov)?;
-            }
-            return Ok(());
-        }
-        for _ in 0..MAX_SETTLE_ITERS {
-            let before = state.clone();
-            for step in &self.comb {
-                self.run_comb_step(step, state, stack, cov)?;
-            }
-            if *state == before {
-                return Ok(());
-            }
-        }
-        Err(SimError::CombDivergence)
-    }
-
-    fn run_comb_step<C: CovSink>(
-        &self,
-        step: &CombStep,
-        state: &mut Vec<Value>,
-        stack: &mut Vec<Value>,
-        cov: &mut C,
-    ) -> Result<(), SimError> {
-        match step {
-            CombStep::Assign { lhs, rhs } => {
-                let v = run(rhs, &StateEnv { state }, stack)?;
-                cov.ops(rhs.ops.len() as u64);
-                self.write_lvalue(lhs, v, state, stack)?;
-            }
-            CombStep::Block(body) => {
-                let mut nba = Vec::new();
-                self.exec_stmt(body, state, stack, &mut nba, cov)?;
-                for (lv, v) in nba {
-                    self.write_lvalue(lv, v, state, stack)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes every clocked block against the pre-edge state and commits
-    /// nonblocking updates atomically, mirroring the interpreter's commit
-    /// order (per block: blocking diffs in signal order, then NBAs in
-    /// execution order).
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn clock_edge(
-        &self,
-        state: &mut Vec<Value>,
-        stack: &mut Vec<Value>,
-    ) -> Result<(), SimError> {
-        self.clock_edge_cov(state, stack, &mut NoCov)
-    }
-
-    /// [`CompiledDesign::clock_edge`] with branch coverage recorded into
-    /// `cov` (zero cost with [`NoCov`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn clock_edge_cov<C: CovSink>(
-        &self,
-        state: &mut Vec<Value>,
-        stack: &mut Vec<Value>,
-        cov: &mut C,
-    ) -> Result<(), SimError> {
-        let pre_edge = state.clone();
-        let mut scratch = Vec::new();
-        let mut nba_all: Vec<NbaUpdate<'_>> = Vec::new();
-        for block in &self.seq {
-            scratch.clone_from(&pre_edge);
-            let mut nba = Vec::new();
-            self.exec_stmt(block, &mut scratch, stack, &mut nba, cov)?;
-            for (i, v) in scratch.iter().enumerate() {
-                if pre_edge[i] != *v {
-                    nba_all.push(NbaUpdate::Whole(SigId(i as u32), *v));
-                }
-            }
-            nba_all.extend(nba.into_iter().map(|(lv, v)| NbaUpdate::Lv(lv, v)));
-        }
-        for up in nba_all {
-            match up {
-                NbaUpdate::Whole(sig, v) => {
-                    state[sig.idx()] = v.resize(self.widths[sig.idx()]);
-                }
-                NbaUpdate::Lv(lv, v) => self.write_lvalue(lv, v, state, stack)?,
-            }
-        }
-        Ok(())
-    }
-
-    fn exec_stmt<'a, C: CovSink>(
-        &'a self,
-        s: &'a CStmt,
-        state: &mut Vec<Value>,
-        stack: &mut Vec<Value>,
-        nba: &mut Vec<(&'a CLValue, Value)>,
-        cov: &mut C,
-    ) -> Result<(), SimError> {
-        match s {
-            CStmt::Block(stmts) => {
-                for st in stmts {
-                    self.exec_stmt(st, state, stack, nba, cov)?;
-                }
-                Ok(())
-            }
-            CStmt::If {
-                cond,
-                then_branch,
-                else_branch,
-                site,
-            } => {
-                let taken = run(cond, &StateEnv { state }, stack)?.is_truthy();
-                cov.ops(cond.ops.len() as u64);
-                if taken {
-                    cov.branch(*site);
-                    self.exec_stmt(then_branch, state, stack, nba, cov)
-                } else {
-                    cov.branch(*site + 1);
-                    if let Some(e) = else_branch {
-                        self.exec_stmt(e, state, stack, nba, cov)
-                    } else {
-                        Ok(())
-                    }
-                }
-            }
-            CStmt::Case {
-                scrutinee,
-                arms,
-                default,
-                site,
-            } => {
-                let sv = run(scrutinee, &StateEnv { state }, stack)?;
-                cov.ops(scrutinee.ops.len() as u64);
-                for (i, arm) in arms.iter().enumerate() {
-                    for label in &arm.labels {
-                        let lv = run(label, &StateEnv { state }, stack)?;
-                        cov.ops(label.ops.len() as u64);
-                        if lv.bits() == sv.bits() {
-                            cov.branch(*site + i as u32);
-                            return self.exec_stmt(&arm.body, state, stack, nba, cov);
-                        }
-                    }
-                }
-                cov.branch(*site + arms.len() as u32);
-                if let Some(d) = default {
-                    self.exec_stmt(d, state, stack, nba, cov)
-                } else {
-                    Ok(())
-                }
-            }
-            CStmt::Assign {
-                lhs,
-                rhs,
-                nonblocking,
-            } => {
-                let v = run(rhs, &StateEnv { state }, stack)?;
-                cov.ops(rhs.ops.len() as u64);
-                if *nonblocking {
-                    nba.push((lhs, v));
-                } else {
-                    self.write_lvalue(lhs, v, state, stack)?;
-                }
-                Ok(())
-            }
-            CStmt::Empty => Ok(()),
-        }
-    }
-
-    fn write_lvalue(
-        &self,
-        lv: &CLValue,
-        value: Value,
-        state: &mut Vec<Value>,
-        stack: &mut Vec<Value>,
-    ) -> Result<(), SimError> {
-        match lv {
-            CLValue::Whole(sig) => {
-                state[sig.idx()] = value.resize(self.widths[sig.idx()]);
-                Ok(())
-            }
-            CLValue::Bit { sig, index } => {
-                let i = run(index, &StateEnv { state }, stack)?.bits();
-                let i = u32::try_from(i).unwrap_or(u32::MAX);
-                let cur = state[sig.idx()];
-                state[sig.idx()] = cur.set_bit(i, value.is_truthy() && value.get_bit(0));
-                Ok(())
-            }
-            CLValue::Part { sig, msb, lsb } => {
-                let cur = state[sig.idx()];
-                state[sig.idx()] = cur.set_slice(*msb, *lsb, value);
-                Ok(())
-            }
-            CLValue::Concat(_) => {
-                // The interpreter snapshots the store on entry: nested
-                // reads (including index evaluation) observe pre-write
-                // values throughout the concat.
-                let snapshot = state.clone();
-                self.write_concat_part(lv, value, &snapshot, state, stack)
-            }
-            CLValue::Unknown(name) => Err(SimError::Eval(EvalError::UnknownSignal(name.clone()))),
-        }
-    }
-
+    /// Writes `value` through `lv` into one lane's `state`, reading
+    /// every index and pre-write value from `snapshot` (the store as it
+    /// was on entry to the enclosing concat: nested reads observe
+    /// pre-write values throughout, like the interpreter). Parts are
+    /// assigned from the high end downward.
     fn write_concat_part(
         &self,
         lv: &CLValue,
@@ -713,15 +481,7 @@ impl CompiledDesign {
     }
 }
 
-/// Pending nonblocking update during a clock edge.
-enum NbaUpdate<'a> {
-    /// Whole-signal commit of a blocking-write diff.
-    Whole(SigId, Value),
-    /// Deferred `<=` write through a compiled lvalue.
-    Lv(&'a CLValue, Value),
-}
-
-/// State environment over the flat value store.
+/// State environment over one lane's flat value store.
 struct StateEnv<'a> {
     state: &'a [Value],
 }
@@ -736,6 +496,7 @@ impl ExecEnv for StateEnv<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Simulator;
     use asv_verilog::compile as velab;
 
     fn compiled(src: &str) -> CompiledDesign {
@@ -812,16 +573,12 @@ mod tests {
                  assign y = s ? a / b : a;\nendmodule",
                 opt,
             );
-            let mut state = c.init_state();
-            let mut stack = Vec::new();
-            state[c.sig("s").unwrap().idx()] = Value::bit(false);
-            state[c.sig("b").unwrap().idx()] = Value::zero(4);
-            state[c.sig("a").unwrap().idx()] = Value::new(5, 4);
-            c.settle(&mut state, &mut stack).expect("no div-by-zero");
-            assert_eq!(state[c.sig("y").unwrap().idx()].bits(), 5);
-            state[c.sig("s").unwrap().idx()] = Value::bit(true);
+            let mut sim = Simulator::from_compiled(Arc::new(c));
+            sim.step(&[("s", 0), ("b", 0), ("a", 5)])
+                .expect("no div-by-zero");
+            assert_eq!(sim.value("y").map(Value::bits), Some(5));
             assert_eq!(
-                c.settle(&mut state, &mut stack),
+                sim.step(&[("s", 1)]),
                 Err(SimError::Eval(EvalError::DivideByZero)),
                 "at {opt}"
             );
@@ -834,11 +591,9 @@ mod tests {
             "module p #(parameter W = 5)(input [7:0] a, output [7:0] y);\n\
              assign y = a + W;\nendmodule",
         );
-        let mut state = c.init_state();
-        let mut stack = Vec::new();
-        state[c.sig("a").unwrap().idx()] = Value::new(2, 8);
-        c.settle(&mut state, &mut stack).expect("settle");
-        assert_eq!(state[c.sig("y").unwrap().idx()].bits(), 7);
+        let mut sim = Simulator::from_compiled(Arc::new(c));
+        sim.step(&[("a", 2)]).expect("settle");
+        assert_eq!(sim.value("y").map(Value::bits), Some(7));
         assert_eq!(param_value(5).width(), 32);
         assert_eq!(param_value(u64::MAX).width(), 64);
     }
@@ -863,21 +618,19 @@ mod tests {
         );
         assert_eq!(none.branch_sites(), full.branch_sites());
         assert_eq!(none.dict_consts(), full.dict_consts());
+        let mut sn = Simulator::from_compiled(Arc::new(none));
+        let mut sf = Simulator::from_compiled(Arc::new(full));
         for (av, bv) in [(3u64, 5u64), (0, 255), (170, 85)] {
-            let mut sn = none.init_state();
-            let mut sf = full.init_state();
-            let mut stack = Vec::new();
-            for c in [&none, &full] {
-                let s = if std::ptr::eq(c, &none) {
-                    &mut sn
-                } else {
-                    &mut sf
-                };
-                s[c.sig("a").unwrap().idx()] = Value::new(av, 8);
-                s[c.sig("b").unwrap().idx()] = Value::new(bv, 8);
-                c.settle(s, &mut stack).expect("settle");
+            for sim in [&mut sn, &mut sf] {
+                sim.step(&[("a", av), ("b", bv)]).expect("settle");
             }
-            assert_eq!(sn, sf, "state diverged for a={av} b={bv}");
+            for name in sn.compiled().names() {
+                assert_eq!(
+                    sn.value(name),
+                    sf.value(name),
+                    "`{name}` diverged for a={av} b={bv}"
+                );
+            }
         }
     }
 

@@ -14,70 +14,14 @@
 //!   completed at least one non-vacuous attempt (recorded by the SVA
 //!   checker in `asv-sva`, which owns property semantics).
 //!
-//! Instrumentation is **zero-cost when disabled**: the executor is generic
-//! over a [`CovSink`] and the default [`NoCov`] sink monomorphises every
-//! probe away, so the uninstrumented hot path compiles to exactly the
-//! PR-1 code (see the `simulate_64_cycles_compiled` bench).
+//! Instrumentation is **zero-cost when disabled**: the lane executor
+//! ([`crate::compile::batch`]) is generic over a private per-lane sink,
+//! and its uninstrumented instantiation monomorphises every probe away.
 
 use crate::compile::CompiledDesign;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Receiver of branch-arm execution events.
-///
-/// The compiled executor calls [`CovSink::branch`] once per taken branch
-/// arm. [`NoCov`] is the zero-cost disabled sink; [`CovMap`] records.
-pub trait CovSink {
-    /// Marks branch site `site` as executed.
-    fn branch(&mut self, site: u32);
-
-    /// Credits `n` executed bytecode operations (called once per
-    /// dispatched statement-expression program with that program's op
-    /// count). Default no-op — and deliberately **not** implemented by
-    /// [`CovMap`]: coverage maps must stay bit-identical across opt
-    /// levels while optimized programs are shorter, so op counts never
-    /// land in a coverage map. [`OpsTally`] is the counting sink.
-    #[inline(always)]
-    fn ops(&mut self, n: u64) {
-        let _ = n;
-    }
-}
-
-/// The disabled sink: every probe is an inlined no-op, so instrumented
-/// and uninstrumented executors compile to identical code.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoCov;
-
-impl CovSink for NoCov {
-    #[inline(always)]
-    fn branch(&mut self, _site: u32) {}
-}
-
-/// Wraps any sink, additionally tallying dispatched bytecode ops into a
-/// borrowed counter. This is how `Simulator` counts work without
-/// perturbing the wrapped sink's coverage map (see [`CovSink::ops`]);
-/// the count is a pure function of bytecode and stimulus, so it is
-/// deterministic across thread counts and reruns.
-#[derive(Debug)]
-pub struct OpsTally<'a, C: CovSink> {
-    /// The sink branch probes are forwarded to.
-    pub inner: &'a mut C,
-    /// Accumulates executed op counts (saturating).
-    pub ops: &'a mut u64,
-}
-
-impl<C: CovSink> CovSink for OpsTally<'_, C> {
-    #[inline(always)]
-    fn branch(&mut self, site: u32) {
-        self.inner.branch(site);
-    }
-
-    #[inline(always)]
-    fn ops(&mut self, n: u64) {
-        *self.ops = self.ops.saturating_add(n);
-    }
-}
 
 fn width_mask(w: u32) -> u64 {
     if w >= 64 {
@@ -147,14 +91,13 @@ impl CovMap {
         }
     }
 
-    /// Clears every recorded point in place, keeping the allocated
-    /// bitsets — the restart path for executors that reuse one map
-    /// across stimuli.
-    pub fn reset(&mut self) {
-        self.branch.fill(0);
-        self.seen0.fill(0);
-        self.seen1.fill(0);
-        self.antecedent.fill(0);
+    /// Marks branch site `site` as executed (out-of-range sites are
+    /// ignored).
+    #[inline]
+    pub fn branch(&mut self, site: u32) {
+        if site < self.n_branch {
+            set_bit(&mut self.branch, site);
+        }
     }
 
     /// Records one sampled state row (toggle coverage). `row` must follow
@@ -331,15 +274,6 @@ pub struct CovMapParts<'a> {
     pub n_assert: u32,
 }
 
-impl CovSink for CovMap {
-    #[inline]
-    fn branch(&mut self, site: u32) {
-        if site < self.n_branch {
-            set_bit(&mut self.branch, site);
-        }
-    }
-}
-
 /// Human- and machine-readable summary of a [`CovMap`]: covered/total and
 /// percentages per coverage class. Exported through `asv-eval` so the
 /// datagen pipeline can rank stimuli by scenario novelty.
@@ -430,7 +364,9 @@ impl fmt::Display for CoverageReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Simulator;
     use asv_verilog::compile as velab;
+    use std::sync::Arc;
 
     const MUX: &str = "module m(input s, input [3:0] a, input [3:0] b, output reg [3:0] y);\n\
          always @(*) begin if (s) y = a; else y = b; end\nendmodule";
@@ -447,24 +383,21 @@ mod tests {
 
     #[test]
     fn branch_hits_are_recorded_per_arm() {
-        let c = compiled(MUX);
-        let mut cov = CovMap::new(&c, 0);
-        let mut state = c.init_state();
-        let mut stack = Vec::new();
-        state[c.sig("s").unwrap().idx()] = Value::bit(true);
-        c.settle_cov(&mut state, &mut stack, &mut cov).expect("ok");
+        let mut sim = Simulator::from_compiled(Arc::new(compiled(MUX)));
+        sim.enable_coverage(0);
+        sim.step(&[("s", 1)]).expect("ok");
+        let cov = sim.coverage().expect("enabled");
         assert!(cov.branch_hit(0) && !cov.branch_hit(1));
-        state[c.sig("s").unwrap().idx()] = Value::bit(false);
-        c.settle_cov(&mut state, &mut stack, &mut cov).expect("ok");
-        assert_eq!(cov.branch_coverage(), (2, 2));
+        sim.step(&[("s", 0)]).expect("ok");
+        assert_eq!(sim.coverage().expect("enabled").branch_coverage(), (2, 2));
     }
 
     #[test]
     fn toggle_coverage_needs_both_polarities() {
         let c = compiled(MUX);
         let mut cov = CovMap::new(&c, 0);
-        let zeros = c.init_state();
-        cov.record_row(&zeros);
+        let zeros = c.init_slice();
+        cov.record_row(zeros);
         assert_eq!(cov.toggle_coverage().0, 0, "only zeros seen");
         let ones: Vec<Value> = zeros.iter().map(|v| Value::ones(v.width())).collect();
         cov.record_row(&ones);
@@ -477,9 +410,9 @@ mod tests {
         let c = compiled(MUX);
         let mut a = CovMap::new(&c, 2);
         let mut b = CovMap::new(&c, 2);
-        CovSink::branch(&mut a, 0);
-        CovSink::branch(&mut b, 0);
-        CovSink::branch(&mut b, 1);
+        a.branch(0);
+        b.branch(0);
+        b.branch(1);
         b.record_antecedent(1);
         assert_eq!(a.new_points(&b), 2, "non-mutating count must agree");
         let new = a.merge(&b);
@@ -493,7 +426,7 @@ mod tests {
     fn report_percentages_and_display() {
         let c = compiled(MUX);
         let mut cov = CovMap::new(&c, 1);
-        CovSink::branch(&mut cov, 0);
+        cov.branch(0);
         let r = CoverageReport::of(&cov);
         assert_eq!(r.branch_covered, 1);
         assert_eq!(r.branch_total, 2);
@@ -507,7 +440,7 @@ mod tests {
     fn out_of_range_probes_are_ignored() {
         let c = compiled(MUX);
         let mut cov = CovMap::new(&c, 1);
-        CovSink::branch(&mut cov, 999);
+        cov.branch(999);
         cov.record_antecedent(999);
         assert_eq!(cov.covered_points(), 0);
     }

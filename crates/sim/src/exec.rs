@@ -1,5 +1,5 @@
-//! Cycle-accurate executor for elaborated designs, running on the
-//! compiled backend ([`crate::compile`]).
+//! Cycle-accurate simulation of elaborated designs on the compiled
+//! backend ([`crate::compile`]).
 //!
 //! The simulator advances in clock ticks. Each [`Simulator::step`]:
 //!
@@ -16,15 +16,20 @@
 //! — the documented 2-state/cycle-level substitution for event-driven
 //! simulation.
 //!
+//! A [`Simulator`] is a single-lane [`LaneBatch`]: the lane executor in
+//! [`crate::compile::batch`] is the one implementation of statement
+//! semantics, whether it runs one stimulus or a group of them.
 //! `Simulator::new` compiles the design once; [`Simulator::from_compiled`]
-//! shares an existing [`CompiledDesign`] so restarting a simulation (the
-//! bounded verifier does this once per stimulus) is an O(#signals) state
-//! reset instead of a `Design` clone. The original tree-walking executor
-//! survives as [`crate::interp::AstSimulator`], the reference oracle the
-//! differential tests compare against.
+//! shares an existing [`CompiledDesign`], so starting another simulation
+//! of the same design (the bounded verifier does this once per stimulus)
+//! is an O(#signals) state initialisation instead of a `Design` clone.
+//! The original tree-walking executor survives as
+//! [`crate::interp::AstSimulator`], the reference oracle the differential
+//! tests compare against.
 
+use crate::compile::batch::LaneBatch;
 use crate::compile::CompiledDesign;
-use crate::cover::{CovMap, NoCov, OpsTally};
+use crate::cover::CovMap;
 use crate::eval::EvalError;
 use crate::trace::Trace;
 use crate::value::Value;
@@ -62,16 +67,11 @@ impl From<EvalError> for SimError {
     }
 }
 
-/// A running simulation of one elaborated [`Design`].
+/// A running simulation of one elaborated [`Design`]: a [`LaneBatch`]
+/// of one lane.
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    compiled: Arc<CompiledDesign>,
-    state: Vec<Value>,
-    stack: Vec<Value>,
-    trace: Trace,
-    cov: Option<Box<CovMap>>,
-    count_ops: bool,
-    ops: u64,
+    batch: LaneBatch<1>,
 }
 
 impl Simulator {
@@ -82,48 +82,13 @@ impl Simulator {
         Simulator::from_compiled(Arc::new(CompiledDesign::compile(design)))
     }
 
-    /// Creates a simulator over an already-compiled design. This is the
-    /// cheap restart path: O(#signals) state initialisation, no AST work.
+    /// Creates a simulator over an already-compiled design: O(#signals)
+    /// state initialisation, no AST work. Traces share the design's
+    /// interned name table.
     pub fn from_compiled(compiled: Arc<CompiledDesign>) -> Self {
-        let state = compiled.init_state();
-        // Share the design's interned name table instead of cloning it:
-        // starting (or restarting) a trace is O(1).
-        let trace = Trace::with_header(Arc::clone(compiled.trace_header()));
         Simulator {
-            compiled,
-            state,
-            stack: Vec::with_capacity(16),
-            trace,
-            cov: None,
-            count_ops: false,
-            ops: 0,
+            batch: LaneBatch::new(compiled, 1),
         }
-    }
-
-    /// Rewinds the simulator to its initial state *in place*: signals
-    /// back to their reset values, trace/ops/coverage cleared — with
-    /// every buffer (state vector, operand stack, trace steps, coverage
-    /// bitsets) reused. This is the per-stimulus restart the
-    /// stimulus-bound engines run in their hot loops: O(#signals) work
-    /// and zero allocation, where constructing a fresh simulator
-    /// reallocates the state vector and trace.
-    pub fn restart(&mut self) {
-        self.state.copy_from_slice(self.compiled.init_slice());
-        self.trace.clear();
-        self.ops = 0;
-        if let Some(cov) = &mut self.cov {
-            cov.reset();
-        }
-    }
-
-    /// Takes the recorded trace, leaving an empty one sharing the same
-    /// interned header (O(1)) — pair with [`Simulator::restart`] to
-    /// drain results between stimuli without tearing the simulator down.
-    pub fn take_trace(&mut self) -> Trace {
-        std::mem::replace(
-            &mut self.trace,
-            Trace::with_header(Arc::clone(self.compiled.trace_header())),
-        )
     }
 
     /// Enables coverage recording (branch arms + signal toggles) for
@@ -131,12 +96,12 @@ impl Simulator {
     /// checker fills in (pass 0 when no checker is attached). Without this
     /// call the hot path runs fully uninstrumented.
     pub fn enable_coverage(&mut self, assertions: usize) {
-        self.cov = Some(Box::new(CovMap::new(&self.compiled, assertions)));
+        self.batch.enable_coverage(assertions);
     }
 
     /// The coverage recorded so far, if enabled.
     pub fn coverage(&self) -> Option<&CovMap> {
-        self.cov.as_deref()
+        self.batch.coverage(0)
     }
 
     /// Enables bytecode op counting for subsequent steps (see
@@ -145,35 +110,35 @@ impl Simulator {
     /// coverage, the tally is a pure function of bytecode and stimulus
     /// — the deterministic work metric the perf harness records.
     pub fn enable_op_count(&mut self) {
-        self.count_ops = true;
+        self.batch.enable_op_count();
     }
 
     /// Bytecode operations dispatched so far (0 unless
     /// [`Simulator::enable_op_count`] was called), counted at
     /// statement-expression program granularity.
     pub fn ops_executed(&self) -> u64 {
-        self.ops
+        self.batch.ops_executed(0)
     }
 
     /// Consumes the simulator, returning the trace and the coverage map
     /// (present only after [`Simulator::enable_coverage`]).
     pub fn into_trace_and_coverage(self) -> (Trace, Option<CovMap>) {
-        (self.trace, self.cov.map(|c| *c))
+        self.batch.into_trace_and_coverage()
     }
 
     /// The design under simulation.
     pub fn design(&self) -> &Design {
-        self.compiled.design()
+        self.batch.compiled().design()
     }
 
     /// The shared compiled form of the design.
     pub fn compiled(&self) -> &Arc<CompiledDesign> {
-        &self.compiled
+        self.batch.compiled()
     }
 
     /// Current (post-settle) value of a signal.
     pub fn value(&self, name: &str) -> Option<Value> {
-        self.compiled.sig(name).map(|s| self.state[s.idx()])
+        self.batch.value(0, name)
     }
 
     /// Drives an input port for subsequent ticks.
@@ -183,21 +148,12 @@ impl Simulator {
     /// Panics if `name` is not a known signal (programming error in the
     /// harness, not recoverable data).
     pub fn set_input(&mut self, name: &str, value: u64) {
-        let sig = self
-            .compiled
-            .sig(name)
-            .unwrap_or_else(|| panic!("unknown signal `{name}`"));
-        self.state[sig.idx()] = Value::new(value, self.compiled.width(sig));
-    }
-
-    /// The recorded waveform so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
+        self.batch.set_input(0, name, value);
     }
 
     /// Consumes the simulator, returning the trace.
     pub fn into_trace(self) -> Trace {
-        self.trace
+        self.into_trace_and_coverage().0
     }
 
     /// Runs one clock tick with the given input assignments.
@@ -205,52 +161,21 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns [`SimError`] on evaluation failure or non-settling
-    /// combinational logic.
+    /// combinational logic. Errors are sticky: the failing tick may
+    /// have updated some signals, but after an `Err` every later `step`
+    /// returns the same error without applying its inputs, and changes
+    /// neither [`value`](Simulator::value)s nor the trace.
     pub fn step(&mut self, inputs: &[(&str, u64)]) -> Result<(), SimError> {
-        for (name, v) in inputs {
-            self.set_input(name, *v);
+        if self.batch.alive() != 0 {
+            for (name, v) in inputs {
+                self.set_input(name, *v);
+            }
+            self.batch.step_active(1);
         }
-        let cd = Arc::clone(&self.compiled);
-        match (self.cov.as_deref_mut(), self.count_ops) {
-            (None, false) => {
-                cd.settle(&mut self.state, &mut self.stack)?;
-                self.trace.push_row(&self.state);
-                cd.clock_edge(&mut self.state, &mut self.stack)?;
-                cd.settle(&mut self.state, &mut self.stack)?;
-            }
-            (None, true) => {
-                let mut nocov = NoCov;
-                let mut sink = OpsTally {
-                    inner: &mut nocov,
-                    ops: &mut self.ops,
-                };
-                cd.settle_cov(&mut self.state, &mut self.stack, &mut sink)?;
-                self.trace.push_row(&self.state);
-                cd.clock_edge_cov(&mut self.state, &mut self.stack, &mut sink)?;
-                cd.settle_cov(&mut self.state, &mut self.stack, &mut sink)?;
-            }
-            (Some(cov), false) => {
-                cd.settle_cov(&mut self.state, &mut self.stack, cov)?;
-                // Toggle coverage observes the preponed samples — exactly
-                // the values SVA properties see.
-                cov.record_row(&self.state);
-                self.trace.push_row(&self.state);
-                cd.clock_edge_cov(&mut self.state, &mut self.stack, cov)?;
-                cd.settle_cov(&mut self.state, &mut self.stack, cov)?;
-            }
-            (Some(cov), true) => {
-                let mut sink = OpsTally {
-                    inner: cov,
-                    ops: &mut self.ops,
-                };
-                cd.settle_cov(&mut self.state, &mut self.stack, &mut sink)?;
-                sink.inner.record_row(&self.state);
-                self.trace.push_row(&self.state);
-                cd.clock_edge_cov(&mut self.state, &mut self.stack, &mut sink)?;
-                cd.settle_cov(&mut self.state, &mut self.stack, &mut sink)?;
-            }
+        match self.batch.error(0) {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Runs `n` ticks with constant inputs.
@@ -348,10 +273,11 @@ mod tests {
         s.step(&[("rst_n", 0), ("en", 0)]).expect("reset");
         s.step(&[("rst_n", 1), ("en", 1)]).expect("step");
         s.step(&[("rst_n", 1), ("en", 1)]).expect("step");
-        // At tick t the trace holds the value *before* that tick's edge.
-        assert_eq!(s.trace().value(1, "q").map(Value::bits), Some(0));
-        assert_eq!(s.trace().value(2, "q").map(Value::bits), Some(1));
         assert_eq!(s.value("q").map(Value::bits), Some(2));
+        // At tick t the trace holds the value *before* that tick's edge.
+        let trace = s.into_trace();
+        assert_eq!(trace.value(1, "q").map(Value::bits), Some(0));
+        assert_eq!(trace.value(2, "q").map(Value::bits), Some(1));
     }
 
     #[test]
@@ -440,46 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn restart_reuses_buffers_in_place() {
-        let d = compile(COUNTER).expect("compile");
-        let compiled = Arc::new(CompiledDesign::compile(&d));
-        let mut s = Simulator::from_compiled(Arc::clone(&compiled));
-        s.enable_coverage(0);
-        s.enable_op_count();
-        s.step(&[("rst_n", 0), ("en", 0)]).expect("reset");
-        s.step(&[("rst_n", 1), ("en", 1)]).expect("step");
-        assert_eq!(s.value("q").map(Value::bits), Some(1));
-        assert!(s.ops_executed() > 0);
-
-        // The trace never owned its own name table: it shares the
-        // compiled design's interned header.
-        assert!(Arc::ptr_eq(s.trace().header(), compiled.trace_header()));
-
-        let state_ptr = s.state.as_ptr();
-        let first_trace = s.take_trace();
-        assert_eq!(first_trace.len(), 2);
-        s.restart();
-        // Same buffers, initial contents: no reallocation happened.
-        assert_eq!(s.state.as_ptr(), state_ptr);
-        assert_eq!(s.value("q").map(Value::bits), Some(0));
-        assert!(s.trace().is_empty());
-        assert_eq!(s.ops_executed(), 0);
-        assert_eq!(
-            s.coverage().map(CovMap::covered_points),
-            Some(0),
-            "coverage map cleared in place"
-        );
-
-        // And the restarted run is bit-identical to a fresh simulator's.
-        let mut fresh = Simulator::from_compiled(Arc::clone(&compiled));
-        for sim in [&mut s, &mut fresh] {
-            sim.step(&[("rst_n", 0), ("en", 0)]).expect("reset");
-            sim.step(&[("rst_n", 1), ("en", 1)]).expect("step");
-        }
-        assert_eq!(s.trace(), fresh.trace());
-    }
-
-    #[test]
     fn restart_from_compiled_resets_state() {
         let d = compile(COUNTER).expect("compile");
         let compiled = Arc::new(CompiledDesign::compile(&d));
@@ -489,8 +375,54 @@ mod tests {
         assert_eq!(s.value("q").map(Value::bits), Some(1));
         // A fresh simulator over the same compiled design starts at zero
         // with an empty trace.
-        let s2 = Simulator::from_compiled(compiled);
+        let s2 = Simulator::from_compiled(Arc::clone(&compiled));
         assert_eq!(s2.value("q").map(Value::bits), Some(0));
-        assert!(s2.trace().is_empty());
+        assert!(s2.into_trace().is_empty());
+        // Traces never own their name table: they share the compiled
+        // design's interned header.
+        let trace = s.into_trace();
+        assert_eq!(trace.len(), 2);
+        assert!(Arc::ptr_eq(trace.header(), compiled.trace_header()));
+    }
+
+    /// Steps `s` once more with `inputs`, asserting the sticky error
+    /// contract: the same error, no signal or trace change.
+    fn assert_sticky(s: &mut Simulator, inputs: &[(&str, u64)], err: &SimError) {
+        let before = s.clone();
+        assert_eq!(s.step(inputs).as_ref(), Err(err));
+        for name in before.compiled().names() {
+            assert_eq!(s.value(name), before.value(name), "`{name}` changed");
+        }
+        assert_eq!(s.clone().into_trace(), before.into_trace());
+    }
+
+    #[test]
+    fn errors_are_sticky() {
+        let mut s = sim(
+            "module d(input clk, input [3:0] a, input [3:0] b, output reg [3:0] q);\n\
+             always @(posedge clk) q <= a / b;\nendmodule",
+        );
+        s.step(&[("a", 6), ("b", 3)]).expect("6 / 3");
+        assert_eq!(s.value("q").map(Value::bits), Some(2));
+        let err = SimError::Eval(EvalError::DivideByZero);
+        assert_eq!(s.step(&[("a", 5), ("b", 0)]), Err(err.clone()));
+        // Valid inputs no longer revive the run.
+        assert_sticky(&mut s, &[("a", 8), ("b", 2)], &err);
+        assert_sticky(&mut s, &[], &err);
+        assert_eq!(s.run(3, &[("b", 1)]), Err(err));
+        assert_eq!(s.into_trace().len(), 2, "the failing tick sampled first");
+
+        let mut osc = sim(
+            "module osc(input a, output y);\nwire n;\nassign n = ~n | a;\nassign y = n;\nendmodule",
+        );
+        osc.step(&[("a", 1)]).expect("a = 1 settles");
+        assert_eq!(osc.step(&[("a", 0)]), Err(SimError::CombDivergence));
+        assert_sticky(&mut osc, &[("a", 1)], &SimError::CombDivergence);
+        assert_eq!(osc.value("a").map(Value::bits), Some(0));
+        assert_eq!(
+            osc.into_trace().len(),
+            1,
+            "divergence aborts before sampling"
+        );
     }
 }

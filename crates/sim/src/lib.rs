@@ -6,10 +6,11 @@
 //! Icarus Verilog (substitution rationale in DESIGN.md).
 //!
 //! Two backends share identical semantics (see README "Simulation
-//! backends"): the default [`Simulator`] runs on the compiled core in
-//! [`compile`] (interned signals, bytecode expressions, levelized
-//! combinational scheduling), while [`interp::AstSimulator`] keeps the
-//! original tree-walking executor as the reference oracle for
+//! backends"): the compiled core in [`compile`] (interned signals,
+//! bytecode expressions, levelized combinational scheduling) executes
+//! statements in one place, the lane executor [`LaneBatch`], which the
+//! default [`Simulator`] runs with a single lane; [`interp::AstSimulator`]
+//! keeps the original tree-walking executor as the reference oracle for
 //! differential testing.
 //!
 //! ## Quick start
@@ -46,9 +47,7 @@ pub use asv_ir::value;
 pub use asv_ir::OptLevel;
 pub use cache::CompileCache;
 pub use cancel::{Budget, CancelToken, Deadline, Exhausted, ManualClock, Resource, Stop};
-pub use compile::batch::{
-    run_stimulus_group, run_stimulus_scalar, LaneBatch, LaneOutcome, LaneRun, LANE_WIDTHS,
-};
+pub use compile::batch::{run_stimulus_group, LaneBatch, LaneOutcome, LaneRun, LANE_WIDTHS};
 pub use compile::{CompiledDesign, SigId};
 pub use cover::{CovMap, CoverageReport};
 pub use eval::{Env, EvalError};

@@ -281,6 +281,6 @@ mod tests {
         for t in 0..stim.len() {
             sim.step(&stim.cycle(t)).expect("step");
         }
-        assert_eq!(sim.trace().len(), 12);
+        assert_eq!(sim.into_trace().len(), 12);
     }
 }

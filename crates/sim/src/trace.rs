@@ -48,15 +48,8 @@ pub struct Trace {
 impl Trace {
     /// Creates an empty trace over the given signal names.
     pub fn new(names: Vec<String>) -> Self {
-        Trace::with_header(Arc::new(TraceHeader::new(names)))
-    }
-
-    /// Creates an empty trace sharing an existing header — the O(1)
-    /// restart path used by the executors, which intern one header per
-    /// compiled design.
-    pub fn with_header(header: Arc<TraceHeader>) -> Self {
         Trace {
-            header,
+            header: Arc::new(TraceHeader::new(names)),
             samples: Vec::new(),
         }
     }
@@ -85,12 +78,6 @@ impl Trace {
     /// The shared name table.
     pub fn header(&self) -> &Arc<TraceHeader> {
         &self.header
-    }
-
-    /// Drops all recorded ticks, keeping the name table (and the sample
-    /// buffer's capacity) for reuse.
-    pub fn clear(&mut self) {
-        self.samples.clear();
     }
 
     /// Signal names in column order.

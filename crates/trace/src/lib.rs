@@ -10,9 +10,9 @@
 //!   [`Event`]s into per-thread append-only rings (writers never contend
 //!   with each other); engines emit through the [`TraceHandle`] carried
 //!   by their `Budget`. The [`TraceSink`] trait is monomorphized like
-//!   `asv_sim::cover::CovSink`, so code instrumented against the
-//!   [`NoTrace`] sink compiles to nothing at all — the default,
-//!   untraced paths pay zero cost.
+//!   the per-lane coverage sinks of `asv_sim::compile::batch`, so code
+//!   instrumented against the [`NoTrace`] sink compiles to nothing at
+//!   all — the default, untraced paths pay zero cost.
 //! * **Metrics** ([`metrics`]): hand-rolled counters and log-scale
 //!   latency histograms in a [`metrics::Registry`], with a
 //!   Prometheus-compatible text exposition and a JSON snapshot. No

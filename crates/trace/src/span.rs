@@ -1,7 +1,8 @@
 //! Spans, events, sinks and the [`Tracer`] collection substrate.
 //!
-//! The shape mirrors `asv_sim::cover::CovSink`: instrumented code is
-//! generic over a [`TraceSink`], the default [`NoTrace`] sink is a ZST
+//! The shape mirrors the per-lane coverage sinks of
+//! `asv_sim::compile::batch`: instrumented code is generic over a
+//! [`TraceSink`], the default [`NoTrace`] sink is a ZST
 //! whose methods are empty `#[inline(always)]` bodies, and the compiler
 //! monomorphizes the untraced instantiation down to nothing. The live
 //! sink is a [`TraceHandle`] — a cheap clonable pointer at a [`Tracer`]
@@ -216,7 +217,7 @@ pub struct Cost {
     pub stimuli: u64,
     /// Bytecode operations dispatched by the compiled simulator (at
     /// statement-expression program granularity; see
-    /// `asv_sim::cover::CovSink::ops`).
+    /// `asv_sim::Simulator::ops_executed`).
     pub ops: u64,
     /// Lane-batched executor passes scheduled (`ceil(stimuli / K)`).
     pub batches: u64,
@@ -277,8 +278,8 @@ pub struct Event {
 /// (everything compiles away) and [`TraceHandle`] (records into a
 /// [`Tracer`]). Code generic over `S: TraceSink` monomorphizes per sink,
 /// so the untraced instantiation carries no branches, no clock reads and
-/// no stores — the same zero-cost idiom as `CovSink`/`NoCov` in
-/// `asv-sim`.
+/// no stores — the same zero-cost idiom as the lane executor's
+/// coverage sinks in `asv-sim`.
 pub trait TraceSink {
     /// True when events are actually collected; guards clock reads.
     #[inline(always)]

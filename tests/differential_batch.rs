@@ -1,9 +1,11 @@
-//! Differential tests for the lane-batched SoA executor
-//! (`asv_sim::compile::batch`): running K stimuli per bytecode pass must
-//! be **bit-identical** per lane to running each stimulus through the
-//! scalar [`Simulator`] — traces, coverage maps, op tallies and errors,
-//! at every supported lane width, for ragged tail groups and for groups
-//! where some lanes error mid-batch.
+//! Differential tests for the lane executor (`asv_sim::compile::batch`),
+//! anchored on the AST interpreter oracle: at every lane width
+//! K ∈ {1, 8, 16, 32} — K=1 being what `Simulator` runs — each lane's
+//! trace or first error must be **bit-identical** to
+//! [`AstSimulator`]'s run of the same stimulus, for ragged tail groups
+//! and for groups where some lanes error mid-batch. The interpreter
+//! records neither coverage nor op tallies, so at K ∈ {8, 16, 32} those
+//! must equal the K=1 run's.
 //!
 //! Sources of truth compared:
 //!
@@ -17,16 +19,18 @@
 //!   and verdicts must not depend on the lane width **or** the worker
 //!   count;
 //! * the enumerated verification verdict: the batched sweep must report
-//!   the same first-failing stimulus the scalar sweep would have.
+//!   the same first-failing stimulus an interpreter sweep finds.
 //!
-//! [`Simulator`]: asv_sim::Simulator
+//! Test names call that one-stimulus-at-a-time reference "scalar".
+//!
+//! [`AstSimulator`]: asv_sim::AstSimulator
 
 use asv_datagen::corpus::{Archetype, CorpusGen, SizeHint};
 use asv_fuzz::{fuzz, AssertionOracle, FuzzOptions};
 use asv_sim::cover::CovMap;
 use asv_sim::{
-    run_stimulus_group, run_stimulus_scalar, CompiledDesign, Stimulus, StimulusGen, Trace,
-    LANE_WIDTHS,
+    run_stimulus_group, AstSimulator, CompiledDesign, LaneOutcome, SimError, Stimulus, StimulusGen,
+    Trace, LANE_WIDTHS,
 };
 use asv_sva::bmc::{Engine, Verdict, Verifier};
 use asv_sva::monitor::{CheckOutcome, CompiledChecker};
@@ -53,35 +57,61 @@ impl AssertionOracle for Oracle<'_> {
     }
 }
 
-/// Chunks `stimuli` into lane groups at width `lanes`, runs each group
-/// through the batched executor, and asserts every lane's outcome equals
-/// the scalar run of that stimulus: same trace, same coverage map, same
-/// op tally, or the same error. Returns the number of errored lanes.
-fn assert_batched_matches_scalar(
+/// The interpreter oracle's outcome for one stimulus: its trace, or its
+/// first error.
+fn oracle(design: &Design, stim: &Stimulus) -> Result<Trace, SimError> {
+    let mut sim = AstSimulator::new(design);
+    for t in 0..stim.len() {
+        sim.step(&stim.cycle(t))?;
+    }
+    Ok(sim.into_trace())
+}
+
+/// Runs `stimuli` one at a time (K=1) and in lane groups at every width
+/// in `widths`, asserting each run's trace or first error equals the
+/// interpreter oracle's, and each batched lane's whole outcome — coverage
+/// map and op tally included — equals the K=1 run's. Returns the number
+/// of errored stimuli.
+fn assert_lanes_match_oracle(
     compiled: &Arc<CompiledDesign>,
     stimuli: &[Stimulus],
-    lanes: usize,
+    widths: &[usize],
     assertions: Option<usize>,
     label: &str,
 ) -> usize {
-    let mut errored = 0usize;
-    for (g, group) in stimuli.chunks(lanes).enumerate() {
-        let batched = run_stimulus_group(compiled, group, lanes, assertions, true);
-        assert_eq!(
-            batched.len(),
-            group.len(),
-            "{label}: K={lanes} group {g}: one outcome per stimulus"
-        );
-        for (l, outcome) in batched.iter().enumerate() {
-            let scalar = run_stimulus_scalar(compiled, &group[l], assertions, true);
+    let expected: Vec<Result<Trace, SimError>> = stimuli
+        .iter()
+        .map(|stim| oracle(compiled.design(), stim))
+        .collect();
+    let single = run_stimulus_group(compiled, stimuli, 1, assertions, true);
+    for (i, outcome) in single.iter().enumerate() {
+        assert_matches_oracle(outcome, &expected[i], &format!("{label}: K=1 stimulus {i}"));
+    }
+    for &lanes in widths {
+        for (g, group) in stimuli.chunks(lanes).enumerate() {
+            let batched = run_stimulus_group(compiled, group, lanes, assertions, true);
             assert_eq!(
-                *outcome, scalar,
-                "{label}: K={lanes} group {g} lane {l} diverged from scalar"
+                batched.len(),
+                group.len(),
+                "{label}: K={lanes} group {g}: one outcome per stimulus"
             );
-            errored += usize::from(outcome.is_err());
+            for (l, outcome) in batched.iter().enumerate() {
+                let i = g * lanes + l;
+                let tag = format!("{label}: K={lanes} group {g} lane {l}");
+                assert_matches_oracle(outcome, &expected[i], &tag);
+                assert_eq!(*outcome, single[i], "{tag} diverged from K=1");
+            }
         }
     }
-    errored
+    single.iter().filter(|o| o.is_err()).count()
+}
+
+fn assert_matches_oracle(outcome: &LaneOutcome, expected: &Result<Trace, SimError>, tag: &str) {
+    match (outcome, expected) {
+        (Ok(run), Ok(trace)) => assert_eq!(run.trace, *trace, "{tag}: trace vs oracle"),
+        (Err(e), Err(want)) => assert_eq!(e, want, "{tag}: first error vs oracle"),
+        _ => panic!("{tag}: outcome kind diverged from the oracle: {outcome:?} vs {expected:?}"),
+    }
 }
 
 fn archetype_designs(seed: u64, hint: SizeHint) -> Vec<(String, Design)> {
@@ -135,15 +165,13 @@ fn archetypes_batched_match_scalar_at_all_lane_widths() {
             let checker = checker_for(&compiled, &design);
             // 2×32 + 5: a ragged tail group at every supported width.
             let stimuli = stimuli_for(&design, 69, 24, true);
-            for lanes in LANE_WIDTHS {
-                assert_batched_matches_scalar(
-                    &compiled,
-                    &stimuli,
-                    lanes,
-                    Some(checker.assertion_count()),
-                    &label,
-                );
-            }
+            assert_lanes_match_oracle(
+                &compiled,
+                &stimuli,
+                &LANE_WIDTHS,
+                Some(checker.assertion_count()),
+                &label,
+            );
         }
     }
 }
@@ -168,15 +196,13 @@ fn mutated_archetypes_batched_match_scalar() {
             let compiled = Arc::new(CompiledDesign::compile(&buggy));
             let checker = checker_for(&compiled, &buggy);
             let stimuli = stimuli_for(&buggy, 21, 16, true);
-            for lanes in [8usize, 16] {
-                assert_batched_matches_scalar(
-                    &compiled,
-                    &stimuli,
-                    lanes,
-                    Some(checker.assertion_count()),
-                    &format!("{label}/mut{mi}"),
-                );
-            }
+            assert_lanes_match_oracle(
+                &compiled,
+                &stimuli,
+                &[8, 16],
+                Some(checker.assertion_count()),
+                &format!("{label}/mut{mi}"),
+            );
             compared += 1;
         }
     }
@@ -233,9 +259,7 @@ fn stress_modules_batched_match_scalar() {
             .unwrap_or_else(|e| panic!("{name}: stress module must compile: {e}"));
         let compiled = Arc::new(CompiledDesign::compile(&design));
         let stimuli = stimuli_for(&design, 37, 20, true);
-        for lanes in LANE_WIDTHS {
-            assert_batched_matches_scalar(&compiled, &stimuli, lanes, None, name);
-        }
+        assert_lanes_match_oracle(&compiled, &stimuli, &LANE_WIDTHS, None, name);
     }
 }
 
@@ -245,7 +269,7 @@ fn mid_batch_lane_errors_match_scalar_error_ordering() {
     // all-zero reset cycles from faulting every stimulus — the ternary
     // is lazy): at 1/32 per cycle over 20 cycles, some lanes fault at
     // some tick while others complete. Every lane must report exactly
-    // the scalar outcome for its stimulus — the first error of the
+    // the oracle's outcome for its stimulus — the first error of the
     // lane, at the same tick, never an error leaked in from a
     // neighbouring lane.
     let src = "module m(input clk, input en, input [3:0] a, input [3:0] b,\n\
@@ -254,15 +278,13 @@ fn mid_batch_lane_errors_match_scalar_error_ordering() {
     let design = asv_verilog::compile(src).expect("compile");
     let compiled = Arc::new(CompiledDesign::compile(&design));
     let stimuli = stimuli_for(&design, 35, 20, false);
-    for lanes in LANE_WIDTHS {
-        let errored = assert_batched_matches_scalar(&compiled, &stimuli, lanes, None, "div_fault");
-        assert!(
-            errored > 0 && errored < stimuli.len(),
-            "K={lanes}: the batch must mix surviving and errored lanes \
-             ({errored}/{} errored) for the ordering check to bite",
-            stimuli.len()
-        );
-    }
+    let errored = assert_lanes_match_oracle(&compiled, &stimuli, &LANE_WIDTHS, None, "div_fault");
+    assert!(
+        errored > 0 && errored < stimuli.len(),
+        "the batches must mix surviving and errored lanes \
+         ({errored}/{} errored) for the ordering check to bite",
+        stimuli.len()
+    );
 }
 
 #[test]
@@ -285,7 +307,7 @@ fn fuzz_campaign_identical_across_lane_widths_and_workers() {
         seed: 0xDEED,
         ..FuzzOptions::default()
     };
-    // Reference: scalar drain (lanes: 1), single worker.
+    // Reference: single-lane runs (lanes: 1), single worker.
     let reference = fuzz(
         &compiled,
         &oracle,
@@ -326,7 +348,8 @@ fn enumerated_verdict_reports_the_scalar_first_failure() {
     // A buggy latch (q follows !d): the enumerated sweep fails on some
     // stimulus. The batched sweep simulates whole lane groups at once but
     // must still report the *lowest-index* failing stimulus — recompute
-    // it here with the scalar runner over the same enumeration order.
+    // it here with the interpreter oracle over the same enumeration
+    // order.
     let src = r#"
 module latch1(input clk, input rst_n, input d, output reg q);
   always @(posedge clk or negedge rst_n) begin
@@ -350,9 +373,9 @@ endmodule
     let expected = all
         .iter()
         .find(|stim| {
-            let run = run_stimulus_scalar(&compiled, stim, None, false).expect("scalar run");
+            let trace = oracle(&design, stim).expect("oracle run");
             checker
-                .outcomes(&run.trace)
+                .outcomes(&trace)
                 .expect("monitor")
                 .iter()
                 .any(|(_, o)| matches!(o, CheckOutcome::Failed(_)))
@@ -368,7 +391,7 @@ endmodule
     match verifier.check(&design).expect("verify") {
         Verdict::Fails(cex) => assert_eq!(
             &cex.stimulus, expected,
-            "batched enumeration must report the scalar sweep's first failure"
+            "batched enumeration must report the oracle sweep's first failure"
         ),
         other => panic!("buggy design must fail, got {other:?}"),
     }
