@@ -73,13 +73,18 @@ fn main() -> ExitCode {
         "== Perf matrix ({} scale, min of {} runs) ==",
         report.scale, cfg.runs
     );
+    let col = report
+        .workloads
+        .keys()
+        .map(String::len)
+        .fold("workload".len(), usize::max);
     println!(
-        "{:<12} {:>12} {:>12} {:>12} {:>12} {:>12}",
+        "{:<col$} {:>12} {:>12} {:>12} {:>12} {:>12}",
         "workload", "wall_min_ms", "ops", "conflicts", "fuzz_rounds", "memo_hits"
     );
     for (name, w) in &report.workloads {
         println!(
-            "{:<12} {:>12.2} {:>12} {:>12} {:>12} {:>12}",
+            "{:<col$} {:>12.2} {:>12} {:>12} {:>12} {:>12}",
             name,
             w.wall_min_ns() as f64 / 1e6,
             w.counters.ops,
@@ -89,7 +94,7 @@ fn main() -> ExitCode {
         );
         if let Some((p50, p90, p99)) = w.job_ns {
             println!(
-                "{:<12} job latency p50={:.2}ms p90={:.2}ms p99={:.2}ms",
+                "{:<col$} job latency p50={:.2}ms p90={:.2}ms p99={:.2}ms",
                 "",
                 p50 as f64 / 1e6,
                 p90 as f64 / 1e6,

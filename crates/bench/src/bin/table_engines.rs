@@ -16,14 +16,16 @@
 //! `Engine::Auto` must land on the ground truth of every scenario: it
 //! *is* the best single-engine chain per scenario. After the table, a
 //! **mixed-batch service comparison** runs: a cache-cold batch of 64
-//! mixed-archetype jobs through the `asv-serve` worker pool must beat
-//! the sequential Auto loop by ≥ 2× wall-clock (asserted when ≥ 4 cores
-//! are available), with memoised re-verification answering in O(hash).
+//! `Engine::Auto` jobs over the `perf_matrix` design pool (every
+//! archetype, golden and bug-injected) through the `asv-serve` worker
+//! pool must beat the sequential Auto loop by ≥ 2× wall-clock (asserted
+//! when ≥ 4 cores are available), with memoised re-verification
+//! answering in O(hash).
 //!
 //! Run with `cargo run --release -p asv-bench --bin table_engines`.
 
+use asv_bench::perf::{bench_verifier, design_pool};
 use asv_datagen::corpus::{Archetype, CorpusGen, SizeHint};
-use asv_mutation::inject::{apply, enumerate};
 use asv_sat::engine::{unroll_stats, BmcOptions};
 use asv_serve::{ServeOptions, VerifyJob, VerifyService};
 use asv_sim::{CompiledDesign, OptLevel};
@@ -434,31 +436,17 @@ fn optimizing_ir_table() {
     );
 }
 
-/// 64 `Engine::Auto` jobs cycling golden + first-compilable-mutant
-/// designs over all 12 datagen archetypes (the serve_throughput bench
-/// uses the same shape).
+/// 64 `Engine::Auto` jobs cycling over the `perf_matrix` design pool
+/// (golden + first-injectable-bug designs over all 12 archetypes).
 fn mixed_batch() -> Vec<VerifyJob> {
-    let designs = CorpusGen::new(0x5E27E).generate(2 * Archetype::ALL.len());
-    let mut pool: Vec<std::sync::Arc<asv_verilog::Design>> = Vec::new();
-    for gd in &designs {
-        let golden = asv_verilog::compile(&gd.source).expect("golden compiles");
-        if let Some(buggy) = enumerate(&golden).into_iter().find_map(|m| {
-            let injection = apply(&golden, &m).ok()?;
-            asv_verilog::compile(&injection.buggy_source).ok()
-        }) {
-            pool.push(std::sync::Arc::new(buggy));
-        }
-        pool.push(std::sync::Arc::new(golden));
-    }
-    let verifier = Verifier {
-        depth: 8,
-        reset_cycles: 2,
-        exhaustive_limit: 256,
-        random_runs: 24,
-        ..Verifier::default()
-    };
+    let pool = design_pool(false).pool;
     (0..64)
-        .map(|i| VerifyJob::new(std::sync::Arc::clone(&pool[i % pool.len()]), verifier))
+        .map(|i| {
+            VerifyJob::new(
+                std::sync::Arc::clone(&pool[i % pool.len()]),
+                bench_verifier(Engine::Auto),
+            )
+        })
         .collect()
 }
 

@@ -19,41 +19,25 @@
 //!
 //! Run with `cargo run --release -p asv-bench --bin trace_report`.
 
-use asv_datagen::corpus::{Archetype, CorpusGen};
-use asv_mutation::inject::{apply, enumerate};
+use asv_bench::perf::{bench_verifier, design_pool};
 use asv_serve::{AnswerTier, JobReport, ServeOptions, VerifyJob, VerifyService};
-use asv_sva::bmc::{Engine, Verifier};
+use asv_sva::bmc::Engine;
 use asv_trace::{chrome_trace_json, Profile, Tracer};
 use std::sync::Arc;
 
-/// 64 jobs over golden + bug-injected designs of every archetype, mixing
-/// engines so the timeline exercises every rung family: symbolic BMC,
-/// exhaustive enumeration, coverage-guided fuzzing and random sampling.
+/// 64 jobs over the `perf_matrix` pool (golden + bug-injected designs of
+/// every archetype), mixing engines so the timeline exercises every rung
+/// family: symbolic BMC, exhaustive enumeration, coverage-guided fuzzing
+/// and random sampling.
 fn mixed_batch() -> Vec<VerifyJob> {
-    let designs = CorpusGen::new(0x0B5E7).generate(2 * Archetype::ALL.len());
-    let mut pool: Vec<Arc<asv_verilog::Design>> = Vec::new();
-    for gd in &designs {
-        let golden = asv_verilog::compile(&gd.source).expect("golden compiles");
-        if let Some(buggy) = enumerate(&golden).into_iter().find_map(|m| {
-            let injection = apply(&golden, &m).ok()?;
-            asv_verilog::compile(&injection.buggy_source).ok()
-        }) {
-            pool.push(Arc::new(buggy));
-        }
-        pool.push(Arc::new(golden));
-    }
+    let pool = design_pool(false).pool;
     let engines = [Engine::Auto, Engine::Simulation];
     (0..64)
         .map(|i| {
-            let verifier = Verifier {
-                depth: 8,
-                reset_cycles: 2,
-                exhaustive_limit: 256,
-                random_runs: 24,
-                engine: engines[i % engines.len()],
-                ..Verifier::default()
-            };
-            VerifyJob::new(Arc::clone(&pool[i % pool.len()]), verifier)
+            VerifyJob::new(
+                Arc::clone(&pool[i % pool.len()]),
+                bench_verifier(engines[i % engines.len()]),
+            )
         })
         .collect()
 }

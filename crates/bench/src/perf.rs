@@ -23,16 +23,19 @@
 use asv_datagen::corpus::{Archetype, CorpusGen};
 use asv_fuzz::{AssertionOracle, FuzzOptions};
 use asv_mutation::inject::{apply, enumerate};
+use asv_sat::{Lit, SolveResult, Solver};
 use asv_serve::{ServeOptions, VerifyJob, VerifyService};
 use asv_sim::cover::CovMap;
 use asv_sim::{
-    run_stimulus_group, Budget, CompiledDesign, OptLevel, Simulator, Stimulus, StimulusGen, Trace,
+    run_stimulus_group, AstSimulator, Budget, CompiledDesign, OptLevel, Simulator, Stimulus,
+    StimulusGen, Trace,
 };
 use asv_sva::bmc::{Engine, Verifier};
 use asv_sva::monitor::CompiledChecker;
 use asv_trace::{CostCounters, Event, SpanKind, Tracer};
 use asv_verilog::Design;
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -738,6 +741,24 @@ fn workload_simulate(golden: &[Arc<Design>], runs: usize, cycles: usize) -> Work
     }
 }
 
+/// The `simulate` leg's work on the AST interpreter oracle: every golden
+/// design for `cycles` ticks with no inputs. The interpreter counts no
+/// work, so the counter vector is all zero and the leg is gated on wall
+/// time alone; its ratio to `simulate` is the compiled backend's speedup.
+fn workload_simulate_interp(golden: &[Arc<Design>], runs: usize, cycles: usize) -> WorkloadResult {
+    let wall_ns = time_runs(runs, || {
+        for d in golden {
+            let mut sim = AstSimulator::new(d);
+            sim.run(cycles, &[]).expect("bench design simulates");
+        }
+    });
+    WorkloadResult {
+        wall_ns,
+        counters: CostCounters::default(),
+        job_ns: None,
+    }
+}
+
 /// 64 seeded random stimuli per design for the stimulus-throughput legs
 /// (the "64x" in the workload names).
 fn batch_stimuli(golden: &[Arc<Design>], cycles: usize) -> Vec<Vec<Stimulus>> {
@@ -870,12 +891,12 @@ fn workload_fuzz_batch(golden: &[Arc<Design>], runs: usize) -> WorkloadResult {
     }
 }
 
-/// Single-engine workload: every pool design through one engine on one
-/// worker (isolates the engine's own cost from scheduling).
-fn workload_engine(pool: &[Arc<Design>], engine: Engine, runs: usize) -> WorkloadResult {
+/// Single-engine workload: every pool design through one verifier on
+/// one worker (isolates the engine's own cost from scheduling).
+fn workload_engine(pool: &[Arc<Design>], verifier: Verifier, runs: usize) -> WorkloadResult {
     let jobs: Vec<VerifyJob> = pool
         .iter()
-        .map(|d| VerifyJob::new(Arc::clone(d), bench_verifier(engine)))
+        .map(|d| VerifyJob::new(Arc::clone(d), verifier))
         .collect();
     let wall_ns = time_runs(runs, || {
         asv_serve::clear_design_cache();
@@ -937,6 +958,110 @@ fn workload_serve(jobs: &[VerifyJob], runs: usize) -> (WorkloadResult, WorkloadR
     (cold, warm, cold_events)
 }
 
+/// A scratch store directory under the system temp dir, removed on drop.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("asv-perf-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Warm-disk serve leg: a first service writes the batch's outcomes to a
+/// scratch store; each repetition then clears the compile cache and
+/// serves the batch from a fresh service over that store, as a new
+/// process would. No engine may run, so the leg times compiling, cone
+/// hashing and store reads. With no engine there are no compile spans,
+/// so its counters need no pre-warmed compile cache.
+fn workload_serve_warm_disk(jobs: &[VerifyJob], runs: usize) -> WorkloadResult {
+    let scratch = ScratchDir::new("warm-disk");
+    let opts = || ServeOptions {
+        store_dir: Some(scratch.0.clone()),
+        ..ServeOptions::default()
+    };
+    VerifyService::new(opts()).verify_batch(jobs);
+    let fresh = || {
+        asv_serve::clear_design_cache();
+        VerifyService::new(opts())
+    };
+    let no_engine = |service: &VerifyService| {
+        assert_eq!(
+            service.stats().executed,
+            0,
+            "warm disk replay must run no engine"
+        );
+    };
+    let wall_ns = time_runs(runs, || {
+        let service = fresh();
+        std::hint::black_box(service.verify_batch(jobs));
+        no_engine(&service);
+    });
+    let tracer = Tracer::new();
+    let service = fresh().traced(tracer.clone());
+    let (_o, _r, events) = service.verify_batch_traced(jobs);
+    no_engine(&service);
+    assert_eq!(
+        tracer.dropped(),
+        0,
+        "trace ring overflow would skew counters"
+    );
+    WorkloadResult {
+        wall_ns,
+        counters: CostCounters::from_events(&events),
+        job_ns: None,
+    }
+}
+
+/// Pigeonhole PHP(7,6) on the CDCL solver alone: a resolution-hard
+/// UNSAT instance that exercises clause learning, VSIDS and restarts
+/// rather than pure propagation. Counters come from the solver's own
+/// fields (one solve call).
+fn workload_sat_pigeonhole(runs: usize) -> WorkloadResult {
+    let solve = || {
+        let (pigeons, holes) = (7, 6);
+        let mut s = Solver::new();
+        let x: Vec<Vec<Lit>> = (0..pigeons)
+            .map(|_| (0..holes).map(|_| Lit::pos(s.new_var())).collect())
+            .collect();
+        for p in &x {
+            s.add_clause(p);
+        }
+        for (i, p1) in x.iter().enumerate() {
+            for p2 in &x[i + 1..] {
+                for (&a, &b) in p1.iter().zip(p2) {
+                    s.add_clause(&[!a, !b]);
+                }
+            }
+        }
+        assert_eq!(s.solve(&[]), SolveResult::Unsat, "PHP(7,6) is UNSAT");
+        s
+    };
+    let wall_ns = time_runs(runs, || {
+        std::hint::black_box(solve());
+    });
+    let s = solve();
+    WorkloadResult {
+        wall_ns,
+        counters: CostCounters {
+            sat_solves: 1,
+            conflicts: s.conflicts,
+            decisions: s.decisions,
+            propagations: s.propagations,
+            ..CostCounters::default()
+        },
+        job_ns: None,
+    }
+}
+
 /// Runs the full matrix and assembles the report. Also returns the cold
 /// serve leg's events for profile synthesis.
 pub fn run_matrix(cfg: &MatrixConfig) -> (BenchReport, Vec<Event>) {
@@ -965,6 +1090,11 @@ pub fn run_matrix(cfg: &MatrixConfig) -> (BenchReport, Vec<Event>) {
         "simulate".to_string(),
         workload_simulate(&pool.golden, cfg.runs, cycles),
     );
+    eprintln!("[perf] simulate_interp: the same on the AST interpreter ...");
+    workloads.insert(
+        "simulate_interp".to_string(),
+        workload_simulate_interp(&pool.golden, cfg.runs, cycles),
+    );
     let stim_cycles = if cfg.quick { 16 } else { 64 };
     eprintln!(
         "[perf] simulate_64x: {} designs x 64 stimuli x {stim_cycles} cycles, K=1 + batch ...",
@@ -986,15 +1116,33 @@ pub fn run_matrix(cfg: &MatrixConfig) -> (BenchReport, Vec<Event>) {
         "fuzz_throughput_batch".to_string(),
         workload_fuzz_batch(&pool.golden, cfg.runs),
     );
+    let symbolic = bench_verifier(Engine::Symbolic);
     eprintln!("[perf] symbolic: {} designs ...", pool.pool.len());
     workloads.insert(
         "symbolic".to_string(),
-        workload_engine(&pool.pool, Engine::Symbolic, cfg.runs),
+        workload_engine(&pool.pool, symbolic, cfg.runs),
+    );
+    eprintln!("[perf] symbolic_unopt: the same at OptLevel::None ...");
+    workloads.insert(
+        "symbolic_unopt".to_string(),
+        workload_engine(
+            &pool.pool,
+            Verifier {
+                opt: OptLevel::None,
+                ..symbolic
+            },
+            cfg.runs,
+        ),
     );
     eprintln!("[perf] fuzz: {} designs ...", pool.pool.len());
     workloads.insert(
         "fuzz".to_string(),
-        workload_engine(&pool.pool, Engine::Fuzz, cfg.runs),
+        workload_engine(&pool.pool, bench_verifier(Engine::Fuzz), cfg.runs),
+    );
+    eprintln!("[perf] sat_pigeonhole_7_6: PHP(7,6) on the CDCL solver ...");
+    workloads.insert(
+        "sat_pigeonhole_7_6".to_string(),
+        workload_sat_pigeonhole(cfg.runs),
     );
 
     let jobs = mixed_batch(cfg.quick);
@@ -1005,6 +1153,11 @@ pub fn run_matrix(cfg: &MatrixConfig) -> (BenchReport, Vec<Event>) {
     let (cold, warm, cold_events) = workload_serve(&jobs, cfg.runs);
     workloads.insert("serve_cold".to_string(), cold);
     workloads.insert("serve_warm".to_string(), warm);
+    eprintln!("[perf] serve_warm_disk: the batch from a warm store, fresh service ...");
+    workloads.insert(
+        "serve_warm_disk".to_string(),
+        workload_serve_warm_disk(&jobs, cfg.runs),
+    );
 
     let report = BenchReport {
         label: cfg.label.clone(),
@@ -1064,8 +1217,15 @@ impl GateOutcome {
         if self.deltas.is_empty() {
             return out;
         }
+        // The longest workload name sets the column, so no name pushes
+        // the later columns right.
+        let w = self
+            .deltas
+            .iter()
+            .map(|d| d.workload.len())
+            .fold("workload".len(), usize::max);
         out.push_str(&format!(
-            "{:<12} {:<18} {:>14} {:>14} {:>9}  verdict\n",
+            "{:<w$} {:<18} {:>14} {:>14} {:>9}  verdict\n",
             "workload", "metric", "baseline", "current", "delta"
         ));
         for d in &self.deltas {
@@ -1080,7 +1240,7 @@ impl GateOutcome {
                 format!("{rel:+.1}%")
             };
             out.push_str(&format!(
-                "{:<12} {:<18} {:>14} {:>14} {:>9}  {}\n",
+                "{:<w$} {:<18} {:>14} {:>14} {:>9}  {}\n",
                 d.workload, d.metric, d.baseline, d.current, delta, d.note
             ));
         }
@@ -1325,6 +1485,29 @@ mod tests {
                 .deltas
                 .iter()
                 .any(|d| d.workload == "frontend" && d.note.starts_with("new workload")));
+        }
+    }
+
+    #[test]
+    fn gate_table_aligns_long_workload_names() {
+        let baseline = sample_report("base");
+        let mut current = baseline.clone();
+        current.workloads.insert(
+            "fuzz_throughput_batch".to_string(),
+            WorkloadResult {
+                wall_ns: vec![500],
+                counters: CostCounters::default(),
+                job_ns: None,
+            },
+        );
+        let table = compare(&baseline, &current, false, 25.0).table();
+        let lines: Vec<&str> = table.lines().collect();
+        let col = lines[0].find("metric").expect("header names the metric");
+        assert!(lines.len() > 2, "{table}");
+        for line in &lines[1..] {
+            let workload = line.split(' ').next().unwrap_or_default();
+            assert_eq!(line[..col].trim_end(), workload, "{table}");
+            assert_ne!(line.as_bytes()[col], b' ', "{table}");
         }
     }
 

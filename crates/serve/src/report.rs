@@ -70,17 +70,6 @@ pub struct JobReport {
     pub wall_ns: u64,
 }
 
-impl JobReport {
-    /// Total resources across all rungs.
-    pub fn total_cost(&self) -> Cost {
-        let mut total = Cost::default();
-        for rung in &self.rungs {
-            total.add(rung.cost);
-        }
-        total
-    }
-}
-
 /// Assembles one report per batch slot from the batch's trace events.
 ///
 /// `keys` and `tiers` are parallel to the submission order. Events are

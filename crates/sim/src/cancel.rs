@@ -339,11 +339,6 @@ impl Budget {
         self.max_aig_nodes
     }
 
-    /// The attached fault session (inert by default).
-    pub fn fault_session(&self) -> &FaultSession {
-        &self.fault
-    }
-
     /// True once the *external* token is poisoned. Engines use this to
     /// distinguish a real cancellation (caller gave up — a hard stop)
     /// from an injected spurious one (recoverable by the degradation

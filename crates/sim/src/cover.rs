@@ -209,69 +209,6 @@ impl CovMap {
     pub fn covered_points(&self) -> usize {
         self.branch_coverage().0 + self.toggle_coverage().0 + self.antecedent_coverage().0
     }
-
-    /// Decomposes the map into its raw bitset planes, for serialisation
-    /// (the `asv-store` codec persists coverage maps by value; the map
-    /// itself stays encoding-agnostic). Inverse of [`CovMap::from_parts`].
-    pub fn to_parts(&self) -> CovMapParts<'_> {
-        CovMapParts {
-            branch: &self.branch,
-            n_branch: self.n_branch,
-            seen0: &self.seen0,
-            seen1: &self.seen1,
-            widths: &self.widths,
-            antecedent: &self.antecedent,
-            n_assert: self.n_assert,
-        }
-    }
-
-    /// Rebuilds a map from raw planes produced by [`CovMap::to_parts`].
-    /// Returns `None` when the planes are structurally inconsistent
-    /// (bitset lengths not matching their declared axis sizes), so a
-    /// corrupted serialisation can never build a map that panics later.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        branch: Vec<u64>,
-        n_branch: u32,
-        seen0: Vec<u64>,
-        seen1: Vec<u64>,
-        widths: Vec<u32>,
-        antecedent: Vec<u64>,
-        n_assert: u32,
-    ) -> Option<Self> {
-        let ok = branch.len() == n_branch.div_ceil(64) as usize
-            && antecedent.len() == n_assert.div_ceil(64) as usize
-            && seen0.len() == widths.len()
-            && seen1.len() == widths.len();
-        ok.then_some(CovMap {
-            branch,
-            n_branch,
-            seen0,
-            seen1,
-            widths,
-            antecedent,
-            n_assert,
-        })
-    }
-}
-
-/// Borrowed raw planes of a [`CovMap`] (see [`CovMap::to_parts`]).
-#[derive(Debug, Clone, Copy)]
-pub struct CovMapParts<'a> {
-    /// Branch-arm bitset.
-    pub branch: &'a [u64],
-    /// Number of branch sites.
-    pub n_branch: u32,
-    /// Per-signal observed-at-0 masks.
-    pub seen0: &'a [u64],
-    /// Per-signal observed-at-1 masks.
-    pub seen1: &'a [u64],
-    /// Declared signal widths.
-    pub widths: &'a [u32],
-    /// Antecedent-fired bitset.
-    pub antecedent: &'a [u64],
-    /// Number of assertion directives.
-    pub n_assert: u32,
 }
 
 /// Human- and machine-readable summary of a [`CovMap`]: covered/total and

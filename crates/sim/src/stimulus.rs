@@ -45,19 +45,6 @@ impl Stimulus {
     pub fn vector(&self, t: usize) -> &[(String, u64)] {
         &self.vectors[t]
     }
-
-    /// True when every cycle names the same inputs in the same order as
-    /// cycle 0 — the generated-stimulus common case that lets executors
-    /// resolve input names to signal ids once per run instead of per
-    /// tick.
-    pub fn uniform_names(&self) -> bool {
-        let Some(first) = self.vectors.first() else {
-            return true;
-        };
-        self.vectors[1..].iter().all(|v| {
-            v.len() == first.len() && v.iter().zip(first.iter()).all(|((n, _), (f, _))| n == f)
-        })
-    }
 }
 
 /// Deterministic stimulus generator for a design.

@@ -13,9 +13,7 @@
 //!   corrupted payload decodes to `None` (a store miss), never panics,
 //!   and trailing garbage is rejected by [`ByteReader::finish`].
 
-use crate::store::DesignMeta;
 use asv_ir::eval::EvalError;
-use asv_sim::cover::CovMap;
 use asv_sim::exec::SimError;
 use asv_sim::stimulus::Stimulus;
 use asv_sva::bmc::{CounterExample, Verdict, VerifyError};
@@ -377,67 +375,6 @@ pub fn decode_outcome(payload: &[u8]) -> Option<PersistedOutcome> {
     Some(out)
 }
 
-/// Serializes a coverage map via its raw planes.
-pub fn encode_covmap(map: &CovMap) -> Vec<u8> {
-    let p = map.to_parts();
-    let mut w = ByteWriter::new();
-    w.u32(p.n_branch);
-    w.seq(p.branch, |w, x| w.u64(*x));
-    w.seq(p.seen0, |w, x| w.u64(*x));
-    w.seq(p.seen1, |w, x| w.u64(*x));
-    w.seq(p.widths, |w, x| w.u32(*x));
-    w.u32(p.n_assert);
-    w.seq(p.antecedent, |w, x| w.u64(*x));
-    w.into_bytes()
-}
-
-/// Inverse of [`encode_covmap`]; structural consistency is re-checked by
-/// `CovMap::from_parts`, so a corrupt payload can't build a map that
-/// panics later.
-pub fn decode_covmap(payload: &[u8]) -> Option<CovMap> {
-    let mut r = ByteReader::new(payload);
-    let n_branch = r.u32()?;
-    let branch = r.seq(|r| r.u64())?;
-    let seen0 = r.seq(|r| r.u64())?;
-    let seen1 = r.seq(|r| r.u64())?;
-    let widths = r.seq(|r| r.u32())?;
-    let n_assert = r.u32()?;
-    let antecedent = r.seq(|r| r.u64())?;
-    r.finish()?;
-    CovMap::from_parts(branch, n_branch, seen0, seen1, widths, antecedent, n_assert)
-}
-
-/// Serializes compiled-design metadata.
-pub fn encode_design_meta(meta: &DesignMeta) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.str(&meta.module);
-    w.str(&meta.opt);
-    w.u32(meta.signals);
-    w.u32(meta.comb_steps);
-    w.u32(meta.seq_blocks);
-    w.u32(meta.assertions);
-    w.u32(meta.branch_sites);
-    w.u64(meta.design_hash);
-    w.into_bytes()
-}
-
-/// Inverse of [`encode_design_meta`].
-pub fn decode_design_meta(payload: &[u8]) -> Option<DesignMeta> {
-    let mut r = ByteReader::new(payload);
-    let meta = DesignMeta {
-        module: r.str()?,
-        opt: r.str()?,
-        signals: r.u32()?,
-        comb_steps: r.u32()?,
-        seq_blocks: r.u32()?,
-        assertions: r.u32()?,
-        branch_sites: r.u32()?,
-        design_hash: r.u64()?,
-    };
-    r.finish()?;
-    Some(meta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,22 +463,5 @@ mod tests {
         assert_eq!(encode_outcome(&inconclusive), None);
         let cancelled = PersistedOutcome::Error(VerifyError::Cancelled);
         assert_eq!(encode_outcome(&cancelled), None);
-    }
-
-    #[test]
-    fn design_meta_round_trips() {
-        let meta = DesignMeta {
-            module: "counter".into(),
-            opt: "full".into(),
-            signals: 12,
-            comb_steps: 30,
-            seq_blocks: 2,
-            assertions: 3,
-            branch_sites: 5,
-            design_hash: 0xdead_beef,
-        };
-        let bytes = encode_design_meta(&meta);
-        assert_eq!(decode_design_meta(&bytes), Some(meta));
-        assert_eq!(decode_design_meta(&bytes[..bytes.len() - 1]), None);
     }
 }

@@ -1,8 +1,8 @@
 //! # asv-store
 //!
 //! A disk-backed, content-addressed artifact store for verification
-//! results: verdicts, counterexample stimuli, coverage maps and
-//! compiled-design metadata survive the process, so a CI-style repair
+//! outcomes: verdicts (with their counterexample stimuli) and
+//! deterministic verify errors survive the process, so a CI-style repair
 //! loop never starts cold. Layered under asv-serve's in-memory
 //! `VerdictCache` it forms the second tier of the read path
 //! (`VerdictCache` → store → engines).
@@ -41,7 +41,7 @@ pub mod object;
 pub mod store;
 
 pub use object::ObjectStore;
-pub use store::{ArtifactStore, DesignMeta, GcPolicy, GcReport, StoreStats};
+pub use store::{ArtifactStore, GcPolicy, GcReport, StoreStats};
 
 use asv_ir::stablehash::hash128;
 use asv_sva::bmc::{Verdict, VerifyError};
@@ -88,18 +88,13 @@ impl std::fmt::Display for ContentHash {
     }
 }
 
-/// What an artifact *is*; part of the key, so the same 128-bit input hash
-/// can index a verdict, a coverage map and design metadata without
-/// aliasing.
+/// What an artifact *is*; part of the key, so a later artifact kind can
+/// share a 128-bit input hash with an outcome without aliasing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum ArtifactKind {
     /// A [`PersistedOutcome`] (verdict or deterministic verify error).
     Outcome = 0,
-    /// A serialized `asv_sim::cover::CovMap`.
-    Coverage = 1,
-    /// A [`DesignMeta`] record.
-    DesignMeta = 2,
 }
 
 /// How the key's 128-bit hash was derived, kept separate so the two
@@ -174,8 +169,6 @@ impl StoreKey {
         };
         let artifact = match b[5] {
             0 => ArtifactKind::Outcome,
-            1 => ArtifactKind::Coverage,
-            2 => ArtifactKind::DesignMeta,
             _ => return None,
         };
         Some(StoreKey {
@@ -231,8 +224,8 @@ mod tests {
     fn key_bytes_round_trip() {
         for key in [
             StoreKey::exact(ArtifactKind::Outcome, 7),
-            StoreKey::cone(ArtifactKind::Coverage, u128::MAX),
-            StoreKey::exact(ArtifactKind::DesignMeta, 0x1234_5678_9abc_def0),
+            StoreKey::cone(ArtifactKind::Outcome, u128::MAX),
+            StoreKey::exact(ArtifactKind::Outcome, 0x1234_5678_9abc_def0),
         ] {
             assert_eq!(StoreKey::from_bytes(&key.to_bytes()), Some(key));
         }
@@ -252,9 +245,13 @@ mod tests {
         let mut b = StoreKey::exact(ArtifactKind::Outcome, 1).to_bytes();
         b[4] = 9;
         assert_eq!(StoreKey::from_bytes(&b), None);
-        let mut b = StoreKey::exact(ArtifactKind::Outcome, 1).to_bytes();
-        b[5] = 9;
-        assert_eq!(StoreKey::from_bytes(&b), None);
+        // Artifact bytes 1 and 2 named the deleted coverage and design
+        // metadata kinds.
+        for artifact in [1, 2, 9] {
+            let mut b = StoreKey::exact(ArtifactKind::Outcome, 1).to_bytes();
+            b[5] = artifact;
+            assert_eq!(StoreKey::from_bytes(&b), None);
+        }
     }
 
     #[test]

@@ -12,35 +12,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use asv_sim::cover::CovMap;
-
 use crate::codec;
 use crate::manifest::Manifest;
 use crate::object::ObjectStore;
 use crate::{ArtifactKind, ContentHash, PersistedOutcome, StoreKey};
-
-/// Summary facts about a compiled design, persisted so dashboards and
-/// the eval runner can inspect a store without recompiling anything.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DesignMeta {
-    /// Module name.
-    pub module: String,
-    /// IR optimization level the design was compiled at ("none"/"full").
-    pub opt: String,
-    /// Interned signals.
-    pub signals: u32,
-    /// Combinational bytecode steps.
-    pub comb_steps: u32,
-    /// Sequential always-blocks.
-    pub seq_blocks: u32,
-    /// Assertion directives.
-    pub assertions: u32,
-    /// Instrumented branch sites.
-    pub branch_sites: u32,
-    /// The in-memory compile-cache design hash (process-stable only;
-    /// informational, never part of a store key).
-    pub design_hash: u64,
-}
 
 /// Age/size eviction policy for [`ArtifactStore::gc`]. `None` fields
 /// don't constrain; the default policy only sweeps unreferenced objects.
@@ -209,44 +184,6 @@ impl ArtifactStore {
         let payload = self.get_payload(key)?;
         match codec::decode_outcome(&payload) {
             Some(outcome) => Some(outcome),
-            None => {
-                self.decode_failed(key);
-                None
-            }
-        }
-    }
-
-    /// Persists a coverage map under `key`.
-    pub fn put_coverage(&self, key: StoreKey, map: &CovMap) -> io::Result<ContentHash> {
-        debug_assert_eq!(key.artifact, ArtifactKind::Coverage);
-        self.put_payload(key, &codec::encode_covmap(map))
-    }
-
-    /// Looks up a coverage map; `None` on miss or any corruption.
-    pub fn get_coverage(&self, key: StoreKey) -> Option<CovMap> {
-        debug_assert_eq!(key.artifact, ArtifactKind::Coverage);
-        let payload = self.get_payload(key)?;
-        match codec::decode_covmap(&payload) {
-            Some(map) => Some(map),
-            None => {
-                self.decode_failed(key);
-                None
-            }
-        }
-    }
-
-    /// Persists design metadata under `key`.
-    pub fn put_design_meta(&self, key: StoreKey, meta: &DesignMeta) -> io::Result<ContentHash> {
-        debug_assert_eq!(key.artifact, ArtifactKind::DesignMeta);
-        self.put_payload(key, &codec::encode_design_meta(meta))
-    }
-
-    /// Looks up design metadata; `None` on miss or any corruption.
-    pub fn get_design_meta(&self, key: StoreKey) -> Option<DesignMeta> {
-        debug_assert_eq!(key.artifact, ArtifactKind::DesignMeta);
-        let payload = self.get_payload(key)?;
-        match codec::decode_design_meta(&payload) {
-            Some(meta) => Some(meta),
             None => {
                 self.decode_failed(key);
                 None
@@ -522,31 +459,6 @@ mod tests {
         assert_eq!(report.swept_objects, 1);
         assert_eq!(report.live_objects, 1);
         assert_eq!(store.get_outcome(key), Some(holds(3)));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn design_meta_and_coverage_round_trip() {
-        let dir = scratch_dir("typed");
-        let store = ArtifactStore::open(&dir).unwrap();
-        let meta = DesignMeta {
-            module: "fifo".into(),
-            opt: "full".into(),
-            signals: 9,
-            comb_steps: 14,
-            seq_blocks: 1,
-            assertions: 2,
-            branch_sites: 3,
-            design_hash: 77,
-        };
-        let mk = StoreKey::exact(ArtifactKind::DesignMeta, 5);
-        store.put_design_meta(mk, &meta).unwrap();
-        assert_eq!(store.get_design_meta(mk), Some(meta));
-        // Distinct artifact kinds never alias even at an equal hash.
-        assert_eq!(
-            store.get_outcome(StoreKey::exact(ArtifactKind::Outcome, 5)),
-            None
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -117,21 +117,10 @@ impl Verdict {
         matches!(self, Verdict::Fails(_))
     }
 
-    /// True for [`Verdict::Inconclusive`] — no engine decided the check
-    /// within its budget.
-    pub fn is_inconclusive(&self) -> bool {
-        matches!(self, Verdict::Inconclusive { .. })
-    }
-
     /// True when the design holds and every assertion fired at least once
     /// (the correctness notion used by the evaluation judge).
     pub fn holds_non_vacuously(&self) -> bool {
         matches!(self, Verdict::Holds { vacuous, .. } if vacuous.is_empty())
-    }
-
-    /// True when the design holds but no assertion ever fired.
-    pub fn all_vacuous(&self, total_assertions: usize) -> bool {
-        matches!(self, Verdict::Holds { vacuous, .. } if vacuous.len() == total_assertions)
     }
 }
 

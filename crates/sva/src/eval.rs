@@ -65,11 +65,6 @@ impl CompiledExpr {
         }
     }
 
-    /// Compiles `expr` against `trace`'s own column layout.
-    pub fn for_trace(expr: &Expr, trace: &Trace) -> Self {
-        Self::new(expr, |name| trace.col(name))
-    }
-
     /// Evaluates at tick `t` of `trace`.
     ///
     /// # Errors

@@ -243,11 +243,6 @@ impl Cost {
         self.lanes_occupied = self.lanes_occupied.saturating_add(other.lanes_occupied);
         self.lanes_total = self.lanes_total.saturating_add(other.lanes_total);
     }
-
-    /// True when every component is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == Cost::default()
-    }
 }
 
 /// One recorded span (or instant event, when `dur_ns == 0`).

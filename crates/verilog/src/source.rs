@@ -124,11 +124,6 @@ impl SourceFile {
         }
     }
 
-    /// The 1-based line number at the start of `span`.
-    pub fn line_of(&self, span: Span) -> u32 {
-        self.line_col(span.start).line
-    }
-
     /// The full text of a 1-based line, without the trailing newline.
     ///
     /// Returns `None` if `line` is out of range.
