@@ -848,9 +848,10 @@ impl AssertionOracle for BenchOracle<'_> {
 }
 
 /// Fuzzer stimulus-throughput workload: a fixed-budget campaign per
-/// golden design with the lane-batched round executor (K = 16), one
-/// worker thread. Counters come from a traced rerun of the same
-/// campaigns (rounds, runs and scheduled-basis batch occupancy).
+/// golden design with the lane-batched round executor (K = 16), called
+/// directly rather than through the service. Counters come from a traced
+/// rerun of the same campaigns (rounds, runs and scheduled-basis batch
+/// occupancy).
 fn workload_fuzz_batch(golden: &[Arc<Design>], runs: usize) -> WorkloadResult {
     let compiled: Vec<Arc<CompiledDesign>> = golden
         .iter()
@@ -869,7 +870,6 @@ fn workload_fuzz_batch(golden: &[Arc<Design>], runs: usize) -> WorkloadResult {
         reset_cycles: 2,
         budget: 128,
         seed: 0xF422,
-        threads: 1,
         lanes: 16,
         ..FuzzOptions::default()
     };

@@ -18,7 +18,6 @@
 pub mod corpus;
 pub mod cot;
 pub mod dataset;
-pub mod diversity;
 pub mod human;
 pub mod pipeline;
 pub mod stage1;

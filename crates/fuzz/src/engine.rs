@@ -1,11 +1,12 @@
 //! The coverage-guided fuzzing loop.
 //!
-//! Rounds alternate between a sequential, seeded *scheduler* (parent
-//! selection, mutation, dedup — cheap) and a parallel *executor* (the
-//! simulations — the cost). Batch results are merged in stimulus-index
-//! order, failures and errors compete on the lowest index, and the corpus
-//! is updated sequentially, so a campaign is a pure function of
-//! `(design, options)` — the thread count changes wall time only.
+//! Rounds alternate between a seeded *scheduler* (parent selection,
+//! mutation, dedup — cheap) and an *executor* (the simulations — the
+//! cost) that runs the round's lane groups in stimulus-index order on the
+//! calling thread. Results are merged in that order and the corpus is
+//! updated as they arrive, so a campaign is a pure function of
+//! `(design, options)`. Parallelism is across campaigns: the verification
+//! service runs each job on one of its workers.
 
 use crate::corpus::Corpus;
 use crate::mutate::Mutator;
@@ -25,7 +26,7 @@ use std::sync::Arc;
 
 /// Assertion evaluation plugged in by the caller (the SVA layer), keeping
 /// property semantics out of this crate.
-pub trait AssertionOracle: Sync {
+pub trait AssertionOracle {
     /// Number of assertion directives (sizes the antecedent coverage
     /// axis).
     fn assertions(&self) -> usize;
@@ -52,8 +53,6 @@ pub struct FuzzOptions {
     pub seed: u64,
     /// Executions scheduled per round (scheduling granularity).
     pub batch: usize,
-    /// Worker threads; 0 means `std::thread::available_parallelism`.
-    pub threads: usize,
     /// Simulation lanes per bytecode pass (`asv_sim::LaneBatch`
     /// widths 8/16/32; anything else — including 1, the differential
     /// configuration — runs one single-lane batch per stimulus). Results
@@ -69,7 +68,6 @@ impl Default for FuzzOptions {
             budget: 256,
             seed: 0xF0_77E12,
             batch: 16,
-            threads: 0,
             lanes: 16,
         }
     }
@@ -191,49 +189,20 @@ fn replay_on_interpreter(compiled: &Arc<CompiledDesign>, stim: &Stimulus) -> Res
 /// assertion failed.
 type RunOutcome = Result<(CovMap, bool), FuzzError>;
 
-/// Executes `batch` across worker threads, returning per-stimulus results
-/// in index order. Workers stop their chunk at the first failure or
-/// error — later indices in the same chunk cannot win the merge.
-fn run_batch<O: AssertionOracle>(
-    compiled: &Arc<CompiledDesign>,
-    oracle: &O,
-    batch: &[Stimulus],
-    threads: usize,
-    lanes: usize,
-    budget: &Budget,
-) -> (usize, Vec<Vec<RunOutcome>>) {
-    let workers = threads.min(batch.len()).max(1);
-    let chunk = batch.len().div_ceil(workers);
-    if workers == 1 {
-        return (
-            chunk,
-            vec![run_chunk(compiled, oracle, batch, lanes, budget)],
-        );
-    }
-    let mut per_chunk = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for part in batch.chunks(chunk) {
-            handles.push(scope.spawn(move || run_chunk(compiled, oracle, part, lanes, budget)));
-        }
-        for h in handles {
-            per_chunk.push(h.join().expect("fuzz worker panicked"));
-        }
-    });
-    (chunk, per_chunk)
-}
-
+/// Executes a round's `batch` in lane groups, returning per-stimulus
+/// results in index order up to and including the first failure or
+/// error — later indices cannot affect the round.
 fn run_chunk<O: AssertionOracle>(
     compiled: &Arc<CompiledDesign>,
     oracle: &O,
-    part: &[Stimulus],
+    batch: &[Stimulus],
     lanes: usize,
     budget: &Budget,
 ) -> Vec<RunOutcome> {
-    let mut out = Vec::with_capacity(part.len());
-    for group in part.chunks(lanes.max(1)) {
+    let mut out = Vec::with_capacity(batch.len());
+    for group in batch.chunks(lanes.max(1)) {
         // Per-group poll: a campaign cancelled mid-batch stops before
-        // the next lane group instead of finishing the whole chunk. In
+        // the next lane group instead of finishing the whole batch. In
         // fault-free unbounded runs this never fires, so the merge stays
         // bit-identical.
         if let Err(stop) = budget.check() {
@@ -241,9 +210,9 @@ fn run_chunk<O: AssertionOracle>(
             return out;
         }
         // The whole group simulates together; results are still judged
-        // and reported in index order, and everything after the chunk's
+        // and reported in index order, and everything after the batch's
         // first failure/error is dropped — exactly what a one-at-a-time
-        // loop produces, since the round merge discards post-stop results.
+        // loop produces.
         for outcome in run_stimulus_group(compiled, group, lanes, Some(oracle.assertions()), false)
         {
             let r = match outcome {
@@ -262,9 +231,9 @@ fn run_chunk<O: AssertionOracle>(
 
 /// Runs a coverage-guided fuzzing campaign against `compiled`.
 ///
-/// Deterministic from [`FuzzOptions::seed`] regardless of
-/// [`FuzzOptions::threads`]. A found failure is always replayed on the
-/// [`AstSimulator`] interpreter oracle before it is reported.
+/// Deterministic from [`FuzzOptions::seed`]. A found failure is always
+/// replayed on the [`AstSimulator`] interpreter oracle before it is
+/// reported.
 ///
 /// # Errors
 ///
@@ -281,10 +250,10 @@ pub fn fuzz<O: AssertionOracle>(
 
 /// [`fuzz`] under a full resource [`Budget`]: the round loop polls the
 /// budget (token, deadline, fault probes) before every round and honours
-/// the fuzz-round cap; workers additionally poll the token before each
-/// lane group so a cancelled campaign stops mid-batch. Once the token is
-/// poisoned the campaign returns [`FuzzError::Cancelled`] within one
-/// round (the scheduling granularity, [`FuzzOptions::batch`]
+/// the fuzz-round cap; the executor additionally polls the token before
+/// each lane group so a cancelled campaign stops mid-batch. Once the
+/// token is poisoned the campaign returns [`FuzzError::Cancelled`] within
+/// one round (the scheduling granularity, [`FuzzOptions::batch`]
 /// executions).
 ///
 /// # Errors
@@ -303,11 +272,6 @@ pub fn fuzz_budgeted<O: AssertionOracle>(
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut corpus = Corpus::new();
     let mut coverage = CovMap::new(compiled, oracle.assertions());
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        opts.threads
-    };
     let batch_size = opts.batch.max(1);
     let mut runs = 0usize;
     let mut rounds = 0u64;
@@ -331,11 +295,6 @@ pub fn fuzz_budgeted<O: AssertionOracle>(
         let n = batch_size.min(opts.budget - runs);
         let batch = schedule(&gen, &mutator, &mut corpus, &mut rng, n, opts);
         if opts.lanes > 1 {
-            // Lane occupancy on a *scheduled* basis (the canonical
-            // single-worker grouping), emitted here at the sequential
-            // point — worker chunking changes the realised grouping but
-            // never this counter, keeping the cost vector bit-identical
-            // across thread counts.
             let batches = (batch.len().div_ceil(opts.lanes)) as u64;
             sink.instant(
                 probe::SIM_BATCH,
@@ -349,29 +308,25 @@ pub fn fuzz_budgeted<O: AssertionOracle>(
                 },
             );
         }
-        let (chunk_size, per_chunk) =
-            run_batch(compiled, oracle, &batch, threads, opts.lanes, budget);
-        for (c, chunk) in per_chunk.into_iter().enumerate() {
-            for (j, result) in chunk.into_iter().enumerate() {
-                let (cov, failed) = result?;
-                let new_points = coverage.merge(&cov);
-                let stim = &batch[c * chunk_size + j];
-                runs += 1;
-                round_span.add_cost(Cost {
-                    stimuli: 1,
-                    ..Cost::default()
-                });
-                if failed {
-                    replay_on_interpreter(compiled, stim)?;
-                    verdict = FuzzVerdict::Failure {
-                        stimulus: stim.clone(),
-                        run_index: runs - 1,
-                    };
-                    break 'campaign;
-                }
-                if new_points > 0 {
-                    corpus.add(stim.clone(), new_points);
-                }
+        let results = run_chunk(compiled, oracle, &batch, opts.lanes, budget);
+        for (stim, result) in batch.iter().zip(results) {
+            let (cov, failed) = result?;
+            let new_points = coverage.merge(&cov);
+            runs += 1;
+            round_span.add_cost(Cost {
+                stimuli: 1,
+                ..Cost::default()
+            });
+            if failed {
+                replay_on_interpreter(compiled, stim)?;
+                verdict = FuzzVerdict::Failure {
+                    stimulus: stim.clone(),
+                    run_index: runs - 1,
+                };
+                break 'campaign;
+            }
+            if new_points > 0 {
+                corpus.add(stim.clone(), new_points);
             }
         }
     }
@@ -423,45 +378,6 @@ fn schedule(
         out.push(stim);
     }
     out
-}
-
-/// Greedy coverage-novelty ranking of a stimulus set: repeatedly selects
-/// the stimulus adding the most not-yet-covered points (ties to the
-/// lowest index). Returns `(stimulus index, marginal points)` in selection
-/// order — the scenario-diversity signal the datagen/eval pipeline uses
-/// to favour diverse traces.
-///
-/// # Errors
-///
-/// Propagates [`FuzzError::Sim`] when a stimulus fails to simulate.
-pub fn novelty_rank(
-    compiled: &Arc<CompiledDesign>,
-    stimuli: &[Stimulus],
-) -> Result<Vec<(usize, usize)>, FuzzError> {
-    let mut covs = Vec::with_capacity(stimuli.len());
-    for stim in stimuli {
-        let mut sim = Simulator::from_compiled(Arc::clone(compiled));
-        sim.enable_coverage(0);
-        for t in 0..stim.len() {
-            sim.step(&stim.cycle(t))?;
-        }
-        covs.push(sim.into_trace_and_coverage().1.expect("coverage enabled"));
-    }
-    let mut acc = CovMap::new(compiled, 0);
-    let mut remaining: Vec<usize> = (0..stimuli.len()).collect();
-    let mut out = Vec::with_capacity(stimuli.len());
-    while !remaining.is_empty() {
-        let (pos, best, gain) = remaining
-            .iter()
-            .enumerate()
-            .map(|(pos, &i)| (pos, i, acc.new_points(&covs[i])))
-            .max_by(|a, b| a.2.cmp(&b.2).then(b.1.cmp(&a.1)))
-            .expect("non-empty remaining");
-        acc.merge(&covs[best]);
-        out.push((best, gain));
-        remaining.remove(pos);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -525,20 +441,41 @@ mod tests {
     }
 
     #[test]
-    fn campaign_is_deterministic_across_thread_counts() {
+    fn campaign_results_are_pinned() {
+        // The round schedule and the in-order merge decide every field
+        // below: a change to either moves them. Pin one campaign that
+        // ends in a failure as the canary.
         let cd = compiled(RARE);
-        let oracle = rare_oracle(&cd);
-        let base = FuzzOptions {
+        let opts = FuzzOptions {
             budget: 96,
             seed: 3,
             ..FuzzOptions::default()
         };
-        let one = fuzz(&cd, &oracle, &FuzzOptions { threads: 1, ..base }).expect("t1");
-        let four = fuzz(&cd, &oracle, &FuzzOptions { threads: 4, ..base }).expect("t4");
-        assert_eq!(one.verdict, four.verdict);
-        assert_eq!(one.runs, four.runs);
-        assert_eq!(one.coverage, four.coverage);
-        assert_eq!(one.corpus_fingerprint, four.corpus_fingerprint);
+        let res = fuzz(&cd, &rare_oracle(&cd), &opts).expect("fuzz");
+        let a = [0, 0, 255, 159, 70, 57, 1, 194, 237, 195, 9, 182, 165, 141];
+        let stimulus = Stimulus {
+            vectors: a
+                .iter()
+                .enumerate()
+                .map(|(t, &a)| {
+                    vec![
+                        ("rst_n".to_string(), u64::from(t >= 2)),
+                        ("a".to_string(), a),
+                    ]
+                })
+                .collect(),
+            reset_cycles: 2,
+        };
+        assert_eq!(
+            res.verdict,
+            FuzzVerdict::Failure {
+                stimulus,
+                run_index: 18
+            }
+        );
+        assert_eq!(res.runs, 19);
+        assert_eq!(res.corpus_size, 1);
+        assert_eq!(res.corpus_fingerprint, 0x0de6_d69d_9645_bdc8);
     }
 
     #[test]
@@ -548,7 +485,6 @@ mod tests {
         let base = FuzzOptions {
             budget: 96,
             seed: 3,
-            threads: 2,
             ..FuzzOptions::default()
         };
         let single = fuzz(&cd, &oracle, &FuzzOptions { lanes: 1, ..base }).expect("lanes=1");
@@ -686,22 +622,5 @@ mod tests {
         assert_eq!(res.runs, 40);
         assert!(res.report.toggle_pct() > 50.0, "got {}", res.report);
         assert!(res.corpus_size >= 1, "coverage-increasing runs retained");
-    }
-
-    #[test]
-    fn novelty_rank_prefers_fresh_coverage() {
-        let cd = compiled(RARE);
-        let gen = StimulusGen::new(cd.design());
-        // Two identical stimuli and one distinct: the distinct one must
-        // rank in the top two, and a duplicate must contribute 0 last.
-        let a = gen.random_seeded(6, 2, 1);
-        let b = gen.random_seeded(6, 2, 9);
-        let ranked = novelty_rank(&cd, &[a.clone(), a, b]).expect("rank");
-        assert_eq!(ranked.len(), 3);
-        assert!(ranked[0].1 > 0);
-        let last = ranked[2];
-        assert_eq!(last.1, 0, "a duplicate adds nothing: {ranked:?}");
-        let firsts: Vec<usize> = ranked.iter().map(|r| r.0).collect();
-        assert!(firsts.contains(&2), "distinct stimulus must be ranked");
     }
 }

@@ -21,9 +21,9 @@
 //!   compiled bytecode — the AFL dictionary trick that cracks
 //!   `a == 8'hA5`-style triggers), cycle splice/duplicate/truncate and
 //!   two-parent crossover;
-//! * batches execute in parallel across threads, merged in stimulus-index
-//!   order, so the result is deterministic from a single seed regardless
-//!   of thread count;
+//! * each round runs its batch in stimulus-index order on the calling
+//!   thread, so the result is deterministic from a single seed (the
+//!   verification service runs campaigns in parallel, one per worker);
 //! * every failure is replayed on the `AstSimulator` interpreter oracle
 //!   before it is reported.
 //!
@@ -37,7 +37,6 @@ pub mod mutate;
 
 pub use corpus::{Corpus, CorpusEntry};
 pub use engine::{
-    fuzz, fuzz_budgeted, novelty_rank, AssertionOracle, FuzzError, FuzzOptions, FuzzResult,
-    FuzzVerdict,
+    fuzz, fuzz_budgeted, AssertionOracle, FuzzError, FuzzOptions, FuzzResult, FuzzVerdict,
 };
 pub use mutate::{design_dictionary, Mutator};

@@ -338,11 +338,6 @@ impl VerifyService {
         &self.registry
     }
 
-    /// The attached tracer, if any.
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
-    }
-
     /// The root trace handle jobs derive from (disabled when no tracer
     /// is attached — all span emission compiles down to no-ops).
     fn trace_handle(&self) -> TraceHandle {
@@ -497,15 +492,9 @@ impl VerifyService {
             .expect("one job in, one outcome out")
     }
 
-    /// Alias of [`VerifyService::verify_batch`]: submits a batch and
-    /// returns per-job outcomes in submission order. A job that errors
-    /// (panics, exhausts its budget, is cancelled) fills only its own
-    /// slot — the rest of the batch completes normally.
-    pub fn submit_batch(&self, jobs: &[VerifyJob]) -> Vec<JobOutcome> {
-        self.verify_batch(jobs)
-    }
-
-    /// Verifies a batch, returning outcomes in submission order.
+    /// Verifies a batch, returning outcomes in submission order. A job
+    /// that errors (panics, exhausts its budget, is cancelled) fills only
+    /// its own slot — the rest of the batch completes normally.
     ///
     /// The result vector is deterministic in the batch: worker count and
     /// scheduling change wall time only. Jobs sharing a [`JobKey`] are
@@ -847,7 +836,7 @@ mod tests {
             asv_verilog::compile("module n(input a, output y); assign y = a; endmodule").unwrap();
         let broken = VerifyJob::new(empty, verifier);
         let service = VerifyService::default();
-        let out = service.submit_batch(&[holds.clone(), broken.clone(), holds, broken]);
+        let out = service.verify_batch(&[holds.clone(), broken.clone(), holds, broken]);
         assert_eq!(out.len(), 4);
         assert!(matches!(&out[0], Ok(Verdict::Holds { .. })));
         assert_eq!(out[1], Err(VerdictError::Verify(VerifyError::NoAssertions)));

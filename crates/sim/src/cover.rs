@@ -129,31 +129,6 @@ impl CovMap {
         get_bit(&self.antecedent, idx as u32)
     }
 
-    /// Number of points `other` would newly cover if merged into `self`
-    /// (branch arms, fully toggled bits, antecedents), without mutating
-    /// either map — the counting half of [`CovMap::merge`], for ranking
-    /// loops that probe many candidates per accepted merge.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the maps were built for different designs.
-    pub fn new_points(&self, other: &CovMap) -> usize {
-        assert_eq!(self.widths, other.widths, "coverage maps of one design");
-        let mut new = 0usize;
-        for (a, b) in self.branch.iter().zip(&other.branch) {
-            new += (b & !*a).count_ones() as usize;
-        }
-        for i in 0..self.widths.len() {
-            let before = self.seen0[i] & self.seen1[i];
-            let after = (self.seen0[i] | other.seen0[i]) & (self.seen1[i] | other.seen1[i]);
-            new += (after & !before).count_ones() as usize;
-        }
-        for (a, b) in self.antecedent.iter().zip(&other.antecedent) {
-            new += (b & !*a).count_ones() as usize;
-        }
-        new
-    }
-
     /// Merges `other` into `self`, returning how many coverage points
     /// (branch arms, fully toggled bits, antecedents) became newly
     /// covered — the fuzzer's novelty score for the run behind `other`.
@@ -212,8 +187,7 @@ impl CovMap {
 }
 
 /// Human- and machine-readable summary of a [`CovMap`]: covered/total and
-/// percentages per coverage class. Exported through `asv-eval` so the
-/// datagen pipeline can rank stimuli by scenario novelty.
+/// percentages per coverage class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CoverageReport {
     /// Executed branch arms.
@@ -351,10 +325,8 @@ mod tests {
         b.branch(0);
         b.branch(1);
         b.record_antecedent(1);
-        assert_eq!(a.new_points(&b), 2, "non-mutating count must agree");
         let new = a.merge(&b);
         assert_eq!(new, 2, "one new branch arm + one new antecedent");
-        assert_eq!(a.new_points(&b), 0);
         assert_eq!(a.merge(&b), 0, "idempotent re-merge");
         assert!(a.antecedent_hit(1) && !a.antecedent_hit(0));
     }

@@ -12,9 +12,8 @@
 //!   minimal-depth, and vacuity is proven rather than sampled.
 //! * **Simulation** — the original oracle: exhaustive stimulus enumeration
 //!   when the input space fits [`Verifier::exhaustive_limit`], otherwise
-//!   seeded random sampling (parallelised across threads with a
-//!   deterministic lowest-index-wins merge, identical stimuli
-//!   deduplicated so no run repeats across threads).
+//!   seeded random sampling (identical stimuli deduplicated, lane groups
+//!   run in stimulus-index order, the first failure reported).
 //! * **Fuzz** — the `asv-fuzz` coverage-guided greybox fuzzer: branch,
 //!   toggle and antecedent coverage recorded per run feeds an AFL-style
 //!   corpus whose mutations (including design-constant dictionary
@@ -63,7 +62,6 @@ use asv_trace::{probe, Cost, EndReason, EngineTag, SpanKind, TraceSink};
 use asv_verilog::sema::Design;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Result of verifying a design's assertions.
@@ -451,10 +449,8 @@ impl Default for Verifier {
 }
 
 /// Compiled-design lookup through the process-wide **sharded** cache in
-/// [`asv_sim::cache`]. An earlier revision kept a thread-local MRU slot
-/// here, which re-lowered the same AST once per worker thread during
-/// parallel sampling/fuzzing runs; the shared cache compiles
-/// each distinct design exactly once per process.
+/// [`asv_sim::cache`], which compiles each distinct design exactly once
+/// per process, however many service workers check it.
 fn compiled_for(design: &Design, opt: OptLevel) -> Arc<CompiledDesign> {
     asv_sim::cache::global().get_or_compile_opt(design, opt)
 }
@@ -794,17 +790,14 @@ impl Verifier {
         budget: &Budget,
         runs: usize,
     ) -> Result<Verdict, VerifyError> {
-        // The one sequential point of the sampling rung — fault probes
-        // must not run inside the worker threads (concurrent draws would
-        // make per-probe hit counters order-dependent).
+        // The sampling rung's one fault probe; the group loop only polls.
         budget.probe(probe::SVA_SAMPLE)?;
         let sink = budget.trace().clone();
         let mut span = sink.span(probe::SVA_SAMPLE, SpanKind::Sampling);
         let gen = StimulusGen::new(design);
         // Per-stimulus RNG streams (SplitMix64-expanded seeds) are
         // decorrelated but can still collide on narrow inputs;
-        // identical stimuli are deduplicated so no run repeats
-        // across worker threads.
+        // identical stimuli are deduplicated so no run repeats.
         let mut seen: std::collections::HashSet<Stimulus> =
             std::collections::HashSet::with_capacity(runs);
         let stimuli: Vec<Stimulus> = (0..runs)
@@ -822,10 +815,9 @@ impl Verifier {
             stimuli: count as u64,
             ..Cost::default()
         });
-        // Scheduled-basis batch accounting, emitted at this sequential
-        // point: the lane grouping is a pure function of the stimulus
-        // count, so the cost vector is identical however many workers
-        // drain the groups.
+        // Scheduled-basis batch accounting: the lane grouping is a pure
+        // function of the stimulus count, so it is emitted once here even
+        // when a failure stops the loop early.
         if count > 0 {
             let batches = count.div_ceil(LANES) as u64;
             sink.instant(
@@ -840,11 +832,15 @@ impl Verifier {
                 },
             );
         }
-        let fired = match check_stimuli_parallel(compiled, checker, stimuli, budget)? {
-            Ok(fired) => fired,
-            Err(cex) => return Ok(Verdict::Fails(cex)),
-        };
-        Ok(self.holds(design, false, count, fired))
+        let mut fired = std::collections::BTreeSet::new();
+        let first = first_failure(compiled, checker, &stimuli, budget, &mut fired);
+        // A poisoned token or blown deadline means whatever was checked so
+        // far is a partial view and must not be reported.
+        budget.check()?;
+        Ok(match first? {
+            Some(cex) => Verdict::Fails(cex),
+            None => self.holds(design, false, count, fired),
+        })
     }
 
     /// Checks a fully enumerated stimulus set (exhaustive coverage).
@@ -1044,34 +1040,15 @@ enum StimulusOutcome {
     Passes(Vec<String>),
 }
 
+/// Simulates and monitors one stimulus.
 fn run_stimulus(
     compiled: &Arc<CompiledDesign>,
     checker: &CompiledChecker,
     stim: Stimulus,
 ) -> Result<StimulusOutcome, VerifyError> {
-    run_stimulus_counted(compiled, checker, stim, None)
-}
-
-/// [`run_stimulus`] with optional bytecode op accounting: when `ops` is
-/// given, the simulator counts dispatched ops into it (a pure function
-/// of bytecode and stimulus, so deterministic). Only the sequential
-/// enumeration sweep passes `Some` — parallel paths would make the sum
-/// depend on how many stimuli each racing worker executed.
-fn run_stimulus_counted(
-    compiled: &Arc<CompiledDesign>,
-    checker: &CompiledChecker,
-    stim: Stimulus,
-    ops: Option<&mut u64>,
-) -> Result<StimulusOutcome, VerifyError> {
     let mut sim = Simulator::from_compiled(Arc::clone(compiled));
-    if ops.is_some() {
-        sim.enable_op_count();
-    }
     for t in 0..stim.len() {
         sim.step(&stim.cycle(t))?;
-    }
-    if let Some(ops) = ops {
-        *ops = ops.saturating_add(sim.ops_executed());
     }
     let trace = sim.into_trace();
     let results = checker.outcomes(&trace)?;
@@ -1116,121 +1093,43 @@ fn classify_outcomes(
 /// verdicts or cache identity.
 const LANES: usize = 16;
 
-/// Result of a worker's earliest "event" (error or failure) at a stimulus
-/// index; the merge keeps the lowest index so the parallel fallback is
-/// bit-identical to the sequential loop it replaced.
-type WorkerEvent = (usize, Result<CounterExample, VerifyError>);
-
-/// Checks random stimuli across `std::thread::scope` workers.
-///
-/// Returns `Ok(Ok(fired))` when every stimulus passes, `Ok(Err(cex))` for
-/// the failure with the lowest stimulus index, and `Err(e)` for the error
-/// with the lowest index (errors and failures compete on index, exactly
-/// like the sequential loop).
-#[allow(clippy::type_complexity)]
-fn check_stimuli_parallel(
+/// Runs sampled `stimuli` in lane groups, in stimulus-index order,
+/// collecting the assertions that passed non-vacuously into `fired`.
+/// Returns the first failing stimulus's counterexample, or the first
+/// error, whichever comes first; `None` when every stimulus passes. The
+/// caller polls the budget again before reporting anything.
+fn first_failure(
     compiled: &Arc<CompiledDesign>,
     checker: &CompiledChecker,
-    stimuli: Vec<Stimulus>,
+    stimuli: &[Stimulus],
     budget: &Budget,
-) -> Result<Result<std::collections::BTreeSet<String>, CounterExample>, VerifyError> {
-    if stimuli.is_empty() {
-        // `random_runs: 0` — the sequential loop checked nothing and held.
-        return Ok(Ok(std::collections::BTreeSet::new()));
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(stimuli.len())
-        .max(1);
-    // Lowest stimulus index with an event so far: later indices can be
-    // skipped by every worker (they can never win the merge).
-    let best = AtomicUsize::new(usize::MAX);
-    let chunk = stimuli.len().div_ceil(workers);
-    let mut events: Vec<Option<WorkerEvent>> = Vec::new();
-    let mut fired_sets: Vec<std::collections::BTreeSet<String>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for (p, part) in stimuli.chunks(chunk).enumerate() {
-            let best = &best;
-            let part_start = p * chunk;
-            handles.push(scope.spawn(move || {
-                let mut fired = std::collections::BTreeSet::new();
-                let mut event: Option<WorkerEvent> = None;
-                // Lane-batched drain: each group of LANES stimuli runs as
-                // one SoA bytecode pass, then every lane's trace is judged
-                // in stimulus-index order. Lanes past a failing one are
-                // simulated but their outcomes discarded — wasted work at
-                // most once per worker, never an observable difference.
-                'groups: for (g, group) in part.chunks(LANES).enumerate() {
-                    let start = part_start + g * LANES;
-                    // Plain poll, never a fault probe: concurrent workers
-                    // drawing from one per-probe hit counter would be
-                    // order-dependent.
-                    if budget.check().is_err() {
-                        break; // the whole check is being torn down
-                    }
-                    if start >= best.load(Ordering::Relaxed) {
-                        break; // an earlier event already wins the merge
-                    }
-                    let runs = run_stimulus_group(compiled, group, LANES, None, false);
-                    // One shared monitor scratch stack for the whole group.
-                    let mut judged = checker
-                        .outcomes_lanes(
-                            runs.iter()
-                                .filter_map(|o| o.as_ref().ok())
-                                .map(|r| &r.trace),
-                        )
-                        .into_iter();
-                    for (j, outcome) in runs.iter().enumerate() {
-                        let idx = start + j;
-                        let res = match outcome {
-                            Ok(_) => judged
-                                .next()
-                                .expect("one judgment per surviving lane")
-                                .map(|results| classify_outcomes(&results, &group[j]))
-                                .map_err(VerifyError::from),
-                            Err(e) => Err(VerifyError::Sim(e.clone())),
-                        };
-                        match res {
-                            Ok(StimulusOutcome::Passes(names)) => fired.extend(names),
-                            Ok(StimulusOutcome::Fails(cex)) => {
-                                event = Some((idx, Ok(cex)));
-                                best.fetch_min(idx, Ordering::Relaxed);
-                                break 'groups;
-                            }
-                            Err(e) => {
-                                event = Some((idx, Err(e)));
-                                best.fetch_min(idx, Ordering::Relaxed);
-                                break 'groups;
-                            }
-                        }
-                    }
-                }
-                (event, fired)
-            }));
-        }
-        for h in handles {
-            let (event, fired) = h.join().expect("verification worker panicked");
-            events.push(event);
-            fired_sets.push(fired);
-        }
-    });
-    // A poisoned token or blown deadline means whatever was merged so far
-    // is a partial view and must not be reported.
-    budget.check()?;
-    let earliest = events.into_iter().flatten().min_by_key(|(idx, _)| *idx);
-    match earliest {
-        Some((_, Ok(cex))) => Ok(Err(cex)),
-        Some((_, Err(e))) => Err(e),
-        None => {
-            let mut fired = std::collections::BTreeSet::new();
-            for set in fired_sets {
-                fired.extend(set);
+    fired: &mut std::collections::BTreeSet<String>,
+) -> Result<Option<CounterExample>, VerifyError> {
+    for group in stimuli.chunks(LANES) {
+        // Plain poll, never a fault probe: the rung's one probe draw is
+        // `SVA_SAMPLE`, before the loop.
+        budget.check()?;
+        let runs = run_stimulus_group(compiled, group, LANES, None, false);
+        // One shared monitor scratch stack for the whole group.
+        let mut judged = checker
+            .outcomes_lanes(
+                runs.iter()
+                    .filter_map(|o| o.as_ref().ok())
+                    .map(|r| &r.trace),
+            )
+            .into_iter();
+        for (outcome, stim) in runs.iter().zip(group) {
+            if let Err(e) = outcome {
+                return Err(VerifyError::Sim(e.clone()));
             }
-            Ok(Ok(fired))
+            let results = judged.next().expect("one judgment per surviving lane")?;
+            match classify_outcomes(&results, stim) {
+                StimulusOutcome::Fails(cex) => return Ok(Some(cex)),
+                StimulusOutcome::Passes(names) => fired.extend(names),
+            }
         }
     }
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -1760,8 +1659,7 @@ endmodule
     #[test]
     fn sampling_deduplicates_repeated_stimuli() {
         // One 1-bit input over 2 cycles: only 4 distinct stimuli exist, so
-        // 32 sampled runs must collapse below 32 (no repeated runs across
-        // threads).
+        // 32 sampled runs must collapse below 32 (no run repeats).
         let src = "module n(input clk, input rst_n, input d, output reg q);\n\
              always @(posedge clk or negedge rst_n) begin\n\
                if (!rst_n) q <= 1'b0; else q <= d;\n\
@@ -1786,14 +1684,15 @@ endmodule
     }
 
     #[test]
-    fn parallel_sampling_is_deterministic() {
-        // Wide inputs force the random path; a bug that fires on nearly
-        // every stimulus exercises the lowest-index-wins merge.
+    fn sampling_reports_the_first_failing_stimulus() {
+        // Wide inputs force the random path; the bug fires only when `a`
+        // takes one of 16 values in 1024, so several sampled stimuli pass
+        // before the first one fails.
         let src = r#"
 module wsum(input clk, input rst_n, input [9:0] a, output reg [9:0] s);
   always @(posedge clk or negedge rst_n) begin
     if (!rst_n) s <= 10'd0;
-    else s <= a + 10'd2;
+    else s <= (a[9:4] == 6'h15) ? a : a + 10'd1;
   end
   p_sum: assert property (@(posedge clk) disable iff (!rst_n)
     1'b1 |-> ##1 s == $past(a, 1) + 10'd1) else $error("bad sum");
@@ -1802,13 +1701,32 @@ endmodule
         let d = compile(src).expect("compile");
         let v = Verifier {
             depth: 6,
-            random_runs: 16,
+            random_runs: 48,
             engine: Engine::Simulation,
             ..Verifier::default()
         };
-        let a = v.check(&d).expect("a");
-        let b = v.check(&d).expect("b");
-        assert_eq!(a, b, "parallel merge must be deterministic");
-        assert!(a.is_failure());
+        // The rung's stimuli: one seeded stream per index, the first
+        // occurrence of each kept.
+        let gen = StimulusGen::new(&d);
+        let mut seen = std::collections::HashSet::new();
+        let stimuli: Vec<Stimulus> = (0..v.random_runs)
+            .map(|i| gen.random_seeded(v.depth, v.reset_cycles, v.seed.wrapping_add(i as u64)))
+            .filter(|s| seen.insert(s.clone()))
+            .collect();
+        let (index, logs) = stimuli
+            .iter()
+            .enumerate()
+            .find_map(|(i, stim)| {
+                let trace = v.simulate(&d, stim).expect("simulate");
+                let logs = crate::monitor::failure_logs(&d.module, &trace).expect("monitor");
+                (!logs.is_empty()).then_some((i, logs))
+            })
+            .expect("a sampled stimulus fails");
+        assert!(index >= LANES, "the first failure lies past a lane group");
+        let Verdict::Fails(cex) = v.check(&d).expect("verify") else {
+            panic!("sampling must find the bug");
+        };
+        assert_eq!(cex.stimulus, stimuli[index]);
+        assert_eq!(cex.logs, logs);
     }
 }

@@ -1,44 +1,18 @@
 //! Sampled-value expression evaluation over traces.
 //!
 //! Property expressions may contain history system functions (`$past`,
-//! `$rose`, `$fell`, `$stable`). Two evaluation paths exist:
-//!
-//! * the **compiled path** ([`CompiledExpr`]): the expression is lowered
-//!   once into `asv_sim` bytecode with trace columns interned as
-//!   [`SigId`]s, and history calls become [`ExecEnv::history`]
-//!   sub-programs the [`TraceExecEnv`] resolves by re-running them at
-//!   shifted ticks. The monitor and the bounded verifier use this path —
-//!   compile once, evaluate at every tick of every trace.
-//! * the **interpreter path** ([`eval_at`]/[`holds_at`]): each history
-//!   call is rewritten into a literal and the AST is tree-walked via
-//!   [`asv_sim::eval`]. Kept as the reference oracle.
+//! `$rose`, `$fell`, `$stable`). A [`CompiledExpr`] lowers the expression
+//! once into `asv_sim` bytecode with trace columns interned as
+//! [`SigId`]s; history calls become [`ExecEnv::history`] sub-programs the
+//! [`TraceExecEnv`] resolves by re-running them at shifted ticks. The
+//! monitor and the bounded verifier compile once and evaluate at every
+//! tick of every trace.
 
 use asv_sim::compile::{compile_expr, run, ExecEnv, ExprProg, HistoryKind, NameRef, SigId};
-use asv_sim::eval::{eval, Env, EvalError};
+use asv_sim::eval::EvalError;
 use asv_sim::trace::Trace;
 use asv_sim::value::Value;
 use asv_verilog::ast::Expr;
-use asv_verilog::Span;
-
-/// Environment sampling a trace at a fixed tick.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceEnv<'a> {
-    trace: &'a Trace,
-    t: usize,
-}
-
-impl<'a> TraceEnv<'a> {
-    /// Creates an environment for tick `t`.
-    pub fn new(trace: &'a Trace, t: usize) -> Self {
-        TraceEnv { trace, t }
-    }
-}
-
-impl Env for TraceEnv<'_> {
-    fn value_of(&self, name: &str) -> Option<Value> {
-        self.trace.value(self.t, name)
-    }
-}
 
 /// A property expression compiled against a trace column layout.
 ///
@@ -53,8 +27,7 @@ pub struct CompiledExpr {
 impl CompiledExpr {
     /// Compiles `expr` against the column layout given by `col` (signal
     /// name → trace column). Unknown names compile to instructions that
-    /// raise [`EvalError::UnknownSignal`] only if actually evaluated,
-    /// matching the interpreter path.
+    /// raise [`EvalError::UnknownSignal`] only if actually evaluated.
     pub fn new<C: Fn(&str) -> Option<usize>>(expr: &Expr, col: C) -> Self {
         let resolve = |name: &str| match col(name) {
             Some(c) => NameRef::Sig(SigId(c as u32)),
@@ -69,7 +42,8 @@ impl CompiledExpr {
     ///
     /// # Errors
     ///
-    /// Returns the same [`EvalError`]s as the interpreter path.
+    /// Returns [`EvalError`] for unknown signals, unsupported system calls
+    /// and arithmetic faults.
     pub fn eval_at(&self, trace: &Trace, t: usize) -> Result<Value, EvalError> {
         self.eval_at_with(trace, t, &mut Vec::with_capacity(8))
     }
@@ -79,7 +53,7 @@ impl CompiledExpr {
     ///
     /// # Errors
     ///
-    /// Returns the same [`EvalError`]s as the interpreter path.
+    /// As [`CompiledExpr::eval_at`].
     pub fn eval_at_with(
         &self,
         trace: &Trace,
@@ -140,7 +114,7 @@ impl ExecEnv for TraceExecEnv<'_> {
                 let now = run(arg, self, &mut stack)?;
                 let before = if self.t == 0 {
                     // Before the first sample: $rose/$fell see 0 history,
-                    // $stable is true (matches the interpreter path).
+                    // $stable is true.
                     match kind {
                         HistoryKind::Stable => now,
                         _ => Value::zero(now.width()),
@@ -158,134 +132,11 @@ impl ExecEnv for TraceExecEnv<'_> {
     }
 }
 
-/// Evaluates `expr` at tick `t` of `trace`, resolving history calls.
-///
-/// # Errors
-///
-/// Returns [`EvalError`] for unknown signals, unsupported system calls and
-/// arithmetic faults.
-pub fn eval_at(expr: &Expr, trace: &Trace, t: usize) -> Result<Value, EvalError> {
-    let rewritten = resolve_history(expr, trace, t)?;
-    eval(&rewritten, &TraceEnv::new(trace, t))
-}
-
-/// Evaluates `expr` at tick `t` and reports truthiness.
-///
-/// # Errors
-///
-/// Propagates [`EvalError`] from evaluation.
-pub fn holds_at(expr: &Expr, trace: &Trace, t: usize) -> Result<bool, EvalError> {
-    Ok(eval_at(expr, trace, t)?.is_truthy())
-}
-
-/// Replaces history system calls with literal values computed from the
-/// trace. All other nodes are cloned structurally.
-fn resolve_history(expr: &Expr, trace: &Trace, t: usize) -> Result<Expr, EvalError> {
-    Ok(match expr {
-        Expr::SysCall { name, args, span } => match name.as_str() {
-            "past" => {
-                let n = match args.get(1) {
-                    None => 1,
-                    Some(e) => {
-                        let v = eval_at(e, trace, t)?;
-                        usize::try_from(v.bits()).unwrap_or(usize::MAX)
-                    }
-                };
-                let arg = args
-                    .first()
-                    .ok_or_else(|| EvalError::Malformed("$past requires an argument".into()))?;
-                let at = t.saturating_sub(n);
-                let v = eval_at(arg, trace, at)?;
-                literal(v, *span)
-            }
-            "rose" | "fell" | "stable" => {
-                let arg = args
-                    .first()
-                    .ok_or_else(|| EvalError::Malformed(format!("${name} requires an argument")))?;
-                let now = eval_at(arg, trace, t)?;
-                let before = if t == 0 {
-                    // Before the first sample: $rose/$fell see 0 history,
-                    // $stable is true (matches Trace helpers).
-                    match name.as_str() {
-                        "stable" => now,
-                        _ => Value::zero(now.width()),
-                    }
-                } else {
-                    eval_at(arg, trace, t - 1)?
-                };
-                let b = match name.as_str() {
-                    "rose" => now.get_bit(0) && !before.get_bit(0),
-                    "fell" => !now.get_bit(0) && before.get_bit(0),
-                    _ => now == before,
-                };
-                literal(Value::bit(b), *span)
-            }
-            _ => Expr::SysCall {
-                name: name.clone(),
-                args: args
-                    .iter()
-                    .map(|a| resolve_history(a, trace, t))
-                    .collect::<Result<_, _>>()?,
-                span: *span,
-            },
-        },
-        Expr::Unary { op, operand, span } => Expr::Unary {
-            op: *op,
-            operand: Box::new(resolve_history(operand, trace, t)?),
-            span: *span,
-        },
-        Expr::Binary { op, lhs, rhs, span } => Expr::Binary {
-            op: *op,
-            lhs: Box::new(resolve_history(lhs, trace, t)?),
-            rhs: Box::new(resolve_history(rhs, trace, t)?),
-            span: *span,
-        },
-        Expr::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-            span,
-        } => Expr::Ternary {
-            cond: Box::new(resolve_history(cond, trace, t)?),
-            then_expr: Box::new(resolve_history(then_expr, trace, t)?),
-            else_expr: Box::new(resolve_history(else_expr, trace, t)?),
-            span: *span,
-        },
-        Expr::Concat { parts, span } => Expr::Concat {
-            parts: parts
-                .iter()
-                .map(|p| resolve_history(p, trace, t))
-                .collect::<Result<_, _>>()?,
-            span: *span,
-        },
-        Expr::Repeat { count, value, span } => Expr::Repeat {
-            count: Box::new(resolve_history(count, trace, t)?),
-            value: Box::new(resolve_history(value, trace, t)?),
-            span: *span,
-        },
-        Expr::Bit { name, index, span } => Expr::Bit {
-            name: name.clone(),
-            index: Box::new(resolve_history(index, trace, t)?),
-            span: *span,
-        },
-        other => other.clone(),
-    })
-}
-
-fn literal(v: Value, span: Span) -> Expr {
-    Expr::Number {
-        value: v.bits(),
-        width: Some(v.width()),
-        base: Some('h'),
-        span,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use asv_verilog::ast::Item;
-    use asv_verilog::parse;
+    use asv_verilog::{parse, Span};
 
     fn trace() -> Trace {
         let mut tr = Trace::new(vec!["d".into(), "q".into(), "v".into()]);
@@ -314,6 +165,10 @@ mod tests {
             asv_verilog::ast::PropExpr::Seq(asv_verilog::ast::SeqExpr::Expr(e)) => e.clone(),
             other => panic!("expected plain expr, got {other:?}"),
         }
+    }
+
+    fn holds_at(e: &Expr, tr: &Trace, t: usize) -> Result<bool, EvalError> {
+        CompiledExpr::new(e, |n| tr.col(n)).holds_at(tr, t)
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fuzzing-engine guarantees, end to end:
 //!
 //! 1. **Determinism** — the same seed yields an identical corpus,
-//!    coverage map and verdict, independent of worker-thread count.
+//!    coverage map and verdict.
 //! 2. **Oracle fidelity** — across all 12 datagen archetypes, every
 //!    fuzzer-found failure on a mutated design replays bit-identically on
 //!    the `AstSimulator` interpreter oracle: same trace, same failure
@@ -71,14 +71,11 @@ fn same_seed_same_corpus_coverage_and_verdict() {
     };
     let a = fuzz(&compiled, &oracle, &base).expect("fuzz a");
     let b = fuzz(&compiled, &oracle, &base).expect("fuzz b");
-    let c = fuzz(&compiled, &oracle, &FuzzOptions { threads: 3, ..base }).expect("fuzz c");
-    for other in [&b, &c] {
-        assert_eq!(a.verdict, other.verdict);
-        assert_eq!(a.runs, other.runs);
-        assert_eq!(a.coverage, other.coverage, "identical coverage map");
-        assert_eq!(a.corpus_fingerprint, other.corpus_fingerprint);
-        assert_eq!(a.corpus_size, other.corpus_size);
-    }
+    assert_eq!(a.verdict, b.verdict);
+    assert_eq!(a.runs, b.runs);
+    assert_eq!(a.coverage, b.coverage, "identical coverage map");
+    assert_eq!(a.corpus_fingerprint, b.corpus_fingerprint);
+    assert_eq!(a.corpus_size, b.corpus_size);
     let different = fuzz(
         &compiled,
         &oracle,

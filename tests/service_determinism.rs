@@ -123,7 +123,7 @@ fn mixed_ok_and_error_batches_report_per_job() {
         batch.push(VerifyJob::new(no_assertions.clone(), bounds()));
         batch.extend_from_slice(chunk);
     }
-    let reference = VerifyService::with_workers(1).submit_batch(&batch);
+    let reference = VerifyService::with_workers(1).verify_batch(&batch);
     assert_eq!(reference.len(), batch.len());
     for (i, outcome) in reference.iter().enumerate() {
         if i % (step + 1) == 0 {
@@ -140,7 +140,7 @@ fn mixed_ok_and_error_batches_report_per_job() {
         }
     }
     for workers in [2, 8] {
-        let out = VerifyService::with_workers(workers).submit_batch(&batch);
+        let out = VerifyService::with_workers(workers).verify_batch(&batch);
         assert_eq!(
             out, reference,
             "mixed batch with {workers} workers changed the outcome vector"
