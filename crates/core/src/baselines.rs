@@ -15,7 +15,7 @@
 //! | o1-preview             | Claude-level heuristic + self-verification loop (compile & check a  |
 //! |                        | shortlist against the assertions before answering)                 |
 
-use crate::features::{extract, CaseContext};
+use crate::features::{extract_all, CaseContext};
 use crate::infer::{render_response, respond_with_policy, RepairEngine, RepairTask, Response};
 use crate::lm::NgramLm;
 use crate::policy::Policy;
@@ -162,10 +162,7 @@ impl RepairEngine for SelfVerifyEngine {
         if cands.is_empty() {
             return Vec::new();
         }
-        let features: Vec<_> = cands
-            .iter()
-            .map(|c| extract(&ctx, &self.inner.lm, c))
-            .collect();
+        let features = extract_all(&ctx, &self.inner.lm, &cands);
         // Shortlist by heuristic score and verify each patch for real.
         let mut ranked: Vec<usize> = (0..cands.len()).collect();
         ranked.sort_by(|&a, &b| {

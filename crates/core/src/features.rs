@@ -5,13 +5,20 @@
 //! localisation), statistical evidence (LM likelihood delta from the PT
 //! phase), and lexical evidence (spec and log overlap) — the same signals
 //! a verification engineer weighs in the paper's Fig. 1.
+//!
+//! Extraction borrows every token from the candidate's lines; it builds a
+//! string for a token only to lowercase a word with capitals. [`extract_all`] derives the buggy line's side of the
+//! edit (its tokens, LM score, shape and index coherence) once for each
+//! run of consecutive candidates that edit the same line; [`extract`] is
+//! the one-candidate case.
 
 use crate::lm::NgramLm;
 use crate::localize::Localization;
-use crate::tokenizer::tokenize;
+use crate::tokenizer::{tokenize, tokens};
 use asv_mutation::kinds::SyntacticKind;
 use asv_mutation::Candidate;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Number of features (dimension of the policy weight vector).
@@ -157,8 +164,57 @@ pub fn line_shape(line: &str) -> String {
     out
 }
 
+/// One side of an edit, the buggy line or its replacement: what the
+/// features need of it.
+struct Side<'a> {
+    /// Tokens in line order.
+    tokens: Vec<&'a str>,
+    /// Distinct tokens, sorted.
+    set: Vec<&'a str>,
+    /// [`NgramLm::score_tokens`] of the tokens.
+    score: f64,
+    /// [`line_shape`] of the line.
+    shape: String,
+    /// [`index_coherence`] of the tokens.
+    coherence: f64,
+}
+
+impl<'a> Side<'a> {
+    fn new(lm: &NgramLm, line: &'a str) -> Self {
+        let tokens = tokens(line);
+        let mut set = tokens.clone();
+        set.sort_unstable();
+        set.dedup();
+        Side {
+            score: lm.score_tokens(&tokens),
+            shape: line_shape(line),
+            coherence: index_coherence(&tokens),
+            tokens,
+            set,
+        }
+    }
+}
+
 /// Extracts the feature vector of one candidate.
 pub fn extract(ctx: &CaseContext, lm: &NgramLm, candidate: &Candidate) -> Features {
+    features(ctx, lm, &Side::new(lm, &candidate.old_line), candidate)
+}
+
+/// Extracts the feature vectors of a case's candidates, equal to
+/// [`extract`] on each. The buggy line's side is derived once per run of
+/// consecutive candidates with the same `old_line`.
+pub fn extract_all(ctx: &CaseContext, lm: &NgramLm, candidates: &[Candidate]) -> Vec<Features> {
+    let mut out = Vec::with_capacity(candidates.len());
+    for run in candidates.chunk_by(|a, b| a.old_line == b.old_line) {
+        let old = Side::new(lm, &run[0].old_line);
+        out.extend(run.iter().map(|c| features(ctx, lm, &old, c)));
+    }
+    out
+}
+
+/// The features of `candidate`, whose buggy line is `old`.
+fn features(ctx: &CaseContext, lm: &NgramLm, old: &Side, candidate: &Candidate) -> Features {
+    let new = Side::new(lm, &candidate.new_line);
     let mut f = [0.0; FEATURE_DIM];
     f[0] = 1.0;
     // Structural: how close the edited statement's targets sit to the
@@ -168,7 +224,7 @@ pub fn extract(ctx: &CaseContext, lm: &NgramLm, candidate: &Candidate) -> Featur
         .max_over(candidate.mutation.assigned.iter().map(String::as_str));
     // Statistical: does the rewritten line look more idiomatic? Clamped so
     // one feature cannot dominate the linear score.
-    let delta = lm.score_line(&candidate.new_line) - lm.score_line(&candidate.old_line);
+    let delta = new.score - old.score;
     f[2] = delta.clamp(-2.0, 2.0) / 2.0;
     // Edit-type one-hot (priors learned in SFT).
     match candidate.mutation.class.syntactic {
@@ -177,34 +233,40 @@ pub fn extract(ctx: &CaseContext, lm: &NgramLm, candidate: &Candidate) -> Featur
         SyntacticKind::Op => f[5] = 1.0,
     }
     f[6] = f64::from(u8::from(candidate.mutation.class.cond));
-    // Lexical: overlap of the *new* line's tokens with the spec.
-    let new_tokens: Vec<String> = tokenize(&candidate.new_line)
-        .into_iter()
-        .filter(|t| t.chars().next().is_some_and(|c| c.is_ascii_alphabetic()))
-        .map(|t| t.to_lowercase())
-        .collect();
-    if !new_tokens.is_empty() {
-        let hits = new_tokens
-            .iter()
-            .filter(|t| ctx.spec_tokens.contains(*t))
-            .count();
-        f[7] = hits as f64 / new_tokens.len() as f64;
-        let log_hits = new_tokens
-            .iter()
-            .filter(|t| ctx.log_tokens.contains(*t))
-            .count();
-        f[8] = log_hits as f64 / new_tokens.len() as f64;
+    // Lexical: overlap of the *new* line's words with the spec and logs.
+    // Words start with a letter, so they are ASCII identifiers.
+    let (mut words, mut spec_hits, mut log_hits) = (0usize, 0usize, 0usize);
+    for t in &new.tokens {
+        if !t.starts_with(|c: char| c.is_ascii_alphabetic()) {
+            continue;
+        }
+        let word = if t.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(t.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(*t)
+        };
+        words += 1;
+        spec_hits += usize::from(ctx.spec_tokens.contains(&*word));
+        log_hits += usize::from(ctx.log_tokens.contains(&*word));
+    }
+    if words > 0 {
+        f[7] = spec_hits as f64 / words as f64;
+        f[8] = log_hits as f64 / words as f64;
     }
     // Edit size: token-level symmetric difference, normalised.
-    let old: BTreeSet<String> = tokenize(&candidate.old_line).into_iter().collect();
-    let new: BTreeSet<String> = tokenize(&candidate.new_line).into_iter().collect();
-    let sym = old.symmetric_difference(&new).count();
-    let denom = (old.len() + new.len()).max(1);
+    let introduced: Vec<&str> = new
+        .set
+        .iter()
+        .copied()
+        .filter(|t| old.set.binary_search(t).is_err())
+        .collect();
+    let common = new.set.len() - introduced.len();
+    let sym = (old.set.len() - common) + introduced.len();
+    let denom = (old.set.len() + new.set.len()).max(1);
     f[9] = 1.0 - (sym as f64 / denom as f64);
     // Property mirror: how much of the *changed* content matches tokens of
     // the checked properties. Measured on the tokens the edit introduced,
     // so an unchanged context line does not dilute the signal.
-    let introduced: Vec<&String> = new.difference(&old).collect();
     if !introduced.is_empty() {
         let hits = introduced
             .iter()
@@ -215,12 +277,10 @@ pub fn extract(ctx: &CaseContext, lm: &NgramLm, candidate: &Candidate) -> Featur
     // Sibling consistency: does the repaired line's shape match replicated
     // lines elsewhere in the design? The bug breaks lane symmetry; the
     // golden fix restores it.
-    let new_shape = line_shape(&candidate.new_line);
-    let old_shape = line_shape(&candidate.old_line);
-    let mut siblings = ctx.line_shapes.get(&new_shape).copied().unwrap_or(0);
+    let mut siblings = ctx.line_shapes.get(&new.shape).copied().unwrap_or(0);
     // Exclude the candidate's own (pre-edit) line when the edit does not
     // change the shape (pure literal tweaks).
-    if new_shape == old_shape {
+    if new.shape == old.shape {
         siblings = siblings.saturating_sub(1);
     }
     f[11] = (siblings.min(2) as f64) / 2.0;
@@ -228,57 +288,50 @@ pub fn extract(ctx: &CaseContext, lm: &NgramLm, candidate: &Candidate) -> Featur
     // indices agree more (`pulse4 = din[4] & ~prev3` -> `~prev4`)? A delta
     // (rather than the absolute coherence) keeps legitimately mixed-index
     // lines, like priority-arbiter chains, unpenalised.
-    let delta = index_coherence(&candidate.new_line) - index_coherence(&candidate.old_line);
+    let delta = new.coherence - old.coherence;
     f[12] = (delta + 1.0) / 2.0;
     // Line affinity with the failing property: the repaired line should
     // share vocabulary (case labels, operands, operators) with the checked
     // expression — this is what points at the right case arm of an ALU.
-    let line_tokens = tokenize(&candidate.new_line);
-    if !line_tokens.is_empty() {
-        let hits = line_tokens
+    if !new.tokens.is_empty() {
+        let hits = new
+            .tokens
             .iter()
-            .filter(|t| ctx.property_tokens.contains(*t))
+            .filter(|t| ctx.property_tokens.contains(**t))
             .count();
-        f[13] = hits as f64 / line_tokens.len() as f64;
+        f[13] = hits as f64 / new.tokens.len() as f64;
     }
     f
 }
 
-/// Fraction of numeric indices in the line that agree with the most common
-/// one. Lines with fewer than two indices score a neutral 0.5.
-pub fn index_coherence(line: &str) -> f64 {
-    let mut indices: Vec<u64> = Vec::new();
-    for tok in tokenize(line) {
-        // Identifier suffix indices (prev4) ...
-        if tok.chars().next().is_some_and(|c| c.is_ascii_alphabetic()) {
-            let digits: String = tok
-                .chars()
-                .rev()
-                .take_while(|c| c.is_ascii_digit())
-                .collect();
-            if !digits.is_empty() {
-                let d: String = digits.chars().rev().collect();
-                if let Ok(v) = d.parse() {
-                    indices.push(v);
-                }
-            }
-        } else if tok.chars().all(|c| c.is_ascii_digit()) {
-            // ... and bare bracket indices (din[4]); sized literals like
-            // 4'd1 are values, not indices, and are skipped.
-            if let Ok(v) = tok.parse() {
-                indices.push(v);
-            }
-        }
-    }
+/// Fraction of a line's numeric indices that agree with the most common
+/// one, given the line's tokens. Lines with fewer than two indices score a
+/// neutral 0.5.
+pub fn index_coherence(tokens: &[&str]) -> f64 {
+    let indices: Vec<u64> = tokens.iter().filter_map(|t| index_of(t)).collect();
     if indices.len() < 2 {
         return 0.5;
     }
-    let mut counts = std::collections::BTreeMap::new();
-    for i in &indices {
-        *counts.entry(*i).or_insert(0usize) += 1;
-    }
-    let max = counts.values().copied().max().unwrap_or(0);
+    let max = indices
+        .iter()
+        .map(|i| indices.iter().filter(|&j| j == i).count())
+        .max()
+        .unwrap_or(0);
     max as f64 / indices.len() as f64
+}
+
+/// The index a token carries: an identifier's digit suffix (`prev4`) or a
+/// bare bracket index (`din[4]`). Sized literals like `4'd1` are values,
+/// not indices.
+fn index_of(tok: &str) -> Option<u64> {
+    if tok.starts_with(|c: char| c.is_ascii_alphabetic()) {
+        let stem = tok.trim_end_matches(|c: char| c.is_ascii_digit());
+        tok[stem.len()..].parse().ok()
+    } else if tok.bytes().all(|b| b.is_ascii_digit()) {
+        tok.parse().ok()
+    } else {
+        None
+    }
 }
 
 /// Dot product of weights and features.

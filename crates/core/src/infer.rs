@@ -2,7 +2,7 @@
 //! each a candidate buggy line, suggested fix and chain of thought, in the
 //! JSON shape the paper's prompt requires.
 
-use crate::features::{extract, CaseContext};
+use crate::features::{extract_all, CaseContext};
 use crate::policy::Policy;
 use crate::train::{Model, TrainStage};
 use asv_mutation::repairspace::candidates;
@@ -133,7 +133,7 @@ pub fn respond_with_policy(
     if cands.is_empty() {
         return Vec::new();
     }
-    let features: Vec<_> = cands.iter().map(|c| extract(&ctx, lm, c)).collect();
+    let features = extract_all(&ctx, lm, &cands);
     let mut rng = StdRng::seed_from_u64(seed);
     policy
         .sample_n(&features, n, &mut rng)

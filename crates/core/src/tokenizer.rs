@@ -5,7 +5,7 @@
 //! become one token. This plays the role of the BPE tokenizer in the
 //! paper's base model; the LM consuming it only needs consistent units.
 
-/// Splits a line of Verilog into tokens.
+/// Splits a line of Verilog into owned tokens (see [`tokens`]).
 ///
 /// ```
 /// use assertsolver_core::tokenizer::tokenize;
@@ -15,6 +15,11 @@
 /// );
 /// ```
 pub fn tokenize(line: &str) -> Vec<String> {
+    tokens(line).into_iter().map(str::to_string).collect()
+}
+
+/// Splits a line of Verilog into tokens, each a slice of `line`.
+pub fn tokens(line: &str) -> Vec<&str> {
     let bytes = line.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
@@ -31,7 +36,7 @@ pub fn tokenize(line: &str) -> Vec<String> {
             while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                 i += 1;
             }
-            out.push(line[start..i].to_string());
+            out.push(&line[start..i]);
             continue;
         }
         // Number, optionally with a based suffix (4'd10, 'hFF).
@@ -60,22 +65,22 @@ pub fn tokenize(line: &str) -> Vec<String> {
             if i == start {
                 i += 1; // lone apostrophe; consume to make progress
             }
-            out.push(line[start..i].to_string());
+            out.push(&line[start..i]);
             continue;
         }
-        // Multi-character operators, longest first.
+        // Multi-character operators, longest first; anything else is one
+        // character, taken whole when it is not ASCII.
         const OPS: [&str; 20] = [
             "|->", "|=>", "<<<", ">>>", "===", "!==", "##", "&&", "||", "==", "!=", "<=", ">=",
             "<<", ">>", "**", "~^", "~&", "~|", "+:",
         ];
         let rest = &line[i..];
-        if let Some(op) = OPS.iter().find(|op| rest.starts_with(**op)) {
-            out.push((*op).to_string());
-            i += op.len();
-            continue;
-        }
-        out.push((c as char).to_string());
-        i += 1;
+        let len = match OPS.iter().find(|op| rest.starts_with(**op)) {
+            Some(op) => op.len(),
+            None => rest.chars().next().map_or(1, char::len_utf8),
+        };
+        out.push(&rest[..len]);
+        i += len;
     }
     out
 }
@@ -129,6 +134,25 @@ mod tests {
     fn text_gets_line_sentinels() {
         let toks = tokenize_text("a;\n\nb;");
         assert_eq!(toks, vec!["a", ";", "<nl>", "b", ";", "<nl>"]);
+    }
+
+    #[test]
+    fn non_ascii_characters_are_whole_tokens() {
+        assert_eq!(
+            tokenize("$error(\"café failed\");"),
+            vec!["$error", "(", "\"", "caf", "é", "failed", "\"", ")", ";"]
+        );
+        assert_eq!(
+            tokenize("a = b; // ✓"),
+            vec!["a", "=", "b", ";", "/", "/", "✓"]
+        );
+        assert_eq!(
+            tokenize_text("a = b; // ✓\n$error(\"café failed\");"),
+            vec![
+                "a", "=", "b", ";", "/", "/", "✓", "<nl>", "$error", "(", "\"", "caf", "é",
+                "failed", "\"", ")", ";", "<nl>"
+            ]
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   exact closed-form gradient
 //!   `∇θ = σ(−β·(θ−θ_ref)·(f(p)−f(n))) · β · (f(p)−f(n))`.
 
-use crate::features::{extract, CaseContext, Features, FEATURE_DIM};
+use crate::features::{extract_all, CaseContext, Features, FEATURE_DIM};
 use crate::lm::NgramLm;
 use crate::policy::Policy;
 use asv_datagen::dataset::{SvaBugEntry, VerilogBugEntry, VerilogPtEntry};
@@ -81,7 +81,7 @@ pub fn prepare_case(entry: &SvaBugEntry, lm: &NgramLm) -> Option<PreparedCase> {
     if cands.is_empty() {
         return None;
     }
-    let features: Vec<Features> = cands.iter().map(|c| extract(&ctx, lm, c)).collect();
+    let features = extract_all(&ctx, lm, &cands);
     let golden = golden_candidates(&cands, &entry.golden_source);
     let meta = cands.into_iter().map(|c| (c.line_no, c.new_line)).collect();
     Some(PreparedCase {
@@ -390,6 +390,7 @@ fn nll_grad(policy: &Policy, case: &PreparedCase, golden: usize) -> Features {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::extract;
     use asv_datagen::pipeline::{run, PipelineConfig};
 
     fn datasets() -> asv_datagen::Datasets {
@@ -472,6 +473,69 @@ mod tests {
         let a = mine_challenging(&sft_model, &cases, &cfg);
         let b = mine_challenging(&sft_model, &cases, &cfg);
         assert_eq!(a.len(), b.len());
+    }
+
+    /// Folds bytes into a 64-bit FNV-1a hash.
+    fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    #[test]
+    fn prepared_cases_are_pinned() {
+        let ds = datasets();
+        let base = base_model(&ds.verilog_pt);
+        let cases = prepare_cases(&ds.sva_bug, &base.lm);
+        // Every feature's bits, golden index and `meta` entry, in order.
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for case in &cases {
+            fnv1a(&mut hash, &(case.features.len() as u64).to_le_bytes());
+            for f in case.features.iter().flatten() {
+                fnv1a(&mut hash, &f.to_bits().to_le_bytes());
+            }
+            fnv1a(&mut hash, &(case.golden.len() as u64).to_le_bytes());
+            for &g in &case.golden {
+                fnv1a(&mut hash, &(g as u64).to_le_bytes());
+            }
+            for (line_no, new_line) in &case.meta {
+                fnv1a(&mut hash, &line_no.to_le_bytes());
+                fnv1a(&mut hash, &(new_line.len() as u64).to_le_bytes());
+                fnv1a(&mut hash, new_line.as_bytes());
+            }
+        }
+        assert_eq!(
+            (cases.len(), hash),
+            (39, 0x41f2_8756_af08_df4a),
+            "prepared cases moved"
+        );
+        // Batch extraction equals per-candidate extraction bit for bit.
+        let mut prepared = cases.iter();
+        for e in &ds.sva_bug {
+            let Ok(design) = asv_verilog::compile(&e.buggy_source) else {
+                continue;
+            };
+            let cands = candidates(&design);
+            if cands.is_empty() {
+                continue;
+            }
+            let ctx = CaseContext::new(&design.module, &e.spec, &e.logs);
+            let case = prepared.next().expect("one prepared case per entry");
+            assert_eq!(case.features.len(), cands.len());
+            for (c, f) in cands.iter().zip(&case.features) {
+                let single = extract(&ctx, &base.lm, c);
+                assert!(
+                    single
+                        .iter()
+                        .zip(f)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{}: {single:?} != {f:?}",
+                    c.describe()
+                );
+            }
+        }
+        assert!(prepared.next().is_none());
     }
 
     #[test]
