@@ -473,8 +473,8 @@ fn mixed_batch_comparison() {
         sequential = jobs
             .iter()
             .map(|j| {
-                j.verifier
-                    .check(&j.design)
+                j.verifier()
+                    .check(j.design())
                     .map_err(asv_serve::VerdictError::from)
             })
             .collect();

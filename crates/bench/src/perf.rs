@@ -628,7 +628,7 @@ pub fn mixed_batch(quick: bool) -> Vec<VerifyJob> {
 /// a cold cache may both compile the same design).
 pub fn prewarm_compile_cache(jobs: &[VerifyJob]) {
     for job in jobs {
-        asv_sim::cache::global().get_or_compile_opt(&job.design, job.verifier.opt);
+        asv_sim::cache::global().get_or_compile_opt(job.design(), job.verifier().opt);
     }
 }
 

@@ -291,7 +291,7 @@ pub fn sva_eval_human(verifier: &Verifier, seed: u64) -> Vec<SvaBugEntry> {
                 length_bin: LengthBin::of_lines(inj.buggy_source.lines().count()),
                 buggy_source: inj.buggy_source.clone(),
                 golden_source: inj.golden_source.clone(),
-                logs: cex.logs,
+                logs: cex.logs.clone(),
                 line_no: inj.line_no,
                 buggy_line: inj.buggy_line.clone(),
                 fixed_line: inj.fixed_line.clone(),

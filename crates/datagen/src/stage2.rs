@@ -151,7 +151,7 @@ impl Stage2 {
                         length_bin: LengthBin::of_lines(injection.buggy_source.lines().count()),
                         buggy_source: injection.buggy_source.clone(),
                         golden_source: injection.golden_source.clone(),
-                        logs: cex.logs,
+                        logs: cex.logs.clone(),
                         line_no: injection.line_no,
                         buggy_line: injection.buggy_line.clone(),
                         fixed_line: injection.fixed_line.clone(),

@@ -1,10 +1,11 @@
 //! Sharded verdict memoisation.
 //!
-//! Keys are [`JobKey`]s — `(design, property set, engine, budget)` — and
-//! values are finished [`JobOutcome`]s. Because every engine is
-//! deterministic in that key, memoised re-verification is exact: a hit
-//! returns bit-identically what re-running the engine would, in O(hash)
-//! instead of O(solve).
+//! Keys are [`JobKey`]s — `(design, verifier)`, the verifier covering
+//! engine and budget — and values are finished [`JobOutcome`]s. Because
+//! every engine is deterministic in that key, memoised re-verification is
+//! exact: a hit returns bit-identically what re-running the engine would,
+//! in O(hash) instead of O(solve). A hit clones the outcome, and a
+//! counterexample is shared behind an `Arc`, so no hit deep-copies one.
 //!
 //! The map is sharded by key so concurrent workers finishing different
 //! jobs never contend on one lock; each shard is a small MRU-ordered

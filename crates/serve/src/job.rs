@@ -2,7 +2,6 @@
 
 use asv_sim::cancel::Exhausted;
 use asv_sva::bmc::{Verdict, Verifier, VerifyError};
-use asv_verilog::ast::AssertTarget;
 use asv_verilog::sema::Design;
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
@@ -61,34 +60,43 @@ impl From<VerifyError> for VerdictError {
 }
 
 /// One unit of verification work: a design plus the bounds and engine to
-/// check it with. The `verifier.engine` field is the job's mode; every
+/// check it with. The verifier's `engine` field is the job's mode; every
 /// engine runs sequentially inside the worker that claimed the job.
 ///
 /// The design is held behind an [`Arc`] so building a job from an
 /// already-shared design (or cloning a job) never deep-copies the AST.
+/// The job computes its [`JobKey`] once, when it is built; its fields
+/// are private so no caller can change a job under its key.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyJob {
-    /// The elaborated design whose assertions are checked.
-    pub design: Arc<Design>,
-    /// Bounds, budget, seed and engine for this job.
-    pub verifier: Verifier,
+    design: Arc<Design>,
+    verifier: Verifier,
+    key: JobKey,
 }
 
-/// Memo key of a job: a 128-bit fingerprint over `(design, property
-/// set, engine, budget, OptLevel)` — two independent 64-bit hashes of
-/// the full tuple, domain-separated so the halves never cancel together.
+/// Memo key of a job: a 128-bit fingerprint of `(schema, design,
+/// verifier)`, made of two `DefaultHasher` halves that are
+/// domain-separated so they never cancel together.
 ///
-/// Two jobs share a key iff they would produce the same verdict: every
-/// engine is deterministic in `(design, Verifier)`, and the `Verifier`
-/// hash covers depth, reset protocol, enumeration limit, stimulus
-/// budget, seed, engine selection and IR optimization level (so a
-/// mixed-opt workload can never alias one level's verdict — or its
-/// cached compiled artifact — to the other's). The property set is hashed
-/// explicitly (directive names plus rendered inline bodies) on top of
-/// the structural design hash, so assertion-only edits never alias.
-/// A wrong verdict-memo hit would be an *unsound verification result*,
-/// hence the 128-bit width: an accidental collision is beyond
-/// plausibility (a deliberate one is outside this tool's threat model).
+/// Both halves hash the same inputs: the on-disk schema version, the
+/// design's 64-bit structural hash ([`asv_sim::cache::design_hash`], the
+/// compile cache's key: the module's AST with spans excluded, which
+/// covers logic, property declarations and every assertion directive
+/// with its label and message, plus the resolved parameters), and the
+/// whole [`Verifier`]. The `Verifier` covers depth, reset protocol,
+/// enumeration limit, stimulus budget, seed, engine selection and IR
+/// optimization level, so a mixed-opt workload can never alias one
+/// level's verdict (or its compiled artifact) to the other's.
+///
+/// Jobs with equal keys get one verdict: every engine is deterministic
+/// in `(design, Verifier)`, so a wrong memo hit would be an *unsound
+/// verification result*. Two jobs that differ only in their verifier or
+/// schema collide with probability about 2⁻¹²⁸. The design, however,
+/// enters both halves as one 64-bit hash, so two distinct designs share
+/// a key with probability about 2⁻⁶⁴ per pair. That is the key's bound
+/// on design identity. The compile cache re-checks full equality behind
+/// the same hash; the memo does not. (A deliberate collision is outside
+/// this tool's threat model.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobKey(pub u128);
 
@@ -97,38 +105,56 @@ const KEY_TAG_HI: u64 = 0x9E37_79B9_7F4A_7C15;
 const KEY_TAG_LO: u64 = 0xC2B2_AE3D_27D4_EB4F;
 
 impl VerifyJob {
-    /// Creates a job (accepts an owned design or an `Arc` to one).
+    /// Creates a job (accepts an owned design or an `Arc` to one) and
+    /// computes its key under the current on-disk schema version. The
+    /// schema is mixed into both halves so bumping
+    /// [`asv_store::SCHEMA_VERSION`] retires every key derived under the
+    /// old encoding — in-memory and on disk alike.
     pub fn new(design: impl Into<Arc<Design>>, verifier: Verifier) -> Self {
+        let design = design.into();
+        let key = job_key(&design, &verifier, asv_store::SCHEMA_VERSION);
         VerifyJob {
-            design: design.into(),
+            design,
             verifier,
+            key,
         }
     }
 
-    /// The job's memo key (see [`JobKey`]), under the current on-disk
-    /// schema version. The schema is mixed into both halves so bumping
-    /// [`asv_store::SCHEMA_VERSION`] retires every key derived under the
-    /// old encoding — in-memory and on disk alike.
-    pub fn key(&self) -> JobKey {
-        self.key_with_schema(asv_store::SCHEMA_VERSION)
+    /// The elaborated design whose assertions are checked.
+    pub fn design(&self) -> &Arc<Design> {
+        &self.design
     }
 
-    /// [`VerifyJob::key`] under an explicit schema version (tests use
-    /// this to prove a bump actually separates keys).
-    pub fn key_with_schema(&self, schema: u32) -> JobKey {
-        let design = asv_sim::cache::design_hash(&self.design);
-        let props = property_set_hash(&self.design);
-        let half = |tag: u64| {
-            let mut h = DefaultHasher::new();
-            tag.hash(&mut h);
-            schema.hash(&mut h);
-            design.hash(&mut h);
-            props.hash(&mut h);
-            self.verifier.hash(&mut h);
-            h.finish()
-        };
-        JobKey((u128::from(half(KEY_TAG_HI)) << 64) | u128::from(half(KEY_TAG_LO)))
+    /// Bounds, budget, seed and engine for this job.
+    pub fn verifier(&self) -> &Verifier {
+        &self.verifier
     }
+
+    /// The job's memo key (see [`JobKey`]), computed when the job was
+    /// built.
+    pub fn key(&self) -> JobKey {
+        self.key
+    }
+
+    /// The job's key recomputed under an explicit schema version (tests
+    /// use this to prove a bump actually separates keys).
+    pub fn key_with_schema(&self, schema: u32) -> JobKey {
+        job_key(&self.design, &self.verifier, schema)
+    }
+}
+
+/// The [`JobKey`] of `(design, verifier)` under `schema`.
+fn job_key(design: &Design, verifier: &Verifier, schema: u32) -> JobKey {
+    let design = asv_sim::cache::design_hash(design);
+    let half = |tag: u64| {
+        let mut h = DefaultHasher::new();
+        tag.hash(&mut h);
+        schema.hash(&mut h);
+        design.hash(&mut h);
+        verifier.hash(&mut h);
+        h.finish()
+    };
+    JobKey((u128::from(half(KEY_TAG_HI)) << 64) | u128::from(half(KEY_TAG_LO)))
 }
 
 impl JobKey {
@@ -142,42 +168,28 @@ impl JobKey {
     }
 }
 
-/// Hash of the design's assertion directives: log names, messages, and
-/// rendered inline property bodies (named properties are covered by the
-/// structural design hash; their *binding* is covered by the name).
-fn property_set_hash(design: &Design) -> u64 {
-    let mut h = DefaultHasher::new();
-    for dir in design.module.assertions() {
-        dir.log_name().hash(&mut h);
-        dir.message.hash(&mut h);
-        match &dir.target {
-            AssertTarget::Named(n) => n.hash(&mut h),
-            AssertTarget::Inline(p) => {
-                asv_verilog::pretty::render_prop(&p.body).hash(&mut h);
-                if let Some(d) = &p.disable {
-                    asv_verilog::pretty::render_expr(d).hash(&mut h);
-                }
-            }
-        }
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use asv_sva::bmc::Engine;
 
-    fn design(body: &str, prop: &str) -> Design {
-        asv_verilog::compile(&format!(
+    fn source(body: &str, prop: &str, action: &str) -> String {
+        format!(
             "module m(input clk, input rst_n, input d, output reg q);\n\
              always @(posedge clk or negedge rst_n) begin\n\
                if (!rst_n) q <= 1'b0; else q <= {body};\n\
              end\n\
-             p: assert property (@(posedge clk) disable iff (!rst_n) {prop});\n\
+             p: assert property (@(posedge clk) disable iff (!rst_n) {prop}){action};\n\
              endmodule"
-        ))
-        .expect("compile")
+        )
+    }
+
+    fn compile(src: &str) -> Design {
+        asv_verilog::compile(src).expect("compile")
+    }
+
+    fn design(body: &str, prop: &str) -> Design {
+        compile(&source(body, prop, ""))
     }
 
     #[test]
@@ -186,6 +198,13 @@ mod tests {
         let a = VerifyJob::new(design("d", "d |-> ##1 q"), v);
         let b = VerifyJob::new(design("d", "d |-> ##1 q"), v);
         assert_eq!(a.key(), b.key());
+        // Other whitespace and comments move every span but not the key.
+        let respelled = source("d", "d |-> ##1 q", "")
+            .replace(' ', "   ")
+            .replace('\n', " // respelled\n\n");
+        let c = VerifyJob::new(compile(&respelled), v);
+        assert_ne!(a.design().module, c.design().module, "spans differ");
+        assert_eq!(a.key(), c.key());
     }
 
     #[test]
@@ -194,6 +213,14 @@ mod tests {
         let base = VerifyJob::new(design("d", "d |-> ##1 q"), v);
         let other_logic = VerifyJob::new(design("!d", "d |-> ##1 q"), v);
         let other_prop = VerifyJob::new(design("d", "d |-> ##1 !q"), v);
+        // Failure logs print the `$error` message, so it is part of the
+        // verdict and must be part of the key.
+        let message = |text: &str| {
+            let action = format!(" else $error(\"{text}\")");
+            VerifyJob::new(compile(&source("d", "d |-> ##1 q", &action)), v)
+        };
+        let with_message = message("q must follow d");
+        let other_message = message("q lags d");
         let other_engine = VerifyJob::new(
             base.design.clone(),
             Verifier {
@@ -218,12 +245,18 @@ mod tests {
         for (name, job) in [
             ("logic", &other_logic),
             ("property", &other_prop),
+            ("message", &with_message),
             ("engine", &other_engine),
             ("budget", &other_budget),
             ("opt level", &other_opt),
         ] {
             assert_ne!(base.key(), job.key(), "{name} change must change the key");
         }
+        assert_ne!(
+            with_message.key(),
+            other_message.key(),
+            "an `$error` message edit must change the key"
+        );
     }
 
     #[test]

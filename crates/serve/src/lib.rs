@@ -11,8 +11,10 @@
 //! crate turns those call sites into batch submitters:
 //!
 //! * **[`VerifyJob`]** — one design plus the verifier bounds/engine to
-//!   check it with, hashed into a stable [`JobKey`] of
-//!   `(design, property set, engine, budget)`.
+//!   check it with, hashed once, when the job is built, into a
+//!   [`JobKey`] of `(design, verifier)`: the design's AST with its
+//!   properties and assertion directives, and every verifier knob
+//!   (engine, bounds, budget, seed, opt level).
 //! * **[`VerifyService`]** — a self-scheduling worker pool: jobs are
 //!   claimed index-by-index from a shared atomic cursor (idle workers
 //!   steal the next unclaimed job, so a slow symbolic proof never blocks

@@ -54,19 +54,22 @@ use std::hash::Hash;
 
 /// The exact (whole-job) store key for a job's outcome.
 ///
-/// Unlike [`VerifyJob::key`] (a `DefaultHasher` fingerprint valid only
-/// within one process), this key is derived with [`StableHasher`] over
-/// the *rendered* module — stable across processes, so it can name
-/// on-disk artifacts. The store key embeds `SCHEMA_VERSION`, so a codec
-/// change retires every old entry wholesale.
+/// Unlike [`VerifyJob::key`] (a `DefaultHasher` fingerprint of the
+/// module's AST, valid only within one process), this key is derived
+/// with [`StableHasher`] over the *rendered* module. A rendering is
+/// plain text, so its hash is stable across processes and builds and can
+/// name on-disk artifacts; the derived `Hash` of an AST promises no such
+/// stability. The store key embeds `SCHEMA_VERSION`, so a codec change
+/// retires every old entry wholesale.
 pub fn exact_outcome_key(job: &VerifyJob) -> StoreKey {
+    let design = job.design();
     let mut h = StableHasher::with_domain("asv-serve-exact");
-    asv_verilog::pretty::render_module(&job.design.module).hash(&mut h);
-    for (name, value) in &job.design.params {
+    asv_verilog::pretty::render_module(&design.module).hash(&mut h);
+    for (name, value) in &design.params {
         name.hash(&mut h);
         value.hash(&mut h);
     }
-    job.verifier.hash(&mut h);
+    job.verifier().hash(&mut h);
     StoreKey::exact(ArtifactKind::Outcome, h.finish128())
 }
 
@@ -78,19 +81,20 @@ pub fn exact_outcome_key(job: &VerifyJob) -> StoreKey {
 /// same compiled form moments later, so this costs one shared lowering,
 /// not two.
 pub fn cone_outcome_key(job: &VerifyJob) -> Option<StoreKey> {
-    if job.verifier.opt != OptLevel::Full {
+    let verifier = job.verifier();
+    if verifier.opt != OptLevel::Full {
         return None;
     }
-    if !matches!(job.verifier.engine, Engine::Auto | Engine::Symbolic) {
+    if !matches!(verifier.engine, Engine::Auto | Engine::Symbolic) {
         return None;
     }
-    let cd = asv_sim::cache::global().get_or_compile_opt(&job.design, job.verifier.opt);
+    let cd = asv_sim::cache::global().get_or_compile_opt(job.design(), verifier.opt);
     asv_sat::engine::supports(&cd).ok()?;
     let design = asv_sat::cone::design_cone_hash(&cd).ok()?;
     let mut h = StableHasher::with_domain("asv-serve-cone");
     design.hash(&mut h);
-    job.verifier.depth.hash(&mut h);
-    job.verifier.reset_cycles.hash(&mut h);
+    verifier.depth.hash(&mut h);
+    verifier.reset_cycles.hash(&mut h);
     Some(StoreKey::cone(ArtifactKind::Outcome, h.finish128()))
 }
 

@@ -3,8 +3,9 @@
 //! [`VerifyService::verify_batch`] takes a slice of [`VerifyJob`]s and
 //! returns their outcomes **in submission order**. Internally:
 //!
-//! 1. jobs are deduplicated by [`JobKey`] — only the first occurrence of
-//!    a key is executed, later occurrences copy its verdict (repair
+//! 1. jobs are deduplicated by the [`JobKey`] each computed when it was
+//!    built — only the first occurrence of a key is executed, later
+//!    occurrences clone its verdict, sharing any counterexample (repair
 //!    evaluation submits the same patched design many times across the
 //!    20-sample protocol);
 //! 2. keys already in the [`VerdictCache`] are answered in O(hash);
@@ -265,7 +266,7 @@ fn job_end(outcome: &JobOutcome) -> EndReason {
 /// takes down its worker (or the batch).
 fn run_job(job: &VerifyJob, budget: &Budget) -> JobOutcome {
     let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        job.verifier.check_budgeted(&job.design, budget)
+        job.verifier().check_budgeted(job.design(), budget)
     }));
     match unwound {
         Ok(Ok(verdict)) => Ok(verdict),
@@ -439,13 +440,14 @@ impl VerifyService {
     /// memoising), consults the persistent store tier, runs the engine
     /// under the per-job budget, and memoises/persists cacheable
     /// outcomes before releasing the claim.
-    fn execute(&self, job: &VerifyJob, key: JobKey) -> (JobOutcome, AnswerTier) {
+    fn execute(&self, job: &VerifyJob) -> (JobOutcome, AnswerTier) {
+        let key = job.key();
         let trace = self.trace_handle().for_job(key.0);
         if !self.opts.memoize {
             // `memoize: false` means *always execute* — both cache
             // tiers are bypassed (cache-cold benchmarking relies on it).
             self.executed.inc();
-            return (self.run_job_traced(job, key, &trace), AnswerTier::Engine);
+            return (self.run_job_traced(job, &trace), AnswerTier::Engine);
         }
         match self.inflight.claim(key, &self.verdicts) {
             Claim::Hit(outcome) => {
@@ -462,7 +464,7 @@ impl VerifyService {
                     return (outcome, AnswerTier::Store);
                 }
                 self.executed.inc();
-                let outcome = self.run_job_traced(job, key, &trace);
+                let outcome = self.run_job_traced(job, &trace);
                 // Memoise before releasing the claim so woken waiters
                 // find the result; a non-cacheable outcome leaves the
                 // memo untouched and waiters execute for themselves.
@@ -478,9 +480,9 @@ impl VerifyService {
 
     /// [`run_job`] under a `serve.job` span carrying the outcome's
     /// [`EndReason`] — the root of the job's trace tree.
-    fn run_job_traced(&self, job: &VerifyJob, key: JobKey, trace: &TraceHandle) -> JobOutcome {
+    fn run_job_traced(&self, job: &VerifyJob, trace: &TraceHandle) -> JobOutcome {
         let mut span = trace.span(probe::SERVE_JOB, SpanKind::Job);
-        let outcome = run_job(job, &self.job_budget(key));
+        let outcome = run_job(job, &self.job_budget(job.key()));
         span.set_end(job_end(&outcome));
         outcome
     }
@@ -528,10 +530,10 @@ impl VerifyService {
         &self,
         jobs: &[VerifyJob],
     ) -> (Vec<JobOutcome>, Vec<JobReport>, Vec<asv_trace::Event>) {
-        let keys: Vec<JobKey> = jobs.iter().map(VerifyJob::key).collect();
         let tiered = self.verify_batch_tiered(jobs);
         let events = self.tracer.as_ref().map(Tracer::drain).unwrap_or_default();
         let tiers: Vec<AnswerTier> = tiered.iter().map(|(_, tier)| *tier).collect();
+        let keys: Vec<JobKey> = jobs.iter().map(VerifyJob::key).collect();
         let reports = assemble_reports(&keys, &tiers, &events);
         (
             tiered.into_iter().map(|(outcome, _)| outcome).collect(),
@@ -549,9 +551,8 @@ impl VerifyService {
         // In-batch dedup: first submission index per key runs the job.
         let mut first_of: HashMap<JobKey, usize> = HashMap::with_capacity(jobs.len());
         let mut owners: Vec<usize> = Vec::with_capacity(jobs.len());
-        let keys: Vec<JobKey> = jobs.iter().map(VerifyJob::key).collect();
-        for (i, &key) in keys.iter().enumerate() {
-            owners.push(*first_of.entry(key).or_insert(i));
+        for (i, job) in jobs.iter().enumerate() {
+            owners.push(*first_of.entry(job.key()).or_insert(i));
         }
         // Memo lookups for the unique jobs.
         let mut pending: Vec<usize> = Vec::new();
@@ -560,9 +561,10 @@ impl VerifyService {
                 continue; // duplicate; filled from its owner below
             }
             if self.opts.memoize {
-                if let Some(hit) = self.verdicts.get(keys[i]) {
+                let key = jobs[i].key();
+                if let Some(hit) = self.verdicts.get(key) {
                     self.memo_hits.inc();
-                    root_trace.for_job(keys[i].0).instant(
+                    root_trace.for_job(key.0).instant(
                         probe::SERVE_MEMO,
                         SpanKind::MemoLookup,
                         1, // hit
@@ -574,7 +576,7 @@ impl VerifyService {
                 // The miss is observable too: deterministic cost
                 // accounting (asv_trace::cost) reads hit *and* miss
                 // counts off the event stream alone.
-                root_trace.for_job(keys[i].0).instant(
+                root_trace.for_job(key.0).instant(
                     probe::SERVE_MEMO,
                     SpanKind::MemoLookup,
                     0, // miss
@@ -594,7 +596,6 @@ impl VerifyService {
                 for _ in 0..workers {
                     let cursor = &cursor;
                     let pending = &pending;
-                    let keys = &keys;
                     handles.push(scope.spawn(move || {
                         let mut done = Vec::new();
                         loop {
@@ -602,7 +603,7 @@ impl VerifyService {
                             let Some(&job_idx) = pending.get(at) else {
                                 break;
                             };
-                            done.push((job_idx, self.execute(&jobs[job_idx], keys[job_idx])));
+                            done.push((job_idx, self.execute(&jobs[job_idx])));
                         }
                         done
                     }));

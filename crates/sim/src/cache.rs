@@ -10,10 +10,10 @@
 //! never contend), hits bump the entry to most-recently-used, and misses
 //! compile under no lock other than the owning shard's.
 //!
-//! Keys are a 64-bit structural hash of the elaborated design (rendered
-//! module source plus resolved parameters); hash collisions are resolved
-//! by full structural equality before an entry is reused, so a hit is
-//! always the *same* design.
+//! Keys are a 64-bit structural hash of the elaborated design (the
+//! module's AST, spans excluded, plus resolved parameters); hash
+//! collisions are resolved by full structural equality before an entry is
+//! reused, so a hit is always the *same* design.
 //!
 //! Shard locks are poison-proof: a verification job that panics (or has
 //! a panic injected by the chaos harness) while touching a shard never
@@ -36,17 +36,16 @@ const SHARD_CAP: usize = 8;
 
 /// A stable (per-process) 64-bit structural hash of an elaborated design.
 ///
-/// Hashes the pretty-printed module — which covers ports, logic,
-/// properties and assertion directives — plus the resolved parameter
-/// environment, so two designs hash equal iff they would compile to the
-/// same [`CompiledDesign`].
+/// Hashes the module's AST — ports, logic, properties and assertion
+/// directives with their labels and messages — plus the resolved
+/// parameter environment. Spans hash to nothing, so two spellings of one
+/// design (other whitespace or comments) hash alike; no rendering is
+/// built. The verification service keys its jobs with this hash too
+/// (`asv_serve::VerifyJob::key`).
 pub fn design_hash(design: &Design) -> u64 {
     let mut h = DefaultHasher::new();
-    asv_verilog::pretty::render_module(&design.module).hash(&mut h);
-    for (name, value) in &design.params {
-        name.hash(&mut h);
-        value.hash(&mut h);
-    }
+    design.module.hash(&mut h);
+    design.params.hash(&mut h);
     h.finish()
 }
 

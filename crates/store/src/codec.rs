@@ -18,6 +18,7 @@ use asv_sim::exec::SimError;
 use asv_sim::stimulus::Stimulus;
 use asv_sva::bmc::{CounterExample, Verdict, VerifyError};
 use asv_sva::monitor::{AssertionFailure, MonitorError};
+use std::sync::Arc;
 
 use crate::PersistedOutcome;
 
@@ -337,11 +338,11 @@ fn decode_verdict(r: &mut ByteReader) -> Option<Verdict> {
             stimuli: r.usize()?,
             vacuous: r.seq(|r| r.str())?,
         },
-        1 => Verdict::Fails(CounterExample {
+        1 => Verdict::Fails(Arc::new(CounterExample {
             stimulus: decode_stimulus(r)?,
             failures: r.seq(decode_failure)?,
             logs: r.seq(|r| r.str())?,
-        }),
+        })),
         _ => return None,
     })
 }
@@ -380,7 +381,7 @@ mod tests {
     use super::*;
 
     fn sample_fails() -> PersistedOutcome {
-        PersistedOutcome::Verdict(Verdict::Fails(CounterExample {
+        PersistedOutcome::Verdict(Verdict::Fails(Arc::new(CounterExample {
             stimulus: Stimulus {
                 vectors: vec![
                     vec![("a".into(), 3), ("b".into(), u64::MAX)],
@@ -396,7 +397,7 @@ mod tests {
                 message: Some("boom".into()),
             }],
             logs: vec!["failed assertion m.p_ok at cycle 5: boom".into()],
-        }))
+        })))
     }
 
     #[test]

@@ -80,8 +80,11 @@ pub enum Verdict {
         /// (empty = every check was exercised).
         vacuous: Vec<String>,
     },
-    /// A counterexample was found.
-    Fails(CounterExample),
+    /// A counterexample was found. It is shared, not owned: the verdict
+    /// memo, in-batch duplicates and every caller's copy of the verdict
+    /// point at one allocation, so cloning a verdict never copies its
+    /// stimulus, failures or logs.
+    Fails(Arc<CounterExample>),
     /// No engine produced a verdict within its budget: every rung of the
     /// [`Engine::Auto`] degradation ladder failed recoverably (resource
     /// exhaustion, an isolated panic, a spurious cancellation). Never
@@ -743,11 +746,11 @@ impl Verifier {
                     ));
                 }
                 let logs = failures.iter().map(ToString::to_string).collect();
-                Ok(Ok(Verdict::Fails(CounterExample {
+                Ok(Ok(Verdict::Fails(Arc::new(CounterExample {
                     stimulus,
                     failures,
                     logs,
-                })))
+                }))))
             }
         }
     }
@@ -838,7 +841,7 @@ impl Verifier {
         // far is a partial view and must not be reported.
         budget.check()?;
         Ok(match first? {
-            Some(cex) => Verdict::Fails(cex),
+            Some(cex) => Verdict::Fails(Arc::new(cex)),
             None => self.holds(design, false, count, fired),
         })
     }
@@ -898,7 +901,7 @@ impl Verifier {
                 };
                 let results = judged.next().expect("one judgment per surviving lane")?;
                 match classify_outcomes(&results, &group[j]) {
-                    StimulusOutcome::Fails(cex) => return Ok(Verdict::Fails(cex)),
+                    StimulusOutcome::Fails(cex) => return Ok(Verdict::Fails(Arc::new(cex))),
                     StimulusOutcome::Passes(names) => fired.extend(names),
                 }
                 // Per-stimulus accrual keeps the count honest when a
@@ -944,7 +947,7 @@ impl Verifier {
         match res.verdict {
             FuzzVerdict::Failure { stimulus, .. } => {
                 match run_stimulus(compiled, checker, stimulus)? {
-                    StimulusOutcome::Fails(cex) => Ok(Verdict::Fails(cex)),
+                    StimulusOutcome::Fails(cex) => Ok(Verdict::Fails(Arc::new(cex))),
                     StimulusOutcome::Passes(_) => Err(VerifyError::Fuzz(
                         "fuzzer finding did not reproduce under the checker".into(),
                     )),

@@ -5,13 +5,17 @@
 //! source lines. The SVA property/assertion grammar lives here too, so the
 //! whole design is one self-contained tree; assertion *semantics* are
 //! provided by the `asv-sva` crate.
+//!
+//! Every node derives `Hash`, and a [`Span`] hashes to nothing, so the
+//! hash of a tree covers its structure and never where it was written.
+//! That hash keys the compile cache (`asv_sim::cache::design_hash`).
 
 use crate::source::Span;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A complete source file: one or more modules.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct SourceUnit {
     /// Modules in declaration order.
     pub modules: Vec<Module>,
@@ -25,7 +29,7 @@ impl SourceUnit {
 }
 
 /// A `module ... endmodule` declaration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct Module {
     /// Module identifier.
     pub name: String,
@@ -138,7 +142,7 @@ impl fmt::Display for BitRange {
 }
 
 /// A module port.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct Port {
     /// Direction.
     pub dir: PortDir,
@@ -160,7 +164,7 @@ impl Port {
 }
 
 /// A net/variable declaration: `wire [3:0] a, b;`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct NetDecl {
     /// Net kind.
     pub kind: NetKind,
@@ -183,7 +187,7 @@ impl NetDecl {
 }
 
 /// A `parameter`/`localparam` declaration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct ParamDecl {
     /// `localparam` if true.
     pub local: bool,
@@ -196,7 +200,7 @@ pub struct ParamDecl {
 }
 
 /// A module body item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum Item {
     /// Net/variable declaration.
     Net(NetDecl),
@@ -230,7 +234,7 @@ impl Item {
 }
 
 /// Continuous assignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct ContAssign {
     /// Assignment target.
     pub lhs: LValue,
@@ -252,7 +256,7 @@ pub enum AlwaysKind {
 }
 
 /// One edge event in a sensitivity list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum SensItem {
     /// `posedge sig`
     Posedge(String),
@@ -272,7 +276,7 @@ impl SensItem {
 }
 
 /// Sensitivity of an always block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum Sensitivity {
     /// `@*` / `@(*)` / `always_comb` — combinational.
     Star,
@@ -291,7 +295,7 @@ impl Sensitivity {
 }
 
 /// An `always` block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct AlwaysBlock {
     /// Which `always` keyword introduced the block.
     pub kind: AlwaysKind,
@@ -304,7 +308,7 @@ pub struct AlwaysBlock {
 }
 
 /// An `initial` block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct InitialBlock {
     /// Block body.
     pub body: Stmt,
@@ -313,7 +317,7 @@ pub struct InitialBlock {
 }
 
 /// Assignment target: a whole signal, a bit, or a constant part-select.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum LValue {
     /// Whole signal.
     Ident { name: String, span: Span },
@@ -356,7 +360,7 @@ impl LValue {
 }
 
 /// A procedural statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum Stmt {
     /// `begin ... end`.
     Block { stmts: Vec<Stmt>, span: Span },
@@ -411,7 +415,7 @@ pub enum CaseKind {
 }
 
 /// One `labels: stmt` arm of a case statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct CaseArm {
     /// Comma-separated match labels.
     pub labels: Vec<Expr>,
@@ -543,7 +547,7 @@ impl BinaryOp {
 }
 
 /// An expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum Expr {
     /// Integer literal.
     Number {
@@ -679,7 +683,7 @@ impl Expr {
 // ---------------------------------------------------------------------------
 
 /// Clocking event of a property: `@(posedge clk)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct ClockSpec {
     /// True for `posedge`, false for `negedge`.
     pub posedge: bool,
@@ -688,7 +692,7 @@ pub struct ClockSpec {
 }
 
 /// A sequence expression (the antecedent/consequent of an implication).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum SeqExpr {
     /// A boolean expression sampled at one clock tick.
     Expr(Expr),
@@ -741,7 +745,7 @@ impl SeqExpr {
 }
 
 /// A property body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum PropExpr {
     /// A plain sequence that must hold whenever evaluated.
     Seq(SeqExpr),
@@ -789,7 +793,7 @@ impl PropExpr {
 }
 
 /// A named `property ... endproperty` declaration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct PropertyDecl {
     /// Property name.
     pub name: String,
@@ -804,7 +808,7 @@ pub struct PropertyDecl {
 }
 
 /// What an `assert property` directive checks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum AssertTarget {
     /// Reference to a named property declaration.
     Named(String),
@@ -813,7 +817,7 @@ pub enum AssertTarget {
 }
 
 /// An assertion directive: `label: assert property (p) else $error("msg");`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct AssertDirective {
     /// Optional statement label (used in failure logs).
     pub label: Option<String>,

@@ -18,8 +18,10 @@
 //! replaced. [`render_module_slots`] renders a module once and returns
 //! where each slot root landed, which lets the repair-candidate enumeration
 //! build every single-site edit from its own line instead of re-rendering
-//! the design. [`render_module`] records nothing: it keys the compile cache
-//! and the verification service's job keys.
+//! the design. [`render_module`] records nothing. It renders whole designs
+//! for the repair pipeline and the persistent store's process-stable keys;
+//! the in-process keys (compile cache, verification jobs) hash the AST
+//! instead, which needs no rendering (see [`crate::ast`]).
 
 use crate::ast::*;
 use std::fmt::Write;

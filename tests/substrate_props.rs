@@ -5,11 +5,14 @@ use asv_mutation::inject::first_diff_line;
 use asv_mutation::repairspace::{candidates, golden_candidates, matches_golden};
 use asv_mutation::sites::transform_site;
 use asv_mutation::{InjectError, Mutation};
+use asv_serve::{JobKey, VerifyJob};
+use asv_sva::bmc::Verifier;
 use asv_verilog::pretty::render_module;
 use asv_verilog::Design;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// `design` with `m` applied, rendered in full: the oracle for the spliced
@@ -171,6 +174,60 @@ proptest! {
             }
         }
     }
+}
+
+/// Two jobs built with one `Verifier` share a `JobKey` exactly when their
+/// designs render alike. The key hashes the AST, not a rendering; the
+/// sources the pipeline judges are renders or splices of one, and on them
+/// the two partitions must coincide. Checked over the golden of every
+/// archetype, in its generated spelling and as rendered, and every repair
+/// candidate's patched source: each rendering maps to one key and each
+/// key to one rendering, which is the pairwise statement for all pairs.
+#[test]
+fn job_keys_partition_designs_like_their_renderings() {
+    let verifier = Verifier::default();
+    let mut key_of: HashMap<String, JobKey> = HashMap::new();
+    let mut rendering_of: HashMap<JobKey, String> = HashMap::new();
+    let mut jobs = 0usize;
+    let gen = CorpusGen::new(0xD17E);
+    let mut rng = StdRng::seed_from_u64(0xD17E);
+    for (k, arch) in Archetype::ALL.into_iter().enumerate() {
+        let d = gen.instantiate(
+            arch,
+            k,
+            SizeHint {
+                stages: 2,
+                width: 4,
+            },
+            &mut rng,
+        );
+        let golden = asv_verilog::compile(&d.source).expect("corpus design compiles");
+        let mut sources = vec![d.source.clone(), render_module(&golden.module)];
+        sources.extend(candidates(&golden).iter().map(|c| c.patched_source()));
+        for src in &sources {
+            let Ok(design) = asv_verilog::compile(src) else {
+                continue; // a patch that does not elaborate builds no job
+            };
+            let rendering = render_module(&design.module);
+            let key = VerifyJob::new(design, verifier).key();
+            jobs += 1;
+            let first_key = *key_of.entry(rendering.clone()).or_insert(key);
+            assert_eq!(
+                first_key, key,
+                "{}: one rendering, two keys\n{rendering}",
+                d.name
+            );
+            let first = rendering_of.entry(key).or_insert_with(|| rendering.clone());
+            assert_eq!(*first, rendering, "{}: one key, two renderings", d.name);
+        }
+    }
+    // Not vacuous: distinct designs abound, and some renderings repeat
+    // (each golden in two spellings at least).
+    assert!(key_of.len() > 100, "only {} distinct designs", key_of.len());
+    assert!(
+        jobs >= key_of.len() + Archetype::ALL.len(),
+        "no repeated rendering"
+    );
 }
 
 /// What a byte-mutation edit may write in place of a byte: the characters
