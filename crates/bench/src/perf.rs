@@ -625,11 +625,13 @@ pub fn mixed_batch(quick: bool) -> Vec<VerifyJob> {
 
 /// Pre-warms the process-wide compile cache for every job, so a traced
 /// concurrent run sees deterministic hit counts (two workers racing on
-/// a cold cache may both compile the same design).
-pub fn prewarm_compile_cache(jobs: &[VerifyJob]) {
-    for job in jobs {
-        asv_sim::cache::global().get_or_compile_opt(job.design(), job.verifier().opt);
-    }
+/// a cold cache may both compile the same design). The cache keeps a
+/// lowering only while someone holds it: hold the returned lowerings
+/// until the run is over.
+pub fn prewarm_compile_cache(jobs: &[VerifyJob]) -> Vec<Arc<CompiledDesign>> {
+    jobs.iter()
+        .map(|job| asv_sim::cache::global().get_or_compile_opt(job.design(), job.verifier().opt))
+        .collect()
 }
 
 /// Runs `jobs` through a traced service with `workers` threads
@@ -638,7 +640,7 @@ pub fn prewarm_compile_cache(jobs: &[VerifyJob]) {
 /// for any `workers` value — `tests/perf_counters.rs` enforces this.
 pub fn batch_counters(jobs: &[VerifyJob], workers: usize) -> (CostCounters, Vec<Event>) {
     asv_serve::clear_design_cache();
-    prewarm_compile_cache(jobs);
+    let _lowerings = prewarm_compile_cache(jobs);
     let tracer = Tracer::new();
     let service = VerifyService::new(ServeOptions {
         workers,
@@ -934,7 +936,7 @@ fn workload_serve(jobs: &[VerifyJob], runs: usize) -> (WorkloadResult, WorkloadR
 
     // Counter legs: one traced service, cold batch then warm batch.
     asv_serve::clear_design_cache();
-    prewarm_compile_cache(jobs);
+    let _lowerings = prewarm_compile_cache(jobs);
     let tracer = Tracer::new();
     let service = VerifyService::new(ServeOptions::default()).traced(tracer.clone());
     let (_o, _r, cold_events) = service.verify_batch_traced(jobs);

@@ -11,6 +11,7 @@
 //! constants before any CNF is produced.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Not;
 
 /// A literal over an AIG node: node index shifted left once, with the
@@ -82,11 +83,33 @@ pub enum Node {
     And(NLit, NLit),
 }
 
+/// FxHash's multiply-rotate over the two literal halves of a strash key.
+/// The keys are literals this graph allocated, so it needs none of the
+/// default hasher's resistance to keys crafted to collide.
+#[derive(Default)]
+struct StrashHasher(u64);
+
+impl Hasher for StrashHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, lit: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(lit)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A growing and-inverter graph with structural hashing.
 #[derive(Debug, Clone, Default)]
 pub struct Aig {
     nodes: Vec<Node>,
-    strash: HashMap<(u32, u32), u32>,
+    strash: HashMap<(u32, u32), u32, BuildHasherDefault<StrashHasher>>,
 }
 
 impl Aig {
@@ -94,7 +117,7 @@ impl Aig {
     pub fn new() -> Self {
         Aig {
             nodes: vec![Node::Const],
-            strash: HashMap::new(),
+            strash: HashMap::default(),
         }
     }
 

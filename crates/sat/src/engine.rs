@@ -9,7 +9,9 @@
 //! attempt fail. Depth *k+1* reuses the solver state (and thus all learned
 //! clauses) of depth *k*; the first satisfiable depth yields a
 //! minimal-depth counterexample, decoded back into a concrete
-//! [`Stimulus`].
+//! [`Stimulus`]. It reuses the AIG too: each property program is blasted
+//! once per tick, and an attempt whose window has closed is built once
+//! and read at every later depth.
 //!
 //! When every depth up to the bound is unsatisfiable the result is a
 //! bounded *proof*: `Holds` with per-assertion vacuity decided by a second
@@ -26,7 +28,7 @@ use asv_sim::compile::{compile_expr, CompiledDesign, ExprProg, HistoryKind, Name
 use asv_sim::stimulus::{InputVector, Stimulus};
 use asv_sim::value::Value;
 use asv_trace::{probe, Cost, SpanKind, TraceSink};
-use asv_verilog::ast::{AssertTarget, Module, PropExpr, PropertyDecl, SeqExpr};
+use asv_verilog::ast::{AssertTarget, Expr, Module, PropExpr, PropertyDecl, SeqExpr};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -83,9 +85,6 @@ pub enum BmcError {
     /// The design or its properties fall outside the encodable subset;
     /// callers fall back to the simulation oracle.
     Unsupported(String),
-    /// An internal resource invariant failed (e.g. witness minimisation
-    /// lost satisfiability); callers treat this like exhaustion.
-    Resource(String),
     /// A resource budget (conflicts, AIG nodes, deadline) was exhausted;
     /// the structured record says which and by how much.
     Exhausted(Exhausted),
@@ -99,7 +98,6 @@ impl fmt::Display for BmcError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BmcError::Unsupported(m) => write!(f, "symbolic engine unsupported: {m}"),
-            BmcError::Resource(m) => write!(f, "symbolic engine budget exhausted: {m}"),
             BmcError::Exhausted(e) => write!(f, "symbolic engine {e}"),
             BmcError::Cancelled => write!(f, "symbolic check cancelled"),
         }
@@ -127,12 +125,30 @@ impl From<BlastError> for BmcError {
 // Property compilation
 // ---------------------------------------------------------------------------
 
+/// A property program with its id: [`compile_props`] numbers the
+/// programs of a directive set (sequence atoms and disable guards)
+/// densely from 0, so the engine can keep one blasted literal per
+/// `(tick, id)`.
+pub(crate) struct Prog {
+    id: usize,
+    code: ExprProg,
+}
+
+/// The cone hash renders compiled properties with `Debug` (see
+/// [`PropSym`]); the id numbers one compilation's programs and is no part
+/// of what a program computes, so it is left out.
+impl fmt::Debug for Prog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.code.fmt(f)
+    }
+}
+
 /// One boolean of a linear sequence, evaluated `tick_off` ticks after the
 /// attempt start.
 #[derive(Debug)]
 pub(crate) struct Atom {
     tick_off: u32,
-    prog: ExprProg,
+    prog: Prog,
 }
 
 /// A flattened linear sequence: atoms in evaluation order plus the end
@@ -163,40 +179,55 @@ pub(crate) enum PropBody {
 pub(crate) struct PropSym {
     /// `AssertDirective::log_name`.
     pub(crate) name: String,
-    disable: Option<ExprProg>,
+    disable: Option<Prog>,
     body: PropBody,
     /// Ticks beyond the start the attempt may observe (the monitor's
     /// `property_window`).
     window: u32,
 }
 
-fn flatten_seq<R>(seq: &SeqExpr, off: u32, resolve: &R, out: &mut Vec<Atom>) -> u32
-where
-    R: Fn(&str) -> NameRef,
-{
+impl PropSym {
+    /// Programs this directive holds: its sequence atoms and its disable
+    /// guard.
+    fn prog_count(&self) -> usize {
+        let atoms = match &self.body {
+            PropBody::Seq(sp) => sp.atoms.len(),
+            PropBody::Implication {
+                antecedent,
+                consequent,
+                ..
+            } => antecedent.atoms.len() + consequent.atoms.len(),
+        };
+        atoms + usize::from(self.disable.is_some())
+    }
+}
+
+fn flatten_seq(
+    seq: &SeqExpr,
+    off: u32,
+    compile: &mut impl FnMut(&Expr) -> Prog,
+    out: &mut Vec<Atom>,
+) -> u32 {
     match seq {
         SeqExpr::Expr(e) => {
             out.push(Atom {
                 tick_off: off,
-                prog: compile_expr(e, resolve, true),
+                prog: compile(e),
             });
             off
         }
         SeqExpr::Delay {
             lhs, cycles, rhs, ..
         } => {
-            let end_l = flatten_seq(lhs, off, resolve, out);
-            flatten_seq(rhs, end_l + cycles, resolve, out)
+            let end_l = flatten_seq(lhs, off, compile, out);
+            flatten_seq(rhs, end_l + cycles, compile, out)
         }
     }
 }
 
-fn compile_seq<R>(seq: &SeqExpr, resolve: &R) -> SeqProg
-where
-    R: Fn(&str) -> NameRef,
-{
+fn compile_seq(seq: &SeqExpr, compile: &mut impl FnMut(&Expr) -> Prog) -> SeqProg {
     let mut atoms = Vec::new();
-    let end_off = flatten_seq(seq, 0, resolve, &mut atoms);
+    let end_off = flatten_seq(seq, 0, compile, &mut atoms);
     SeqProg { atoms, end_off }
 }
 
@@ -213,6 +244,14 @@ pub(crate) fn compile_props(cd: &CompiledDesign) -> Result<Vec<PropSym>, BmcErro
     let resolve = |name: &str| match cd.sig(name) {
         Some(sig) => NameRef::Sig(sig),
         None => NameRef::Unknown,
+    };
+    let mut next_id = 0;
+    let mut compile = |e: &Expr| {
+        next_id += 1;
+        Prog {
+            id: next_id - 1,
+            code: compile_expr(e, &resolve, true),
+        }
     };
     let mut props = Vec::new();
     for (i, dir) in module.assertions().enumerate() {
@@ -236,24 +275,21 @@ pub(crate) fn compile_props(cd: &CompiledDesign) -> Result<Vec<PropSym>, BmcErro
             } => antecedent.duration() + consequent.duration() + u32::from(!*overlapping),
         };
         let body = match &prop.body {
-            PropExpr::Seq(s) => PropBody::Seq(compile_seq(s, &resolve)),
+            PropExpr::Seq(s) => PropBody::Seq(compile_seq(s, &mut compile)),
             PropExpr::Implication {
                 antecedent,
                 overlapping,
                 consequent,
                 ..
             } => PropBody::Implication {
-                antecedent: compile_seq(antecedent, &resolve),
+                antecedent: compile_seq(antecedent, &mut compile),
                 overlapping: *overlapping,
-                consequent: compile_seq(consequent, &resolve),
+                consequent: compile_seq(consequent, &mut compile),
             },
         };
         props.push(PropSym {
             name: dir.log_name().to_string(),
-            disable: prop
-                .disable
-                .as_ref()
-                .map(|d| compile_expr(d, &resolve, true)),
+            disable: prop.disable.as_ref().map(&mut compile),
             body,
             window,
         });
@@ -385,18 +421,6 @@ impl Encoder {
         let v = self.var(g, s, l.node());
         Lit::new(v, l.is_inverted())
     }
-
-    /// Model value of an AIG literal; unencoded nodes are unconstrained
-    /// and read as false.
-    fn model(&self, s: &Solver, l: NLit) -> bool {
-        if let Some(b) = l.as_const() {
-            return b;
-        }
-        match self.var_of.get(l.node() as usize).copied().flatten() {
-            Some(v) => s.model_value(v) != l.is_inverted(),
-            None => l.is_inverted(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -405,6 +429,10 @@ impl Encoder {
 
 struct Engine<'a> {
     cd: &'a CompiledDesign,
+    /// The directives under check, as [`compile_props`] returned them.
+    props: &'a [PropSym],
+    /// Programs numbered across `props` (ids are `0..n_progs`).
+    n_progs: usize,
     opts: BmcOptions,
     budget: Budget,
     g: Aig,
@@ -421,11 +449,17 @@ struct Engine<'a> {
     /// liveness from `CompiledDesign::sym_live` (None = blast everything,
     /// as the `supports` probe and `OptLevel::None` designs do).
     live: Option<(Vec<bool>, Vec<bool>)>,
+    /// Truthiness of program `id` at tick `t`, at `t * n_progs + id` once
+    /// blasted. A pushed row never changes, so re-blasting a program at a
+    /// tick would rebuild the same gates, which structural hashing turns
+    /// into this same literal: each program blasts once per tick.
+    blasted: Vec<Option<NLit>>,
 }
 
 impl<'a> Engine<'a> {
     fn new(
         cd: &'a CompiledDesign,
+        props: &'a [PropSym],
         opts: BmcOptions,
         budget: &Budget,
         live: Option<(Vec<bool>, Vec<bool>)>,
@@ -448,8 +482,11 @@ impl<'a> Engine<'a> {
         solver.conflict_budget = opts.conflict_budget;
         solver.cancel = budget.cancel_token().cloned();
         solver.deadline = budget.deadline().cloned();
+        let n_progs = props.iter().map(PropSym::prog_count).sum();
         Ok(Engine {
             cd,
+            props,
+            n_progs,
             opts,
             budget: budget.clone(),
             g: Aig::new(),
@@ -461,6 +498,7 @@ impl<'a> Engine<'a> {
             rows: Vec::new(),
             frame_inputs: Vec::new(),
             live,
+            blasted: Vec::new(),
         })
     }
 
@@ -535,6 +573,7 @@ impl<'a> Engine<'a> {
         let seq_live = self.live.as_ref().map(|l| l.1.as_slice());
         settle_sym(&mut self.g, self.cd, &mut self.state, comb_live)?;
         self.rows.push(self.state.clone());
+        self.blasted.resize(self.rows.len() * self.n_progs, None);
         clock_edge_sym(&mut self.g, self.cd, &mut self.state, seq_live)?;
         settle_sym(&mut self.g, self.cd, &mut self.state, comb_live)?;
         let node_cap = self
@@ -553,14 +592,20 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Truthiness of a property program at tick `t`.
-    fn eval_at(&mut self, prog: &ExprProg, t: usize) -> Result<NLit, BmcError> {
+    /// Truthiness of a property program at tick `t`, blasted on first
+    /// request.
+    fn eval_at(&mut self, prog: &Prog, t: usize) -> Result<NLit, BmcError> {
+        let slot = t * self.n_progs + prog.id;
+        if let Some(lit) = self.blasted[slot] {
+            return Ok(lit);
+        }
         let env = TraceSymEnv {
             rows: &self.rows,
             t,
         };
-        let v = run_sym(&mut self.g, prog, &env)?;
-        Ok(v.is_truthy(&mut self.g))
+        let lit = run_sym(&mut self.g, &prog.code, &env)?.is_truthy(&mut self.g);
+        self.blasted[slot] = Some(lit);
+        Ok(lit)
     }
 
     /// `(match, no_match)` of a linear sequence starting at `s` over a
@@ -637,26 +682,36 @@ impl<'a> Engine<'a> {
 
     /// Canonicalises the current SAT model into the *lexicographically
     /// smallest* violating input assignment: every free input bit, in
-    /// `(frame, input, bit)` order, is forced to 0 under assumptions when
-    /// the instance stays satisfiable, else fixed to 1. The result
+    /// `(frame, input, bit)` order, is fixed to 0 when the instance stays
+    /// satisfiable under the bits fixed before it, else to 1. The result
     /// depends only on the set of violating input sequences — not on the
     /// CNF's shape, variable numbering or VSIDS history — so the witness
     /// is identical across opt levels and engine revisions, and the
     /// differential suites can compare counterexamples bit-for-bit.
     ///
-    /// Minimisation probes run under their own small conflict budget
+    /// Only a bit that the last satisfying model sets to 1 costs a solver
+    /// call. That model satisfies every bit fixed so far, so a bit it sets
+    /// to 0 is fixed to 0 without asking. After a satisfiable probe the
+    /// probe's model becomes the last model; after an unsatisfiable one
+    /// the bit is fixed to 1, as the last model already has it. The last
+    /// model is thus the witness, and needs no final solve.
+    ///
+    /// Probes run under their own small conflict budget
     /// ([`MINIMIZE_CONFLICT_BUDGET`]): after the main solve, fixing bits
     /// is almost always pure propagation, so a genuinely hard probe means
-    /// canonicalisation is not worth its cost. The caller keeps the raw
-    /// witness it stashed before the call, so abandoning here never loses
-    /// the counterexample.
+    /// canonicalisation is not worth its cost. A probe that runs out of
+    /// budget (or time) ends canonicalisation with the last model, which
+    /// still satisfies every bit fixed so far — the raw model when no
+    /// probe was satisfiable — so abandoning never loses the
+    /// counterexample.
+    ///
+    /// Returns the witness's value of each free input, `words[t][k]`
+    /// (zero in reset frames).
     ///
     /// # Errors
     ///
-    /// [`BmcError::Cancelled`] when the token is poisoned mid-probe;
-    /// exhausting the probe budget abandons canonicalisation (any other
-    /// error is treated the same way by the caller).
-    fn minimize_witness(&mut self, fail: Lit, len: usize) -> Result<(), BmcError> {
+    /// [`BmcError::Cancelled`] when the token is poisoned mid-probe.
+    fn minimize_witness(&mut self, fail: Lit, len: usize) -> Result<Vec<Vec<u64>>, BmcError> {
         let saved = self.solver.conflict_budget;
         self.solver.conflict_budget = Some(saved.map_or(MINIMIZE_CONFLICT_BUDGET, |b| {
             b.min(MINIMIZE_CONFLICT_BUDGET)
@@ -666,54 +721,52 @@ impl<'a> Engine<'a> {
         r
     }
 
-    fn minimize_witness_inner(&mut self, fail: Lit, len: usize) -> Result<(), BmcError> {
-        let mut assumps = vec![fail];
-        'bits: for t in 0..len {
+    fn minimize_witness_inner(&mut self, fail: Lit, len: usize) -> Result<Vec<Vec<u64>>, BmcError> {
+        // Every free input bit as `(frame, input, bit, solver literal)`;
+        // reset-frame constants are not free.
+        let mut bits = Vec::new();
+        for t in 0..len {
             for k in 0..self.free_inputs.len() {
-                let lits: Vec<NLit> = self.frame_inputs[t][k].lits().to_vec();
-                for l in lits {
-                    if l.as_const().is_some() {
-                        continue; // reset-frame constants
-                    }
-                    let sl = self.enc.lit(&self.g, &mut self.solver, l);
-                    assumps.push(!sl);
-                    match self.solver.solve(&assumps) {
-                        SolveResult::Sat => {}
-                        SolveResult::Unsat => {
-                            assumps.pop();
-                            assumps.push(sl);
-                        }
-                        SolveResult::Unknown | SolveResult::TimedOut => {
-                            // Out of probe budget (or time): abandon
-                            // canonicalisation; the caller keeps the raw
-                            // witness.
-                            assumps.pop();
-                            break 'bits;
-                        }
-                        SolveResult::Cancelled => return Err(BmcError::Cancelled),
+                for (i, &l) in self.frame_inputs[t][k].lits().iter().enumerate() {
+                    if l.as_const().is_none() {
+                        bits.push((t, k, i, self.enc.lit(&self.g, &mut self.solver, l)));
                     }
                 }
             }
         }
-        // Re-solve the fixed prefix so the model reflects it (the loop
-        // may have ended on an Unsat probe). The prefix was satisfiable
-        // at every step by construction.
-        match self.solver.solve(&assumps) {
-            SolveResult::Sat => Ok(()),
-            SolveResult::Unsat => Err(BmcError::Resource(
-                "witness minimisation lost satisfiability".into(),
-            )),
-            SolveResult::Unknown | SolveResult::TimedOut => {
-                Err(BmcError::Resource("conflict budget exhausted".into()))
+        // A variable the last solve never saw (an input outside the fail
+        // cone) reads as 0, which satisfies every clause: it has none.
+        let value = |s: &Solver, l: Lit| s.model_value(l.var()) != l.is_neg();
+        let mut model: Vec<bool> = bits.iter().map(|b| value(&self.solver, b.3)).collect();
+        let mut assumps = vec![fail];
+        for j in 0..bits.len() {
+            let sl = bits[j].3;
+            assumps.push(!sl);
+            if !model[j] {
+                continue;
             }
-            SolveResult::Cancelled => Err(BmcError::Cancelled),
+            match self.solver.solve(&assumps) {
+                SolveResult::Sat => {
+                    for (m, b) in model[j..].iter_mut().zip(&bits[j..]) {
+                        *m = value(&self.solver, b.3);
+                    }
+                }
+                SolveResult::Unsat => *assumps.last_mut().expect("just pushed") = sl,
+                SolveResult::Unknown | SolveResult::TimedOut => break,
+                SolveResult::Cancelled => return Err(BmcError::Cancelled),
+            }
         }
+        let mut words = vec![vec![0u64; self.free_inputs.len()]; len];
+        for (&(t, k, i, _), &one) in bits.iter().zip(&model) {
+            words[t][k] |= u64::from(one) << i;
+        }
+        Ok(words)
     }
 
-    /// Decodes the solver model (or the trivial all-zero assignment) into
-    /// a concrete stimulus of length `len`, shaped exactly like
-    /// `StimulusGen` output so replays drive the simulator identically.
-    fn extract_stimulus(&self, len: usize, use_model: bool) -> Stimulus {
+    /// Builds a stimulus of length `len` from each free input's value
+    /// `word(t, k)`, shaped exactly like `StimulusGen` output so replays
+    /// drive the simulator identically (reset frames drive zeros).
+    fn extract_stimulus(&self, len: usize, word: impl Fn(usize, usize) -> u64) -> Stimulus {
         let mut vectors = Vec::with_capacity(len);
         for t in 0..len {
             let in_reset = t < self.opts.reset_cycles;
@@ -723,19 +776,7 @@ impl<'a> Engine<'a> {
                 vec.push((r.clone(), if in_reset { asserted } else { 1 - asserted }));
             }
             for (k, (name, _)) in self.free_inputs.iter().enumerate() {
-                let v = if in_reset || !use_model {
-                    0
-                } else {
-                    let sv = &self.frame_inputs[t][k];
-                    let mut bits = 0u64;
-                    for (i, &l) in sv.lits().iter().enumerate() {
-                        if self.enc.model(&self.solver, l) {
-                            bits |= 1 << i;
-                        }
-                    }
-                    bits
-                };
-                vec.push((name.clone(), v));
+                vec.push((name.clone(), if in_reset { 0 } else { word(t, k) }));
             }
             vectors.push(vec);
         }
@@ -745,7 +786,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(&mut self, props: &[PropSym]) -> Result<BmcVerdict, BmcError> {
+    fn run(&mut self) -> Result<BmcVerdict, BmcError> {
+        let props = self.props;
         let max_len = self.opts.reset_cycles + self.opts.depth;
         if max_len == 0 {
             return Ok(BmcVerdict::Holds {
@@ -753,6 +795,15 @@ impl<'a> Engine<'a> {
             });
         }
         let trace = self.budget.trace().clone();
+        // `attempts[p][s]`: `(fail, pass)` of directive `p`'s attempt from
+        // tick `s` at the latest depth. Once `s + window < len` the attempt
+        // has seen every tick it can observe and its literals are final:
+        // the first `closed[p]` entries are reused at every later depth
+        // and in the vacuity phase. A rebuild would return the same
+        // literals through structural hashing and add no node, so the
+        // AIG (and the CNF encoded from it) is what rebuilding gives.
+        let mut attempts: Vec<Vec<(NLit, NLit)>> = vec![Vec::new(); props.len()];
+        let mut closed = vec![0usize; props.len()];
         for len in 1..=max_len {
             // Poll before starting the depth, not just inside it: a
             // check cancelled between depths stops here immediately
@@ -763,9 +814,20 @@ impl<'a> Engine<'a> {
             let nodes_before = self.g.len();
             self.push_frame()?;
             let mut fail = NLit::FALSE;
-            for prop in props {
+            for (p, prop) in props.iter().enumerate() {
+                let reused = closed[p];
+                attempts[p].truncate(reused);
                 for s in 0..len {
-                    let (f, _) = self.attempt_lits(prop, s, len)?;
+                    let f = if s < reused {
+                        attempts[p][s].0
+                    } else {
+                        let lits = self.attempt_lits(prop, s, len)?;
+                        attempts[p].push(lits);
+                        if s + (prop.window as usize) < len {
+                            closed[p] = s + 1;
+                        }
+                        lits.0
+                    };
                     fail = self.g.or(fail, f);
                 }
             }
@@ -779,7 +841,7 @@ impl<'a> Engine<'a> {
                 Some(true) => {
                     // Every input sequence fails; the all-zero one will do.
                     return Ok(BmcVerdict::Fails {
-                        stimulus: self.extract_stimulus(len, false),
+                        stimulus: self.extract_stimulus(len, |_, _| 0),
                     });
                 }
                 None => {
@@ -800,17 +862,10 @@ impl<'a> Engine<'a> {
                     drop(solve);
                     match res {
                         SolveResult::Sat => {
-                            // A witness exists. Canonicalisation must
-                            // never lose it: stash the raw model's
-                            // stimulus first, and fall back to it if the
-                            // probe budget runs out mid-minimisation.
-                            let raw = self.extract_stimulus(len, true);
-                            let stimulus = match self.minimize_witness(q, len) {
-                                Ok(()) => self.extract_stimulus(len, true),
-                                Err(BmcError::Cancelled) => return Err(BmcError::Cancelled),
-                                Err(_) => raw,
-                            };
-                            return Ok(BmcVerdict::Fails { stimulus });
+                            let words = self.minimize_witness(q, len)?;
+                            return Ok(BmcVerdict::Fails {
+                                stimulus: self.extract_stimulus(len, |t, k| words[t][k]),
+                            });
                         }
                         SolveResult::Unsat => continue,
                         SolveResult::Unknown => return Err(self.conflicts_exhausted()),
@@ -823,12 +878,13 @@ impl<'a> Engine<'a> {
         // Bounded proof; decide vacuity per assertion name, mirroring the
         // oracle's `fired` bookkeeping (a name counts as fired when any
         // directive bearing it can complete a non-vacuous attempt).
+        // The last depth had `len == max_len`, so `attempts` holds every
+        // start's literals at exactly this length.
         let mut pass_by_name: BTreeMap<&str, NLit> = BTreeMap::new();
-        for prop in props {
+        for (prop, lits) in props.iter().zip(&attempts) {
             self.budget.check().map_err(BmcError::from)?;
             let mut pass = NLit::FALSE;
-            for s in 0..max_len {
-                let (_, pl) = self.attempt_lits(prop, s, max_len)?;
+            for &(_, pl) in lits {
                 pass = self.g.or(pass, pl);
             }
             let entry = pass_by_name.entry(&prop.name).or_insert(NLit::FALSE);
@@ -915,7 +971,7 @@ pub fn check_budgeted(
     // identical either way.
     let live =
         (cd.opt_level() == asv_sim::OptLevel::Full).then(|| cd.sym_live(&prop_roots(&props)));
-    Engine::new(cd, opts, budget, live)?.run(&props)
+    Engine::new(cd, &props, opts, budget, live)?.run()
 }
 
 /// Observability roots of the properties: every signal any compiled
@@ -925,12 +981,12 @@ pub(crate) fn prop_roots(props: &[PropSym]) -> Vec<SigId> {
     let mut roots = Vec::new();
     let seq = |sp: &SeqProg, roots: &mut Vec<SigId>| {
         for a in &sp.atoms {
-            a.prog.collect_sigs(roots);
+            a.prog.code.collect_sigs(roots);
         }
     };
     for p in props {
         if let Some(d) = &p.disable {
-            d.collect_sigs(&mut roots);
+            d.code.collect_sigs(&mut roots);
         }
         match &p.body {
             PropBody::Seq(sp) => seq(sp, &mut roots),
@@ -972,7 +1028,7 @@ pub fn unroll_stats(cd: &CompiledDesign, opts: BmcOptions) -> Result<UnrollStats
     let props = compile_props(cd)?;
     let live =
         (cd.opt_level() == asv_sim::OptLevel::Full).then(|| cd.sym_live(&prop_roots(&props)));
-    let mut engine = Engine::new(cd, opts, &Budget::unbounded(), live)?;
+    let mut engine = Engine::new(cd, &props, opts, &Budget::unbounded(), live)?;
     let max_len = opts.reset_cycles + opts.depth;
     for _ in 0..max_len {
         engine.push_frame()?;
@@ -1019,7 +1075,7 @@ pub fn supports(cd: &CompiledDesign) -> Result<(), BmcError> {
     // The probe blasts the FULL schedule (no cone restriction): the
     // accept/reject answer must match what `check` would decide for the
     // same design at `OptLevel::None`, where nothing is masked.
-    let mut engine = Engine::new(cd, probe, &Budget::unbounded(), None)?;
+    let mut engine = Engine::new(cd, &props, probe, &Budget::unbounded(), None)?;
     engine.push_frame()?;
     for prop in &props {
         engine.attempt_lits(prop, 0, 1)?;

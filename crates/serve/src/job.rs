@@ -70,6 +70,8 @@ impl From<VerifyError> for VerdictError {
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyJob {
     design: Arc<Design>,
+    /// [`asv_sim::cache::design_hash`] of `design`, computed with the key.
+    design_hash: u64,
     verifier: Verifier,
     key: JobKey,
 }
@@ -112,9 +114,11 @@ impl VerifyJob {
     /// old encoding — in-memory and on disk alike.
     pub fn new(design: impl Into<Arc<Design>>, verifier: Verifier) -> Self {
         let design = design.into();
-        let key = job_key(&design, &verifier, asv_store::SCHEMA_VERSION);
+        let design_hash = asv_sim::cache::design_hash(&design);
+        let key = job_key(design_hash, &verifier, asv_store::SCHEMA_VERSION);
         VerifyJob {
             design,
+            design_hash,
             verifier,
             key,
         }
@@ -136,16 +140,22 @@ impl VerifyJob {
         self.key
     }
 
+    /// The design's structural hash ([`asv_sim::cache::design_hash`]),
+    /// from which the key was derived.
+    pub(crate) fn design_hash(&self) -> u64 {
+        self.design_hash
+    }
+
     /// The job's key recomputed under an explicit schema version (tests
     /// use this to prove a bump actually separates keys).
     pub fn key_with_schema(&self, schema: u32) -> JobKey {
-        job_key(&self.design, &self.verifier, schema)
+        job_key(self.design_hash, &self.verifier, schema)
     }
 }
 
-/// The [`JobKey`] of `(design, verifier)` under `schema`.
-fn job_key(design: &Design, verifier: &Verifier, schema: u32) -> JobKey {
-    let design = asv_sim::cache::design_hash(design);
+/// The [`JobKey`] of the design with structural hash `design` and
+/// `verifier`, under `schema`.
+fn job_key(design: u64, verifier: &Verifier, schema: u32) -> JobKey {
     let half = |tag: u64| {
         let mut h = DefaultHasher::new();
         tag.hash(&mut h);

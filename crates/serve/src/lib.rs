@@ -80,12 +80,14 @@ pub use service::{ServeOptions, ServeStats, VerifyService};
 
 /// Clears the process-wide compiled-design cache (`asv_sim::cache`).
 ///
-/// Benchmarks measuring *cold* verification call this between runs: a
-/// warm compile cache would let a "cold" run skip design lowering and
-/// understate the speedup of the persistent store tier. Verdict memos
-/// are per-service (drop the service or use
-/// [`VerifyService::verdict_cache`]`().clear()`); the compile cache is
-/// the one shared piece of process state, and this is its one reset.
+/// The cache keeps a lowering only while some caller holds it, so
+/// between jobs it is usually empty already. Benchmarks measuring *cold*
+/// verification call this between runs anyway: afterwards no lookup can
+/// reuse a lowering that a caller still holds, so a "cold" run lowers
+/// every design it checks. Verdict memos are per-service (drop the
+/// service or use [`VerifyService::verdict_cache`]`().clear()`); the
+/// compile cache is the one shared piece of process state, and this is
+/// its one reset.
 pub fn clear_design_cache() {
     asv_sim::cache::global().clear();
 }

@@ -4,8 +4,7 @@
 //! for `asv-store`'s second cache tier:
 //!
 //! * **Exact keys** ([`exact_outcome_key`]) fingerprint the whole job —
-//!   the rendered module, its parameters, and the complete
-//!   [`Verifier`](asv_sva::bmc::Verifier)
+//!   the rendered module, its parameters, and the complete [`Verifier`]
 //!   configuration — with [`StableHasher`], the workspace's
 //!   process-stable hash. Any job may be stored and looked up under its
 //!   exact key; two jobs share one iff they are byte-equivalent work.
@@ -47,9 +46,9 @@
 
 use crate::job::{JobOutcome, VerdictError, VerifyJob};
 use asv_ir::StableHasher;
-use asv_sim::OptLevel;
+use asv_sim::{CompiledDesign, OptLevel};
 use asv_store::{ArtifactKind, PersistedOutcome, StoreKey};
-use asv_sva::bmc::{Engine, Verdict};
+use asv_sva::bmc::{Engine, Verdict, Verifier};
 use std::hash::Hash;
 
 /// The exact (whole-job) store key for a job's outcome.
@@ -73,29 +72,46 @@ pub fn exact_outcome_key(job: &VerifyJob) -> StoreKey {
     StoreKey::exact(ArtifactKind::Outcome, h.finish128())
 }
 
-/// The cone store key for a job's outcome, or `None` when the job is
-/// not cone-eligible (see the module docs for the soundness gates).
-///
-/// Compiles the design through the process-wide
-/// [`asv_sim::cache`] — on the service's read path the engine needs the
-/// same compiled form moments later, so this costs one shared lowering,
-/// not two.
-pub fn cone_outcome_key(job: &VerifyJob) -> Option<StoreKey> {
+/// Whether `verifier` admits cone keys at all: `OptLevel::Full` and a
+/// symbolic-first engine (the first gate, short of the design's own
+/// `supports` check).
+pub(crate) fn cone_eligible(verifier: &Verifier) -> bool {
+    verifier.opt == OptLevel::Full && matches!(verifier.engine, Engine::Auto | Engine::Symbolic)
+}
+
+/// The cone hash of a design's `OptLevel::Full` lowering, or `None` when
+/// the design is outside the symbolic subset.
+pub(crate) fn design_cone_hash(cd: &CompiledDesign) -> Option<u128> {
+    asv_sat::engine::supports(cd).ok()?;
+    asv_sat::cone::design_cone_hash(cd).ok()
+}
+
+/// The cone store key of a cone-eligible `job` whose design has cone hash
+/// `design` ([`design_cone_hash`]).
+pub(crate) fn cone_store_key(job: &VerifyJob, design: u128) -> StoreKey {
     let verifier = job.verifier();
-    if verifier.opt != OptLevel::Full {
-        return None;
-    }
-    if !matches!(verifier.engine, Engine::Auto | Engine::Symbolic) {
-        return None;
-    }
-    let cd = asv_sim::cache::global().get_or_compile_opt(job.design(), verifier.opt);
-    asv_sat::engine::supports(&cd).ok()?;
-    let design = asv_sat::cone::design_cone_hash(&cd).ok()?;
     let mut h = StableHasher::with_domain("asv-serve-cone");
     design.hash(&mut h);
     verifier.depth.hash(&mut h);
     verifier.reset_cycles.hash(&mut h);
-    Some(StoreKey::cone(ArtifactKind::Outcome, h.finish128()))
+    StoreKey::cone(ArtifactKind::Outcome, h.finish128())
+}
+
+/// The cone store key for a job's outcome, or `None` when the job is
+/// not cone-eligible (see the module docs for the soundness gates).
+///
+/// Lowers the design through the process-wide [`asv_sim::cache`] and
+/// drops the lowering, which the cache does not keep. The service derives
+/// its keys from the same pieces but holds the lowering through the
+/// engine run, so a cold job lowers its design once (see
+/// [`VerifyService`](crate::VerifyService)).
+pub fn cone_outcome_key(job: &VerifyJob) -> Option<StoreKey> {
+    let verifier = job.verifier();
+    if !cone_eligible(verifier) {
+        return None;
+    }
+    let cd = asv_sim::cache::global().get_or_compile_opt(job.design(), verifier.opt);
+    design_cone_hash(&cd).map(|design| cone_store_key(job, design))
 }
 
 /// True when `outcome` is shaped like a symbolic verdict: a

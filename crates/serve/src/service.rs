@@ -53,14 +53,15 @@ use crate::job::{JobKey, JobOutcome, VerdictError, VerifyJob};
 use crate::persist;
 use crate::report::{assemble_reports, AnswerTier, JobReport};
 use asv_sim::cancel::Budget;
-use asv_sim::FaultPlan;
+use asv_sim::{CompiledDesign, FaultPlan};
 use asv_store::{ArtifactStore, StoreKey};
 use asv_sva::bmc::Verdict;
 use asv_trace::{probe, Counter, EndReason, Registry, SpanKind, TraceHandle, TraceSink, Tracer};
+use asv_verilog::sema::Design;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Service configuration.
@@ -221,6 +222,11 @@ pub struct VerifyService {
     store_misses: Counter,
     store_puts: Counter,
 }
+
+/// Design cone hashes derived during one batch, by design hash: the
+/// design they were derived from (compared in full before reuse) and its
+/// cone hash, `None` outside the symbolic subset.
+type ConeHashes = Mutex<HashMap<u64, (Arc<Design>, Option<u128>)>>;
 
 /// True if `outcome` is a pure function of the job key and may be
 /// memoised. Degraded outcomes (inconclusive verdicts, panics,
@@ -389,14 +395,19 @@ impl VerifyService {
         budget.with_trace(self.trace_handle().for_job(key.0))
     }
 
-    /// Looks up `job` in the persistent store tier: the cone key first
+    /// Looks up `job` in the persistent store tier: its cone key first
     /// (maximal reuse — it survives edits outside every assertion
     /// cone), then the exact key. Returns `None` on miss *or* when no
     /// store is configured; counters move only when a store exists.
-    fn store_get(&self, job: &VerifyJob, trace: &TraceHandle) -> Option<JobOutcome> {
+    fn store_get(
+        &self,
+        job: &VerifyJob,
+        cone_key: Option<StoreKey>,
+        trace: &TraceHandle,
+    ) -> Option<JobOutcome> {
         let store = self.store.as_ref()?;
         let mut span = trace.span(probe::STORE_GET, SpanKind::StoreGet);
-        let stored = persist::cone_outcome_key(job)
+        let stored = cone_key
             .and_then(|k| store.get_outcome(k))
             .or_else(|| store.get_outcome(persist::exact_outcome_key(job)));
         match stored {
@@ -418,7 +429,13 @@ impl VerifyService {
     /// everything else deterministic goes under the exact key. Write
     /// errors are swallowed: persistence is an accelerator, and a full
     /// disk must degrade to cold verification, not failed verification.
-    fn store_put(&self, job: &VerifyJob, outcome: &JobOutcome, trace: &TraceHandle) {
+    fn store_put(
+        &self,
+        job: &VerifyJob,
+        cone_key: Option<StoreKey>,
+        outcome: &JobOutcome,
+        trace: &TraceHandle,
+    ) {
         let Some(store) = self.store.as_ref() else {
             return;
         };
@@ -426,9 +443,8 @@ impl VerifyService {
             return;
         };
         let mut span = trace.span(probe::STORE_PUT, SpanKind::StorePut);
-        let key: StoreKey = persist::symbolic_shaped(outcome)
-            .then(|| persist::cone_outcome_key(job))
-            .flatten()
+        let key = cone_key
+            .filter(|_| persist::symbolic_shaped(outcome))
             .unwrap_or_else(|| persist::exact_outcome_key(job));
         if let Ok(Some(_)) = store.put_outcome(key, &persisted) {
             span.set_code(1); // newly written
@@ -436,11 +452,47 @@ impl VerifyService {
         }
     }
 
+    /// The job's cone store key — `None` without a store tier or for a
+    /// job that is not cone-eligible — and the lowering it was derived
+    /// from, if this call lowered the design.
+    ///
+    /// The caller holds a returned lowering through the engine run to the
+    /// store write: the compile cache keeps a lowering only while someone
+    /// holds it, so the engine reuses this one and a cold job lowers its
+    /// design once. A design's cone hash is derived once per batch: the
+    /// batch's other jobs on the same design (compared in full) under
+    /// another verifier reuse it and lower nothing for their lookup.
+    fn cone_key(
+        &self,
+        job: &VerifyJob,
+        cone_hashes: &ConeHashes,
+    ) -> (Option<StoreKey>, Option<Arc<CompiledDesign>>) {
+        if self.store.is_none() || !persist::cone_eligible(job.verifier()) {
+            return (None, None);
+        }
+        let lock = || cone_hashes.lock().unwrap_or_else(PoisonError::into_inner);
+        let known = lock()
+            .get(&job.design_hash())
+            .filter(|(design, _)| design == job.design())
+            .map(|&(_, hash)| hash);
+        if let Some(hash) = known {
+            return (hash.map(|h| persist::cone_store_key(job, h)), None);
+        }
+        let cd = asv_sim::cache::global().get_or_compile_opt(job.design(), job.verifier().opt);
+        let hash = persist::design_cone_hash(&cd);
+        lock()
+            .entry(job.design_hash())
+            .or_insert_with(|| (Arc::clone(job.design()), hash));
+        (hash.map(|h| persist::cone_store_key(job, h)), Some(cd))
+    }
+
     /// Executes one pending job: claims it in the in-flight table (when
-    /// memoising), consults the persistent store tier, runs the engine
-    /// under the per-job budget, and memoises/persists cacheable
-    /// outcomes before releasing the claim.
-    fn execute(&self, job: &VerifyJob) -> (JobOutcome, AnswerTier) {
+    /// memoising), consults the persistent store tier under the job's
+    /// cone key ([`VerifyService::cone_key`]) and exact key, runs the
+    /// engine under the per-job budget, and memoises/persists cacheable
+    /// outcomes before releasing the claim. A lowering held for the cone
+    /// key is freed by the job's worker when this returns.
+    fn execute(&self, job: &VerifyJob, cone_hashes: &ConeHashes) -> (JobOutcome, AnswerTier) {
         let key = job.key();
         let trace = self.trace_handle().for_job(key.0);
         if !self.opts.memoize {
@@ -455,10 +507,11 @@ impl VerifyService {
                 (outcome, AnswerTier::Memo)
             }
             Claim::Claimed(lease) => {
+                let (cone_key, _lowering) = self.cone_key(job, cone_hashes);
                 // Second tier: the persistent store. A hit is promoted
                 // into the in-memory memo (waiters and repeat batches
                 // then hit tier one) and runs no engine.
-                if let Some(outcome) = self.store_get(job, &trace) {
+                if let Some(outcome) = self.store_get(job, cone_key, &trace) {
                     self.verdicts.insert(key, outcome.clone());
                     drop(lease);
                     return (outcome, AnswerTier::Store);
@@ -470,7 +523,7 @@ impl VerifyService {
                 // memo untouched and waiters execute for themselves.
                 if cacheable(&outcome) {
                     self.verdicts.insert(key, outcome.clone());
-                    self.store_put(job, &outcome, &trace);
+                    self.store_put(job, cone_key, &outcome, &trace);
                 }
                 drop(lease);
                 (outcome, AnswerTier::Engine)
@@ -589,6 +642,7 @@ impl VerifyService {
         if !pending.is_empty() {
             let workers = self.workers().min(pending.len()).max(1);
             let cursor = AtomicUsize::new(0);
+            let cone_hashes = ConeHashes::default();
             let mut per_worker: Vec<Vec<(usize, (JobOutcome, AnswerTier))>> =
                 Vec::with_capacity(workers);
             std::thread::scope(|scope| {
@@ -596,6 +650,7 @@ impl VerifyService {
                 for _ in 0..workers {
                     let cursor = &cursor;
                     let pending = &pending;
+                    let cone_hashes = &cone_hashes;
                     handles.push(scope.spawn(move || {
                         let mut done = Vec::new();
                         loop {
@@ -603,7 +658,7 @@ impl VerifyService {
                             let Some(&job_idx) = pending.get(at) else {
                                 break;
                             };
-                            done.push((job_idx, self.execute(&jobs[job_idx])));
+                            done.push((job_idx, self.execute(&jobs[job_idx], cone_hashes)));
                         }
                         done
                     }));

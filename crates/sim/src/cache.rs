@@ -1,14 +1,24 @@
 //! Shared, sharded compile cache: one [`CompiledDesign`] per distinct
-//! design, process-wide.
+//! design for as long as some caller holds it.
 //!
-//! The bounded verifier used to keep a *thread-local* MRU slot of
-//! compiled designs, which meant every worker thread of a parallel
-//! sampling/fuzzing run re-lowered the same AST once per thread. This
-//! cache replaces that path with a single process-wide
-//! table sharded by design hash: lookups take one shard mutex (shards
-//! are independent, so concurrent verification jobs on different designs
-//! never contend), hits bump the entry to most-recently-used, and misses
-//! compile under no lock other than the owning shard's.
+//! Every verifier call lowers its design through this table, so callers
+//! that work on one design at the same time share one lowering: a
+//! service job holds its lowering from the store lookup (the cone key
+//! reads it) through the engine run, concurrent checks of one design
+//! share it, and a benchmark that pre-warms the table keeps what it
+//! pre-warmed alive by holding the returned `Arc`s.
+//!
+//! Entries are [`Weak`]: the table never keeps a lowering alive. Its
+//! last holder frees it — on the service path the job's own worker,
+//! right after the check — and a later request for the same design
+//! lowers it again. Repair judging submits thousands of distinct patched
+//! designs, each checked once, so a retained working set would hit
+//! nothing and only hold memory and pay for evictions. Dead entries are
+//! pruned whenever a shard takes a new one.
+//!
+//! Lookups take one shard mutex (shards are picked by design hash, so
+//! checks of different designs rarely contend), and misses lower the
+//! design under no lock.
 //!
 //! Keys are a 64-bit structural hash of the elaborated design (the
 //! module's AST, spans excluded, plus resolved parameters); hash
@@ -18,7 +28,7 @@
 //! Shard locks are poison-proof: a verification job that panics (or has
 //! a panic injected by the chaos harness) while touching a shard never
 //! wedges the cache for later jobs. Recovering the poisoned guard is
-//! sound because every mutation keeps the MRU vector valid at all
+//! sound because every mutation keeps the entry vector valid at all
 //! times — there is no multi-step invariant a mid-flight panic could
 //! tear.
 
@@ -27,12 +37,10 @@ use asv_verilog::sema::Design;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 /// Number of independent shards (power of two).
 const SHARDS: usize = 16;
-/// LRU capacity per shard; total capacity is `SHARDS * SHARD_CAP`.
-const SHARD_CAP: usize = 8;
 
 /// A stable (per-process) 64-bit structural hash of an elaborated design.
 ///
@@ -49,17 +57,32 @@ pub fn design_hash(design: &Design) -> u64 {
     h.finish()
 }
 
-/// One shard: a small MRU-ordered vector (most recently used last).
+/// One shard: the lowerings of its designs, live or dead.
 ///
 /// Entries are keyed on `(design hash, OptLevel)`: a mixed-opt workload
 /// (e.g. a differential run holding both forms of one design) must never
 /// alias to the other level's compiled artifact.
 #[derive(Default)]
 struct Shard {
-    entries: Vec<(u64, OptLevel, std::sync::Arc<CompiledDesign>)>,
+    entries: Vec<(u64, OptLevel, Weak<CompiledDesign>)>,
 }
 
-/// A sharded LRU cache of compiled designs.
+impl Shard {
+    /// The lowering of `design` at `opt`, if some caller still holds one.
+    fn live(&self, key: u64, opt: OptLevel, design: &Design) -> Option<Arc<CompiledDesign>> {
+        self.entries
+            .iter()
+            .filter(|(k, o, _)| *k == key && *o == opt)
+            .filter_map(|(_, _, weak)| weak.upgrade())
+            .find(|cd| cd.design() == design)
+    }
+}
+
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A sharded table of weakly held compiled designs.
 pub struct CompileCache {
     shards: Vec<Mutex<Shard>>,
     hits: AtomicU64,
@@ -77,20 +100,16 @@ impl CompileCache {
     }
 
     /// [`CompileCache::get_or_compile_opt`] at the default opt level.
-    pub fn get_or_compile(&self, design: &Design) -> std::sync::Arc<CompiledDesign> {
+    pub fn get_or_compile(&self, design: &Design) -> Arc<CompiledDesign> {
         self.get_or_compile_opt(design, OptLevel::default())
     }
 
-    /// Returns the compiled form of `design` at `opt`, compiling and
-    /// caching it on the first request. The cache key is
+    /// Returns the compiled form of `design` at `opt`: the lowering some
+    /// caller already holds, else a new one. The cache key is
     /// `(design hash, OptLevel)` — the two opt forms of one design are
     /// distinct artifacts and never alias. Hash collisions fall back to
     /// structural equality, so a hit is always `design` itself.
-    pub fn get_or_compile_opt(
-        &self,
-        design: &Design,
-        opt: OptLevel,
-    ) -> std::sync::Arc<CompiledDesign> {
+    pub fn get_or_compile_opt(&self, design: &Design, opt: OptLevel) -> Arc<CompiledDesign> {
         self.get_or_compile_traced(design, opt, &asv_trace::TraceHandle::disabled())
     }
 
@@ -105,56 +124,36 @@ impl CompileCache {
         design: &Design,
         opt: OptLevel,
         trace: &asv_trace::TraceHandle,
-    ) -> std::sync::Arc<CompiledDesign> {
+    ) -> Arc<CompiledDesign> {
         let key = design_hash(design);
         let shard = &self.shards[(key as usize) & (SHARDS - 1)];
-        {
-            let mut s = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(pos) = s
-                .entries
-                .iter()
-                .position(|(k, o, cd)| *k == key && *o == opt && cd.design() == design)
-            {
-                let entry = s.entries.remove(pos);
-                let cd = std::sync::Arc::clone(&entry.2);
-                s.entries.push(entry); // most recently used last
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                trace.instant(
-                    asv_trace::probe::SIM_COMPILE,
-                    asv_trace::SpanKind::Compile,
-                    0,
-                    asv_trace::Cost::default(),
-                );
-                return cd;
-            }
+        let hit = lock(shard).live(key, opt, design);
+        if let Some(cd) = hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            trace.instant(
+                asv_trace::probe::SIM_COMPILE,
+                asv_trace::SpanKind::Compile,
+                0,
+                asv_trace::Cost::default(),
+            );
+            return cd;
         }
         // Compile outside the shard lock: a slow compile of one design
         // must not block lookups of the other designs in its shard.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let cd = std::sync::Arc::new(CompiledDesign::compile_traced(design, opt, trace));
-        let mut s = shard
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // A racing thread may have inserted the same design meanwhile;
-        // keeping both copies is harmless (the duplicate ages out), but
-        // prefer the existing entry so Arc identity stays stable.
-        if let Some(pos) = s
-            .entries
-            .iter()
-            .position(|(k, o, e)| *k == key && *o == opt && e.design() == design)
-        {
-            return std::sync::Arc::clone(&s.entries[pos].2);
+        let cd = Arc::new(CompiledDesign::compile_traced(design, opt, trace));
+        let mut s = lock(shard);
+        // A racing thread may have lowered the same design meanwhile:
+        // share its lowering, so every holder sees one `Arc`.
+        if let Some(raced) = s.live(key, opt, design) {
+            return raced;
         }
-        if s.entries.len() == SHARD_CAP {
-            s.entries.remove(0); // least recently used first
-        }
-        s.entries.push((key, opt, std::sync::Arc::clone(&cd)));
+        s.entries.retain(|(_, _, weak)| weak.strong_count() > 0);
+        s.entries.push((key, opt, Arc::downgrade(&cd)));
         cd
     }
 
-    /// `(hits, misses)` so far.
+    /// `(hits, misses)` so far; every miss lowered a design once.
     pub fn stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -162,15 +161,12 @@ impl CompileCache {
         )
     }
 
-    /// Drops every cached entry (benchmarks use this to measure the
+    /// Forgets every entry: later lookups lower afresh even while earlier
+    /// lowerings are still held (benchmarks use this to measure the
     /// cache-cold path; counters are preserved).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .entries
-                .clear();
+            lock(shard).entries.clear();
         }
     }
 }
@@ -206,7 +202,7 @@ mod tests {
         let d = design(1);
         let a = cache.get_or_compile(&d);
         let b = cache.get_or_compile(&d);
-        assert!(std::sync::Arc::ptr_eq(&a, &b), "second call must hit");
+        assert!(Arc::ptr_eq(&a, &b), "second call must hit");
         assert_eq!(cache.stats(), (1, 1));
     }
 
@@ -215,35 +211,57 @@ mod tests {
         let cache = CompileCache::new();
         let a = cache.get_or_compile(&design(1));
         let b = cache.get_or_compile(&design(2));
-        assert!(!std::sync::Arc::ptr_eq(&a, &b));
+        assert!(!Arc::ptr_eq(&a, &b));
         assert_ne!(a.design(), b.design());
     }
 
     #[test]
-    fn eviction_keeps_capacity_bounded_and_correct() {
+    fn dropped_lowerings_are_not_retained() {
         let cache = CompileCache::new();
-        // Far more designs than total capacity: every lookup must still
-        // return the right design.
-        for round in 0..3 {
-            for n in 0..(SHARDS * SHARD_CAP * 2) as u64 {
-                let d = design(n);
-                let cd = cache.get_or_compile(&d);
-                assert_eq!(cd.design(), &d, "round {round}: wrong design for {n}");
-            }
+        let d = design(1);
+        let first = Arc::downgrade(&cache.get_or_compile(&d));
+        assert!(
+            first.upgrade().is_none(),
+            "the cache must not keep a lowering alive"
+        );
+        let again = cache.get_or_compile(&d);
+        assert_eq!(cache.stats(), (0, 2), "a dropped lowering is lowered again");
+        assert_eq!(again.design(), &d);
+        drop(again);
+        // Lower and drop many designs: each insert must leave only live
+        // entries in its shard (the dead ones it found are pruned).
+        for n in 0..(SHARDS * 4) as u64 {
+            let d = design(n);
+            let held = cache.get_or_compile(&d);
+            let shard = lock(&cache.shards[(design_hash(&d) as usize) & (SHARDS - 1)]);
+            assert!(
+                shard.entries.iter().all(|(_, _, w)| w.strong_count() > 0),
+                "dead entry left in the shard of design {n}"
+            );
+            assert_eq!(shard.entries.len(), 1, "only design {n} is held");
+            drop(shard);
+            assert_eq!(held.design(), &d);
         }
+        assert_eq!(cache.stats(), (0, 2 + (SHARDS * 4) as u64));
     }
 
     #[test]
     fn concurrent_access_is_consistent() {
         let cache = CompileCache::new();
+        let shared = design(0);
+        let held = cache.get_or_compile(&shared);
         std::thread::scope(|scope| {
             for t in 0..4 {
-                let cache = &cache;
+                let (cache, shared, held) = (&cache, &shared, &held);
                 scope.spawn(move || {
                     for n in 0..32u64 {
                         let d = design((n + t) % 8);
                         let cd = cache.get_or_compile(&d);
                         assert_eq!(cd.design(), &d);
+                        assert!(
+                            Arc::ptr_eq(&cache.get_or_compile(shared), held),
+                            "a lowering one thread holds is shared with the others"
+                        );
                     }
                 });
             }
@@ -257,17 +275,17 @@ mod tests {
         let full = cache.get_or_compile_opt(&d, OptLevel::Full);
         let none = cache.get_or_compile_opt(&d, OptLevel::None);
         assert!(
-            !std::sync::Arc::ptr_eq(&full, &none),
+            !Arc::ptr_eq(&full, &none),
             "distinct artifacts per (hash, OptLevel)"
         );
         assert_eq!(full.opt_level(), OptLevel::Full);
         assert_eq!(none.opt_level(), OptLevel::None);
         // Re-requests hit the matching level.
-        assert!(std::sync::Arc::ptr_eq(
+        assert!(Arc::ptr_eq(
             &none,
             &cache.get_or_compile_opt(&d, OptLevel::None)
         ));
-        assert!(std::sync::Arc::ptr_eq(
+        assert!(Arc::ptr_eq(
             &full,
             &cache.get_or_compile_opt(&d, OptLevel::Full)
         ));
@@ -289,7 +307,7 @@ mod tests {
         }
         let b = cache.get_or_compile(&d);
         assert!(
-            std::sync::Arc::ptr_eq(&a, &b),
+            Arc::ptr_eq(&a, &b),
             "poisoned shard must still answer with the cached entry"
         );
         let e = design(99);
@@ -303,6 +321,6 @@ mod tests {
         let a = cache.get_or_compile(&d);
         cache.clear();
         let b = cache.get_or_compile(&d);
-        assert!(!std::sync::Arc::ptr_eq(&a, &b), "cleared entry recompiles");
+        assert!(!Arc::ptr_eq(&a, &b), "cleared entry recompiles");
     }
 }

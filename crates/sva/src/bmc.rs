@@ -452,8 +452,9 @@ impl Default for Verifier {
 }
 
 /// Compiled-design lookup through the process-wide **sharded** cache in
-/// [`asv_sim::cache`], which compiles each distinct design exactly once
-/// per process, however many service workers check it.
+/// [`asv_sim::cache`]: callers that hold one design's lowering at the
+/// same time (a store-enabled service job and its engine run, concurrent
+/// checks) share it.
 fn compiled_for(design: &Design, opt: OptLevel) -> Arc<CompiledDesign> {
     asv_sim::cache::global().get_or_compile_opt(design, opt)
 }
@@ -476,8 +477,8 @@ impl Verifier {
 
     /// Checks all assertions of `design` with the configured [`Engine`].
     ///
-    /// The design is compiled once (and cached across calls); assertions
-    /// are compiled once per call. The symbolic engine decides the entire
+    /// The design is lowered once per call (shared with any caller that
+    /// holds the same lowering); assertions are compiled once per call. The symbolic engine decides the entire
     /// bounded input space; the simulation engine enumerates it when small
     /// enough and samples otherwise.
     ///
@@ -990,9 +991,9 @@ impl Verifier {
         }
     }
 
-    /// Simulates one stimulus, returning the trace. The design is compiled
-    /// once and cached (an earlier revision re-lowered the AST on every
-    /// call).
+    /// Simulates one stimulus, returning the trace. The design is lowered
+    /// through the shared compile cache, so a lowering another caller
+    /// still holds is reused.
     ///
     /// # Errors
     ///

@@ -14,9 +14,11 @@
 //! One caveat is part of the contract: **compile counters need a warm
 //! compile cache under concurrency.** The process-wide design cache
 //! compiles outside its shard lock, so concurrent workers may compile
-//! the same design more than once. With the cache pre-warmed every
-//! lookup is a deterministic hit; the perf harness does exactly that
-//! before its concurrent serve legs.
+//! the same design more than once, and it keeps a lowering only while
+//! someone holds it. With the cache pre-warmed and the pre-warmed
+//! lowerings held, every lookup is a deterministic hit; the perf harness
+//! does exactly that around its concurrent serve legs
+//! (`asv_bench::perf::prewarm_compile_cache`).
 //!
 //! The counters are captured through the existing [`TraceSink`] plumbing
 //! — paths instrumented against [`NoTrace`](crate::NoTrace) still

@@ -15,6 +15,7 @@
 //! report `VerifyError::Symbolic` rather than silently skipping.
 
 use asv_datagen::corpus::{Archetype, CorpusGen, SizeHint};
+use asv_eval::Judge;
 use asv_sim::StimulusGen;
 use asv_sva::bmc::{Engine, Verdict, Verifier, VerifyError};
 use asv_sva::monitor::failure_logs;
@@ -172,6 +173,63 @@ fn mutated_archetypes_agree_with_enumeration() {
     assert!(
         refuted >= 5,
         "expected several refuted mutants, got {refuted} of {compared}"
+    );
+}
+
+/// FNV-1a over `bytes`, folded into `hash`.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// Pins every symbolic outcome at the judging bounds (`Judge::fast()`
+/// with the engine forced to `Symbolic`) over the 12 archetypes' goldens
+/// and all their elaborating mutants. Each outcome's `Debug` form feeds
+/// one digest: every counterexample's stimulus, failures and log lines,
+/// every vacuous name, every error. Witnesses are canonical (the
+/// lexicographically least violating input sequence), so the digest
+/// moves only when a verdict or a witness does.
+#[test]
+fn symbolic_outcomes_at_judging_bounds_are_pinned() {
+    let verifier = Verifier {
+        engine: Engine::Symbolic,
+        ..Judge::fast().verifier()
+    };
+    let gen = CorpusGen::new(0x5EED);
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0x5EED);
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let (mut checked, mut refuted) = (0usize, 0usize);
+    for (k, arch) in Archetype::ALL.into_iter().enumerate() {
+        let gd = gen.instantiate(
+            arch,
+            k,
+            SizeHint {
+                stages: 2,
+                width: 4,
+            },
+            &mut rng,
+        );
+        let golden = asv_verilog::compile(&gd.source)
+            .unwrap_or_else(|e| panic!("{arch}: golden source must compile: {e}"));
+        let mutants = asv_mutation::enumerate(&golden)
+            .into_iter()
+            .filter_map(|m| {
+                let injection = asv_mutation::apply(&golden, &m).ok()?;
+                asv_verilog::compile(&injection.buggy_source).ok()
+            });
+        for design in std::iter::once(golden.clone()).chain(mutants) {
+            let outcome = verifier.check(&design);
+            refuted += usize::from(matches!(outcome, Ok(Verdict::Fails(_))));
+            checked += 1;
+            fnv1a(&mut hash, format!("{outcome:?}").as_bytes());
+        }
+    }
+    assert_eq!(
+        (checked, refuted, hash),
+        (717, 304, 0x353d_c6ff_73da_7e7a),
+        "symbolic outcomes moved"
     );
 }
 

@@ -5,9 +5,11 @@
 //!
 //! Counters count *work*, not time — wall clock is excluded by
 //! construction (it lives in event timestamps, which the fold never
-//! reads). The harness pre-warms the compile cache before each traced
-//! leg (see `asv_bench::perf::batch_counters`), which is the one
-//! scheduling-dependent source the contract documents.
+//! reads). Compile counters are the one scheduling-dependent source the
+//! contract documents: two workers may both lower a design no one holds.
+//! The harness therefore pre-warms the compile cache before each traced
+//! leg and holds the pre-warmed lowerings through it (see
+//! `asv_bench::perf::batch_counters`), so every lookup is a hit.
 //!
 //! [`CostCounters`]: asv_trace::CostCounters
 
