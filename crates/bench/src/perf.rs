@@ -35,15 +35,15 @@ use asv_sva::monitor::CompiledChecker;
 use asv_trace::{CostCounters, Event, SpanKind, Tracer};
 use asv_verilog::Design;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Bench report schema version; bump on any incompatible layout change.
 /// v2: added the lane-batched simulation legs (`simulate_64x_scalar`,
 /// `simulate_64x_batch`, `fuzz_throughput_batch`) and the
-/// `sim_batches`/`sim_lanes_*` counter fields.
-pub const SCHEMA_VERSION: u64 = 2;
+/// `sim_batches`/`sim_lanes_*` counter fields. v3: dropped the
+/// `serve_warm_disk` leg and the four `store_*` counter fields.
+pub const SCHEMA_VERSION: u64 = 3;
 
 // ---------------------------------------------------------------------------
 // Minimal JSON
@@ -960,69 +960,6 @@ fn workload_serve(jobs: &[VerifyJob], runs: usize) -> (WorkloadResult, WorkloadR
     (cold, warm, cold_events)
 }
 
-/// A scratch store directory under the system temp dir, removed on drop.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("asv-perf-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        ScratchDir(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Warm-disk serve leg: a first service writes the batch's outcomes to a
-/// scratch store; each repetition then clears the compile cache and
-/// serves the batch from a fresh service over that store, as a new
-/// process would. No engine may run, so the leg times compiling, cone
-/// hashing and store reads. With no engine there are no compile spans,
-/// so its counters need no pre-warmed compile cache.
-fn workload_serve_warm_disk(jobs: &[VerifyJob], runs: usize) -> WorkloadResult {
-    let scratch = ScratchDir::new("warm-disk");
-    let opts = || ServeOptions {
-        store_dir: Some(scratch.0.clone()),
-        ..ServeOptions::default()
-    };
-    VerifyService::new(opts()).verify_batch(jobs);
-    let fresh = || {
-        asv_serve::clear_design_cache();
-        VerifyService::new(opts())
-    };
-    let no_engine = |service: &VerifyService| {
-        assert_eq!(
-            service.stats().executed,
-            0,
-            "warm disk replay must run no engine"
-        );
-    };
-    let wall_ns = time_runs(runs, || {
-        let service = fresh();
-        std::hint::black_box(service.verify_batch(jobs));
-        no_engine(&service);
-    });
-    let tracer = Tracer::new();
-    let service = fresh().traced(tracer.clone());
-    let (_o, _r, events) = service.verify_batch_traced(jobs);
-    no_engine(&service);
-    assert_eq!(
-        tracer.dropped(),
-        0,
-        "trace ring overflow would skew counters"
-    );
-    WorkloadResult {
-        wall_ns,
-        counters: CostCounters::from_events(&events),
-        job_ns: None,
-    }
-}
-
 /// Pigeonhole PHP(7,6) on the CDCL solver alone: a resolution-hard
 /// UNSAT instance that exercises clause learning, VSIDS and restarts
 /// rather than pure propagation. Counters come from the solver's own
@@ -1155,11 +1092,6 @@ pub fn run_matrix(cfg: &MatrixConfig) -> (BenchReport, Vec<Event>) {
     let (cold, warm, cold_events) = workload_serve(&jobs, cfg.runs);
     workloads.insert("serve_cold".to_string(), cold);
     workloads.insert("serve_warm".to_string(), warm);
-    eprintln!("[perf] serve_warm_disk: the batch from a warm store, fresh service ...");
-    workloads.insert(
-        "serve_warm_disk".to_string(),
-        workload_serve_warm_disk(&jobs, cfg.runs),
-    );
 
     let report = BenchReport {
         label: cfg.label.clone(),

@@ -17,13 +17,11 @@
 //! println!("pass@1 = {:.2}%", run.pass_at(1) * 100.0);
 //! ```
 
-pub mod incremental;
 pub mod judge;
 pub mod passk;
 pub mod report;
 pub mod runner;
 
-pub use incremental::evaluate_incremental;
 pub use judge::Judge;
 pub use passk::{mean_pass_at_k, pass_at_k};
 pub use runner::{

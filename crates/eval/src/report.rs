@@ -115,7 +115,7 @@ fn pct(part: u64, whole: u64) -> f64 {
 }
 
 /// Renders the service-side observability table: how a batch's jobs were
-/// answered (memo / store / engine, with tier hit rates) and how many
+/// answered (memo / engine, with the memo hit rate) and how many
 /// degradation-ladder rungs each engine ran. Counts come straight from
 /// the service's metrics registry — the same values a Prometheus scrape
 /// sees. Rung counts need an attached tracer (they read the span-derived
@@ -134,15 +134,6 @@ pub fn service_stats_table(title: &str, service: &VerifyService) -> String {
         "memo      hits {:>6}  ({:.1}% of submissions)",
         stats.memo_hits,
         pct(stats.memo_hits, stats.submitted)
-    );
-    let store_lookups = stats.store_hits + stats.store_misses;
-    let _ = writeln!(
-        out,
-        "store     hits {:>6} / {:>6} lookups  ({:.1}%)  puts {:>6}",
-        stats.store_hits,
-        store_lookups,
-        pct(stats.store_hits, store_lookups),
-        stats.store_puts
     );
     let _ = write!(out, "rungs    ");
     for tag in EngineTag::ALL {
@@ -193,7 +184,6 @@ mod tests {
         assert!(t.contains("== Service stats =="), "{t}");
         assert!(t.contains("jobs"), "{t}");
         assert!(t.contains("memo"), "{t}");
-        assert!(t.contains("store"), "{t}");
         for tag in EngineTag::ALL {
             assert!(t.contains(tag.slug()), "missing rung column {tag:?}: {t}");
         }

@@ -80,7 +80,7 @@ pub struct VerifyJob {
 /// verifier)`, made of two `DefaultHasher` halves that are
 /// domain-separated so they never cancel together.
 ///
-/// Both halves hash the same inputs: the on-disk schema version, the
+/// Both halves hash the same inputs: the schema version, the
 /// design's 64-bit structural hash ([`asv_sim::cache::design_hash`], the
 /// compile cache's key: the module's AST with spans excluded, which
 /// covers logic, property declarations and every assertion directive
@@ -108,10 +108,9 @@ const KEY_TAG_LO: u64 = 0xC2B2_AE3D_27D4_EB4F;
 
 impl VerifyJob {
     /// Creates a job (accepts an owned design or an `Arc` to one) and
-    /// computes its key under the current on-disk schema version. The
-    /// schema is mixed into both halves so bumping
-    /// [`asv_store::SCHEMA_VERSION`] retires every key derived under the
-    /// old encoding — in-memory and on disk alike.
+    /// computes its key under the current schema version. The schema is
+    /// mixed into both halves so bumping [`asv_store::SCHEMA_VERSION`]
+    /// retires every key derived under the old encoding.
     pub fn new(design: impl Into<Arc<Design>>, verifier: Verifier) -> Self {
         let design = design.into();
         let design_hash = asv_sim::cache::design_hash(&design);
@@ -138,12 +137,6 @@ impl VerifyJob {
     /// built.
     pub fn key(&self) -> JobKey {
         self.key
-    }
-
-    /// The design's structural hash ([`asv_sim::cache::design_hash`]),
-    /// from which the key was derived.
-    pub(crate) fn design_hash(&self) -> u64 {
-        self.design_hash
     }
 
     /// The job's key recomputed under an explicit schema version (tests

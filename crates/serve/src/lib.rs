@@ -25,10 +25,12 @@
 //! * **[`VerdictCache`]** — a sharded memo of finished verdicts. Repeat
 //!   jobs — which dominate repair evaluation, where 20 candidate repairs
 //!   share one design and candidates repeat across samples — are
-//!   answered in O(hash) without touching an engine. Compiled designs
-//!   are additionally shared process-wide through the sharded
-//!   [`asv_sim::cache`], so a design submitted under several engines or
-//!   budgets is lowered once.
+//!   answered in O(hash) without touching an engine. The memo is the
+//!   only verdict tier and lives as long as its service: nothing is
+//!   written to disk. Compiled designs are additionally shared
+//!   process-wide through the sharded [`asv_sim::cache`] while some
+//!   caller holds them, so concurrent checks of one design lower it
+//!   once.
 //! * **Fault tolerance** — each job runs under its own
 //!   [`Budget`](asv_sim::cancel::Budget) (deadline, SAT-conflict /
 //!   fuzz-round / AIG-node caps from [`ServeOptions`]) behind a
@@ -38,15 +40,6 @@
 //!   memoised, so degraded runs never poison the verdict cache, and the
 //!   whole schedule is reproducible under the seeded fault-injection
 //!   plans of the `fault-inject` feature (see `asv_sim::fault`).
-//! * **Persistence** — with [`ServeOptions::store_dir`] set, cacheable
-//!   outcomes also land in an on-disk content-addressed
-//!   [`ArtifactStore`](asv_store::ArtifactStore), making it a second
-//!   cache tier under the in-memory memo: a fresh process re-verifying
-//!   known work answers from disk without running an engine. Symbolic
-//!   verdicts are additionally stored under *cone keys* that survive
-//!   edits outside every assertion cone, so incremental re-verification
-//!   of a patched design re-runs only what the patch can affect (see
-//!   [`persist`]).
 //!
 //! ```
 //! use asv_serve::{ServeOptions, VerifyJob, VerifyService};
@@ -69,7 +62,6 @@
 
 pub mod cache;
 pub mod job;
-pub mod persist;
 pub mod report;
 pub mod service;
 

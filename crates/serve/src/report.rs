@@ -20,8 +20,6 @@ use asv_trace::{Cost, EndReason, EngineTag, Event, SpanKind};
 pub enum AnswerTier {
     /// The in-memory verdict memo (including in-flight collapses).
     Memo,
-    /// The persistent artifact store.
-    Store,
     /// An engine actually ran.
     Engine,
     /// In-batch duplicate: copied from its owner's slot.
@@ -33,7 +31,6 @@ impl AnswerTier {
     pub fn label(self) -> &'static str {
         match self {
             AnswerTier::Memo => "memo",
-            AnswerTier::Store => "store",
             AnswerTier::Engine => "engine",
             AnswerTier::Deduped => "deduped",
         }
@@ -62,7 +59,7 @@ pub struct JobReport {
     /// Which tier answered.
     pub tier: AnswerTier,
     /// Ladder rungs tried, in start order. Empty unless an engine ran
-    /// under a live tracer (memo/store answers try no rungs; duplicates
+    /// under a live tracer (memo answers try no rungs; duplicates
     /// report through their owner).
     pub rungs: Vec<RungReport>,
     /// End-to-end engine wall time in nanoseconds (the `serve.job`

@@ -50,18 +50,14 @@
 
 use crate::cache::VerdictCache;
 use crate::job::{JobKey, JobOutcome, VerdictError, VerifyJob};
-use crate::persist;
 use crate::report::{assemble_reports, AnswerTier, JobReport};
 use asv_sim::cancel::Budget;
-use asv_sim::{CompiledDesign, FaultPlan};
-use asv_store::{ArtifactStore, StoreKey};
+use asv_sim::FaultPlan;
 use asv_sva::bmc::Verdict;
 use asv_trace::{probe, Counter, EndReason, Registry, SpanKind, TraceHandle, TraceSink, Tracer};
-use asv_verilog::sema::Design;
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Service configuration.
@@ -89,15 +85,6 @@ pub struct ServeOptions {
     /// worker count and scheduling. Inert unless the `fault-inject`
     /// feature is enabled (probes compile to plain budget polls).
     pub fault_plan: Option<FaultPlan>,
-    /// Root directory of the persistent artifact store (`None` = no
-    /// second tier). When set, deterministic outcomes survive process
-    /// restarts: misses in the in-memory memo fall through to the
-    /// [`ArtifactStore`] before any engine runs, and store hits are
-    /// promoted back into the memo. The directory is created on demand;
-    /// a store that fails to open is a hard error at service
-    /// construction (a silently absent tier would turn every warm
-    /// restart into a cold one).
-    pub store_dir: Option<PathBuf>,
 }
 
 impl Default for ServeOptions {
@@ -110,7 +97,6 @@ impl Default for ServeOptions {
             max_fuzz_rounds: None,
             max_aig_nodes: None,
             fault_plan: None,
-            store_dir: None,
         }
     }
 }
@@ -127,12 +113,12 @@ pub struct ServeStats {
     pub memo_hits: u64,
     /// Jobs answered by in-batch deduplication.
     pub deduped: u64,
-    /// Jobs answered from the persistent store tier (subset of
-    /// `executed`'s complement: a store hit runs no engine).
+    /// Always 0: the service has no persistent store tier. Kept so that
+    /// callers building `ServeStats` field by field still compile.
     pub store_hits: u64,
-    /// Store lookups that found nothing (the job went to an engine).
+    /// Always 0 (see `store_hits`).
     pub store_misses: u64,
-    /// Outcomes written to the persistent store.
+    /// Always 0 (see `store_hits`).
     pub store_puts: u64,
 }
 
@@ -212,21 +198,12 @@ pub struct VerifyService {
     registry: Registry,
     tracer: Option<Tracer>,
     verdicts: VerdictCache,
-    store: Option<ArtifactStore>,
     inflight: InflightTable,
     submitted: Counter,
     executed: Counter,
     memo_hits: Counter,
     deduped: Counter,
-    store_hits: Counter,
-    store_misses: Counter,
-    store_puts: Counter,
 }
-
-/// Design cone hashes derived during one batch, by design hash: the
-/// design they were derived from (compared in full before reuse) and its
-/// cone hash, `None` outside the symbolic subset.
-type ConeHashes = Mutex<HashMap<u64, (Arc<Design>, Option<u128>)>>;
 
 /// True if `outcome` is a pure function of the job key and may be
 /// memoised. Degraded outcomes (inconclusive verdicts, panics,
@@ -283,18 +260,7 @@ fn run_job(job: &VerifyJob, budget: &Budget) -> JobOutcome {
 
 impl VerifyService {
     /// Creates a service.
-    ///
-    /// # Panics
-    ///
-    /// When `opts.store_dir` is set but the store cannot be opened
-    /// (unwritable directory, undeletable corruption). Persistence is
-    /// opt-in; asking for it and silently not getting it would be worse
-    /// than failing loudly.
     pub fn new(opts: ServeOptions) -> Self {
-        let store = opts.store_dir.as_deref().map(|dir| {
-            ArtifactStore::open(dir)
-                .unwrap_or_else(|e| panic!("opening artifact store at {}: {e}", dir.display()))
-        });
         let registry = Registry::new();
         VerifyService {
             verdicts: VerdictCache::with_registry(&registry),
@@ -311,20 +277,9 @@ impl VerifyService {
                 "asv_jobs_deduped_total",
                 "Jobs answered by in-batch deduplication",
             ),
-            store_hits: registry.counter(
-                "asv_store_hits_total",
-                "Jobs answered from the persistent store tier",
-            ),
-            store_misses: registry
-                .counter("asv_store_misses_total", "Store lookups that found nothing"),
-            store_puts: registry.counter(
-                "asv_store_puts_total",
-                "Outcomes written to the persistent store",
-            ),
             registry,
             tracer: None,
             opts,
-            store,
             inflight: InflightTable::default(),
         }
     }
@@ -395,109 +350,15 @@ impl VerifyService {
         budget.with_trace(self.trace_handle().for_job(key.0))
     }
 
-    /// Looks up `job` in the persistent store tier: its cone key first
-    /// (maximal reuse — it survives edits outside every assertion
-    /// cone), then the exact key. Returns `None` on miss *or* when no
-    /// store is configured; counters move only when a store exists.
-    fn store_get(
-        &self,
-        job: &VerifyJob,
-        cone_key: Option<StoreKey>,
-        trace: &TraceHandle,
-    ) -> Option<JobOutcome> {
-        let store = self.store.as_ref()?;
-        let mut span = trace.span(probe::STORE_GET, SpanKind::StoreGet);
-        let stored = cone_key
-            .and_then(|k| store.get_outcome(k))
-            .or_else(|| store.get_outcome(persist::exact_outcome_key(job)));
-        match stored {
-            Some(outcome) => {
-                span.set_code(1); // hit
-                self.store_hits.inc();
-                Some(persist::from_persisted(outcome))
-            }
-            None => {
-                self.store_misses.inc();
-                None
-            }
-        }
-    }
-
-    /// Persists a deterministic outcome. Symbolic-shaped outcomes of
-    /// cone-eligible jobs go under the cone key (warm hits stay
-    /// bit-identical to a cold symbolic solve — see `persist`);
-    /// everything else deterministic goes under the exact key. Write
-    /// errors are swallowed: persistence is an accelerator, and a full
-    /// disk must degrade to cold verification, not failed verification.
-    fn store_put(
-        &self,
-        job: &VerifyJob,
-        cone_key: Option<StoreKey>,
-        outcome: &JobOutcome,
-        trace: &TraceHandle,
-    ) {
-        let Some(store) = self.store.as_ref() else {
-            return;
-        };
-        let Some(persisted) = persist::to_persisted(outcome) else {
-            return;
-        };
-        let mut span = trace.span(probe::STORE_PUT, SpanKind::StorePut);
-        let key = cone_key
-            .filter(|_| persist::symbolic_shaped(outcome))
-            .unwrap_or_else(|| persist::exact_outcome_key(job));
-        if let Ok(Some(_)) = store.put_outcome(key, &persisted) {
-            span.set_code(1); // newly written
-            self.store_puts.inc();
-        }
-    }
-
-    /// The job's cone store key — `None` without a store tier or for a
-    /// job that is not cone-eligible — and the lowering it was derived
-    /// from, if this call lowered the design.
-    ///
-    /// The caller holds a returned lowering through the engine run to the
-    /// store write: the compile cache keeps a lowering only while someone
-    /// holds it, so the engine reuses this one and a cold job lowers its
-    /// design once. A design's cone hash is derived once per batch: the
-    /// batch's other jobs on the same design (compared in full) under
-    /// another verifier reuse it and lower nothing for their lookup.
-    fn cone_key(
-        &self,
-        job: &VerifyJob,
-        cone_hashes: &ConeHashes,
-    ) -> (Option<StoreKey>, Option<Arc<CompiledDesign>>) {
-        if self.store.is_none() || !persist::cone_eligible(job.verifier()) {
-            return (None, None);
-        }
-        let lock = || cone_hashes.lock().unwrap_or_else(PoisonError::into_inner);
-        let known = lock()
-            .get(&job.design_hash())
-            .filter(|(design, _)| design == job.design())
-            .map(|&(_, hash)| hash);
-        if let Some(hash) = known {
-            return (hash.map(|h| persist::cone_store_key(job, h)), None);
-        }
-        let cd = asv_sim::cache::global().get_or_compile_opt(job.design(), job.verifier().opt);
-        let hash = persist::design_cone_hash(&cd);
-        lock()
-            .entry(job.design_hash())
-            .or_insert_with(|| (Arc::clone(job.design()), hash));
-        (hash.map(|h| persist::cone_store_key(job, h)), Some(cd))
-    }
-
     /// Executes one pending job: claims it in the in-flight table (when
-    /// memoising), consults the persistent store tier under the job's
-    /// cone key ([`VerifyService::cone_key`]) and exact key, runs the
-    /// engine under the per-job budget, and memoises/persists cacheable
-    /// outcomes before releasing the claim. A lowering held for the cone
-    /// key is freed by the job's worker when this returns.
-    fn execute(&self, job: &VerifyJob, cone_hashes: &ConeHashes) -> (JobOutcome, AnswerTier) {
+    /// memoising), runs the engine under the per-job budget, and memoises
+    /// a cacheable outcome before releasing the claim.
+    fn execute(&self, job: &VerifyJob) -> (JobOutcome, AnswerTier) {
         let key = job.key();
         let trace = self.trace_handle().for_job(key.0);
         if !self.opts.memoize {
-            // `memoize: false` means *always execute* — both cache
-            // tiers are bypassed (cache-cold benchmarking relies on it).
+            // `memoize: false` means *always execute* — the memo is
+            // bypassed (cache-cold benchmarking relies on it).
             self.executed.inc();
             return (self.run_job_traced(job, &trace), AnswerTier::Engine);
         }
@@ -507,15 +368,6 @@ impl VerifyService {
                 (outcome, AnswerTier::Memo)
             }
             Claim::Claimed(lease) => {
-                let (cone_key, _lowering) = self.cone_key(job, cone_hashes);
-                // Second tier: the persistent store. A hit is promoted
-                // into the in-memory memo (waiters and repeat batches
-                // then hit tier one) and runs no engine.
-                if let Some(outcome) = self.store_get(job, cone_key, &trace) {
-                    self.verdicts.insert(key, outcome.clone());
-                    drop(lease);
-                    return (outcome, AnswerTier::Store);
-                }
                 self.executed.inc();
                 let outcome = self.run_job_traced(job, &trace);
                 // Memoise before releasing the claim so woken waiters
@@ -523,7 +375,6 @@ impl VerifyService {
                 // memo untouched and waiters execute for themselves.
                 if cacheable(&outcome) {
                     self.verdicts.insert(key, outcome.clone());
-                    self.store_put(job, cone_key, &outcome, &trace);
                 }
                 drop(lease);
                 (outcome, AnswerTier::Engine)
@@ -642,7 +493,6 @@ impl VerifyService {
         if !pending.is_empty() {
             let workers = self.workers().min(pending.len()).max(1);
             let cursor = AtomicUsize::new(0);
-            let cone_hashes = ConeHashes::default();
             let mut per_worker: Vec<Vec<(usize, (JobOutcome, AnswerTier))>> =
                 Vec::with_capacity(workers);
             std::thread::scope(|scope| {
@@ -650,7 +500,6 @@ impl VerifyService {
                 for _ in 0..workers {
                     let cursor = &cursor;
                     let pending = &pending;
-                    let cone_hashes = &cone_hashes;
                     handles.push(scope.spawn(move || {
                         let mut done = Vec::new();
                         loop {
@@ -658,7 +507,7 @@ impl VerifyService {
                             let Some(&job_idx) = pending.get(at) else {
                                 break;
                             };
-                            done.push((job_idx, self.execute(&jobs[job_idx], cone_hashes)));
+                            done.push((job_idx, self.execute(&jobs[job_idx])));
                         }
                         done
                     }));
@@ -699,21 +548,15 @@ impl VerifyService {
             executed: self.executed.get(),
             memo_hits: self.memo_hits.get(),
             deduped: self.deduped.get(),
-            store_hits: self.store_hits.get(),
-            store_misses: self.store_misses.get(),
-            store_puts: self.store_puts.get(),
+            store_hits: 0,
+            store_misses: 0,
+            store_puts: 0,
         }
     }
 
     /// The verdict memo (benchmarks clear it between cold runs).
     pub fn verdict_cache(&self) -> &VerdictCache {
         &self.verdicts
-    }
-
-    /// The persistent store tier, when configured (eval's incremental
-    /// path garbage-collects and inspects it through this).
-    pub fn store(&self) -> Option<&ArtifactStore> {
-        self.store.as_ref()
     }
 }
 
@@ -971,108 +814,5 @@ mod tests {
         let dump = service.metrics().dump_prometheus();
         assert!(dump.contains("asv_jobs_executed_total"));
         assert!(dump.contains("asv_span_job_total"));
-    }
-
-    /// A scratch store directory, removed on drop.
-    struct ScratchDir(std::path::PathBuf);
-
-    impl ScratchDir {
-        fn new(tag: &str) -> Self {
-            use std::sync::atomic::AtomicU32;
-            static SEQ: AtomicU32 = AtomicU32::new(0);
-            let dir = std::env::temp_dir().join(format!(
-                "asv-serve-{tag}-{}-{}",
-                std::process::id(),
-                SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            std::fs::create_dir_all(&dir).expect("scratch dir");
-            ScratchDir(dir)
-        }
-    }
-
-    impl Drop for ScratchDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
-    fn stored_service(dir: &ScratchDir) -> VerifyService {
-        VerifyService::new(ServeOptions {
-            store_dir: Some(dir.0.clone()),
-            ..ServeOptions::default()
-        })
-    }
-
-    #[test]
-    fn store_tier_answers_a_fresh_service_without_executing() {
-        let dir = ScratchDir::new("warm");
-        let jobs = batch(6, Engine::Auto);
-        let cold = stored_service(&dir);
-        let first = cold.verify_batch(&jobs);
-        let cold_stats = cold.stats();
-        assert_eq!(cold_stats.store_hits, 0);
-        assert!(cold_stats.store_puts > 0, "cacheable verdicts must persist");
-        drop(cold);
-        // A fresh service on the same directory: everything answers from
-        // disk, bit-identically, with zero engine executions.
-        let warm = stored_service(&dir);
-        let second = warm.verify_batch(&jobs);
-        assert_eq!(first, second, "disk-warm verdicts must be bit-identical");
-        let warm_stats = warm.stats();
-        assert_eq!(warm_stats.executed, 0, "warm batch must run no engine");
-        assert!(warm_stats.store_hits > 0);
-        // Store hits are promoted to tier one: a repeat batch on the
-        // same service is pure memo.
-        let third = warm.verify_batch(&jobs);
-        assert_eq!(second, third);
-        assert_eq!(warm.stats().store_hits, warm_stats.store_hits);
-        assert!(warm.stats().memo_hits > 0);
-    }
-
-    #[test]
-    fn store_tier_persists_deterministic_errors() {
-        let dir = ScratchDir::new("errs");
-        let empty =
-            asv_verilog::compile("module n(input a, output y); assign y = a; endmodule").unwrap();
-        let job = VerifyJob::new(empty, Verifier::default());
-        let cold = stored_service(&dir);
-        let out = cold.verify_one(&job);
-        assert!(matches!(out, Err(VerdictError::Verify(_))));
-        drop(cold);
-        let warm = stored_service(&dir);
-        assert_eq!(warm.verify_one(&job), out);
-        assert_eq!(warm.stats().executed, 0);
-    }
-
-    #[test]
-    fn degraded_outcomes_never_reach_the_store() {
-        let dir = ScratchDir::new("degraded");
-        let service = VerifyService::new(ServeOptions {
-            deadline: Some(Duration::ZERO),
-            store_dir: Some(dir.0.clone()),
-            ..ServeOptions::default()
-        });
-        let out = service.verify_batch(&batch(3, Engine::Auto));
-        assert!(out
-            .iter()
-            .all(|o| matches!(o, Ok(Verdict::Inconclusive { .. }))));
-        assert_eq!(service.stats().store_puts, 0);
-        assert!(service.store().expect("store configured").is_empty());
-    }
-
-    #[test]
-    fn memoize_false_bypasses_the_store_tier() {
-        let dir = ScratchDir::new("bypass");
-        let service = VerifyService::new(ServeOptions {
-            memoize: false,
-            store_dir: Some(dir.0.clone()),
-            ..ServeOptions::default()
-        });
-        let jobs = batch(3, Engine::Auto);
-        service.verify_batch(&jobs);
-        let stats = service.stats();
-        assert_eq!(stats.store_puts, 0);
-        assert_eq!(stats.store_hits, 0);
-        assert_eq!(stats.store_misses, 0);
     }
 }

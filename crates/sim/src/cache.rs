@@ -2,11 +2,10 @@
 //! design for as long as some caller holds it.
 //!
 //! Every verifier call lowers its design through this table, so callers
-//! that work on one design at the same time share one lowering: a
-//! service job holds its lowering from the store lookup (the cone key
-//! reads it) through the engine run, concurrent checks of one design
-//! share it, and a benchmark that pre-warms the table keeps what it
-//! pre-warmed alive by holding the returned `Arc`s.
+//! that work on one design at the same time share one lowering:
+//! concurrent checks of one design share it, and a benchmark that
+//! pre-warms the table keeps what it pre-warmed alive by holding the
+//! returned `Arc`s.
 //!
 //! Entries are [`Weak`]: the table never keeps a lowering alive. Its
 //! last holder frees it — on the service path the job's own worker,

@@ -77,7 +77,6 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
             ("propagations", ev.cost.propagations),
             ("rounds", ev.cost.rounds),
             ("aig_nodes", ev.cost.aig_nodes),
-            ("bytes", ev.cost.bytes),
             ("stimuli", ev.cost.stimuli),
             ("ops", ev.cost.ops),
         ] {

@@ -5,7 +5,7 @@
 //! [`CostCounters`] answer "how much work did the system do" — bytecode
 //! ops dispatched, compiles and optimization passes run, AIG nodes
 //! built, CDCL decisions/propagations/conflicts spent, fuzz rounds and
-//! stimuli consumed, cache tier hits. Because they count *work*, not
+//! stimuli consumed, memo hits. Because they count *work*, not
 //! time, they are bit-identical across worker counts and across reruns
 //! (enforced by `tests/perf_counters.rs`), which makes exact equality a
 //! valid regression gate: any drift in a counter is a real semantic
@@ -64,14 +64,6 @@ pub struct CostCounters {
     pub memo_hits: u64,
     /// Verdict-memo misses.
     pub memo_misses: u64,
-    /// Persistent-store lookup hits.
-    pub store_hits: u64,
-    /// Persistent-store lookup misses.
-    pub store_misses: u64,
-    /// Persistent-store write-backs.
-    pub store_puts: u64,
-    /// Bytes moved through the persistent store.
-    pub store_bytes: u64,
     /// Symbolic ladder rungs run.
     pub rungs_symbolic: u64,
     /// Enumeration ladder rungs run.
@@ -90,7 +82,7 @@ pub struct CostCounters {
 }
 
 /// Number of counter fields (length of [`CostCounters::fields`]).
-pub const COUNTER_FIELDS: usize = 27;
+pub const COUNTER_FIELDS: usize = 23;
 
 impl CostCounters {
     /// Folds a drained event vector into counters. Order-insensitive:
@@ -135,18 +127,6 @@ impl CostCounters {
                     } else {
                         c.memo_misses += 1;
                     }
-                }
-                SpanKind::StoreGet => {
-                    if e.code == 1 {
-                        c.store_hits += 1;
-                    } else {
-                        c.store_misses += 1;
-                    }
-                    c.store_bytes = c.store_bytes.saturating_add(e.cost.bytes);
-                }
-                SpanKind::StorePut => {
-                    c.store_puts += 1;
-                    c.store_bytes = c.store_bytes.saturating_add(e.cost.bytes);
                 }
                 SpanKind::Rung => {
                     use crate::span::EngineTag;
@@ -198,10 +178,6 @@ impl CostCounters {
             ("jobs_executed", self.jobs_executed),
             ("memo_hits", self.memo_hits),
             ("memo_misses", self.memo_misses),
-            ("store_hits", self.store_hits),
-            ("store_misses", self.store_misses),
-            ("store_puts", self.store_puts),
-            ("store_bytes", self.store_bytes),
             ("rungs_symbolic", self.rungs_symbolic),
             ("rungs_enumeration", self.rungs_enumeration),
             ("rungs_fuzz", self.rungs_fuzz),
@@ -230,10 +206,6 @@ impl CostCounters {
             ("jobs_executed", &mut self.jobs_executed),
             ("memo_hits", &mut self.memo_hits),
             ("memo_misses", &mut self.memo_misses),
-            ("store_hits", &mut self.store_hits),
-            ("store_misses", &mut self.store_misses),
-            ("store_puts", &mut self.store_puts),
-            ("store_bytes", &mut self.store_bytes),
             ("rungs_symbolic", &mut self.rungs_symbolic),
             ("rungs_enumeration", &mut self.rungs_enumeration),
             ("rungs_fuzz", &mut self.rungs_fuzz),
@@ -337,24 +309,6 @@ mod tests {
             event(SpanKind::MemoLookup, None, 1, Cost::default()),
             event(SpanKind::MemoLookup, None, 0, Cost::default()),
             event(
-                SpanKind::StoreGet,
-                None,
-                0,
-                Cost {
-                    bytes: 64,
-                    ..Cost::default()
-                },
-            ),
-            event(
-                SpanKind::StorePut,
-                None,
-                0,
-                Cost {
-                    bytes: 128,
-                    ..Cost::default()
-                },
-            ),
-            event(
                 SpanKind::Rung,
                 Some(EngineTag::Symbolic),
                 1,
@@ -385,8 +339,6 @@ mod tests {
         assert_eq!(c.enum_stimuli, 256);
         assert_eq!(c.ops, 1000);
         assert_eq!((c.memo_hits, c.memo_misses), (1, 1));
-        assert_eq!((c.store_hits, c.store_misses, c.store_puts), (0, 1, 1));
-        assert_eq!(c.store_bytes, 192);
         assert_eq!((c.rungs_symbolic, c.rungs_fuzz), (1, 1));
         assert_eq!(c.jobs_executed, 1);
         assert_eq!(

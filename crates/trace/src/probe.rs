@@ -47,11 +47,7 @@ pub const RUNG_ENUM: &str = "rung.enum";
 pub const RUNG_FUZZ: &str = "rung.fuzz";
 /// Degradation-ladder rung: blind random sampling (last resort).
 pub const RUNG_SAMPLE: &str = "rung.sample";
-/// Service: verdict-memo lookup (tier 1).
+/// Service: verdict-memo lookup.
 pub const SERVE_MEMO: &str = "serve.memo";
 /// Service: whole-job execution span.
 pub const SERVE_JOB: &str = "serve.job";
-/// Service: persistent-store outcome lookup (tier 2).
-pub const STORE_GET: &str = "store.get";
-/// Service: persistent-store outcome write-back.
-pub const STORE_PUT: &str = "store.put";

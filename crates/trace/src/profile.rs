@@ -69,9 +69,7 @@ fn stack_of(e: &Event) -> String {
             path.push_str("sim.compile;");
             path.push_str(e.name);
         }
-        SpanKind::Compile | SpanKind::MemoLookup | SpanKind::StoreGet | SpanKind::StorePut => {
-            path.push_str(e.name)
-        }
+        SpanKind::Compile | SpanKind::MemoLookup => path.push_str(e.name),
         SpanKind::AigBlast
         | SpanKind::SatSolve
         | SpanKind::FuzzRound
@@ -363,7 +361,7 @@ mod tests {
         let events = vec![
             span("sim.compile", SpanKind::Compile, 0, None, 10),
             span("serve.job", SpanKind::Job, 3, None, 500),
-            span("store.get", SpanKind::StoreGet, 3, None, 50),
+            span("serve.memo", SpanKind::MemoLookup, 3, None, 50),
         ];
         let p = Profile::from_events(&events);
         let top = p.top(2);

@@ -45,23 +45,19 @@ pub enum SpanKind {
     Enumeration = 5,
     /// A random-sampling run over generated stimuli.
     Sampling = 6,
-    /// Persistent-store outcome lookup.
-    StoreGet = 7,
-    /// Persistent-store outcome write-back.
-    StorePut = 8,
     /// Verdict-memo lookup.
-    MemoLookup = 9,
+    MemoLookup = 7,
     /// One degradation-ladder rung (carries an [`EndReason`] code).
-    Rung = 10,
+    Rung = 8,
     /// One whole job as the service executed it.
-    Job = 11,
+    Job = 9,
     /// A lane-batched simulation pass (`LaneBatch` stimulus groups).
-    Batch = 12,
+    Batch = 10,
 }
 
 impl SpanKind {
     /// Every kind, in discriminant order.
-    pub const ALL: [SpanKind; 13] = [
+    pub const ALL: [SpanKind; 11] = [
         SpanKind::Compile,
         SpanKind::OptPass,
         SpanKind::AigBlast,
@@ -69,8 +65,6 @@ impl SpanKind {
         SpanKind::FuzzRound,
         SpanKind::Enumeration,
         SpanKind::Sampling,
-        SpanKind::StoreGet,
-        SpanKind::StorePut,
         SpanKind::MemoLookup,
         SpanKind::Rung,
         SpanKind::Job,
@@ -87,8 +81,6 @@ impl SpanKind {
             SpanKind::FuzzRound => "fuzz_round",
             SpanKind::Enumeration => "enumeration",
             SpanKind::Sampling => "sampling",
-            SpanKind::StoreGet => "store_get",
-            SpanKind::StorePut => "store_put",
             SpanKind::MemoLookup => "memo_lookup",
             SpanKind::Rung => "rung",
             SpanKind::Job => "job",
@@ -198,7 +190,7 @@ impl EndReason {
 
 /// Resource deltas a span carries, drawn from the same accounting the
 /// `Budget` caps poll (SAT conflicts, fuzz rounds, AIG nodes) plus
-/// store bytes and stimulus counts.
+/// stimulus counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Cost {
     /// CDCL conflicts spent.
@@ -211,8 +203,6 @@ pub struct Cost {
     pub rounds: u64,
     /// AIG nodes built.
     pub aig_nodes: u64,
-    /// Bytes read or written (store spans).
-    pub bytes: u64,
     /// Stimuli simulated (enumeration/sampling/fuzz executions).
     pub stimuli: u64,
     /// Bytecode operations dispatched by the compiled simulator (at
@@ -236,7 +226,6 @@ impl Cost {
         self.propagations = self.propagations.saturating_add(other.propagations);
         self.rounds = self.rounds.saturating_add(other.rounds);
         self.aig_nodes = self.aig_nodes.saturating_add(other.aig_nodes);
-        self.bytes = self.bytes.saturating_add(other.bytes);
         self.stimuli = self.stimuli.saturating_add(other.stimuli);
         self.ops = self.ops.saturating_add(other.ops);
         self.batches = self.batches.saturating_add(other.batches);

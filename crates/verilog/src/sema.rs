@@ -73,35 +73,6 @@ impl Design {
             .collect()
     }
 
-    /// A copy of this design keeping only the `index`-th assertion
-    /// directive (in [`Module::assertions`] order); every other item —
-    /// logic, declarations, named properties — is untouched, so the
-    /// compiled form and signal table are identical and the per-assertion
-    /// design shares the whole design's compile-cache entry layout.
-    ///
-    /// This is the splitting primitive of incremental re-verification:
-    /// `asv-eval` verifies one job per assertion, so a candidate patch
-    /// re-runs only the assertions whose cone the patch can reach (the
-    /// others are answered from cone-keyed store entries).
-    ///
-    /// `None` when `index` is out of range.
-    pub fn with_single_assertion(&self, index: usize) -> Option<Design> {
-        if index >= self.module.assertions().count() {
-            return None;
-        }
-        let mut design = self.clone();
-        let mut seen = 0usize;
-        design.module.items.retain(|item| match item {
-            Item::Assert(_) => {
-                let keep = seen == index;
-                seen += 1;
-                keep
-            }
-            _ => true,
-        });
-        Some(design)
-    }
-
     /// Names of all output ports, in port order.
     pub fn outputs(&self) -> Vec<&SignalInfo> {
         self.module

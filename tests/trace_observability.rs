@@ -147,7 +147,7 @@ fn cold_batch_reports_provenance_and_exports_cleanly() {
                     assert!(rung.wall_ns > 0, "rung with zero wall time in slot {i}");
                 }
             }
-            AnswerTier::Deduped | AnswerTier::Memo | AnswerTier::Store => {
+            AnswerTier::Deduped | AnswerTier::Memo => {
                 assert!(r.rungs.is_empty(), "non-engine slot {i} reports rungs");
             }
         }
