@@ -13,6 +13,15 @@
 //! once per tick, and an attempt whose window has closed is built once
 //! and read at every later depth.
 //!
+//! Each implication attempt's consequent is cofactored by its antecedent
+//! ([`Aig::cofactor`]): the attempt fails only where the antecedent
+//! matches, so the consequent is rebuilt with the antecedent's nodes fixed
+//! true. A register loaded through `if (c) r <= f; else r <= g;` and
+//! checked by `c |-> ##1 r == f` then folds to true in the AIG, instead
+//! of leaving the solver to case-split on `c` bit by bit. The rebuilt
+//! literals are the same Boolean functions wherever the antecedent
+//! matches, so verdicts, vacuity and witnesses do not change.
+//!
 //! When every depth up to the bound is unsatisfiable the result is a
 //! bounded *proof*: `Holds` with per-assertion vacuity decided by a second
 //! round of queries (an assertion is vacuous iff *no* input sequence
@@ -58,8 +67,9 @@ impl Default for BmcOptions {
 
 /// Per-probe conflict budget during witness canonicalisation: bit-fixing
 /// probes after the main solve are near-pure propagation, so a small cap
-/// bounds the worst case without ever costing a verdict (the raw model's
-/// witness is kept as the fallback).
+/// bounds the worst case without ever costing a verdict (a probe that
+/// runs out ends canonicalisation with the last satisfying model, which
+/// is still a counterexample).
 const MINIMIZE_CONFLICT_BUDGET: u64 = 50_000;
 
 /// Result of a symbolic check.
@@ -623,6 +633,20 @@ impl<'a> Engine<'a> {
     /// `(fail, pass)` of one attempt of `prop` starting at `s` over a
     /// trace of length `len` — the symbolic form of the monitor's
     /// `attempt`.
+    ///
+    /// An implication's attempt fails exactly when `enabled ∧ am ∧ cnm`
+    /// holds and passes when `enabled ∧ am ∧ cm`, so the consequent's
+    /// `(cm, cnm)` only matter where `enabled` and the antecedent match
+    /// `am` are true. They are rebuilt under those two facts
+    /// ([`Aig::cofactor`]) before the conjunctions are formed. The
+    /// rebuilt literals differ from the old ones only where a fact is
+    /// false, so `fail` and `pass` keep their Boolean functions, and with
+    /// them every depth's satisfiability, the vacuity answers and the
+    /// canonical witness, which depends only on the set of violating
+    /// input sequences. What changes is the CNF: a next-state bit
+    /// `ite(c, f, g)` whose select `c` the antecedent fixes becomes `f`,
+    /// an equality `f == f` folds to true, and the solver no longer
+    /// case-splits on what the antecedent already decides.
     fn attempt_lits(
         &mut self,
         prop: &PropSym,
@@ -660,6 +684,7 @@ impl<'a> Engine<'a> {
                 } else {
                     let cstart = s + antecedent.end_off as usize + usize::from(!overlapping);
                     let (cm, cnm) = self.seq_lits(consequent, cstart, len)?;
+                    let [cm, cnm] = self.g.cofactor([cm, cnm], &[am, enabled]);
                     (self.g.and(am, cnm), self.g.and(am, cm))
                 }
             }

@@ -191,7 +191,7 @@ impl<'a> ByteReader<'a> {
 
 // ---------------------------------------------------------------------------
 // Artifact codecs. Each `encode_*` has a matching `decode_*`; round-trips
-// are pinned by the tests at the bottom and by `tests/store_persistence.rs`.
+// are pinned by the tests at the bottom.
 // ---------------------------------------------------------------------------
 
 fn encode_stimulus(w: &mut ByteWriter, s: &Stimulus) {

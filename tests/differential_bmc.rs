@@ -13,6 +13,12 @@
 //!
 //! Designs outside the symbolic subset (non-levelizable) are asserted to
 //! report `VerifyError::Symbolic` rather than silently skipping.
+//!
+//! Besides the archetypes, a generated family covers the shape the
+//! engine's antecedent cofactor rewrites: a register or mux whose branch
+//! the antecedent selects, read by the consequent, over one- and
+//! multi-atom antecedents, `|->` and `|=>`, `disable iff` and `$past`
+//! chains, in holding, failing and vacuous variants.
 
 use asv_datagen::corpus::{Archetype, CorpusGen, SizeHint};
 use asv_eval::Judge;
@@ -229,6 +235,360 @@ fn symbolic_outcomes_at_judging_bounds_are_pinned() {
     assert_eq!(
         (checked, refuted, hash),
         (717, 304, 0x353d_c6ff_73da_7e7a),
+        "symbolic outcomes moved"
+    );
+}
+
+/// How a generated design's antecedent selects the branch that its
+/// consequent reads.
+#[derive(Debug, Clone, Copy)]
+enum Ante {
+    /// `s`
+    One,
+    /// `s && t`
+    And,
+    /// `t ##1 s`: the design registers `t` to select a tick later.
+    Seq,
+    /// `!s`
+    Not,
+}
+
+/// Where the selected value lands and when the consequent reads it.
+#[derive(Debug, Clone, Copy)]
+enum Form {
+    /// A register, read by `|-> ##1` against `$past` operands.
+    Next,
+    /// A register, read by `|=>` against `$past` operands.
+    NonOverlapping,
+    /// A combinational mux, read by `|->` in the same tick.
+    Comb,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Disable {
+    None,
+    /// `disable iff (!rst_n)`
+    Reset,
+    /// `disable iff (k)` on a free input, so the attempt's enable is
+    /// symbolic.
+    Input,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Variant {
+    /// The consequent expects the branch the antecedent selects.
+    Holds,
+    /// The consequent expects the other branch.
+    Fails,
+    /// The antecedent also asks for `b` above its maximum.
+    Vacuous,
+}
+
+/// Binary operators of the mux branches.
+const MUX_OPS: [&str; 4] = ["&", "|", "^", "+"];
+
+/// The shape of one design of the antecedent-selected mux family.
+#[derive(Debug, Clone, Copy)]
+struct MuxShape {
+    ante: Ante,
+    form: Form,
+    disable: Disable,
+    variant: Variant,
+    width: u32,
+    /// How many ticks back the consequent's `$past` operands reach.
+    past: u32,
+    /// Indices into `MUX_OPS` of the selected branch and the other one.
+    ops: (usize, usize),
+}
+
+impl MuxShape {
+    /// The least post-reset depth at which a failing variant can fail:
+    /// below it every attempt reads operands from reset frames, where
+    /// inputs are zero and every branch operator yields zero. The
+    /// antecedent's last atom is at tick 2 after the reset, or 3 for
+    /// `t ##1 s`; a register is read a tick later, from inputs `past - 1`
+    /// ticks before.
+    fn fails_from_depth(&self) -> usize {
+        let first_match = if matches!(self.ante, Ante::Seq) { 3 } else { 2 };
+        match self.form {
+            Form::Comb => first_match - 1,
+            Form::Next | Form::NonOverlapping => first_match.max(self.past as usize + 1),
+        }
+    }
+}
+
+/// Design `i` of the antecedent-selected mux family: `if (SEL) r <=
+/// f(x, y); else r <= g(x, y);` (or `assign m = SEL ? f : g;`), where
+/// `SEL` is what the antecedent matches and `x`, `y` are `a`, `b` delayed
+/// `past - 1` ticks, checked against the `f` (or, failing, the `g`) of
+/// the `$past` operands.
+fn mux_family_source(i: usize, shape: MuxShape) -> String {
+    let MuxShape {
+        ante,
+        form,
+        disable,
+        variant,
+        width,
+        past,
+        ops: (f, g),
+    } = shape;
+    let bus = if width == 1 {
+        String::new()
+    } else {
+        format!("[{}:0] ", width - 1)
+    };
+    let mut ports = vec![
+        "input clk".to_string(),
+        "input rst_n".to_string(),
+        "input s".to_string(),
+    ];
+    if matches!(ante, Ante::And | Ante::Seq) {
+        ports.push("input t".into());
+    }
+    if matches!(disable, Disable::Input) {
+        ports.push("input k".into());
+    }
+    ports.push(format!("input {bus}a"));
+    ports.push(format!("input {bus}b"));
+    let comb = matches!(form, Form::Comb);
+    ports.push(if comb {
+        format!("output {bus}m")
+    } else {
+        format!("output reg {bus}r")
+    });
+    let sel = match ante {
+        Ante::One => "s",
+        Ante::And => "s && t",
+        Ante::Seq => "s && t1",
+        Ante::Not => "!s",
+    };
+    let mut src = format!(
+        "module mux{i}({});
+",
+        ports.join(", ")
+    );
+    // Registers other than `r`, with their next-state expressions.
+    let mut regs: Vec<(String, String, &str)> = Vec::new();
+    if matches!(ante, Ante::Seq) {
+        regs.push(("t1".into(), "t".into(), ""));
+    }
+    let delay = if comb { 0 } else { past - 1 };
+    for d in 1..=delay {
+        for v in ["a", "b"] {
+            let prev = if d == 1 {
+                v.to_string()
+            } else {
+                format!("p{v}{}", d - 1)
+            };
+            regs.push((format!("p{v}{d}"), prev, bus.as_str()));
+        }
+    }
+    for (name, _, w) in &regs {
+        src.push_str(&format!(
+            "  reg {w}{name};
+"
+        ));
+    }
+    let (x, y) = if delay == 0 {
+        ("a".to_string(), "b".to_string())
+    } else {
+        (format!("pa{delay}"), format!("pb{delay}"))
+    };
+    let branch = |op: usize| format!("{x} {} {y}", MUX_OPS[op]);
+    if comb {
+        src.push_str(&format!(
+            "  assign m = ({sel}) ? ({}) : ({});
+",
+            branch(f),
+            branch(g)
+        ));
+    }
+    if !comb || !regs.is_empty() {
+        src.push_str(
+            "  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) begin
+",
+        );
+        if !comb {
+            src.push_str(
+                "      r <= 0;
+",
+            );
+        }
+        for (name, _, _) in &regs {
+            src.push_str(&format!(
+                "      {name} <= 0;
+"
+            ));
+        }
+        src.push_str(
+            "    end else begin
+",
+        );
+        for (name, next, _) in &regs {
+            src.push_str(&format!(
+                "      {name} <= {next};
+"
+            ));
+        }
+        if !comb {
+            src.push_str(&format!(
+                "      if ({sel}) r <= {}; else r <= {};
+",
+                branch(f),
+                branch(g)
+            ));
+        }
+        src.push_str(
+            "    end
+  end
+",
+        );
+    }
+    let never = format!("b > {width}'d{}", (1u64 << width) - 1);
+    let antecedent = match (ante, matches!(variant, Variant::Vacuous)) {
+        (Ante::One, false) => "s".to_string(),
+        (Ante::One, true) => format!("s && {never}"),
+        (Ante::And, false) => "s && t".to_string(),
+        (Ante::And, true) => format!("s && t && {never}"),
+        (Ante::Seq, false) => "t ##1 s".to_string(),
+        (Ante::Seq, true) => format!("t ##1 (s && {never})"),
+        (Ante::Not, false) => "!s".to_string(),
+        (Ante::Not, true) => format!("!s && {never}"),
+    };
+    let op = MUX_OPS[if matches!(variant, Variant::Fails) {
+        g
+    } else {
+        f
+    }];
+    let operand = |v: &str| match past {
+        1 => format!("$past({v})"),
+        n => format!("$past({v}, {n})"),
+    };
+    let body = match form {
+        Form::Next => format!(
+            "{antecedent} |-> ##1 r == ({} {op} {})",
+            operand("a"),
+            operand("b")
+        ),
+        Form::NonOverlapping => format!(
+            "{antecedent} |=> r == ({} {op} {})",
+            operand("a"),
+            operand("b")
+        ),
+        Form::Comb => format!("{antecedent} |-> m == (a {op} b)"),
+    };
+    let disable = match disable {
+        Disable::None => "",
+        Disable::Reset => "disable iff (!rst_n) ",
+        Disable::Input => "disable iff (k) ",
+    };
+    src.push_str(&format!(
+        "  p: assert property (@(posedge clk) {disable}{body}) else $error(\"mux{i}\");\nendmodule\n"
+    ));
+    src
+}
+
+/// One generated design of the mux family.
+struct MuxCase {
+    label: String,
+    design: Design,
+    shape: MuxShape,
+}
+
+/// Every combination of antecedent, form, disable and variant (108
+/// designs), each with a seeded width from `widths`, a `$past` depth of
+/// 1–3 and two branch operators that differ as functions.
+fn mux_family(seed: u64, widths: &[u32]) -> Vec<MuxCase> {
+    use rand::Rng;
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+    let mut out = Vec::new();
+    for ante in [Ante::One, Ante::And, Ante::Seq, Ante::Not] {
+        for form in [Form::Next, Form::NonOverlapping, Form::Comb] {
+            for disable in [Disable::None, Disable::Reset, Disable::Input] {
+                for variant in [Variant::Holds, Variant::Fails, Variant::Vacuous] {
+                    let width = widths[rng.gen_range(0..widths.len())];
+                    let past = rng.gen_range(1..=3u32);
+                    let ops = loop {
+                        let (f, g) = (
+                            rng.gen_range(0..MUX_OPS.len()),
+                            rng.gen_range(0..MUX_OPS.len()),
+                        );
+                        // One-bit `^` and `+` are the same function.
+                        if f != g && !(width == 1 && f + g == 5) {
+                            break (f, g);
+                        }
+                    };
+                    let shape = MuxShape {
+                        ante,
+                        form,
+                        disable,
+                        variant,
+                        width,
+                        past,
+                        ops,
+                    };
+                    let i = out.len();
+                    let src = mux_family_source(i, shape);
+                    let label = format!("mux{i} {ante:?}/{form:?}/{disable:?}/{variant:?}");
+                    let design = asv_verilog::compile(&src)
+                        .unwrap_or_else(|e| panic!("{label}: must compile: {e}\n{src}"));
+                    out.push(MuxCase {
+                        label,
+                        design,
+                        shape,
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The symbolic engine agrees with enumeration on every design of the
+/// antecedent-selected mux family at one- and two-bit widths, and every
+/// variant ends as designed: a failing one fails once the enumerated
+/// depth lets post-reset inputs reach the consequent, and no other one
+/// fails.
+#[test]
+fn antecedent_selected_muxes_agree_with_enumeration() {
+    let mut refuted = 0;
+    for case in mux_family(0xA17E, &[1, 2]) {
+        let label = &case.label;
+        let depth =
+            enumerable_depth(&case.design).unwrap_or_else(|| panic!("{label}: must be enumerable"));
+        let failed = assert_engines_agree(&case.design, label);
+        let fails =
+            matches!(case.shape.variant, Variant::Fails) && depth >= case.shape.fails_from_depth();
+        assert_eq!(
+            failed, fails,
+            "{label}: unexpected verdict at depth {depth}"
+        );
+        refuted += usize::from(failed);
+    }
+    assert!(refuted >= 24, "only {refuted} failing variants failed");
+}
+
+/// Pins the `Engine::Symbolic` outcomes of the antecedent-selected mux
+/// family at the judging bounds (`Judge::fast()`), at widths up to 16
+/// bits, the same way as `symbolic_outcomes_at_judging_bounds_are_pinned`.
+#[test]
+fn antecedent_selected_mux_outcomes_at_judging_bounds_are_pinned() {
+    let verifier = Verifier {
+        engine: Engine::Symbolic,
+        ..Judge::fast().verifier()
+    };
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let (mut checked, mut refuted) = (0usize, 0usize);
+    for case in mux_family(0x5EC7, &[2, 4, 8, 16]) {
+        let outcome = verifier.check(&case.design);
+        refuted += usize::from(matches!(outcome, Ok(Verdict::Fails(_))));
+        checked += 1;
+        fnv1a(&mut hash, format!("{outcome:?}").as_bytes());
+    }
+    assert_eq!(
+        (checked, refuted, hash),
+        (108, 36, 0xd931_8076_f891_02f7),
         "symbolic outcomes moved"
     );
 }

@@ -14,6 +14,10 @@
 //! [`CostCounters`]: asv_trace::CostCounters
 
 use asv_bench::perf::{batch_counters, mixed_batch};
+use asv_serve::{JobOutcome, ServeOptions, VerifyJob, VerifyService};
+use asv_sva::bmc::{Engine, Verdict, Verifier};
+use asv_sva::monitor::failure_logs;
+use asv_trace::{CostCounters, Tracer};
 
 #[test]
 fn counters_bit_identical_across_workers_and_reruns() {
@@ -74,5 +78,83 @@ fn counters_bit_identical_across_workers_and_reruns() {
         "counters drifted across reruns:\n  first: {}\n  rerun: {}",
         reference.to_json(),
         again.to_json()
+    );
+}
+
+/// A register whose select is the antecedent: `s |-> ##1 r == ...` reads
+/// the branch that `s` loads. `OP` is the operator the property expects.
+const SELECTED_MUX: &str = "module selected_mux(input clk, input rst_n, input s, \
+     input [15:0] a, input [15:0] b, output reg [15:0] r);
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) r <= 16'd0;
+    else if (s) r <= a & b;
+    else r <= a + b;
+  end
+  p: assert property (@(posedge clk) disable iff (!rst_n)
+    s |-> ##1 r == ($past(a) OP $past(b))) else $error(\"r must load the selected branch\");
+endmodule
+";
+
+/// The selected-mux design with the property expecting `op`, checked
+/// symbolically at depth 10 by a traced one-worker service: its
+/// verifier, outcome and cost counters.
+fn selected_mux_check(op: &str) -> (Verifier, asv_verilog::Design, JobOutcome, CostCounters) {
+    let design = asv_verilog::compile(&SELECTED_MUX.replace("OP", op)).expect("compile");
+    let verifier = Verifier {
+        depth: 10,
+        engine: Engine::Symbolic,
+        ..Verifier::default()
+    };
+    let tracer = Tracer::new();
+    let service = VerifyService::new(ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    })
+    .traced(tracer.clone());
+    let job = VerifyJob::new(design.clone(), verifier);
+    let (mut outcomes, _, events) = service.verify_batch_traced(std::slice::from_ref(&job));
+    assert_eq!(
+        tracer.dropped(),
+        0,
+        "trace ring overflow would skew counters"
+    );
+    let outcome = outcomes.pop().expect("one job, one outcome");
+    (
+        verifier,
+        design,
+        outcome,
+        CostCounters::from_events(&events),
+    )
+}
+
+/// The antecedent cofactor in `asv_sat::engine` rebuilds each attempt's
+/// consequent with the antecedent fixed true, so the next-state mux
+/// `s ? a & b : a + b` becomes `a & b` and the consequent folds to true
+/// in every attempt: the proof needs no depth solve, only the vacuity
+/// query, and no conflict. Without the cofactor the same proof took 10
+/// solves and 323 conflicts.
+#[test]
+fn antecedent_selected_mux_proves_without_conflicts() {
+    let (_, _, outcome, counters) = selected_mux_check("&");
+    assert!(
+        outcome.expect("verdict").holds_non_vacuously(),
+        "the selected branch must prove"
+    );
+    assert_eq!(
+        (counters.sat_solves, counters.conflicts),
+        (1, 0),
+        "one vacuity solve and no conflict: {}",
+        counters.to_json()
+    );
+
+    let (verifier, design, outcome, _) = selected_mux_check("|");
+    let Ok(Verdict::Fails(cex)) = outcome else {
+        panic!("expecting `|` for the `&` branch must fail, got {outcome:?}");
+    };
+    let trace = verifier.replay(&design, &cex).expect("replay");
+    let logs = failure_logs(&design.module, &trace).expect("monitor");
+    assert_eq!(
+        logs, cex.logs,
+        "the counterexample replays on the simulator"
     );
 }
