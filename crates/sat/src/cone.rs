@@ -1,14 +1,16 @@
-//! Per-assertion cone hashing for incremental re-verification.
+//! Per-assertion cone hashing.
 //!
 //! An assertion's *cone* is exactly what a symbolic check of that
 //! assertion can observe: the compiled property program, the `sym_live`
 //! subset of the bytecode reachable from the program's signal roots, and
 //! the design facts the unrolling schedule depends on (clock/reset
 //! discipline, levelization, opt level, the signal table). Hashing the
-//! cone — and nothing else — yields a key with the property asv-store's
-//! incremental path is built on: **an edit outside every assertion's
-//! cone leaves every cone hash unchanged**, so the repair loop re-runs
-//! only the assertions whose hashes moved — O(diff), not O(design).
+//! cone — and nothing else — yields a key with the property incremental
+//! re-verification needs: **an edit outside every assertion's cone
+//! leaves every cone hash unchanged**, so a verdict keyed by cone hash
+//! stays valid for a repair that edits only other logic. No verdict tier
+//! keys by cone today; `asv_serve::persist::cone_outcome_key` derives
+//! the store key such a tier would use.
 //!
 //! Hashes are computed with [`asv_ir::StableHasher`], so they are valid
 //! on-disk key material across processes and platforms. Canonical forms
@@ -34,11 +36,11 @@
 //! A cone hash certifies a verdict only for engines whose result is a
 //! function of the cone: the symbolic engine on `sym_live`-masked
 //! designs. Fuzzing and sampling verdicts depend on whole-design
-//! coverage feedback and RNG interleaving, so cone-keyed reuse is
-//! restricted by callers (asv-serve, asv-eval) to designs that pass
+//! coverage feedback and RNG interleaving, so cone-keyed reuse must be
+//! restricted by callers to designs that pass
 //! [`crate::engine::supports`] at `OptLevel::Full` with an engine whose
-//! canonical path is symbolic. Everything else uses exact whole-design
-//! keys.
+//! canonical path is symbolic (as `asv_serve::persist::cone_outcome_key`
+//! does). Everything else needs exact whole-design keys.
 
 use std::hash::{Hash, Hasher};
 
@@ -146,9 +148,9 @@ pub fn assertion_cones(cd: &CompiledDesign) -> Result<Vec<AssertionCone>, BmcErr
 }
 
 /// The whole-job cone hash: every property plus the union of their
-/// cones. Invariant under edits outside *all* assertion cones, so
-/// asv-serve can cone-key complete multi-assertion jobs, not just the
-/// per-assertion splits.
+/// cones. Invariant under edits outside *all* assertion cones, so a
+/// complete multi-assertion job can be cone-keyed
+/// (`asv_serve::persist::cone_outcome_key`), not just one assertion.
 ///
 /// # Errors
 ///

@@ -139,10 +139,18 @@ impl From<BlastError> for BmcError {
 /// programs of a directive set (sequence atoms and disable guards)
 /// densely from 0, so the engine can keep one blasted literal per
 /// `(tick, id)`.
-#[derive(Debug)]
 pub(crate) struct Prog {
     id: usize,
     code: ExprProg,
+}
+
+/// The cone hash renders compiled properties with `Debug` (see
+/// [`PropSym`]); the id numbers one compilation's programs and is no part
+/// of what a program computes, so it is left out.
+impl fmt::Debug for Prog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.code.fmt(f)
+    }
 }
 
 /// One boolean of a linear sequence, evaluated `tick_off` ticks after the
@@ -172,6 +180,11 @@ pub(crate) enum PropBody {
 }
 
 /// A directive compiled against the design's signal interning.
+///
+/// `Debug` output doubles as the property's canonical form for the cone
+/// hash (`crate::cone`): it renders the full compiled program — tick
+/// offsets, postfix ops, interned `SigId`s — and nothing position- or
+/// span-dependent.
 #[derive(Debug)]
 pub(crate) struct PropSym {
     /// `AssertDirective::log_name`.
@@ -1070,6 +1083,8 @@ pub fn unroll_stats(cd: &CompiledDesign, opts: BmcOptions) -> Result<UnrollStats
 /// property — the frame is driven with free symbolic inputs (no reset
 /// prefix), so every operator the full unrolling would blast is
 /// exercised once, without paying for SAT solving or deep unrolling.
+/// `asv_serve::persist::cone_outcome_key` uses this to decide cone-key
+/// eligibility.
 ///
 /// # Errors
 ///

@@ -27,7 +27,9 @@
 //!   share one design and candidates repeat across samples — are
 //!   answered in O(hash) without touching an engine. The memo is the
 //!   only verdict tier and lives as long as its service: nothing is
-//!   written to disk. Compiled designs are additionally shared
+//!   written to disk ([`persist`] derives the process-stable keys and
+//!   admission rules for a caller that stores outcomes in `asv-store`
+//!   itself). Compiled designs are additionally shared
 //!   process-wide through the sharded [`asv_sim::cache`] while some
 //!   caller holds them, so concurrent checks of one design lower it
 //!   once.
@@ -62,6 +64,7 @@
 
 pub mod cache;
 pub mod job;
+pub mod persist;
 pub mod report;
 pub mod service;
 

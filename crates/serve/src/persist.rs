@@ -1,7 +1,10 @@
-//! Bridging jobs and outcomes to the persistent artifact store.
+//! Keys and admission rules for persisting job outcomes in `asv-store`.
 //!
-//! This module owns the serve-side key derivation and admission rules
-//! for `asv-store`'s second cache tier:
+//! The service itself keeps no disk tier: its in-memory memo is its only
+//! verdict tier. This module holds what a caller that persists outcomes
+//! in an [`ArtifactStore`](asv_store::ArtifactStore) needs: admission
+//! ([`to_persisted`]) that accepts exactly what the memo accepts, and
+//! two kinds of process-stable key.
 //!
 //! * **Exact keys** ([`exact_outcome_key`]) fingerprint the whole job —
 //!   the rendered module, its parameters, and the complete [`Verifier`]
@@ -12,8 +15,7 @@
 //!   *symbolic* verdict can observe: the design's assertion-cone hash
 //!   ([`asv_sat::cone::design_cone_hash`]) plus the unrolling depth and
 //!   reset protocol. They exist so a candidate repair that edits logic
-//!   *outside* every assertion cone re-uses the stored verdict — the
-//!   O(diff) half of incremental re-verification.
+//!   *outside* every assertion cone can re-use a stored verdict.
 //!
 //! ## Cone-key soundness
 //!
@@ -75,20 +77,20 @@ pub fn exact_outcome_key(job: &VerifyJob) -> StoreKey {
 /// Whether `verifier` admits cone keys at all: `OptLevel::Full` and a
 /// symbolic-first engine (the first gate, short of the design's own
 /// `supports` check).
-pub(crate) fn cone_eligible(verifier: &Verifier) -> bool {
+fn cone_eligible(verifier: &Verifier) -> bool {
     verifier.opt == OptLevel::Full && matches!(verifier.engine, Engine::Auto | Engine::Symbolic)
 }
 
 /// The cone hash of a design's `OptLevel::Full` lowering, or `None` when
 /// the design is outside the symbolic subset.
-pub(crate) fn design_cone_hash(cd: &CompiledDesign) -> Option<u128> {
+fn design_cone_hash(cd: &CompiledDesign) -> Option<u128> {
     asv_sat::engine::supports(cd).ok()?;
     asv_sat::cone::design_cone_hash(cd).ok()
 }
 
 /// The cone store key of a cone-eligible `job` whose design has cone hash
 /// `design` ([`design_cone_hash`]).
-pub(crate) fn cone_store_key(job: &VerifyJob, design: u128) -> StoreKey {
+fn cone_store_key(job: &VerifyJob, design: u128) -> StoreKey {
     let verifier = job.verifier();
     let mut h = StableHasher::with_domain("asv-serve-cone");
     design.hash(&mut h);
@@ -101,10 +103,7 @@ pub(crate) fn cone_store_key(job: &VerifyJob, design: u128) -> StoreKey {
 /// not cone-eligible (see the module docs for the soundness gates).
 ///
 /// Lowers the design through the process-wide [`asv_sim::cache`] and
-/// drops the lowering, which the cache does not keep. The service derives
-/// its keys from the same pieces but holds the lowering through the
-/// engine run, so a cold job lowers its design once (see
-/// [`VerifyService`](crate::VerifyService)).
+/// drops the lowering, which the cache does not keep.
 pub fn cone_outcome_key(job: &VerifyJob) -> Option<StoreKey> {
     let verifier = job.verifier();
     if !cone_eligible(verifier) {

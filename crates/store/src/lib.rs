@@ -3,9 +3,10 @@
 //! A disk-backed, content-addressed artifact store for verification
 //! outcomes: verdicts (with their counterexample stimuli) and
 //! deterministic verify errors survive the process, so a CI-style repair
-//! loop never starts cold. Nothing stores outcomes here any more:
-//! asv-serve's in-memory `VerdictCache` is its only verdict tier, and it
-//! reads just [`SCHEMA_VERSION`] from this crate, into every job key.
+//! loop never starts cold. asv-serve's service stores no outcome here:
+//! its in-memory `VerdictCache` is its only verdict tier, and every job
+//! key mixes in [`SCHEMA_VERSION`]. `asv_serve::persist` derives the
+//! store keys and admission for a caller that stores outcomes itself.
 //!
 //! ```text
 //!   <store_dir>/
@@ -52,7 +53,7 @@ use asv_sva::bmc::{Verdict, VerifyError};
 /// never serve a hit — its keys simply don't exist in the new keyspace.
 ///
 /// Bump this when changing: any `codec` encoding, the key material of
-/// `JobKey`, or the hash function itself.
+/// `JobKey` or the cone hash, or the hash function itself.
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// 128-bit content digest of an object payload ([`asv_ir::stablehash`],

@@ -1,38 +1,13 @@
-//! Incremental re-verification suite: cone hashes are stable under
-//! out-of-cone edits across **all 12 datagen archetypes**, and the
-//! store-backed per-assertion path re-runs O(diff) engines, proven from
-//! the service's execution counters.
+//! Cone-hash stability across **all 12 datagen archetypes**: the key
+//! material incremental re-verification needs. An edit outside every
+//! assertion's cone moves no cone hash, and an injected bug whose
+//! mutant keeps every cone hash keeps its symbolic verdict too.
 
 use asv_datagen::corpus::{Archetype, CorpusGen};
 use asv_mutation::inject::{apply, enumerate};
 use asv_sat::cone::{assertion_cones, design_cone_hash};
-use asv_serve::{ServeOptions, VerifyJob, VerifyService};
 use asv_sim::compile::CompiledDesign;
-use asv_sva::bmc::{Engine, Verifier};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
-
-/// A scratch store directory, removed on drop.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new(tag: &str) -> Self {
-        static SEQ: AtomicU32 = AtomicU32::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "asv-incr-suite-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        ScratchDir(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use asv_sva::bmc::Verifier;
 
 /// Appends dead logic (a probe wire over constants) before `endmodule`.
 /// Both variants declare the same probe, so the signal table is
@@ -129,116 +104,5 @@ fn injected_bugs_move_at_least_one_cone_hash() {
     assert!(
         moved > 0,
         "at least some injected bugs must land inside an assertion cone"
-    );
-}
-
-/// A two-register module where each assertion observes only its own
-/// cone. Patching the `b` logic must re-run only `p_b`.
-fn two_cone_source(a_rhs: &str, b_rhs: &str) -> String {
-    format!(
-        r#"
-module two(input clk, input rst, input da, input db,
-           output reg qa, output reg qb);
-  always @(posedge clk) begin
-    if (rst) qa <= 1'b0; else qa <= {a_rhs};
-  end
-  always @(posedge clk) begin
-    if (rst) qb <= 1'b0; else qb <= {b_rhs};
-  end
-  p_a: assert property (@(posedge clk) disable iff (rst) da |-> ##1 qa);
-  p_b: assert property (@(posedge clk) disable iff (rst) db |-> ##1 qb);
-endmodule
-"#
-    )
-}
-
-fn per_assertion_jobs(src: &str, verifier: Verifier) -> Vec<VerifyJob> {
-    let d = asv_verilog::compile(src).expect("compile");
-    let n = d.module.assertions().count();
-    (0..n)
-        .map(|i| {
-            VerifyJob::new(
-                d.with_single_assertion(i).expect("index in range"),
-                verifier,
-            )
-        })
-        .collect()
-}
-
-#[test]
-fn patched_design_reruns_only_the_affected_assertion() {
-    let verifier = Verifier {
-        depth: 6,
-        reset_cycles: 2,
-        engine: Engine::Auto,
-        ..Verifier::default()
-    };
-    let dir = ScratchDir::new("odiff");
-    let stored = |dir: &ScratchDir| {
-        VerifyService::new(ServeOptions {
-            workers: 2,
-            store_dir: Some(dir.0.clone()),
-            ..ServeOptions::default()
-        })
-    };
-
-    // Baseline: verify both assertions of the unpatched design.
-    let base = stored(&dir);
-    let baseline = base.verify_batch(&per_assertion_jobs(&two_cone_source("da", "db"), verifier));
-    assert_eq!(base.stats().executed, 2, "cold baseline runs both cones");
-    assert!(baseline.iter().all(|o| o.is_ok()));
-    drop(base);
-
-    // A candidate patch touching only the b-cone (`db | da` still
-    // satisfies `p_b`, and the optimizer cannot fold it away): a fresh
-    // service on the same store re-runs exactly the affected assertion.
-    let patched = stored(&dir);
-    let out = patched.verify_batch(&per_assertion_jobs(
-        &two_cone_source("da", "db | da"),
-        verifier,
-    ));
-    assert!(out.iter().all(|o| o.is_ok()));
-    let stats = patched.stats();
-    assert_eq!(
-        stats.executed, 1,
-        "only the patched cone may run an engine (O(diff), not O(design))"
-    );
-    assert_eq!(stats.store_hits, 1, "the untouched cone answers from disk");
-    drop(patched);
-
-    // Re-verifying the patched design is now fully warm.
-    let warm = stored(&dir);
-    let again = warm.verify_batch(&per_assertion_jobs(
-        &two_cone_source("da", "db | da"),
-        verifier,
-    ));
-    assert_eq!(again, out);
-    assert_eq!(warm.stats().executed, 0, "both cones answer from disk now");
-}
-
-#[test]
-fn per_assertion_verdicts_agree_with_the_whole_design() {
-    // Conjunction equivalence on a design with one failing assertion.
-    let verifier = Verifier {
-        depth: 6,
-        reset_cycles: 2,
-        ..Verifier::default()
-    };
-    let src = two_cone_source("da", "!db"); // p_b is refuted
-    let whole = asv_verilog::compile(&src).expect("compile");
-    let service = VerifyService::with_workers(2);
-    let whole_verdict = service
-        .verify_one(&VerifyJob::new(whole, verifier))
-        .expect("verdict");
-    assert!(whole_verdict.is_failure());
-    let split = service.verify_batch(&per_assertion_jobs(&src, verifier));
-    let split_ok: Vec<bool> = split
-        .iter()
-        .map(|o| matches!(o, Ok(v) if v.holds_non_vacuously()))
-        .collect();
-    assert_eq!(
-        split_ok,
-        vec![true, false],
-        "exactly the refuted assertion's job must fail"
     );
 }
