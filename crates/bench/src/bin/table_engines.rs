@@ -332,23 +332,14 @@ fn main() {
 }
 
 /// Per-archetype before/after table of the IR pass pipeline: bytecode
-/// length (the simulator's program size) and AIG node / CNF clause
-/// counts of a depth-8 unrolling (the SAT engine's problem size), at
+/// length (the simulator's program size) and the AIG node count of a
+/// depth-8 unrolling (the SAT engine's problem size), at
 /// `OptLevel::None` vs `OptLevel::Full`.
 fn optimizing_ir_table() {
-    println!("\n== Optimizing IR: bytecode and CNF reduction per archetype (depth 8) ==");
+    println!("\n== Optimizing IR: bytecode and AIG reduction per archetype (depth 8) ==");
     println!(
-        "{:<14} {:>9} {:>9} {:>6}  {:>9} {:>9} {:>6}  {:>9} {:>9} {:>6}",
-        "archetype",
-        "ops·raw",
-        "ops·opt",
-        "Δ%",
-        "aig·raw",
-        "aig·opt",
-        "Δ%",
-        "cnf·raw",
-        "cnf·opt",
-        "Δ%"
+        "{:<14} {:>9} {:>9} {:>6}  {:>9} {:>9} {:>6}",
+        "archetype", "ops·raw", "ops·opt", "Δ%", "aig·raw", "aig·opt", "Δ%"
     );
     let gen = CorpusGen::new(0x17AB);
     let opts = BmcOptions {
@@ -365,7 +356,6 @@ fn optimizing_ir_table() {
     };
     let (mut ops_raw_t, mut ops_opt_t) = (0usize, 0usize);
     let (mut aig_raw_t, mut aig_opt_t) = (0usize, 0usize);
-    let (mut cnf_raw_t, mut cnf_opt_t) = (0usize, 0usize);
     for (ai, arch) in Archetype::ALL.iter().enumerate() {
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(ai as u64);
         let gd = gen.instantiate(
@@ -388,19 +378,17 @@ fn optimizing_ir_table() {
         ops_raw_t += ops_raw;
         ops_opt_t += ops_opt;
         let (stats_raw, stats_opt) = (unroll_stats(&raw, opts), unroll_stats(&opt, opts));
-        let ((ar, cr), (ao, co)) = match (&stats_raw, &stats_opt) {
-            (Ok(r), Ok(o)) => ((r.aig_nodes, r.cnf_clauses), (o.aig_nodes, o.cnf_clauses)),
+        let (ar, ao) = match (&stats_raw, &stats_opt) {
+            (Ok(r), Ok(o)) => (r.aig_nodes, o.aig_nodes),
             // Out-of-subset designs must be rejected identically.
-            (Err(_), Err(_)) => ((0, 0), (0, 0)),
+            (Err(_), Err(_)) => (0, 0),
             (r, o) => panic!("{arch}: symbolic subset flipped across opt levels: {r:?} vs {o:?}"),
         };
         assert!(ao <= ar, "{arch}: optimization must not grow the AIG");
         aig_raw_t += ar;
         aig_opt_t += ao;
-        cnf_raw_t += cr;
-        cnf_opt_t += co;
         println!(
-            "{:<14} {:>9} {:>9} {:>5.1}%  {:>9} {:>9} {:>5.1}%  {:>9} {:>9} {:>5.1}%",
+            "{:<14} {:>9} {:>9} {:>5.1}%  {:>9} {:>9} {:>5.1}%",
             format!("{arch}"),
             ops_raw,
             ops_opt,
@@ -408,13 +396,10 @@ fn optimizing_ir_table() {
             ar,
             ao,
             pct(ar, ao),
-            cr,
-            co,
-            pct(cr, co),
         );
     }
     println!(
-        "{:<14} {:>9} {:>9} {:>5.1}%  {:>9} {:>9} {:>5.1}%  {:>9} {:>9} {:>5.1}%",
+        "{:<14} {:>9} {:>9} {:>5.1}%  {:>9} {:>9} {:>5.1}%",
         "TOTAL",
         ops_raw_t,
         ops_opt_t,
@@ -422,9 +407,6 @@ fn optimizing_ir_table() {
         aig_raw_t,
         aig_opt_t,
         pct(aig_raw_t, aig_opt_t),
-        cnf_raw_t,
-        cnf_opt_t,
-        pct(cnf_raw_t, cnf_opt_t),
     );
     assert!(
         ops_opt_t < ops_raw_t,
@@ -463,10 +445,6 @@ fn mixed_batch_comparison() {
     let mut t_par = Duration::MAX;
     let mut sequential = Vec::new();
     let mut batched = Vec::new();
-    let service = VerifyService::new(ServeOptions {
-        memoize: false, // keep every round verdict-cold
-        ..ServeOptions::default()
-    });
     for _ in 0..2 {
         asv_sim::cache::global().clear();
         let t0 = Instant::now();
@@ -480,6 +458,8 @@ fn mixed_batch_comparison() {
             .collect();
         t_seq = t_seq.min(t0.elapsed());
 
+        // A fresh service per round keeps every round verdict-cold.
+        let service = VerifyService::default();
         asv_sim::cache::global().clear();
         let t0 = Instant::now();
         batched = service.verify_batch(&jobs);
@@ -491,9 +471,7 @@ fn mixed_batch_comparison() {
         "service verdicts must be bit-identical to the sequential loop"
     );
 
-    // Warm re-verification: O(hash) per job, no engine runs. (A separate
-    // memoising service — the timing service above is deliberately
-    // memo-free.)
+    // Warm re-verification: O(hash) per job, no engine runs.
     let memo_service = VerifyService::new(ServeOptions::default());
     let prime = memo_service.verify_batch(&jobs);
     assert_eq!(prime, sequential);

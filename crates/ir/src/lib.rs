@@ -36,7 +36,6 @@ pub mod value;
 
 pub use eval::EvalError;
 pub use ir::{Arena, IrCaseArm, IrCombStep, IrDesign, IrExpr, IrLValue, IrStmt, NodeId};
-pub use stablehash::StableHasher;
 pub use value::Value;
 
 use serde::{Deserialize, Serialize};

@@ -139,24 +139,16 @@ impl From<BlastError> for BmcError {
 /// programs of a directive set (sequence atoms and disable guards)
 /// densely from 0, so the engine can keep one blasted literal per
 /// `(tick, id)`.
-pub(crate) struct Prog {
+#[derive(Debug)]
+struct Prog {
     id: usize,
     code: ExprProg,
-}
-
-/// The cone hash renders compiled properties with `Debug` (see
-/// [`PropSym`]); the id numbers one compilation's programs and is no part
-/// of what a program computes, so it is left out.
-impl fmt::Debug for Prog {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.code.fmt(f)
-    }
 }
 
 /// One boolean of a linear sequence, evaluated `tick_off` ticks after the
 /// attempt start.
 #[derive(Debug)]
-pub(crate) struct Atom {
+struct Atom {
     tick_off: u32,
     prog: Prog,
 }
@@ -164,13 +156,13 @@ pub(crate) struct Atom {
 /// A flattened linear sequence: atoms in evaluation order plus the end
 /// offset (`SeqExpr::duration`).
 #[derive(Debug)]
-pub(crate) struct SeqProg {
+struct SeqProg {
     atoms: Vec<Atom>,
     end_off: u32,
 }
 
 #[derive(Debug)]
-pub(crate) enum PropBody {
+enum PropBody {
     Seq(SeqProg),
     Implication {
         antecedent: SeqProg,
@@ -180,15 +172,10 @@ pub(crate) enum PropBody {
 }
 
 /// A directive compiled against the design's signal interning.
-///
-/// `Debug` output doubles as the property's canonical form for the cone
-/// hash (`crate::cone`): it renders the full compiled program — tick
-/// offsets, postfix ops, interned `SigId`s — and nothing position- or
-/// span-dependent.
 #[derive(Debug)]
-pub(crate) struct PropSym {
+struct PropSym {
     /// `AssertDirective::log_name`.
-    pub(crate) name: String,
+    name: String,
     disable: Option<Prog>,
     body: PropBody,
     /// Ticks beyond the start the attempt may observe (the monitor's
@@ -249,7 +236,7 @@ fn resolve_property(module: &Module, dir_idx: usize) -> Option<&PropertyDecl> {
     }
 }
 
-pub(crate) fn compile_props(cd: &CompiledDesign) -> Result<Vec<PropSym>, BmcError> {
+fn compile_props(cd: &CompiledDesign) -> Result<Vec<PropSym>, BmcError> {
     let module = &cd.design().module;
     let resolve = |name: &str| match cd.sig(name) {
         Some(sig) => NameRef::Sig(sig),
@@ -457,7 +444,7 @@ struct Engine<'a> {
     frame_inputs: Vec<Vec<SymVec>>,
     /// Dead-logic elimination masks for the unrolling: `(comb, seq)`
     /// liveness from `CompiledDesign::sym_live` (None = blast everything,
-    /// as the `supports` probe and `OptLevel::None` designs do).
+    /// as `OptLevel::None` designs do).
     live: Option<(Vec<bool>, Vec<bool>)>,
     /// Truthiness of program `id` at tick `t`, at `t * n_progs + id` once
     /// blasted. A pushed row never changes, so re-blasting a program at a
@@ -1002,7 +989,7 @@ pub fn check_budgeted(
 /// Observability roots of the properties: every signal any compiled
 /// property program (body atoms, disable guards, history sub-programs)
 /// reads.
-pub(crate) fn prop_roots(props: &[PropSym]) -> Vec<SigId> {
+fn prop_roots(props: &[PropSym]) -> Vec<SigId> {
     let mut roots = Vec::new();
     let seq = |sp: &SeqProg, roots: &mut Vec<SigId>| {
         for a in &sp.atoms {
@@ -1035,16 +1022,12 @@ pub struct UnrollStats {
     /// AIG nodes after unrolling every frame and building the combined
     /// fail cone.
     pub aig_nodes: usize,
-    /// CNF variables after Tseitin-encoding the fail cone.
-    pub cnf_vars: usize,
-    /// CNF clauses after Tseitin-encoding the fail cone.
-    pub cnf_clauses: usize,
 }
 
 /// Unrolls the full bound (same schedule, cone restriction and property
-/// logic as [`check`]) and Tseitin-encodes the combined fail cone —
-/// without solving. The resulting sizes quantify what the IR pipeline
-/// saves the SAT engine per design.
+/// logic as [`check`]) and builds the combined fail cone — without
+/// encoding or solving it. The resulting size quantifies what the IR
+/// pipeline saves the SAT engine per design.
 ///
 /// # Errors
 ///
@@ -1065,48 +1048,9 @@ pub fn unroll_stats(cd: &CompiledDesign, opts: BmcOptions) -> Result<UnrollStats
             fail = engine.g.or(fail, f);
         }
     }
-    if fail.as_const().is_none() {
-        let _ = engine.enc.lit(&engine.g, &mut engine.solver, fail);
-    }
     Ok(UnrollStats {
         aig_nodes: engine.g.len(),
-        cnf_vars: engine.solver.num_vars(),
-        cnf_clauses: engine.solver.num_clauses(),
     })
-}
-
-/// Cheap structural probe: does `cd` fall inside the symbolic engine's
-/// encodable subset?
-///
-/// Compiles every property and symbolically blasts **one post-reset
-/// frame** (settle, sample, clock edge, settle) plus one attempt of each
-/// property — the frame is driven with free symbolic inputs (no reset
-/// prefix), so every operator the full unrolling would blast is
-/// exercised once, without paying for SAT solving or deep unrolling.
-/// `asv_serve::persist::cone_outcome_key` uses this to decide cone-key
-/// eligibility.
-///
-/// # Errors
-///
-/// [`BmcError::Unsupported`] exactly when [`check`] would reject the
-/// design before its first SAT call.
-pub fn supports(cd: &CompiledDesign) -> Result<(), BmcError> {
-    let props = compile_props(cd)?;
-    let probe = BmcOptions {
-        depth: 1,
-        reset_cycles: 0,
-        conflict_budget: Some(0),
-        ..BmcOptions::default()
-    };
-    // The probe blasts the FULL schedule (no cone restriction): the
-    // accept/reject answer must match what `check` would decide for the
-    // same design at `OptLevel::None`, where nothing is masked.
-    let mut engine = Engine::new(cd, &props, probe, &Budget::unbounded(), None)?;
-    engine.push_frame()?;
-    for prop in &props {
-        engine.attempt_lits(prop, 0, 1)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1264,38 +1208,6 @@ endmodule
             check(&cd, BmcOptions::default()),
             Err(BmcError::Unsupported(_))
         ));
-    }
-
-    #[test]
-    fn supports_probe_matches_full_check() {
-        assert!(supports(&compiled(GOOD)).is_ok());
-        let latch = r#"
-module lat(input clk, input en, input d, output reg q);
-  always @(*) begin if (en) q = d; end
-  p: assert property (@(posedge clk) 1'b1 |-> 1'b1);
-endmodule
-"#;
-        assert!(matches!(
-            supports(&compiled(latch)),
-            Err(BmcError::Unsupported(_))
-        ));
-        // Symbolic-input-dependent unsupported op (non-constant shift is
-        // fine, non-constant division is not): the probe must catch it
-        // even though a reset-frame constant fold would hide it.
-        let div = r#"
-module dv(input clk, input rst_n, input [3:0] a, output reg [3:0] q);
-  always @(posedge clk or negedge rst_n) begin
-    if (!rst_n) q <= 4'd0;
-    else q <= 4'd8 / a;
-  end
-  p: assert property (@(posedge clk) disable iff (!rst_n) 1'b1 |-> 1'b1);
-endmodule
-"#;
-        assert_eq!(
-            supports(&compiled(div)).is_ok(),
-            check(&compiled(div), BmcOptions::default()).is_ok(),
-            "probe and full check must agree on non-constant division"
-        );
     }
 
     #[test]

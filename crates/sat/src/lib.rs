@@ -52,7 +52,6 @@
 
 pub mod aig;
 pub mod blast;
-pub mod cone;
 pub mod engine;
 pub mod solver;
 pub mod unroll;

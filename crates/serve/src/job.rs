@@ -106,15 +106,20 @@ pub struct JobKey(pub u128);
 const KEY_TAG_HI: u64 = 0x9E37_79B9_7F4A_7C15;
 const KEY_TAG_LO: u64 = 0xC2B2_AE3D_27D4_EB4F;
 
+/// Version of the key material, mixed into both halves of every
+/// [`JobKey`]. Bump it when a change to the key material must retire
+/// every key derived before it.
+const SCHEMA_VERSION: u32 = 1;
+
 impl VerifyJob {
     /// Creates a job (accepts an owned design or an `Arc` to one) and
     /// computes its key under the current schema version. The schema is
-    /// mixed into both halves so bumping [`asv_store::SCHEMA_VERSION`]
-    /// retires every key derived under the old encoding.
+    /// mixed into both halves, so bumping it retires every key derived
+    /// under the old key material.
     pub fn new(design: impl Into<Arc<Design>>, verifier: Verifier) -> Self {
         let design = design.into();
         let design_hash = asv_sim::cache::design_hash(&design);
-        let key = job_key(design_hash, &verifier, asv_store::SCHEMA_VERSION);
+        let key = job_key(design_hash, &verifier, SCHEMA_VERSION);
         VerifyJob {
             design,
             design_hash,
@@ -265,8 +270,8 @@ mod tests {
     #[test]
     fn schema_bump_retires_every_key() {
         let job = VerifyJob::new(design("d", "d |-> ##1 q"), Verifier::default());
-        assert_eq!(job.key(), job.key_with_schema(asv_store::SCHEMA_VERSION));
-        let bumped = job.key_with_schema(asv_store::SCHEMA_VERSION + 1);
+        assert_eq!(job.key(), job.key_with_schema(SCHEMA_VERSION));
+        let bumped = job.key_with_schema(SCHEMA_VERSION + 1);
         assert_ne!(job.key(), bumped, "a schema bump must separate keys");
         // Both halves move independently — neither half may survive.
         assert_ne!((job.key().0 >> 64) as u64, (bumped.0 >> 64) as u64);

@@ -27,12 +27,11 @@
 //!   share one design and candidates repeat across samples — are
 //!   answered in O(hash) without touching an engine. The memo is the
 //!   only verdict tier and lives as long as its service: nothing is
-//!   written to disk ([`persist`] derives the process-stable keys and
-//!   admission rules for a caller that stores outcomes in `asv-store`
-//!   itself). Compiled designs are additionally shared
-//!   process-wide through the sharded [`asv_sim::cache`] while some
-//!   caller holds them, so concurrent checks of one design lower it
-//!   once.
+//!   written to disk. Each job takes one verdict path: in-batch dedup,
+//!   a memo hit, or an engine run whose cacheable outcome is memoised.
+//!   Compiled designs are additionally shared process-wide through the
+//!   sharded [`asv_sim::cache`] while some caller holds them, so
+//!   concurrent checks of one design lower it once.
 //! * **Fault tolerance** — each job runs under its own
 //!   [`Budget`](asv_sim::cancel::Budget) (deadline, SAT-conflict /
 //!   fuzz-round / AIG-node caps from [`ServeOptions`]) behind a
@@ -64,7 +63,6 @@
 
 pub mod cache;
 pub mod job;
-pub mod persist;
 pub mod report;
 pub mod service;
 

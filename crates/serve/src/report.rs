@@ -18,7 +18,7 @@ use asv_trace::{Cost, EndReason, EngineTag, Event, SpanKind};
 /// Which tier of the service answered a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnswerTier {
-    /// The in-memory verdict memo (including in-flight collapses).
+    /// The in-memory verdict memo.
     Memo,
     /// An engine actually ran.
     Engine,

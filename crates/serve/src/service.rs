@@ -40,13 +40,11 @@
 //!   exhaustion depend on the per-call budget or injected faults and are
 //!   never cached, so a degraded run can never poison a later, healthier
 //!   one;
-//! * concurrent submissions of the same key (within or across batches)
-//!   are collapsed through an in-flight table: one caller executes, the
-//!   rest wait and reuse the memoised outcome. If the owner's outcome
-//!   was not cacheable, a waiter re-executes rather than inheriting the
-//!   degraded result — and the table's leases are drop-guarded, so a
-//!   panicking owner always releases its claim and can never strand a
-//!   waiter.
+//! * each job takes one verdict path: in-batch dedup, a memo hit, or an
+//!   engine run whose cacheable outcome is memoised. Two batches that
+//!   threads submit to one service at once may both run a key that
+//!   neither found in the memo; the engine is deterministic in the key
+//!   and the memo insert is idempotent, so both get the same outcome.
 
 use crate::cache::VerdictCache;
 use crate::job::{JobKey, JobOutcome, VerdictError, VerifyJob};
@@ -55,19 +53,16 @@ use asv_sim::cancel::Budget;
 use asv_sim::FaultPlan;
 use asv_sva::bmc::Verdict;
 use asv_trace::{probe, Counter, EndReason, Registry, SpanKind, TraceHandle, TraceSink, Tracer};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// Service configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Service configuration. The default runs one worker per core with no
+/// per-job limits.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Worker threads; 0 means `std::thread::available_parallelism`.
     pub workers: usize,
-    /// Memoise verdicts across batches (disable for cache-cold
-    /// benchmarking; in-batch deduplication always applies).
-    pub memoize: bool,
     /// Per-job wall-clock deadline, measured from the moment a worker
     /// starts the job (`None` = unbounded). Auto jobs that run out
     /// degrade to `Verdict::Inconclusive`; forced single-engine
@@ -85,20 +80,6 @@ pub struct ServeOptions {
     /// worker count and scheduling. Inert unless the `fault-inject`
     /// feature is enabled (probes compile to plain budget polls).
     pub fault_plan: Option<FaultPlan>,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            workers: 0,
-            memoize: true,
-            deadline: None,
-            max_conflicts: None,
-            max_fuzz_rounds: None,
-            max_aig_nodes: None,
-            fault_plan: None,
-        }
-    }
 }
 
 /// Cumulative service counters.
@@ -122,68 +103,6 @@ pub struct ServeStats {
     pub store_puts: u64,
 }
 
-/// Cross-batch in-flight job table: collapses concurrent executions of
-/// one key into a single engine run.
-///
-/// A worker either *claims* a key (getting a [`InflightLease`]) or
-/// waits on the condvar until the current owner finishes. Leases release
-/// on drop — including panic unwinds — so an owner can never strand its
-/// waiters; waiters re-check the verdict memo on wake-up and re-execute
-/// themselves if the owner's outcome was not cacheable.
-#[derive(Default)]
-struct InflightTable {
-    keys: Mutex<HashSet<JobKey>>,
-    done: Condvar,
-}
-
-/// What [`InflightTable::claim`] resolved to.
-enum Claim<'a> {
-    /// Another owner finished first; here is its memoised outcome.
-    Hit(JobOutcome),
-    /// The caller owns the key until the lease drops.
-    Claimed(InflightLease<'a>),
-}
-
-/// Drop-guarded ownership of an in-flight key.
-struct InflightLease<'a> {
-    table: &'a InflightTable,
-    key: JobKey,
-}
-
-impl InflightTable {
-    /// Claims `key` for execution, or waits for the current owner and
-    /// returns its memoised outcome. Recovers from lock poisoning: the
-    /// set is structurally valid at every point, and leases release on
-    /// unwind.
-    fn claim<'a>(&'a self, key: JobKey, memo: &VerdictCache) -> Claim<'a> {
-        let mut keys = lock_inflight(&self.keys);
-        loop {
-            if let Some(hit) = memo.get(key) {
-                return Claim::Hit(hit);
-            }
-            if keys.insert(key) {
-                return Claim::Claimed(InflightLease { table: self, key });
-            }
-            keys = self.done.wait(keys).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-impl Drop for InflightLease<'_> {
-    fn drop(&mut self) {
-        let mut keys = lock_inflight(&self.table.keys);
-        keys.remove(&self.key);
-        self.table.done.notify_all();
-    }
-}
-
-/// Locks the in-flight set, recovering from poisoning (a worker panic
-/// between `insert` and `remove` leaves the set valid — the lease's
-/// drop guard still runs and removes the key).
-fn lock_inflight(m: &Mutex<HashSet<JobKey>>) -> MutexGuard<'_, HashSet<JobKey>> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// A verification job service with sharded verdict memoisation.
 ///
 /// Counters are [`Counter`] views over the service's private metrics
@@ -198,7 +117,6 @@ pub struct VerifyService {
     registry: Registry,
     tracer: Option<Tracer>,
     verdicts: VerdictCache,
-    inflight: InflightTable,
     submitted: Counter,
     executed: Counter,
     memo_hits: Counter,
@@ -280,7 +198,6 @@ impl VerifyService {
             registry,
             tracer: None,
             opts,
-            inflight: InflightTable::default(),
         }
     }
 
@@ -350,41 +267,21 @@ impl VerifyService {
         budget.with_trace(self.trace_handle().for_job(key.0))
     }
 
-    /// Executes one pending job: claims it in the in-flight table (when
-    /// memoising), runs the engine under the per-job budget, and memoises
-    /// a cacheable outcome before releasing the claim.
-    fn execute(&self, job: &VerifyJob) -> (JobOutcome, AnswerTier) {
-        let key = job.key();
-        let trace = self.trace_handle().for_job(key.0);
-        if !self.opts.memoize {
-            // `memoize: false` means *always execute* — the memo is
-            // bypassed (cache-cold benchmarking relies on it).
-            self.executed.inc();
-            return (self.run_job_traced(job, &trace), AnswerTier::Engine);
+    /// Executes one pending job under the per-job budget and memoises a
+    /// cacheable outcome.
+    fn execute(&self, job: &VerifyJob) -> JobOutcome {
+        self.executed.inc();
+        let outcome = self.run_job_traced(job);
+        if cacheable(&outcome) {
+            self.verdicts.insert(job.key(), outcome.clone());
         }
-        match self.inflight.claim(key, &self.verdicts) {
-            Claim::Hit(outcome) => {
-                self.memo_hits.inc();
-                (outcome, AnswerTier::Memo)
-            }
-            Claim::Claimed(lease) => {
-                self.executed.inc();
-                let outcome = self.run_job_traced(job, &trace);
-                // Memoise before releasing the claim so woken waiters
-                // find the result; a non-cacheable outcome leaves the
-                // memo untouched and waiters execute for themselves.
-                if cacheable(&outcome) {
-                    self.verdicts.insert(key, outcome.clone());
-                }
-                drop(lease);
-                (outcome, AnswerTier::Engine)
-            }
-        }
+        outcome
     }
 
     /// [`run_job`] under a `serve.job` span carrying the outcome's
     /// [`EndReason`] — the root of the job's trace tree.
-    fn run_job_traced(&self, job: &VerifyJob, trace: &TraceHandle) -> JobOutcome {
+    fn run_job_traced(&self, job: &VerifyJob) -> JobOutcome {
+        let trace = self.trace_handle().for_job(job.key().0);
         let mut span = trace.span(probe::SERVE_JOB, SpanKind::Job);
         let outcome = run_job(job, &self.job_budget(job.key()));
         span.set_end(job_end(&outcome));
@@ -464,37 +361,34 @@ impl VerifyService {
             if owner != i {
                 continue; // duplicate; filled from its owner below
             }
-            if self.opts.memoize {
-                let key = jobs[i].key();
-                if let Some(hit) = self.verdicts.get(key) {
-                    self.memo_hits.inc();
-                    root_trace.for_job(key.0).instant(
-                        probe::SERVE_MEMO,
-                        SpanKind::MemoLookup,
-                        1, // hit
-                        asv_trace::Cost::default(),
-                    );
-                    results[i] = Some((hit, AnswerTier::Memo));
-                    continue;
-                }
-                // The miss is observable too: deterministic cost
-                // accounting (asv_trace::cost) reads hit *and* miss
-                // counts off the event stream alone.
+            let key = jobs[i].key();
+            if let Some(hit) = self.verdicts.get(key) {
+                self.memo_hits.inc();
                 root_trace.for_job(key.0).instant(
                     probe::SERVE_MEMO,
                     SpanKind::MemoLookup,
-                    0, // miss
+                    1, // hit
                     asv_trace::Cost::default(),
                 );
+                results[i] = Some((hit, AnswerTier::Memo));
+                continue;
             }
+            // The miss is observable too: deterministic cost accounting
+            // (asv_trace::cost) reads hit *and* miss counts off the event
+            // stream alone.
+            root_trace.for_job(key.0).instant(
+                probe::SERVE_MEMO,
+                SpanKind::MemoLookup,
+                0, // miss
+                asv_trace::Cost::default(),
+            );
             pending.push(i);
         }
         // Self-scheduling pool over the pending jobs.
         if !pending.is_empty() {
             let workers = self.workers().min(pending.len()).max(1);
             let cursor = AtomicUsize::new(0);
-            let mut per_worker: Vec<Vec<(usize, (JobOutcome, AnswerTier))>> =
-                Vec::with_capacity(workers);
+            let mut per_worker: Vec<Vec<(usize, JobOutcome)>> = Vec::with_capacity(workers);
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(workers);
                 for _ in 0..workers {
@@ -519,7 +413,7 @@ impl VerifyService {
                 }
             });
             for (job_idx, outcome) in per_worker.into_iter().flatten() {
-                results[job_idx] = Some(outcome);
+                results[job_idx] = Some((outcome, AnswerTier::Engine));
             }
         }
         // Copy duplicates from their owners, in submission order.
@@ -572,6 +466,7 @@ mod tests {
     use asv_sim::cancel::Resource;
     use asv_sva::bmc::{Engine, Verdict, Verifier, VerifyError};
     use asv_verilog::sema::Design;
+    use std::collections::HashSet;
 
     fn design(follow: bool, tag: u64) -> Design {
         let rhs = if follow { "d" } else { "!d" };
@@ -652,17 +547,51 @@ mod tests {
     }
 
     #[test]
-    fn memoize_false_always_executes() {
-        let service = VerifyService::new(ServeOptions {
-            memoize: false,
-            ..ServeOptions::default()
-        });
+    fn cold_batch_counts_one_memo_miss_per_executed_job() {
         let jobs = batch(4, Engine::Auto);
-        let a = service.verify_batch(&jobs);
-        let b = service.verify_batch(&jobs);
-        assert_eq!(a, b);
-        assert_eq!(service.stats().memo_hits, 0);
-        assert!(service.stats().executed >= 2 * 3); // unique jobs per batch
+        let distinct: HashSet<JobKey> = jobs.iter().map(VerifyJob::key).collect();
+        assert_eq!(distinct.len(), 4, "the batch must hold 4 distinct jobs");
+        let service = VerifyService::default().traced(asv_trace::Tracer::new());
+        let (_, _, events) = service.verify_batch_traced(&jobs);
+        assert_eq!(service.stats().executed, 4);
+        assert_eq!(service.verdict_cache().stats().misses, 4);
+        assert_eq!(
+            service.metrics().counter_value("asv_memo_misses_total"),
+            Some(4)
+        );
+        assert_eq!(asv_trace::CostCounters::from_events(&events).memo_misses, 4);
+    }
+
+    #[test]
+    fn concurrent_batches_on_one_service_match_a_one_worker_run() {
+        let jobs = batch(12, Engine::Auto);
+        let reference = VerifyService::with_workers(1).verify_batch(&jobs);
+        let service = VerifyService::with_workers(2);
+        // Both threads submit once both exist, so their batches overlap.
+        let start = std::sync::Barrier::new(2);
+        let outs: Vec<Vec<JobOutcome>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        service.verify_batch(&jobs)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("submitting thread"))
+                .collect()
+        });
+        for out in &outs {
+            assert_eq!(out, &reference);
+        }
+        let stats = service.stats();
+        assert_eq!(stats.submitted, 2 * jobs.len() as u64);
+        assert_eq!(
+            stats.executed + stats.memo_hits + stats.deduped,
+            stats.submitted
+        );
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! A disk-backed, content-addressed artifact store for verification
 //! outcomes: verdicts (with their counterexample stimuli) and
 //! deterministic verify errors survive the process, so a CI-style repair
-//! loop never starts cold. asv-serve's service stores no outcome here:
-//! its in-memory `VerdictCache` is its only verdict tier, and every job
-//! key mixes in [`SCHEMA_VERSION`]. `asv_serve::persist` derives the
-//! store keys and admission for a caller that stores outcomes itself.
+//! loop never starts cold. Nothing in the workspace reads or writes a
+//! store: asv-serve's in-memory `VerdictCache` is its only verdict tier,
+//! and no crate derives exact or cone [`StoreKey`]s any more.
 //!
 //! ```text
 //!   <store_dir>/
@@ -48,12 +47,12 @@ use asv_ir::stablehash::hash128;
 use asv_sva::bmc::{Verdict, VerifyError};
 
 /// Version of every on-disk encoding (object payloads, manifest records,
-/// key material). Mixed into [`StoreKey`] bytes *and* into asv-serve's
-/// `JobKey` material, so a store written by an incompatible release can
-/// never serve a hit — its keys simply don't exist in the new keyspace.
+/// key material). Mixed into [`StoreKey`] bytes, so a store written by an
+/// incompatible release can never serve a hit — its keys simply don't
+/// exist in the new keyspace.
 ///
-/// Bump this when changing: any `codec` encoding, the key material of
-/// `JobKey` or the cone hash, or the hash function itself.
+/// Bump this when changing: any `codec` encoding, the key material, or
+/// the hash function itself.
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// 128-bit content digest of an object payload ([`asv_ir::stablehash`],

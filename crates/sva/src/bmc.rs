@@ -453,8 +453,7 @@ impl Default for Verifier {
 
 /// Compiled-design lookup through the process-wide **sharded** cache in
 /// [`asv_sim::cache`]: callers that hold one design's lowering at the
-/// same time (a store-enabled service job and its engine run, concurrent
-/// checks) share it.
+/// same time (concurrent checks of one design) share it.
 fn compiled_for(design: &Design, opt: OptLevel) -> Arc<CompiledDesign> {
     asv_sim::cache::global().get_or_compile_opt(design, opt)
 }
