@@ -10,7 +10,7 @@
 
 use crate::corpus::Corpus;
 use crate::mutate::Mutator;
-use asv_sim::cancel::{Budget, Exhausted, Stop};
+use asv_sim::cancel::{Budget, Exhausted};
 use asv_sim::compile::CompiledDesign;
 use asv_sim::cover::{CovMap, CoverageReport};
 use asv_sim::exec::{SimError, Simulator};
@@ -116,11 +116,7 @@ pub enum FuzzError {
     /// A failing stimulus did not replay bit-identically on the
     /// interpreter oracle — a simulator bug, never a design property.
     OracleDivergence,
-    /// The campaign's [`CancelToken`](asv_sim::cancel::CancelToken) was
-    /// poisoned (the caller gave up); no verdict, never a wrong one.
-    Cancelled,
-    /// A [`Budget`] resource (deadline, fuzz-round cap) ran out before a
-    /// verdict.
+    /// A [`Budget`] fault probe injected an exhaustion before a verdict.
     Exhausted(Exhausted),
 }
 
@@ -132,7 +128,6 @@ impl fmt::Display for FuzzError {
             FuzzError::OracleDivergence => {
                 write!(f, "failure did not replay on the interpreter oracle")
             }
-            FuzzError::Cancelled => write!(f, "fuzzing campaign cancelled"),
             FuzzError::Exhausted(e) => write!(f, "fuzzing campaign {e}"),
         }
     }
@@ -146,12 +141,9 @@ impl From<SimError> for FuzzError {
     }
 }
 
-impl From<Stop> for FuzzError {
-    fn from(s: Stop) -> Self {
-        match s {
-            Stop::Cancelled => FuzzError::Cancelled,
-            Stop::Exhausted(e) => FuzzError::Exhausted(e),
-        }
+impl From<Exhausted> for FuzzError {
+    fn from(e: Exhausted) -> Self {
+        FuzzError::Exhausted(e)
     }
 }
 
@@ -197,18 +189,9 @@ fn run_chunk<O: AssertionOracle>(
     oracle: &O,
     batch: &[Stimulus],
     lanes: usize,
-    budget: &Budget,
 ) -> Vec<RunOutcome> {
     let mut out = Vec::with_capacity(batch.len());
     for group in batch.chunks(lanes.max(1)) {
-        // Per-group poll: a campaign cancelled mid-batch stops before
-        // the next lane group instead of finishing the whole batch. In
-        // fault-free unbounded runs this never fires, so the merge stays
-        // bit-identical.
-        if let Err(stop) = budget.check() {
-            out.push(Err(stop.into()));
-            return out;
-        }
         // The whole group simulates together; results are still judged
         // and reported in index order, and everything after the batch's
         // first failure/error is dropped — exactly what a one-at-a-time
@@ -248,19 +231,13 @@ pub fn fuzz<O: AssertionOracle>(
     fuzz_budgeted(compiled, oracle, opts, &Budget::unbounded())
 }
 
-/// [`fuzz`] under a full resource [`Budget`]: the round loop polls the
-/// budget (token, deadline, fault probes) before every round and honours
-/// the fuzz-round cap; the executor additionally polls the token before
-/// each lane group so a cancelled campaign stops mid-batch. Once the
-/// token is poisoned the campaign returns [`FuzzError::Cancelled`] within
-/// one round (the scheduling granularity, [`FuzzOptions::batch`]
-/// executions).
+/// [`fuzz`] under a [`Budget`]: spans go to its trace handle, and its
+/// fault probe runs before every round.
 ///
 /// # Errors
 ///
-/// As [`fuzz`], plus [`FuzzError::Cancelled`] and a structured
-/// [`FuzzError::Exhausted`] whenever a budget dimension runs out before
-/// the campaign's own stimulus budget.
+/// As [`fuzz`], plus [`FuzzError::Exhausted`] when a fault probe fires
+/// an exhaustion.
 pub fn fuzz_budgeted<O: AssertionOracle>(
     compiled: &Arc<CompiledDesign>,
     oracle: &O,
@@ -279,13 +256,10 @@ pub fn fuzz_budgeted<O: AssertionOracle>(
 
     let sink = budget.trace().clone();
     'campaign: while runs < opts.budget {
-        // Poll before scheduling the round, not only inside it, so a
-        // campaign cancelled between rounds never starts another batch.
-        budget.check_fuzz_rounds(rounds)?;
         budget.probe(probe::FUZZ_ROUND)?;
         rounds += 1;
         // Cost accrues incrementally so the span stays honest on every
-        // exit path (verdict, error, cancellation) via its drop guard.
+        // exit path (verdict, error) via its drop guard.
         let mut round_span = sink.span(probe::FUZZ_ROUND, SpanKind::FuzzRound);
         round_span.set_code(rounds);
         round_span.add_cost(Cost {
@@ -308,7 +282,7 @@ pub fn fuzz_budgeted<O: AssertionOracle>(
                 },
             );
         }
-        let results = run_chunk(compiled, oracle, &batch, opts.lanes, budget);
+        let results = run_chunk(compiled, oracle, &batch, opts.lanes);
         for (stim, result) in batch.iter().zip(results) {
             let (cov, failed) = result?;
             let new_points = coverage.merge(&cov);
@@ -383,7 +357,6 @@ fn schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asv_sim::cancel::CancelToken;
 
     /// An oracle for tests that flags a failure whenever the named signal
     /// samples 1 after reset.
@@ -499,100 +472,6 @@ mod tests {
                 "lanes={lanes}"
             );
         }
-    }
-
-    #[test]
-    fn poisoned_token_stops_the_campaign_promptly() {
-        let cd = compiled(RARE);
-        let oracle = rare_oracle(&cd);
-        let token = CancelToken::new();
-        token.cancel();
-        let opts = FuzzOptions {
-            budget: 1 << 20, // far more than a test could ever run
-            seed: 5,
-            ..FuzzOptions::default()
-        };
-        let start = std::time::Instant::now();
-        let res = fuzz_budgeted(&cd, &oracle, &opts, &Budget::unbounded().with_cancel(token));
-        assert!(matches!(res, Err(FuzzError::Cancelled)), "got {res:?}");
-        assert!(
-            start.elapsed() < std::time::Duration::from_secs(5),
-            "cancellation must stop the campaign within one round"
-        );
-        // An un-poisoned token changes nothing.
-        let live = CancelToken::new();
-        let small = FuzzOptions {
-            budget: 32,
-            seed: 5,
-            ..FuzzOptions::default()
-        };
-        let a = fuzz_budgeted(&cd, &oracle, &small, &Budget::unbounded().with_cancel(live))
-            .expect("runs");
-        let b = fuzz(&cd, &oracle, &small).expect("runs");
-        assert_eq!(a.verdict, b.verdict);
-        assert_eq!(a.corpus_fingerprint, b.corpus_fingerprint);
-    }
-
-    #[test]
-    fn round_cap_reports_structured_exhaustion() {
-        let cd = compiled(RARE);
-        let oracle = rare_oracle(&cd);
-        let opts = FuzzOptions {
-            budget: 1 << 20,
-            seed: 5,
-            ..FuzzOptions::default()
-        };
-        let budget = Budget::unbounded().with_max_fuzz_rounds(2);
-        match fuzz_budgeted(&cd, &oracle, &opts, &budget) {
-            Err(FuzzError::Exhausted(e)) => {
-                assert_eq!(e.resource, asv_sim::Resource::FuzzRounds);
-                assert_eq!(e.spent, 2);
-                assert_eq!(e.limit, 2);
-            }
-            other => panic!("expected round exhaustion, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn expired_manual_deadline_stops_within_one_round() {
-        // Injected clock ticks, no sleeps: the deadline is already
-        // expired when the campaign starts, so the very first round poll
-        // must stop it.
-        let cd = compiled(RARE);
-        let oracle = rare_oracle(&cd);
-        let clock = asv_sim::ManualClock::new();
-        let budget = Budget::unbounded().with_manual_deadline(clock.clone(), 7);
-        clock.advance(8);
-        let opts = FuzzOptions {
-            budget: 1 << 20,
-            seed: 5,
-            ..FuzzOptions::default()
-        };
-        match fuzz_budgeted(&cd, &oracle, &opts, &budget) {
-            Err(FuzzError::Exhausted(e)) => {
-                assert_eq!(e.resource, asv_sim::Resource::WallClock);
-                assert_eq!(e.spent, 8);
-                assert_eq!(e.limit, 7);
-            }
-            other => panic!("expected deadline exhaustion, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn roomy_budget_matches_unbounded_campaign() {
-        let cd = compiled(RARE);
-        let oracle = rare_oracle(&cd);
-        let opts = FuzzOptions {
-            budget: 64,
-            seed: 3,
-            ..FuzzOptions::default()
-        };
-        let roomy = Budget::unbounded().with_max_fuzz_rounds(1 << 30);
-        let a = fuzz_budgeted(&cd, &oracle, &opts, &roomy).expect("runs");
-        let b = fuzz(&cd, &oracle, &opts).expect("runs");
-        assert_eq!(a.verdict, b.verdict);
-        assert_eq!(a.runs, b.runs);
-        assert_eq!(a.corpus_fingerprint, b.corpus_fingerprint);
     }
 
     #[test]

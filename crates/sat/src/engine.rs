@@ -32,7 +32,7 @@ use crate::aig::{Aig, NLit, Node};
 use crate::blast::{run_sym, BlastError, SymEnv, SymVec};
 use crate::solver::{Lit, SolveResult, Solver, Var};
 use crate::unroll::{clock_edge_sym, settle_sym, SymState};
-use asv_sim::cancel::{Budget, Exhausted, Resource, Stop};
+use asv_sim::cancel::{Budget, Exhausted, Resource};
 use asv_sim::compile::{compile_expr, CompiledDesign, ExprProg, HistoryKind, NameRef, SigId};
 use asv_sim::stimulus::{InputVector, Stimulus};
 use asv_sim::value::Value;
@@ -95,13 +95,10 @@ pub enum BmcError {
     /// The design or its properties fall outside the encodable subset;
     /// callers fall back to the simulation oracle.
     Unsupported(String),
-    /// A resource budget (conflicts, AIG nodes, deadline) was exhausted;
-    /// the structured record says which and by how much.
+    /// A resource cap (conflicts, AIG nodes) was hit, or a fault probe
+    /// injected an exhaustion; the structured record says which and by
+    /// how much.
     Exhausted(Exhausted),
-    /// A cooperative [`CancelToken`](asv_sim::cancel::CancelToken) was
-    /// poisoned mid-check (the caller gave up); the verdict is simply
-    /// absent, never wrong.
-    Cancelled,
 }
 
 impl fmt::Display for BmcError {
@@ -109,17 +106,13 @@ impl fmt::Display for BmcError {
         match self {
             BmcError::Unsupported(m) => write!(f, "symbolic engine unsupported: {m}"),
             BmcError::Exhausted(e) => write!(f, "symbolic engine {e}"),
-            BmcError::Cancelled => write!(f, "symbolic check cancelled"),
         }
     }
 }
 
-impl From<Stop> for BmcError {
-    fn from(s: Stop) -> Self {
-        match s {
-            Stop::Cancelled => BmcError::Cancelled,
-            Stop::Exhausted(e) => BmcError::Exhausted(e),
-        }
+impl From<Exhausted> for BmcError {
+    fn from(e: Exhausted) -> Self {
+        BmcError::Exhausted(e)
     }
 }
 
@@ -477,8 +470,6 @@ impl<'a> Engine<'a> {
         let reset = design.reset().map(|(n, al)| (n.to_string(), al));
         let mut solver = Solver::new();
         solver.conflict_budget = opts.conflict_budget;
-        solver.cancel = budget.cancel_token().cloned();
-        solver.deadline = budget.deadline().cloned();
         let n_progs = props.iter().map(PropSym::prog_count).sum();
         Ok(Engine {
             cd,
@@ -499,46 +490,14 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// Folds the engine-wide conflict cap into the solver's per-call
-    /// budget: the remaining allowance is the cap minus conflicts the
-    /// solver has already spent across previous depths.
-    fn refresh_conflict_budget(&mut self) {
-        let per_call = self.opts.conflict_budget;
-        let remaining = self
-            .budget
-            .max_conflicts()
-            .map(|m| m.saturating_sub(self.solver.conflicts));
-        self.solver.conflict_budget = match (per_call, remaining) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
-        };
-    }
-
     /// The structured error for a solver that reported
     /// [`SolveResult::Unknown`] (conflict budget spent).
     fn conflicts_exhausted(&self) -> BmcError {
-        if let Err(stop) = self.budget.check_conflicts(self.solver.conflicts) {
-            return stop.into();
-        }
         BmcError::Exhausted(Exhausted {
             resource: Resource::SatConflicts,
             spent: self.solver.conflicts,
             limit: self.opts.conflict_budget.unwrap_or(u64::MAX),
         })
-    }
-
-    /// The structured error for a solver that reported
-    /// [`SolveResult::TimedOut`] (deadline expired mid-search).
-    fn timed_out(&self) -> BmcError {
-        match self.budget.check() {
-            Err(stop) => stop.into(),
-            Ok(()) => BmcError::Exhausted(Exhausted {
-                resource: Resource::WallClock,
-                spent: 0,
-                limit: 0,
-            }),
-        }
     }
 
     /// Unrolls one more frame: drive inputs, settle, sample, clock, settle
@@ -573,17 +532,11 @@ impl<'a> Engine<'a> {
         self.blasted.resize(self.rows.len() * self.n_progs, None);
         clock_edge_sym(&mut self.g, self.cd, &mut self.state, seq_live)?;
         settle_sym(&mut self.g, self.cd, &mut self.state, comb_live)?;
-        let node_cap = self
-            .budget
-            .max_aig_nodes()
-            .map_or(self.opts.node_limit as u64, |m| {
-                m.min(self.opts.node_limit as u64)
-            });
-        if self.g.len() as u64 > node_cap {
+        if self.g.len() > self.opts.node_limit {
             return Err(BmcError::Exhausted(Exhausted {
                 resource: Resource::AigNodes,
                 spent: self.g.len() as u64,
-                limit: node_cap,
+                limit: self.opts.node_limit as u64,
             }));
         }
         Ok(())
@@ -712,28 +665,18 @@ impl<'a> Engine<'a> {
     /// ([`MINIMIZE_CONFLICT_BUDGET`]): after the main solve, fixing bits
     /// is almost always pure propagation, so a genuinely hard probe means
     /// canonicalisation is not worth its cost. A probe that runs out of
-    /// budget (or time) ends canonicalisation with the last model, which
+    /// budget ends canonicalisation with the last model, which
     /// still satisfies every bit fixed so far — the raw model when no
     /// probe was satisfiable — so abandoning never loses the
     /// counterexample.
     ///
     /// Returns the witness's value of each free input, `words[t][k]`
     /// (zero in reset frames).
-    ///
-    /// # Errors
-    ///
-    /// [`BmcError::Cancelled`] when the token is poisoned mid-probe.
-    fn minimize_witness(&mut self, fail: Lit, len: usize) -> Result<Vec<Vec<u64>>, BmcError> {
+    fn minimize_witness(&mut self, fail: Lit, len: usize) -> Vec<Vec<u64>> {
         let saved = self.solver.conflict_budget;
         self.solver.conflict_budget = Some(saved.map_or(MINIMIZE_CONFLICT_BUDGET, |b| {
             b.min(MINIMIZE_CONFLICT_BUDGET)
         }));
-        let r = self.minimize_witness_inner(fail, len);
-        self.solver.conflict_budget = saved;
-        r
-    }
-
-    fn minimize_witness_inner(&mut self, fail: Lit, len: usize) -> Result<Vec<Vec<u64>>, BmcError> {
         // Every free input bit as `(frame, input, bit, solver literal)`;
         // reset-frame constants are not free.
         let mut bits = Vec::new();
@@ -764,15 +707,15 @@ impl<'a> Engine<'a> {
                     }
                 }
                 SolveResult::Unsat => *assumps.last_mut().expect("just pushed") = sl,
-                SolveResult::Unknown | SolveResult::TimedOut => break,
-                SolveResult::Cancelled => return Err(BmcError::Cancelled),
+                SolveResult::Unknown => break,
             }
         }
+        self.solver.conflict_budget = saved;
         let mut words = vec![vec![0u64; self.free_inputs.len()]; len];
         for (&(t, k, i, _), &one) in bits.iter().zip(&model) {
             words[t][k] |= u64::from(one) << i;
         }
-        Ok(words)
+        words
     }
 
     /// Builds a stimulus of length `len` from each free input's value
@@ -817,9 +760,6 @@ impl<'a> Engine<'a> {
         let mut attempts: Vec<Vec<(NLit, NLit)>> = vec![Vec::new(); props.len()];
         let mut closed = vec![0usize; props.len()];
         for len in 1..=max_len {
-            // Poll before starting the depth, not just inside it: a
-            // check cancelled between depths stops here immediately
-            // instead of burning a full check interval.
             self.budget.probe(probe::SAT_DEPTH)?;
             let mut blast = trace.span(probe::SAT_BLAST, SpanKind::AigBlast);
             blast.set_code(len as u64);
@@ -857,7 +797,6 @@ impl<'a> Engine<'a> {
                     });
                 }
                 None => {
-                    self.refresh_conflict_budget();
                     let q = self.enc.lit(&self.g, &mut self.solver, fail);
                     let mut solve = trace.span(probe::SAT_SOLVE, SpanKind::SatSolve);
                     solve.set_code(len as u64);
@@ -874,15 +813,13 @@ impl<'a> Engine<'a> {
                     drop(solve);
                     match res {
                         SolveResult::Sat => {
-                            let words = self.minimize_witness(q, len)?;
+                            let words = self.minimize_witness(q, len);
                             return Ok(BmcVerdict::Fails {
                                 stimulus: self.extract_stimulus(len, |t, k| words[t][k]),
                             });
                         }
                         SolveResult::Unsat => continue,
                         SolveResult::Unknown => return Err(self.conflicts_exhausted()),
-                        SolveResult::TimedOut => return Err(self.timed_out()),
-                        SolveResult::Cancelled => return Err(BmcError::Cancelled),
                     }
                 }
             }
@@ -894,7 +831,6 @@ impl<'a> Engine<'a> {
         // start's literals at exactly this length.
         let mut pass_by_name: BTreeMap<&str, NLit> = BTreeMap::new();
         for (prop, lits) in props.iter().zip(&attempts) {
-            self.budget.check().map_err(BmcError::from)?;
             let mut pass = NLit::FALSE;
             for &(_, pl) in lits {
                 pass = self.g.or(pass, pl);
@@ -904,14 +840,10 @@ impl<'a> Engine<'a> {
         }
         let mut fired: BTreeSet<&str> = BTreeSet::new();
         for (name, lit) in &pass_by_name {
-            // Each vacuity query is its own SAT solve: poll between
-            // them so cancellation and deadlines land mid-phase, not
-            // only after the whole phase.
             self.budget.probe(probe::SAT_VACUITY)?;
             let can_fire = match lit.as_const() {
                 Some(b) => b,
                 None => {
-                    self.refresh_conflict_budget();
                     let q = self.enc.lit(&self.g, &mut self.solver, *lit);
                     let mut solve = trace.span(probe::SAT_VACUITY, SpanKind::SatSolve);
                     let conflicts_before = self.solver.conflicts;
@@ -929,8 +861,6 @@ impl<'a> Engine<'a> {
                         SolveResult::Sat => true,
                         SolveResult::Unsat => false,
                         SolveResult::Unknown => return Err(self.conflicts_exhausted()),
-                        SolveResult::TimedOut => return Err(self.timed_out()),
-                        SolveResult::Cancelled => return Err(BmcError::Cancelled),
                     }
                 }
             };
@@ -953,23 +883,20 @@ impl<'a> Engine<'a> {
 ///
 /// [`BmcError::Unsupported`] when the design falls outside the encodable
 /// subset (non-levelizable logic, non-constant division, unsupported
-/// system calls); [`BmcError::Exhausted`] when a budget is exhausted.
+/// system calls); [`BmcError::Exhausted`] when
+/// [`BmcOptions::conflict_budget`] or [`BmcOptions::node_limit`] is hit.
 /// Both are signals to fall back to the simulation oracle.
 pub fn check(cd: &CompiledDesign, opts: BmcOptions) -> Result<BmcVerdict, BmcError> {
     check_budgeted(cd, opts, &Budget::unbounded())
 }
 
-/// [`check`] under a full resource [`Budget`]: the cancellation token,
-/// deadline and conflict cap are threaded into the CDCL inner loop, the
-/// AIG node cap tightens `BmcOptions::node_limit`, and the per-depth loop
-/// polls the budget (and its fault probes) before each unrolling step.
-/// Once the token is poisoned the engine returns [`BmcError::Cancelled`]
-/// within one [`crate::solver::CANCEL_CHECK_INTERVAL`] of solver work.
+/// [`check`] under a [`Budget`]: spans go to its trace handle, and its
+/// fault probes run before each unrolling step and each vacuity query.
 ///
 /// # Errors
 ///
-/// As [`check`], plus [`BmcError::Cancelled`] and a structured
-/// [`BmcError::Exhausted`] whenever any budget dimension runs out.
+/// As [`check`], plus [`BmcError::Exhausted`] with
+/// [`Resource::Injected`] when a fault probe fires an exhaustion.
 pub fn check_budgeted(
     cd: &CompiledDesign,
     opts: BmcOptions,
@@ -1056,7 +983,6 @@ pub fn unroll_stats(cd: &CompiledDesign, opts: BmcOptions) -> Result<UnrollStats
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asv_sim::cancel::CancelToken;
     use asv_sim::Simulator;
     use std::sync::Arc;
 
@@ -1211,28 +1137,13 @@ endmodule
     }
 
     #[test]
-    fn expired_manual_deadline_reports_structured_exhaustion() {
-        // Injected clock ticks, no sleeps: an expired deadline surfaces
-        // as Exhausted{WallClock} from the per-depth poll / CDCL loop.
-        let cd = compiled(GOOD);
-        let clock = asv_sim::ManualClock::new();
-        let budget = Budget::unbounded().with_manual_deadline(clock.clone(), 3);
-        clock.advance(4);
-        match check_budgeted(&cd, BmcOptions::default(), &budget) {
-            Err(BmcError::Exhausted(e)) => {
-                assert_eq!(e.resource, Resource::WallClock);
-                assert_eq!(e.spent, 4);
-                assert_eq!(e.limit, 3);
-            }
-            other => panic!("expected wall-clock exhaustion, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn aig_node_cap_reports_structured_exhaustion() {
         let cd = compiled(GOOD);
-        let budget = Budget::unbounded().with_max_aig_nodes(4);
-        match check_budgeted(&cd, BmcOptions::default(), &budget) {
+        let opts = BmcOptions {
+            node_limit: 4,
+            ..BmcOptions::default()
+        };
+        match check(&cd, opts) {
             Err(BmcError::Exhausted(e)) => {
                 assert_eq!(e.resource, Resource::AigNodes);
                 assert_eq!(e.limit, 4);
@@ -1243,37 +1154,33 @@ endmodule
     }
 
     #[test]
-    fn budgeted_check_with_headroom_matches_unbounded() {
-        let cd = compiled(GOOD);
+    fn conflict_budget_reports_structured_exhaustion() {
+        // Two products of the same 8-bit operands, in swapped order: the
+        // multiplier trees blast to different gates, so proving them equal
+        // takes real search that four conflicts cannot finish.
+        let src = r#"
+module mul(input clk, input rst_n, input [7:0] a, input [7:0] b,
+           output reg [7:0] p, output reg [7:0] q);
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) begin p <= 8'd0; q <= 8'd0; end
+    else begin p <= a * b; q <= b * a; end
+  end
+  eq: assert property (@(posedge clk) 1'b1 |-> ##1 p == q);
+endmodule
+"#;
+        let cd = compiled(src);
         let opts = BmcOptions {
-            depth: 6,
-            reset_cycles: 2,
+            depth: 8,
+            conflict_budget: Some(4),
             ..BmcOptions::default()
         };
-        let roomy = Budget::unbounded()
-            .with_max_conflicts(1 << 20)
-            .with_max_aig_nodes(4_000_000);
         assert_eq!(
-            check_budgeted(&cd, opts, &roomy).expect("within budget"),
-            check(&cd, opts).expect("unbounded"),
-            "a budget with headroom must not change the verdict"
+            check(&cd, opts),
+            Err(BmcError::Exhausted(Exhausted {
+                resource: Resource::SatConflicts,
+                spent: 4,
+                limit: 4,
+            }))
         );
-    }
-
-    #[test]
-    fn poisoned_token_cancels_the_check_without_panicking() {
-        let cd = compiled(GOOD);
-        let token = CancelToken::new();
-        token.cancel();
-        let verdict = check_budgeted(
-            &cd,
-            BmcOptions {
-                depth: 6,
-                reset_cycles: 2,
-                ..BmcOptions::default()
-            },
-            &Budget::unbounded().with_cancel(token),
-        );
-        assert_eq!(verdict, Err(BmcError::Cancelled));
     }
 }

@@ -12,7 +12,6 @@
 //! database reduction and preprocessing; the core loop is the textbook
 //! MiniSat shape.
 
-use asv_sim::cancel::{CancelToken, Deadline};
 use std::fmt;
 use std::ops::Not;
 
@@ -91,13 +90,6 @@ pub enum SolveResult {
     Unsat,
     /// The conflict budget was exhausted before a verdict.
     Unknown,
-    /// [`Solver::cancel`] was poisoned mid-search (the caller gave up);
-    /// clauses learned so far are kept, and a later `solve` call may
-    /// resume the search.
-    Cancelled,
-    /// [`Solver::deadline`] expired mid-search; like `Cancelled`, the
-    /// search unwinds cleanly and learned clauses are kept.
-    TimedOut,
 }
 
 /// Tri-state assignment value.
@@ -243,23 +235,11 @@ pub struct Solver {
     pub propagations: u64,
     /// Conflict budget per `solve` call (`None` = unbounded).
     pub conflict_budget: Option<u64>,
-    /// Cooperative cancellation flag, polled every
-    /// [`CANCEL_CHECK_INTERVAL`] propagate/decide rounds of the search
-    /// loop (`None` = never cancelled).
-    pub cancel: Option<CancelToken>,
-    /// Optional deadline, polled at the same stride as `cancel`; expiry
-    /// unwinds the search with [`SolveResult::TimedOut`].
-    pub deadline: Option<Deadline>,
 }
 
 const VAR_DECAY: f64 = 1.0 / 0.95;
 const RESCALE_LIMIT: f64 = 1e100;
 const LUBY_UNIT: u64 = 64;
-/// How many search-loop rounds pass between two cancellation polls: one
-/// relaxed atomic load every 256 propagate/decide steps keeps the
-/// overhead unmeasurable while a poisoned token stops the solver within
-/// microseconds.
-pub const CANCEL_CHECK_INTERVAL: u64 = 256;
 
 impl Solver {
     /// Creates an empty solver.
@@ -550,21 +530,7 @@ impl Solver {
         let mut restart_round = 0u64;
         let mut restart_limit = LUBY_UNIT * luby(restart_round);
         let mut conflicts_this_restart = 0u64;
-        let mut rounds = 0u64;
         loop {
-            rounds += 1;
-            if rounds.is_multiple_of(CANCEL_CHECK_INTERVAL) {
-                if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    // Unwind cleanly: learned clauses stay, the trail is
-                    // rolled back, and a later call can resume the search.
-                    self.cancel_until(0);
-                    return SolveResult::Cancelled;
-                }
-                if self.deadline.as_ref().is_some_and(|d| d.check().is_err()) {
-                    self.cancel_until(0);
-                    return SolveResult::TimedOut;
-                }
-            }
             if let Some(confl) = self.propagate() {
                 self.conflicts += 1;
                 conflicts_this_restart += 1;
@@ -789,69 +755,6 @@ mod tests {
         assert!(s.add_clause(&[Lit::pos(v), Lit::pos(v), Lit::pos(w)]));
         assert!(s.add_clause(&[Lit::pos(v), Lit::neg(v)]));
         assert_eq!(s.solve(&[]), SolveResult::Sat);
-    }
-
-    #[test]
-    fn poisoned_token_cancels_the_search_promptly() {
-        // PHP(8,7) takes thousands of conflicts; a pre-poisoned token
-        // must stop the search within one check interval, without
-        // panicking and without corrupting solver state.
-        let (mut s, _) = pigeonhole(8, 7);
-        let token = CancelToken::new();
-        token.cancel();
-        s.cancel = Some(token);
-        let start = std::time::Instant::now();
-        assert_eq!(s.solve(&[]), SolveResult::Cancelled);
-        assert!(
-            start.elapsed() < std::time::Duration::from_secs(5),
-            "cancellation must be prompt"
-        );
-        assert!(
-            s.conflicts < 100_000,
-            "search must stop early, saw {} conflicts",
-            s.conflicts
-        );
-        // Un-poisoning resumes: the instance is still decidable and the
-        // clauses learned before cancellation are still sound.
-        s.cancel = None;
-        assert_eq!(s.solve(&[]), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn expired_manual_deadline_times_out_within_one_interval() {
-        // Deadline semantics with injected clock ticks (no sleeps): the
-        // clock is advanced past the limit "mid-flight" and the solver
-        // must unwind within one check interval, resumable afterwards.
-        let (mut s, _) = pigeonhole(8, 7);
-        let clock = asv_sim::ManualClock::new();
-        s.deadline = Some(asv_sim::Deadline::Manual {
-            clock: clock.clone(),
-            limit: 5,
-        });
-        assert_eq!(s.solve(&[]), SolveResult::Unsat, "clock at 0: no timeout");
-        let (mut s, _) = pigeonhole(8, 7);
-        s.deadline = Some(asv_sim::Deadline::Manual {
-            clock: clock.clone(),
-            limit: 5,
-        });
-        clock.advance(6);
-        assert_eq!(s.solve(&[]), SolveResult::TimedOut);
-        assert!(
-            s.conflicts <= CANCEL_CHECK_INTERVAL,
-            "search must stop within one check interval, saw {} conflicts",
-            s.conflicts
-        );
-        // Removing the deadline resumes the search with learned clauses
-        // intact.
-        s.deadline = None;
-        assert_eq!(s.solve(&[]), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn unpoisoned_token_changes_nothing() {
-        let (mut s, _) = pigeonhole(5, 4);
-        s.cancel = Some(CancelToken::new());
-        assert_eq!(s.solve(&[]), SolveResult::Unsat);
     }
 
     #[test]

@@ -18,8 +18,7 @@ pub type JobOutcome = Result<Verdict, VerdictError>;
 ///
 /// The split matters for memoisation: [`VerdictError::Verify`] failures
 /// are deterministic in the job key and may be cached; the other
-/// variants depend on the per-call budget, scheduling, or injected
-/// faults, and are never cached.
+/// variants may come from injected faults, and are never cached.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerdictError {
     /// The verifier itself failed deterministically (no assertions,
@@ -28,8 +27,6 @@ pub enum VerdictError {
     /// The engine panicked; the worker caught the unwind and isolated it
     /// to this job. Carries the rendered panic payload.
     Panic(String),
-    /// The job's cancellation token was poisoned before a verdict.
-    Cancelled,
     /// The job ran out of a budgeted resource in a forced single-engine
     /// mode (auto jobs degrade to
     /// [`Verdict::Inconclusive`](asv_sva::bmc::Verdict) instead).
@@ -41,7 +38,6 @@ impl fmt::Display for VerdictError {
         match self {
             VerdictError::Verify(e) => write!(f, "{e}"),
             VerdictError::Panic(m) => write!(f, "verification panicked: {m}"),
-            VerdictError::Cancelled => write!(f, "job cancelled"),
             VerdictError::Exhausted(e) => write!(f, "job {e}"),
         }
     }
@@ -52,7 +48,6 @@ impl std::error::Error for VerdictError {}
 impl From<VerifyError> for VerdictError {
     fn from(e: VerifyError) -> Self {
         match e {
-            VerifyError::Cancelled => VerdictError::Cancelled,
             VerifyError::Exhausted(ex) => VerdictError::Exhausted(ex),
             other => VerdictError::Verify(other),
         }

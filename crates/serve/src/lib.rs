@@ -33,14 +33,15 @@
 //!   sharded [`asv_sim::cache`] while some caller holds them, so
 //!   concurrent checks of one design lower it once.
 //! * **Fault tolerance** — each job runs under its own
-//!   [`Budget`](asv_sim::cancel::Budget) (deadline, SAT-conflict /
-//!   fuzz-round / AIG-node caps from [`ServeOptions`]) behind a
-//!   `catch_unwind` barrier: a job that panics, exhausts its budget or
-//!   is cancelled yields a [`VerdictError`] in its own slot while its
-//!   batch siblings finish normally. Only deterministic outcomes are
-//!   memoised, so degraded runs never poison the verdict cache, and the
-//!   whole schedule is reproducible under the seeded fault-injection
-//!   plans of the `fault-inject` feature (see `asv_sim::fault`).
+//!   [`Budget`](asv_sim::cancel::Budget) (its trace handle and, under the
+//!   `fault-inject` feature, a fault session from
+//!   [`ServeOptions::fault_plan`]) behind a `catch_unwind` barrier: a job
+//!   that panics or runs out of a bounded resource yields a
+//!   [`VerdictError`] in its own slot while its batch siblings finish
+//!   normally. Only deterministic outcomes are memoised, so degraded runs
+//!   never poison the verdict cache, and the whole schedule is
+//!   reproducible under the seeded fault-injection plans of the
+//!   `fault-inject` feature (see `asv_sim::fault`).
 //!
 //! ```
 //! use asv_serve::{ServeOptions, VerifyJob, VerifyService};

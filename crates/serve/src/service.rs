@@ -26,20 +26,18 @@
 //!
 //! The service is fault-tolerant per job:
 //!
-//! * each job runs under its own [`Budget`] built from the service's
-//!   [`ServeOptions`] (wall-clock deadline measured from the job's own
-//!   start, SAT-conflict / fuzz-round / AIG-node caps, and — under the
-//!   `fault-inject` feature — a per-job fault session salted by the job
-//!   key);
+//! * each job runs under its own [`Budget`]: the service's trace handle
+//!   tagged with the job key and, under the `fault-inject` feature, a
+//!   per-job fault session from [`ServeOptions::fault_plan`] salted by
+//!   the job key;
 //! * every engine invocation is wrapped in `catch_unwind`: a panicking
 //!   job yields [`VerdictError::Panic`] in its own slot and its batch
 //!   siblings are untouched;
 //! * only *deterministic* outcomes are memoised — verdicts and
 //!   [`VerdictError::Verify`] errors, which are pure functions of the
-//!   job key. `Inconclusive` verdicts, panics, cancellations and budget
-//!   exhaustion depend on the per-call budget or injected faults and are
-//!   never cached, so a degraded run can never poison a later, healthier
-//!   one;
+//!   job key. `Inconclusive` verdicts, panics and exhaustion may come
+//!   from injected faults and are never cached, so a degraded run can
+//!   never poison a later, healthier one;
 //! * each job takes one verdict path: in-batch dedup, a memo hit, or an
 //!   engine run whose cacheable outcome is memoised. Two batches that
 //!   threads submit to one service at once may both run a key that
@@ -55,30 +53,18 @@ use asv_sva::bmc::Verdict;
 use asv_trace::{probe, Counter, EndReason, Registry, SpanKind, TraceHandle, TraceSink, Tracer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// Service configuration. The default runs one worker per core with no
-/// per-job limits.
+/// fault injection.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Worker threads; 0 means `std::thread::available_parallelism`.
     pub workers: usize,
-    /// Per-job wall-clock deadline, measured from the moment a worker
-    /// starts the job (`None` = unbounded). Auto jobs that run out
-    /// degrade to `Verdict::Inconclusive`; forced single-engine
-    /// jobs report [`VerdictError::Exhausted`].
-    pub deadline: Option<Duration>,
-    /// Per-job cap on SAT solver conflicts (`None` = unbounded).
-    pub max_conflicts: Option<u64>,
-    /// Per-job cap on fuzzing rounds (`None` = unbounded).
-    pub max_fuzz_rounds: Option<u64>,
-    /// Per-job cap on symbolic-unrolling AIG nodes (`None` = unbounded).
-    pub max_aig_nodes: Option<u64>,
     /// Deterministic fault-injection plan for the chaos suite. Each job
     /// gets a session salted by [`JobKey::fault_salt`], so the fault
     /// schedule is a pure function of `(plan, job)` — independent of
     /// worker count and scheduling. Inert unless the `fault-inject`
-    /// feature is enabled (probes compile to plain budget polls).
+    /// feature is enabled (probes compile to `Ok(())`).
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -124,10 +110,9 @@ pub struct VerifyService {
 }
 
 /// True if `outcome` is a pure function of the job key and may be
-/// memoised. Degraded outcomes (inconclusive verdicts, panics,
-/// cancellations, budget exhaustion) depend on the per-call budget,
-/// scheduling, or injected faults — caching one would poison every
-/// later call with this key.
+/// memoised. Degraded outcomes (inconclusive verdicts, panics, budget
+/// exhaustion) may come from injected faults — caching one would poison
+/// every later call with this key.
 fn cacheable(outcome: &JobOutcome) -> bool {
     match outcome {
         Ok(Verdict::Inconclusive { .. }) => false,
@@ -157,7 +142,6 @@ fn job_end(outcome: &JobOutcome) -> EndReason {
         Ok(Verdict::Fails(_)) => EndReason::Fails,
         Ok(Verdict::Inconclusive { .. }) => EndReason::Exhausted,
         Err(VerdictError::Panic(_)) => EndReason::Panicked,
-        Err(VerdictError::Cancelled) => EndReason::Cancelled,
         Err(VerdictError::Exhausted(_)) => EndReason::Exhausted,
         Err(VerdictError::Verify(_)) => EndReason::Unknown,
     }
@@ -242,28 +226,15 @@ impl VerifyService {
         }
     }
 
-    /// Builds the per-job budget from the service options. Called at
-    /// job start inside the worker, so a wall-clock deadline measures
-    /// the job's own runtime, not its queueing delay.
+    /// Builds the per-job budget: the job's fault session, if the
+    /// service has a plan, and its trace handle. The trace handle is
+    /// observational only, so traced and untraced runs take identical
+    /// paths.
     fn job_budget(&self, key: JobKey) -> Budget {
         let mut budget = Budget::unbounded();
-        if let Some(limit) = self.opts.deadline {
-            budget = budget.with_deadline(limit);
-        }
-        if let Some(n) = self.opts.max_conflicts {
-            budget = budget.with_max_conflicts(n);
-        }
-        if let Some(n) = self.opts.max_fuzz_rounds {
-            budget = budget.with_max_fuzz_rounds(n);
-        }
-        if let Some(n) = self.opts.max_aig_nodes {
-            budget = budget.with_max_aig_nodes(n);
-        }
         if let Some(plan) = self.opts.fault_plan {
             budget = budget.with_fault(plan.session(key.fault_salt()));
         }
-        // The trace handle is observational only: `Budget::is_plain`
-        // ignores it, so traced and untraced runs take identical paths.
         budget.with_trace(self.trace_handle().for_job(key.0))
     }
 
@@ -296,8 +267,8 @@ impl VerifyService {
     }
 
     /// Verifies a batch, returning outcomes in submission order. A job
-    /// that errors (panics, exhausts its budget, is cancelled) fills only
-    /// its own slot — the rest of the batch completes normally.
+    /// that errors (panics, exhausts its budget) fills only its own slot
+    /// — the rest of the batch completes normally.
     ///
     /// The result vector is deterministic in the batch: worker count and
     /// scheduling change wall time only. Jobs sharing a [`JobKey`] are
@@ -463,8 +434,8 @@ impl Default for VerifyService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asv_sim::cancel::Resource;
-    use asv_sva::bmc::{Engine, Verdict, Verifier, VerifyError};
+    use asv_sim::cancel::{Exhausted, Resource};
+    use asv_sva::bmc::{CounterExample, Engine, TriedEngine, Verdict, Verifier, VerifyError};
     use asv_verilog::sema::Design;
     use std::collections::HashSet;
 
@@ -620,40 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_degrades_auto_jobs_without_caching() {
-        let service = VerifyService::new(ServeOptions {
-            deadline: Some(Duration::ZERO),
-            ..ServeOptions::default()
-        });
-        let jobs = batch(4, Engine::Auto);
-        let out = service.verify_batch(&jobs);
-        for (i, o) in out.iter().enumerate() {
-            assert!(
-                matches!(o, Ok(Verdict::Inconclusive { .. })),
-                "job {i}: expected inconclusive under an expired deadline, got {o:?}"
-            );
-        }
-        assert!(
-            service.verdict_cache().is_empty(),
-            "degraded outcomes must not be memoised"
-        );
-    }
-
-    #[test]
-    fn expired_deadline_on_forced_engine_reports_structured_exhaustion() {
-        let service = VerifyService::new(ServeOptions {
-            deadline: Some(Duration::ZERO),
-            ..ServeOptions::default()
-        });
-        let out = service.verify_one(&batch(1, Engine::Symbolic).remove(0));
-        match out {
-            Err(VerdictError::Exhausted(e)) => assert_eq!(e.resource, Resource::WallClock),
-            other => panic!("expected wall-clock exhaustion, got {other:?}"),
-        }
-        assert!(service.verdict_cache().is_empty());
-    }
-
-    #[test]
     fn mixed_ok_and_error_batches_fill_every_slot() {
         let verifier = Verifier {
             depth: 6,
@@ -670,6 +607,68 @@ mod tests {
         assert_eq!(out[1], Err(VerdictError::Verify(VerifyError::NoAssertions)));
         assert_eq!(out[2], out[0]);
         assert_eq!(out[3], out[1]);
+    }
+
+    #[test]
+    fn only_deterministic_outcomes_are_cacheable() {
+        let exhausted = Exhausted {
+            resource: Resource::SatConflicts,
+            spent: 4,
+            limit: 4,
+        };
+        let inconclusive = Verdict::Inconclusive {
+            tried: vec![TriedEngine {
+                engine: Engine::Symbolic,
+                reason: exhausted.to_string(),
+                exhausted: Some(exhausted),
+            }],
+        };
+        let holds = Verdict::Holds {
+            exhaustive: true,
+            stimuli: 0,
+            vacuous: vec![],
+        };
+        let fails = Verdict::Fails(std::sync::Arc::new(CounterExample {
+            stimulus: asv_sim::Stimulus {
+                vectors: vec![],
+                reset_cycles: 0,
+            },
+            failures: vec![],
+            logs: vec![],
+        }));
+        assert!(!cacheable(&Ok(inconclusive)));
+        assert!(!cacheable(&Err(VerdictError::Panic("boom".into()))));
+        assert!(!cacheable(&Err(VerdictError::Exhausted(exhausted))));
+        assert!(cacheable(&Ok(holds)));
+        assert!(cacheable(&Ok(fails)));
+        assert!(cacheable(&Err(VerdictError::Verify(
+            VerifyError::NoAssertions
+        ))));
+    }
+
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn injected_exhaustion_on_forced_engine_is_not_memoised() {
+        use asv_sim::{FaultKinds, FaultPlan};
+        let plan = FaultPlan {
+            rate_per_1024: 1024,
+            victims_per_16: 16,
+            kinds: FaultKinds::EXHAUST,
+            ..FaultPlan::new(13)
+        };
+        let service = VerifyService::new(ServeOptions {
+            fault_plan: Some(plan),
+            ..ServeOptions::default()
+        });
+        let out = service.verify_one(&batch(1, Engine::Symbolic).remove(0));
+        match out {
+            Err(VerdictError::Exhausted(e)) => assert_eq!(e.resource, Resource::Injected),
+            other => panic!("expected injected exhaustion, got {other:?}"),
+        }
+        assert!(
+            service.verdict_cache().is_empty(),
+            "degraded outcomes must not be memoised"
+        );
     }
 
     #[cfg(feature = "fault-inject")]

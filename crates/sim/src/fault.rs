@@ -1,7 +1,8 @@
 //! Deterministic fault injection for the chaos test harness.
 //!
 //! A [`FaultPlan`] is a small, copyable, seeded recipe: which fault
-//! kinds to inject, how often, and to which victim jobs. From a plan the
+//! kinds to inject (panics, synthetic exhaustion), how often, and to
+//! which victim jobs. From a plan the
 //! serving layer derives one [`FaultSession`] per job (salted by the
 //! job key) and threads it through every engine inside the job's
 //! [`crate::Budget`]. Each engine declares named probe points
@@ -16,10 +17,10 @@
 //! chaos failure at `sat.depth` and a trace timeline entry for
 //! `sat.depth` are, by construction, the same location.
 //!
-//! Probes compile to plain budget polls unless the crate is built with
-//! the `fault-inject` feature, so release builds carry no injection
-//! logic; the types themselves always exist so higher layers can hold a
-//! plan unconditionally.
+//! Probes compile to `Ok(())` unless the crate is built with the
+//! `fault-inject` feature, so release builds carry no injection logic;
+//! the types themselves always exist so higher layers can hold a plan
+//! unconditionally.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,13 +32,6 @@ pub enum FaultKind {
     /// `panic_any(InjectedPanic)` — exercises `catch_unwind` isolation
     /// and lock poison-proofing.
     Panic,
-    /// A bounded (1 ms) sleep — exercises deadline and stall handling
-    /// without changing any computed result.
-    Stall,
-    /// The probe reports `Stop::Cancelled` although the external token
-    /// is clean — exercises the degradation ladder's spurious-cancel
-    /// recovery.
-    SpuriousCancel,
     /// The probe reports a synthetic `Exhausted` — exercises budget
     /// exhaustion paths without spending the real resource.
     Exhaust,
@@ -50,14 +44,10 @@ pub struct FaultKinds(u8);
 impl FaultKinds {
     /// Injected panics.
     pub const PANIC: FaultKinds = FaultKinds(1);
-    /// Bounded stalls.
-    pub const STALL: FaultKinds = FaultKinds(2);
-    /// Spurious cancellations.
-    pub const SPURIOUS_CANCEL: FaultKinds = FaultKinds(4);
     /// Synthetic budget exhaustion.
-    pub const EXHAUST: FaultKinds = FaultKinds(8);
+    pub const EXHAUST: FaultKinds = FaultKinds(2);
     /// Every kind.
-    pub const ALL: FaultKinds = FaultKinds(15);
+    pub const ALL: FaultKinds = FaultKinds(3);
     /// No kinds (an armed but harmless plan).
     pub const NONE: FaultKinds = FaultKinds(0);
 
@@ -70,24 +60,17 @@ impl FaultKinds {
     pub fn contains(self, kind: FaultKind) -> bool {
         let bit = match kind {
             FaultKind::Panic => 1,
-            FaultKind::Stall => 2,
-            FaultKind::SpuriousCancel => 4,
-            FaultKind::Exhaust => 8,
+            FaultKind::Exhaust => 2,
         };
         self.0 & bit != 0
     }
 
     #[cfg_attr(not(any(test, feature = "fault-inject")), allow(dead_code))]
     fn enabled(self) -> Vec<FaultKind> {
-        [
-            FaultKind::Panic,
-            FaultKind::Stall,
-            FaultKind::SpuriousCancel,
-            FaultKind::Exhaust,
-        ]
-        .into_iter()
-        .filter(|k| self.contains(*k))
-        .collect()
+        [FaultKind::Panic, FaultKind::Exhaust]
+            .into_iter()
+            .filter(|k| self.contains(*k))
+            .collect()
     }
 }
 
@@ -174,7 +157,7 @@ pub struct FaultSession {
 }
 
 impl FaultSession {
-    /// A session that never fires (the default on every plain budget).
+    /// A session that never fires (the default on every budget).
     pub fn inert() -> Self {
         Self::default()
     }
@@ -363,9 +346,9 @@ mod tests {
         let mask = FaultKinds::PANIC.union(FaultKinds::EXHAUST);
         assert!(mask.contains(FaultKind::Panic));
         assert!(mask.contains(FaultKind::Exhaust));
-        assert!(!mask.contains(FaultKind::Stall));
-        assert!(!mask.contains(FaultKind::SpuriousCancel));
-        assert_eq!(FaultKinds::ALL.enabled().len(), 4);
+        assert!(!FaultKinds::PANIC.contains(FaultKind::Exhaust));
+        assert_eq!(mask, FaultKinds::ALL);
+        assert_eq!(FaultKinds::ALL.enabled().len(), 2);
         assert!(FaultKinds::NONE.enabled().is_empty());
     }
 }

@@ -46,7 +46,7 @@ pub use asv_ir::value;
 
 pub use asv_ir::OptLevel;
 pub use cache::CompileCache;
-pub use cancel::{Budget, CancelToken, Deadline, Exhausted, ManualClock, Resource, Stop};
+pub use cancel::{Budget, Exhausted, Resource};
 pub use compile::batch::{run_stimulus_group, LaneBatch, LaneOutcome, LaneRun, LANE_WIDTHS};
 pub use compile::{CompiledDesign, SigId};
 pub use cover::{CovMap, CoverageReport};

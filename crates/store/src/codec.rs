@@ -287,7 +287,7 @@ fn encode_verify_error(w: &mut ByteWriter, e: &VerifyError) -> Option<()> {
         // Never persisted: not deterministic in the key. `PersistedOutcome::admit`
         // already refuses these; the codec refuses them again so no future
         // caller can smuggle one in.
-        VerifyError::Cancelled | VerifyError::Exhausted(_) => return None,
+        VerifyError::Exhausted(_) => return None,
     }
     Some(())
 }
@@ -462,7 +462,5 @@ mod tests {
     fn nondeterministic_outcomes_unencodable() {
         let inconclusive = PersistedOutcome::Verdict(Verdict::Inconclusive { tried: vec![] });
         assert_eq!(encode_outcome(&inconclusive), None);
-        let cancelled = PersistedOutcome::Error(VerifyError::Cancelled);
-        assert_eq!(encode_outcome(&cancelled), None);
     }
 }

@@ -28,8 +28,8 @@
 //!   is a *miss* (and is deleted), never a panic, never a wrong verdict.
 //! * **Determinism** — only outcomes that are pure functions of their key
 //!   are persisted: verdicts and `Verify` errors. `Inconclusive`,
-//!   `Panic`, `Cancelled` and `Exhausted` depend on budgets, wall clocks
-//!   and scheduling, so [`PersistedOutcome`] refuses them by construction.
+//!   `Panic` and `Exhausted` may come from injected faults, so
+//!   [`PersistedOutcome`] refuses them by construction.
 //! * **Schema versioning** — every [`StoreKey`] embeds
 //!   [`SCHEMA_VERSION`]; a release that changes any persisted encoding
 //!   bumps it, and old objects become unreachable garbage for the next
@@ -183,8 +183,8 @@ impl StoreKey {
 /// A verification outcome the store is allowed to hold: deterministic in
 /// the job key by PR 6's memoisation contract. Constructed only through
 /// [`PersistedOutcome::admit`], which refuses everything else
-/// (`Inconclusive` verdicts; `Cancelled`/`Exhausted` errors — functions
-/// of budgets and scheduling, not of the key).
+/// (`Inconclusive` verdicts and `Exhausted` errors, which may come from
+/// injected faults rather than the key).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PersistedOutcome {
     /// A `Holds`/`Fails` verdict.
@@ -201,7 +201,7 @@ impl PersistedOutcome {
         match result {
             Ok(Verdict::Inconclusive { .. }) => None,
             Ok(v) => Some(PersistedOutcome::Verdict(v.clone())),
-            Err(VerifyError::Cancelled) | Err(VerifyError::Exhausted(_)) => None,
+            Err(VerifyError::Exhausted(_)) => None,
             Err(e) => Some(PersistedOutcome::Error(e.clone())),
         }
     }
@@ -257,10 +257,9 @@ mod tests {
     #[test]
     fn admit_refuses_nondeterministic_outcomes() {
         assert!(PersistedOutcome::admit(&Ok(Verdict::Inconclusive { tried: vec![] })).is_none());
-        assert!(PersistedOutcome::admit(&Err(VerifyError::Cancelled)).is_none());
         assert!(
             PersistedOutcome::admit(&Err(VerifyError::Exhausted(Exhausted {
-                resource: Resource::WallClock,
+                resource: Resource::SatConflicts,
                 spent: 10,
                 limit: 5,
             })))

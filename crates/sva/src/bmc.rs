@@ -34,24 +34,25 @@
 //!
 //! ## Budgets and the degradation ladder
 //!
-//! [`Verifier::check_budgeted`] threads a full [`Budget`] — cancellation
-//! token, wall-clock (or injected-clock) deadline, and per-resource caps
-//! — into every engine's hot loop. Forced single-engine modes surface a
-//! blown budget as the structured [`VerifyError::Exhausted`];
-//! [`Engine::Auto`] instead *degrades* down a deterministic ladder
-//! (symbolic → exhaustive enumeration → coverage-guided fuzzing → random
-//! sampling), isolating per-rung panics and halving the stimulus budget
-//! per exhausted rung, and reports [`Verdict::Inconclusive`] with the
-//! full attempt trace only when every rung fails. Fault-free unbudgeted
-//! checks take exactly the pre-ladder path, so their verdicts are
-//! bit-identical to the sequential chain.
+//! [`Verifier::check_budgeted`] threads a [`Budget`] (a trace handle and,
+//! under the `fault-inject` feature, a fault session) into every engine.
+//! An engine that runs out, whether of its own cap
+//! (`BmcOptions::{conflict_budget, node_limit}`) or by an injected
+//! exhaustion, reports the structured [`VerifyError::Exhausted`] when it
+//! is forced as a single engine. [`Engine::Auto`] instead *degrades* down
+//! a deterministic ladder (symbolic → exhaustive enumeration →
+//! coverage-guided fuzzing → random sampling), isolating per-rung panics
+//! and running every fallback rung at [`Verifier::random_runs`], and
+//! reports [`Verdict::Inconclusive`] with the full attempt trace only
+//! when every rung fails. Fault-free checks take exactly the pre-ladder
+//! path, so their verdicts are bit-identical to the sequential chain.
 
 pub use asv_sim::compile::OptLevel;
 
 use crate::monitor::{AssertionFailure, CheckOutcome, CompiledChecker, MonitorError};
 use asv_fuzz::{AssertionOracle, FuzzError, FuzzOptions, FuzzVerdict};
 use asv_sat::engine::{BmcError, BmcOptions, BmcVerdict};
-use asv_sim::cancel::{Budget, Exhausted, Stop};
+use asv_sim::cancel::{Budget, Exhausted};
 use asv_sim::compile::CompiledDesign;
 use asv_sim::cover::CovMap;
 use asv_sim::exec::{SimError, Simulator};
@@ -87,8 +88,8 @@ pub enum Verdict {
     Fails(Arc<CounterExample>),
     /// No engine produced a verdict within its budget: every rung of the
     /// [`Engine::Auto`] degradation ladder failed recoverably (resource
-    /// exhaustion, an isolated panic, a spurious cancellation). Never
-    /// cached, never produced by a fault-free unbudgeted check.
+    /// exhaustion or an isolated panic). Never cached, never produced by
+    /// a fault-free check.
     Inconclusive {
         /// Every engine attempt, in the order the ladder ran them.
         tried: Vec<TriedEngine>,
@@ -103,12 +104,10 @@ pub struct TriedEngine {
     /// The engine that ran.
     pub engine: Engine,
     /// Human-readable failure description: the exhaustion record, a
-    /// caught panic payload, a spurious cancellation, or the
-    /// out-of-subset reason.
+    /// caught panic payload, or the out-of-subset reason.
     pub reason: String,
     /// Structured record when the rung ran out of a budgeted resource
-    /// (`None` for panics, spurious cancellations and out-of-subset
-    /// designs).
+    /// (`None` for panics and out-of-subset designs).
     pub exhausted: Option<Exhausted>,
 }
 
@@ -152,9 +151,6 @@ pub enum VerifyError {
     /// The fuzzing engine failed (oracle error or a finding that did not
     /// replay on the interpreter — harness bugs, not design verdicts).
     Fuzz(String),
-    /// The check's [`CancelToken`](asv_sim::cancel::CancelToken) was
-    /// poisoned before a verdict (the caller tore the work down).
-    Cancelled,
     /// A budgeted resource ran out before a verdict. Forced single-engine
     /// modes surface this directly; [`Engine::Auto`] degrades down the
     /// ladder instead and only reports [`Verdict::Inconclusive`] when
@@ -170,7 +166,6 @@ impl fmt::Display for VerifyError {
             VerifyError::NoAssertions => write!(f, "design has no assertions"),
             VerifyError::Symbolic(m) => write!(f, "symbolic engine unavailable: {m}"),
             VerifyError::Fuzz(m) => write!(f, "fuzzing engine failed: {m}"),
-            VerifyError::Cancelled => write!(f, "verification cancelled"),
             VerifyError::Exhausted(e) => write!(f, "verification {e}"),
         }
     }
@@ -190,39 +185,33 @@ impl From<MonitorError> for VerifyError {
     }
 }
 
-impl From<Stop> for VerifyError {
-    fn from(stop: Stop) -> Self {
-        match stop {
-            Stop::Cancelled => VerifyError::Cancelled,
-            Stop::Exhausted(e) => VerifyError::Exhausted(e),
-        }
+impl From<Exhausted> for VerifyError {
+    fn from(e: Exhausted) -> Self {
+        VerifyError::Exhausted(e)
     }
 }
 
 /// Why the symbolic engine produced no verdict: the `Err` side of
 /// [`Verifier::check_symbolic`], carrying enough structure for the ladder
-/// to decide between a free fallback and a backed-off one.
+/// to tell an exhausted engine from an out-of-subset design.
 #[derive(Debug, Clone)]
 struct RungFailure {
     /// Human-readable description (the [`VerifyError::Symbolic`] message
     /// when the symbolic engine is forced).
     reason: String,
-    /// Structured record when a budgeted resource ran out.
+    /// Structured record when a budgeted resource ran out; `None` when
+    /// the design is outside the engine's subset, so the fallback is the
+    /// design's *canonical* engine rather than a degraded one.
     exhausted: Option<Exhausted>,
-    /// True when the design is outside the engine's subset: the fallback
-    /// is the design's *canonical* engine, not a degraded one, so the
-    /// stimulus budget is not backed off (today's silent `Auto` path).
-    unsupported: bool,
 }
 
 impl RungFailure {
-    /// A free-fallback failure (no structured exhaustion, no backoff):
-    /// out-of-subset designs and witness-replay harness failures.
+    /// An out-of-subset failure (no structured exhaustion): out-of-subset
+    /// designs and witness-replay harness failures.
     fn fallback(reason: String) -> Self {
         RungFailure {
             reason,
             exhausted: None,
-            unsupported: true,
         }
     }
 
@@ -249,14 +238,12 @@ enum RungOutcome {
     /// The engine decided the check.
     Verdict(Verdict),
     /// Unrecoverable — propagate immediately: simulation/monitor errors
-    /// (the design itself is broken, no engine will do better) and an
-    /// external cancellation (the caller tore the work down).
+    /// (the design itself is broken, no engine will do better).
     Hard(VerifyError),
-    /// Recoverable with budget backoff: resource exhaustion, an isolated
-    /// panic, or a spurious cancellation.
+    /// Recoverable: resource exhaustion or an isolated panic.
     Exhausted(TriedEngine),
-    /// Recoverable without backoff: the engine cannot handle the design
-    /// at all, so the next rung is the canonical one.
+    /// Recoverable: the engine cannot handle the design at all, so the
+    /// next rung is the canonical one.
     Unsupported(TriedEngine),
 }
 
@@ -279,19 +266,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// The closure only touches per-call state (the rung rebuilds everything
 /// it needs from the compiled design), so unwinding out of it leaves no
 /// broken invariants behind — `AssertUnwindSafe` is sound here.
-fn run_rung(
-    engine: Engine,
-    budget: &Budget,
-    body: impl FnOnce() -> Result<Verdict, VerifyError>,
-) -> RungOutcome {
+fn run_rung(engine: Engine, body: impl FnOnce() -> Result<Verdict, VerifyError>) -> RungOutcome {
     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
-    classify_rung(engine, budget, res)
+    classify_rung(engine, res)
 }
 
 /// Sorts a rung result into the [`RungOutcome`] taxonomy.
 fn classify_rung(
     engine: Engine,
-    budget: &Budget,
     res: std::thread::Result<Result<Verdict, VerifyError>>,
 ) -> RungOutcome {
     match res {
@@ -301,16 +283,6 @@ fn classify_rung(
             reason: e.to_string(),
             exhausted: Some(e),
         }),
-        // `Cancelled` without an actually poisoned caller token is
-        // spurious (fault injection or an engine bug): degrade instead
-        // of reporting a cancellation that never happened.
-        Ok(Err(VerifyError::Cancelled)) if !budget.is_cancelled() => {
-            RungOutcome::Exhausted(TriedEngine {
-                engine,
-                reason: "spurious cancellation".into(),
-                exhausted: None,
-            })
-        }
         Ok(Err(e)) => RungOutcome::Hard(e),
         Err(payload) => RungOutcome::Exhausted(TriedEngine {
             engine,
@@ -320,34 +292,12 @@ fn classify_rung(
     }
 }
 
-/// Stimulus budget for a fallback rung: halved per previously exhausted
-/// rung (a budget that just ran out should not be re-spent at full
-/// size), floored at one run. Zero penalties pass the budget through
-/// untouched, so fault-free fallbacks are bit-identical to the
-/// pre-ladder chain (including the degenerate `random_runs: 0`).
-fn backoff(runs: usize, penalties: u32) -> usize {
-    if penalties == 0 {
-        return runs;
-    }
-    (runs >> penalties.min(usize::BITS - 1)).max(1)
-}
-
-/// Backoff increment for an exhausted rung. Under a *plain* budget the
-/// only possible exhaustion is an engine-internal cap (SAT conflict
-/// budget, AIG node limit) — the pre-ladder chain always fell back at
-/// full stimulus budget there, so backoff applies only when the caller
-/// set a budget or armed fault injection.
-fn penalty_step(budget: &Budget) -> u32 {
-    u32::from(!budget.is_plain())
-}
-
 /// [`EndReason`] of a finished verification attempt, for rung spans.
 fn verdict_end(res: &Result<Verdict, VerifyError>) -> EndReason {
     match res {
         Ok(Verdict::Holds { .. }) => EndReason::Holds,
         Ok(Verdict::Fails(_)) => EndReason::Fails,
         Ok(Verdict::Inconclusive { .. }) => EndReason::Exhausted,
-        Err(VerifyError::Cancelled) => EndReason::Cancelled,
         Err(VerifyError::Exhausted(_)) => EndReason::Exhausted,
         Err(_) => EndReason::Unknown,
     }
@@ -359,7 +309,6 @@ fn rung_end(outcome: &RungOutcome) -> EndReason {
         RungOutcome::Verdict(Verdict::Holds { .. }) => EndReason::Holds,
         RungOutcome::Verdict(Verdict::Fails(_)) => EndReason::Fails,
         RungOutcome::Verdict(Verdict::Inconclusive { .. }) => EndReason::Exhausted,
-        RungOutcome::Hard(VerifyError::Cancelled) => EndReason::Cancelled,
         RungOutcome::Hard(_) => EndReason::Unknown,
         RungOutcome::Exhausted(t) if t.reason.starts_with("panicked") => EndReason::Panicked,
         RungOutcome::Exhausted(_) => EndReason::Exhausted,
@@ -491,18 +440,16 @@ impl Verifier {
         self.check_budgeted(design, &Budget::unbounded())
     }
 
-    /// [`Verifier::check`] under a full resource [`Budget`]: cancellation
-    /// token, wall-clock or injected-clock deadline, and per-resource
-    /// caps (SAT conflicts, fuzz rounds, AIG nodes), all polled inside
-    /// every engine's hot loop. The budget is *per call* — it is not part
-    /// of the verifier's identity, so verdict caches keyed on
-    /// [`Verifier`] stay valid across differently-budgeted calls.
+    /// [`Verifier::check`] under a [`Budget`]: every engine emits spans
+    /// through its trace handle and fires its fault probes. The budget is
+    /// *per call* — it is not part of the verifier's identity, so verdict
+    /// caches keyed on [`Verifier`] stay valid whatever budget a call
+    /// carries.
     ///
     /// # Errors
     ///
-    /// As [`Verifier::check`], plus [`VerifyError::Cancelled`] for a
-    /// poisoned token and [`VerifyError::Exhausted`] when a forced
-    /// single-engine mode runs out of a budgeted resource.
+    /// As [`Verifier::check`], plus [`VerifyError::Exhausted`] when a
+    /// forced single-engine mode runs out of a bounded resource.
     /// [`Engine::Auto`] degrades down the ladder instead and reports
     /// [`Verdict::Inconclusive`] when every rung fails.
     pub fn check_budgeted(&self, design: &Design, budget: &Budget) -> Result<Verdict, VerifyError> {
@@ -520,16 +467,16 @@ impl Verifier {
                 probe::RUNG_FUZZ,
                 EngineTag::Fuzz,
                 budget,
-                |b| self.check_fuzz(design, &compiled, &checker, b, self.random_runs),
+                |b| self.check_fuzz(design, &compiled, &checker, b),
                 verdict_end,
             ),
             Engine::Symbolic => traced_rung(
                 probe::RUNG_SYMBOLIC,
                 EngineTag::Symbolic,
                 budget,
-                |b| match self.check_symbolic(&compiled, &checker, b) {
-                    Ok(verdict) => verdict,
-                    Err(fall) => Err(fall.into_error()),
+                |b| {
+                    self.check_symbolic(&compiled, &checker, b)
+                        .map_err(RungFailure::into_error)
                 },
                 verdict_end,
             ),
@@ -539,8 +486,8 @@ impl Verifier {
 
     /// The sequential [`Engine::Auto`] chain, now the top of the
     /// degradation ladder: symbolic first, then the concrete rungs. A
-    /// fault-free unbudgeted run takes exactly the pre-ladder path
-    /// (symbolic, else enumeration, else fuzzing at full budget).
+    /// fault-free run takes exactly the pre-ladder path (symbolic, else
+    /// enumeration, else fuzzing).
     fn check_auto(
         &self,
         design: &Design,
@@ -548,9 +495,7 @@ impl Verifier {
         checker: &CompiledChecker,
         budget: &Budget,
     ) -> Result<Verdict, VerifyError> {
-        let mut tried: Vec<TriedEngine> = Vec::new();
-        let mut penalties = 0u32;
-        match traced_rung(
+        let tried = match traced_rung(
             probe::RUNG_SYMBOLIC,
             EngineTag::Symbolic,
             budget,
@@ -559,13 +504,9 @@ impl Verifier {
         ) {
             RungOutcome::Verdict(v) => return Ok(v),
             RungOutcome::Hard(e) => return Err(e),
-            RungOutcome::Exhausted(t) => {
-                tried.push(t);
-                penalties += penalty_step(budget);
-            }
-            RungOutcome::Unsupported(t) => tried.push(t),
-        }
-        self.check_concrete_ladder(design, compiled, checker, budget, tried, penalties)
+            RungOutcome::Exhausted(t) | RungOutcome::Unsupported(t) => vec![t],
+        };
+        self.check_concrete_ladder(design, compiled, checker, budget, tried)
     }
 
     /// The symbolic rung: [`Verifier::check_symbolic`] with panic
@@ -580,20 +521,20 @@ impl Verifier {
             self.check_symbolic(compiled, checker, budget)
         }));
         match res {
-            Ok(Ok(inner)) => classify_rung(Engine::Symbolic, budget, Ok(inner)),
-            Ok(Err(fall)) if fall.unsupported => {
+            Ok(Ok(verdict)) => RungOutcome::Verdict(verdict),
+            Ok(Err(fall)) if fall.exhausted.is_none() => {
                 RungOutcome::Unsupported(fall.tried(Engine::Symbolic))
             }
             Ok(Err(fall)) => RungOutcome::Exhausted(fall.tried(Engine::Symbolic)),
-            Err(payload) => classify_rung(Engine::Symbolic, budget, Err(payload)),
+            Err(payload) => classify_rung(Engine::Symbolic, Err(payload)),
         }
     }
 
     /// The concrete rungs of the degradation ladder: enumeration (when
     /// feasible) → coverage-guided fuzzing → blind random sampling, each
-    /// panic-isolated, the stimulus budget halved per exhausted rung.
-    /// Returns [`Verdict::Inconclusive`] with the attempt trace when
-    /// every rung fails recoverably.
+    /// panic-isolated and each at the full stimulus budget. Returns
+    /// [`Verdict::Inconclusive`] with the attempt trace when every rung
+    /// fails recoverably.
     fn check_concrete_ladder(
         &self,
         design: &Design,
@@ -601,7 +542,6 @@ impl Verifier {
         checker: &CompiledChecker,
         budget: &Budget,
         mut tried: Vec<TriedEngine>,
-        mut penalties: u32,
     ) -> Result<Verdict, VerifyError> {
         let gen = StimulusGen::new(design);
         if let Some(all) = gen.exhaustive(self.depth, self.reset_cycles, self.exhaustive_limit) {
@@ -610,7 +550,7 @@ impl Verifier {
                 EngineTag::Enumeration,
                 budget,
                 |b| {
-                    run_rung(Engine::Simulation, b, || {
+                    run_rung(Engine::Simulation, || {
                         self.check_enumerated(design, compiled, checker, all, b)
                     })
                 },
@@ -618,44 +558,34 @@ impl Verifier {
             ) {
                 RungOutcome::Verdict(v) => return Ok(v),
                 RungOutcome::Hard(e) => return Err(e),
-                RungOutcome::Exhausted(t) => {
-                    tried.push(t);
-                    penalties += penalty_step(budget);
-                }
-                RungOutcome::Unsupported(t) => tried.push(t),
+                RungOutcome::Exhausted(t) | RungOutcome::Unsupported(t) => tried.push(t),
             }
         }
-        let runs = backoff(self.random_runs, penalties);
         match traced_rung(
             probe::RUNG_FUZZ,
             EngineTag::Fuzz,
             budget,
             |b| {
-                run_rung(Engine::Fuzz, b, || {
-                    self.check_fuzz(design, compiled, checker, b, runs)
+                run_rung(Engine::Fuzz, || {
+                    self.check_fuzz(design, compiled, checker, b)
                 })
             },
             rung_end,
         ) {
             RungOutcome::Verdict(v) => return Ok(v),
             RungOutcome::Hard(e) => return Err(e),
-            RungOutcome::Exhausted(t) => {
-                tried.push(t);
-                penalties += penalty_step(budget);
-            }
-            RungOutcome::Unsupported(t) => tried.push(t),
+            RungOutcome::Exhausted(t) | RungOutcome::Unsupported(t) => tried.push(t),
         }
         // Last resort: blind sampling shares no infrastructure with the
         // fuzzer (no corpus, no coverage maps), so it survives failure
         // modes that take the fuzzer down.
-        let runs = backoff(self.random_runs, penalties);
         match traced_rung(
             probe::RUNG_SAMPLE,
             EngineTag::Sampling,
             budget,
             |b| {
-                run_rung(Engine::Simulation, b, || {
-                    self.check_sampled(design, compiled, checker, b, runs)
+                run_rung(Engine::Simulation, || {
+                    self.check_sampled(design, compiled, checker, b)
                 })
             },
             rung_end,
@@ -669,17 +599,15 @@ impl Verifier {
         }
     }
 
-    /// Runs the symbolic engine. The outer [`RungFailure`] means the
-    /// engine could not produce a verdict (out-of-subset design or an
-    /// exhausted budget) — the caller decides between fallback and a
-    /// hard error.
-    #[allow(clippy::result_large_err)]
+    /// Runs the symbolic engine. A [`RungFailure`] means the engine could
+    /// not produce a verdict (out-of-subset design or an exhausted
+    /// budget) — the caller decides between fallback and a hard error.
     fn check_symbolic(
         &self,
         compiled: &Arc<CompiledDesign>,
         checker: &CompiledChecker,
         budget: &Budget,
-    ) -> Result<Result<Verdict, VerifyError>, RungFailure> {
+    ) -> Result<Verdict, RungFailure> {
         let opts = BmcOptions {
             depth: self.depth,
             reset_cycles: self.reset_cycles,
@@ -687,33 +615,20 @@ impl Verifier {
         };
         let bmc = match asv_sat::engine::check_budgeted(compiled, opts, budget) {
             Ok(v) => v,
-            // Cancellation is a hard stop, never a fallback trigger: a
-            // cancelled Auto check must not silently run the
-            // (expensive) concrete chain instead. (The ladder re-checks
-            // the caller's token and degrades when the cancellation was
-            // spurious.)
-            Err(BmcError::Cancelled) => return Ok(Err(VerifyError::Cancelled)),
             Err(BmcError::Exhausted(e)) => {
                 return Err(RungFailure {
                     reason: e.to_string(),
                     exhausted: Some(e),
-                    unsupported: false,
                 })
             }
-            Err(e) => {
-                return Err(RungFailure {
-                    reason: e.to_string(),
-                    exhausted: None,
-                    unsupported: true,
-                })
-            }
+            Err(e) => return Err(RungFailure::fallback(e.to_string())),
         };
         match bmc {
-            BmcVerdict::Holds { vacuous } => Ok(Ok(Verdict::Holds {
+            BmcVerdict::Holds { vacuous } => Ok(Verdict::Holds {
                 exhaustive: true,
                 stimuli: 0,
                 vacuous,
-            })),
+            }),
             BmcVerdict::Fails { stimulus } => {
                 // Replay the witness concretely: the reported failures and
                 // logs must be exactly what a simulation run produces.
@@ -746,11 +661,11 @@ impl Verifier {
                     ));
                 }
                 let logs = failures.iter().map(ToString::to_string).collect();
-                Ok(Ok(Verdict::Fails(Arc::new(CounterExample {
+                Ok(Verdict::Fails(Arc::new(CounterExample {
                     stimulus,
                     failures,
                     logs,
-                }))))
+                })))
             }
         }
     }
@@ -776,24 +691,24 @@ impl Verifier {
                 probe::RUNG_SAMPLE,
                 EngineTag::Sampling,
                 budget,
-                |b| self.check_sampled(design, compiled, checker, b, self.random_runs),
+                |b| self.check_sampled(design, compiled, checker, b),
                 verdict_end,
             ),
         }
     }
 
-    /// Seeded random sampling: the non-exhaustive half of the simulation
-    /// oracle and the ladder's last rung, at an explicit run count so
-    /// fallback rungs can back the stimulus budget off.
+    /// Seeded random sampling over [`Verifier::random_runs`] stimuli: the
+    /// non-exhaustive half of the simulation oracle and the ladder's last
+    /// rung.
     fn check_sampled(
         &self,
         design: &Design,
         compiled: &Arc<CompiledDesign>,
         checker: &CompiledChecker,
         budget: &Budget,
-        runs: usize,
     ) -> Result<Verdict, VerifyError> {
-        // The sampling rung's one fault probe; the group loop only polls.
+        let runs = self.random_runs;
+        // The sampling rung's one fault probe.
         budget.probe(probe::SVA_SAMPLE)?;
         let sink = budget.trace().clone();
         let mut span = sink.span(probe::SVA_SAMPLE, SpanKind::Sampling);
@@ -836,11 +751,8 @@ impl Verifier {
             );
         }
         let mut fired = std::collections::BTreeSet::new();
-        let first = first_failure(compiled, checker, &stimuli, budget, &mut fired);
-        // A poisoned token or blown deadline means whatever was checked so
-        // far is a partial view and must not be reported.
-        budget.check()?;
-        Ok(match first? {
+        let first = first_failure(compiled, checker, &stimuli, &mut fired)?;
+        Ok(match first {
             Some(cex) => Verdict::Fails(Arc::new(cex)),
             None => self.holds(design, false, count, fired),
         })
@@ -905,7 +817,7 @@ impl Verifier {
                     StimulusOutcome::Passes(names) => fired.extend(names),
                 }
                 // Per-stimulus accrual keeps the count honest when a
-                // failure or budget stop cuts the sweep short.
+                // failure cuts the sweep short.
                 span.add_cost(Cost {
                     stimuli: 1,
                     ops: run.ops,
@@ -927,20 +839,18 @@ impl Verifier {
         compiled: &Arc<CompiledDesign>,
         checker: &CompiledChecker,
         budget: &Budget,
-        runs: usize,
     ) -> Result<Verdict, VerifyError> {
         let oracle = CheckerOracle { checker };
         let opts = FuzzOptions {
             cycles: self.depth,
             reset_cycles: self.reset_cycles,
-            budget: runs,
+            budget: self.random_runs,
             seed: self.seed,
             ..FuzzOptions::default()
         };
         let res =
             asv_fuzz::fuzz_budgeted(compiled, &oracle, &opts, budget).map_err(|e| match e {
                 FuzzError::Sim(s) => VerifyError::Sim(s),
-                FuzzError::Cancelled => VerifyError::Cancelled,
                 FuzzError::Exhausted(ex) => VerifyError::Exhausted(ex),
                 other => VerifyError::Fuzz(other.to_string()),
             })?;
@@ -1099,19 +1009,14 @@ const LANES: usize = 16;
 /// Runs sampled `stimuli` in lane groups, in stimulus-index order,
 /// collecting the assertions that passed non-vacuously into `fired`.
 /// Returns the first failing stimulus's counterexample, or the first
-/// error, whichever comes first; `None` when every stimulus passes. The
-/// caller polls the budget again before reporting anything.
+/// error, whichever comes first; `None` when every stimulus passes.
 fn first_failure(
     compiled: &Arc<CompiledDesign>,
     checker: &CompiledChecker,
     stimuli: &[Stimulus],
-    budget: &Budget,
     fired: &mut std::collections::BTreeSet<String>,
 ) -> Result<Option<CounterExample>, VerifyError> {
     for group in stimuli.chunks(LANES) {
-        // Plain poll, never a fault probe: the rung's one probe draw is
-        // `SVA_SAMPLE`, before the loop.
-        budget.check()?;
         let runs = run_stimulus_group(compiled, group, LANES, None, false);
         // One shared monitor scratch stack for the whole group.
         let mut judged = checker
@@ -1138,9 +1043,7 @@ fn first_failure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asv_sim::cancel::CancelToken;
     use asv_verilog::compile;
-    use std::time::Duration;
 
     const GOOD: &str = r#"
 module latch1(input clk, input rst_n, input d, output reg q);
@@ -1511,48 +1414,36 @@ endmodule
         }
     }
 
-    #[test]
-    fn poisoned_token_cancels_every_engine() {
-        let d = compile(BAD).expect("compile");
-        let token = CancelToken::new();
-        token.cancel();
-        let budget = Budget::unbounded().with_cancel(token);
-        for engine in [
-            Engine::Auto,
-            Engine::Symbolic,
-            Engine::Simulation,
-            Engine::Fuzz,
-        ] {
-            let v = Verifier {
-                depth: 6,
-                engine,
-                ..Verifier::default()
-            };
-            assert_eq!(
-                v.check_budgeted(&d, &budget),
-                Err(VerifyError::Cancelled),
-                "{engine:?} must observe the poisoned token"
-            );
-        }
+    /// A plan that fires a synthetic exhaustion at every probe hit on
+    /// every job.
+    #[cfg(feature = "fault-inject")]
+    fn exhaust_everywhere() -> Budget {
+        use asv_sim::fault::{FaultKinds, FaultPlan};
+        let plan = FaultPlan {
+            rate_per_1024: 1024,
+            victims_per_16: 16,
+            kinds: FaultKinds::EXHAUST,
+            ..FaultPlan::new(5)
+        };
+        Budget::unbounded().with_fault(plan.session(1))
     }
 
+    #[cfg(feature = "fault-inject")]
     #[test]
-    fn expired_deadline_degrades_to_inconclusive() {
-        // Deadline semantics without sleeps: an injected clock already
-        // past its limit exhausts every ladder rung before it simulates
-        // or solves anything, and Auto reports the full attempt trace.
-        use asv_sim::cancel::{ManualClock, Resource};
+    fn injected_exhaustion_degrades_to_inconclusive() {
+        // Every rung's first probe exhausts before it simulates or solves
+        // anything, and Auto reports the full attempt trace.
+        use asv_sim::cancel::Resource;
         let d = compile(BAD).expect("compile");
-        let clock = ManualClock::new();
-        let budget = Budget::unbounded().with_manual_deadline(clock.clone(), 3);
-        clock.advance(4);
         let v = Verifier {
             depth: 6,
             ..Verifier::default()
         };
-        let verdict = v.check_budgeted(&d, &budget).expect("degrades, not errors");
+        let verdict = v
+            .check_budgeted(&d, &exhaust_everywhere())
+            .expect("degrades, not errors");
         let Verdict::Inconclusive { tried } = &verdict else {
-            panic!("expired deadline must be inconclusive, got {verdict:?}");
+            panic!("an all-exhaust plan must be inconclusive, got {verdict:?}");
         };
         let engines: Vec<Engine> = tried.iter().map(|t| t.engine).collect();
         assert_eq!(
@@ -1567,59 +1458,30 @@ endmodule
         );
         for t in tried {
             match t.exhausted {
-                Some(e) => assert_eq!(e.resource, Resource::WallClock, "{t:?}"),
+                Some(e) => assert_eq!(e.resource, Resource::Injected, "{t:?}"),
                 None => panic!("every rung must report structured exhaustion: {t:?}"),
             }
         }
-        // Same expired budget, same trace: the ladder is deterministic.
-        assert_eq!(v.check_budgeted(&d, &budget), Ok(verdict));
+        // Same plan, same trace: the ladder is deterministic.
+        assert_eq!(v.check_budgeted(&d, &exhaust_everywhere()), Ok(verdict));
     }
 
+    #[cfg(feature = "fault-inject")]
     #[test]
-    fn forced_engines_surface_structured_exhaustion() {
-        use asv_sim::cancel::{ManualClock, Resource};
+    fn forced_engines_surface_injected_exhaustion() {
+        use asv_sim::cancel::Resource;
         let d = compile(BAD).expect("compile");
-        let clock = ManualClock::new();
-        let budget = Budget::unbounded().with_manual_deadline(clock.clone(), 2);
-        clock.advance(3);
         for engine in [Engine::Symbolic, Engine::Simulation, Engine::Fuzz] {
             let v = Verifier {
                 depth: 6,
                 engine,
                 ..Verifier::default()
             };
-            match v.check_budgeted(&d, &budget) {
+            match v.check_budgeted(&d, &exhaust_everywhere()) {
                 Err(VerifyError::Exhausted(e)) => {
-                    assert_eq!(e.resource, Resource::WallClock, "{engine:?}");
-                    assert_eq!((e.spent, e.limit), (3, 2), "{engine:?}");
+                    assert_eq!(e.resource, Resource::Injected, "{engine:?}");
                 }
                 other => panic!("{engine:?} must exhaust, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn roomy_budget_matches_unbudgeted_verdict() {
-        // A budget with headroom must not perturb any verdict.
-        for src in [GOOD, BAD] {
-            let d = compile(src).expect("compile");
-            let budget = Budget::unbounded()
-                .with_deadline(Duration::from_secs(3600))
-                .with_max_conflicts(1 << 30)
-                .with_max_fuzz_rounds(1 << 20)
-                .with_max_aig_nodes(1 << 30);
-            for engine in [
-                Engine::Auto,
-                Engine::Symbolic,
-                Engine::Simulation,
-                Engine::Fuzz,
-            ] {
-                let v = Verifier {
-                    depth: 6,
-                    engine,
-                    ..Verifier::default()
-                };
-                assert_eq!(v.check_budgeted(&d, &budget), v.check(&d), "{engine:?}");
             }
         }
     }

@@ -9,10 +9,11 @@
 //! * **Spans & events** ([`span`]): a [`Tracer`] collects typed
 //!   [`Event`]s into per-thread append-only rings (writers never contend
 //!   with each other); engines emit through the [`TraceHandle`] carried
-//!   by their `Budget`. The [`TraceSink`] trait is monomorphized like
-//!   the per-lane coverage sinks of `asv_sim::compile::batch`, so code
-//!   instrumented against the [`NoTrace`] sink compiles to nothing at
-//!   all — the default, untraced paths pay zero cost.
+//!   by their `Budget`, whose disabled default records nothing. Code
+//!   generic over the [`TraceSink`] trait (design lowering) is
+//!   monomorphized like the per-lane coverage sinks of
+//!   `asv_sim::compile::batch`, so its instantiation against the
+//!   [`NoTrace`] sink compiles to nothing at all.
 //! * **Metrics** ([`metrics`]): hand-rolled counters and log-scale
 //!   latency histograms in a [`metrics::Registry`], with a
 //!   Prometheus-compatible text exposition and a JSON snapshot. No

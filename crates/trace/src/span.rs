@@ -136,19 +136,17 @@ pub enum EndReason {
     Holds,
     /// The rung found a counterexample.
     Fails,
-    /// A resource budget ran out (or an isolated panic/spurious
-    /// cancellation was absorbed as exhaustion by the ladder).
+    /// A resource budget ran out.
     Exhausted,
     /// The engine panicked.
     Panicked,
-    /// The caller's token was poisoned.
-    Cancelled,
     /// The engine cannot handle the design at all.
     Unsupported,
 }
 
 impl EndReason {
-    /// Stable numeric code stored in [`Event::code`].
+    /// Stable numeric code stored in [`Event::code`]. Code 5 is
+    /// unassigned and decodes to `Unknown`.
     pub fn code(self) -> u64 {
         match self {
             EndReason::Unknown => 0,
@@ -156,7 +154,6 @@ impl EndReason {
             EndReason::Fails => 2,
             EndReason::Exhausted => 3,
             EndReason::Panicked => 4,
-            EndReason::Cancelled => 5,
             EndReason::Unsupported => 6,
         }
     }
@@ -168,7 +165,6 @@ impl EndReason {
             2 => EndReason::Fails,
             3 => EndReason::Exhausted,
             4 => EndReason::Panicked,
-            5 => EndReason::Cancelled,
             6 => EndReason::Unsupported,
             _ => EndReason::Unknown,
         }
@@ -182,15 +178,14 @@ impl EndReason {
             EndReason::Fails => "fails",
             EndReason::Exhausted => "exhausted",
             EndReason::Panicked => "panicked",
-            EndReason::Cancelled => "cancelled",
             EndReason::Unsupported => "unsupported",
         }
     }
 }
 
-/// Resource deltas a span carries, drawn from the same accounting the
-/// `Budget` caps poll (SAT conflicts, fuzz rounds, AIG nodes) plus
-/// stimulus counts.
+/// Resource deltas a span carries: the engines' own work counts (SAT
+/// conflicts, decisions and propagations, fuzz rounds, AIG nodes),
+/// stimulus counts and lane-batch occupancy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Cost {
     /// CDCL conflicts spent.
@@ -816,7 +811,6 @@ mod tests {
             EndReason::Fails,
             EndReason::Exhausted,
             EndReason::Panicked,
-            EndReason::Cancelled,
             EndReason::Unsupported,
         ] {
             assert_eq!(EndReason::from_code(end.code()), end);

@@ -1,16 +1,16 @@
 //! Chaos suite: the verification service under deterministic fault
 //! injection (`--features fault-inject`).
 //!
-//! A seeded [`FaultPlan`] makes engine probe points panic, stall, report
-//! spurious cancellations, or fake budget exhaustion — on a deterministic
-//! schedule that is a pure function of `(plan, job key)`. The suite pins
-//! the service's fault-tolerance contract:
+//! A seeded [`FaultPlan`] makes engine probe points panic or fake budget
+//! exhaustion — on a deterministic schedule that is a pure function of
+//! `(plan, job key)`. The suite pins the service's fault-tolerance
+//! contract:
 //!
 //! * every chaotic batch **terminates** and fills every outcome slot;
 //! * jobs the plan does not target are **bit-identical** to a fault-free
 //!   run — fault isolation is per job, not per batch;
 //! * the verdict memo is never poisoned: degraded outcomes (inconclusive
-//!   verdicts, panics, cancellations, exhaustion) are not cached, and
+//!   verdicts, panics, exhaustion) are not cached, and
 //!   every cached entry for an untargeted job equals the fault-free
 //!   outcome;
 //! * the same `(seed, plan)` reproduces the same outcome vector across
@@ -53,19 +53,17 @@ fn run(workers: usize, plan: Option<FaultPlan>, jobs: &[VerifyJob]) -> Vec<JobOu
     let service = VerifyService::new(ServeOptions {
         workers,
         fault_plan: plan,
-        ..ServeOptions::default()
     });
     service.verify_batch(jobs)
 }
 
-/// True for outcomes that depend on the budget or injected faults —
-/// exactly what the service refuses to memoise.
+/// True for outcomes that may come from injected faults — exactly what
+/// the service refuses to memoise.
 fn degraded(outcome: &JobOutcome) -> bool {
     matches!(
         outcome,
         Ok(Verdict::Inconclusive { .. })
             | Err(VerdictError::Panic(_))
-            | Err(VerdictError::Cancelled)
             | Err(VerdictError::Exhausted(_))
     )
 }
@@ -135,7 +133,6 @@ fn degraded_outcomes_never_enter_the_verdict_memo() {
         let service = VerifyService::new(ServeOptions {
             workers: 4,
             fault_plan: Some(plan),
-            ..ServeOptions::default()
         });
         let chaotic = service.verify_batch(&batch);
         for (i, job) in batch.iter().enumerate() {
