@@ -436,7 +436,7 @@ fn mixed_batch() -> Vec<VerifyJob> {
 /// across all cores, verdicts asserted bit-identical.
 fn mixed_batch_comparison() {
     let jobs = mixed_batch();
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = asv_sim::pool::cores();
 
     // Cache-cold timings, best of two rounds per leg: one slow round on
     // a noisy shared runner must not fail CI, and both legs get the same

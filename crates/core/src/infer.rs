@@ -59,8 +59,10 @@ impl Response {
 /// A repair engine: anything that maps a task to `n` responses.
 ///
 /// Implemented by the trained [`Solver`] and by every baseline proxy in
-/// [`crate::baselines`]; the evaluation harness is engine-agnostic.
-pub trait RepairEngine {
+/// [`crate::baselines`]; the evaluation harness is engine-agnostic. It
+/// samples the cases of a benchmark in parallel, so engines are `Sync`,
+/// and `respond` must not start a worker pool of its own.
+pub trait RepairEngine: Sync {
     /// Display name used in result tables.
     fn name(&self) -> &str;
 

@@ -18,6 +18,7 @@ use crate::lm::NgramLm;
 use crate::policy::Policy;
 use asv_datagen::dataset::{SvaBugEntry, VerilogBugEntry, VerilogPtEntry};
 use asv_mutation::repairspace::{candidates, golden_candidates, splice_line};
+use asv_sim::pool;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -69,8 +70,15 @@ impl PreparedCase {
 
 /// Extracts features for every training entry (done once; reused across
 /// epochs). Entries whose buggy source fails to compile are skipped.
+///
+/// The entries are prepared in parallel on every core
+/// ([`asv_sim::pool::map`]) and come back in input order, so the result
+/// is bit-identical to mapping [`prepare_case`] over them serially.
 pub fn prepare_cases(entries: &[SvaBugEntry], lm: &NgramLm) -> Vec<PreparedCase> {
-    entries.iter().filter_map(|e| prepare_case(e, lm)).collect()
+    pool::map(entries, pool::cores(), |e| prepare_case(e, lm))
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Prepares one case.
@@ -188,6 +196,10 @@ pub fn base_model(pt: &[VerilogPtEntry]) -> Model {
 /// softmax cross-entropy gradient `f(golden) − E_π[f]`. The auxiliary
 /// Verilog-Bug task trains the same weights on synthetic "which line
 /// changed" problems derived from each entry.
+///
+/// Both kinds of case are prepared in parallel on every core and kept in
+/// input order, so the trained weights are bit-identical to a serial
+/// preparation.
 pub fn sft(
     base: &Model,
     sva_bug: &[SvaBugEntry],
@@ -196,8 +208,9 @@ pub fn sft(
 ) -> Model {
     let mut cases = prepare_cases(sva_bug, &base.lm);
     // Auxiliary task: Verilog-Bug entries have no logs/assertions, but the
-    // same candidate machinery applies with an empty log context.
-    for vb in verilog_bug {
+    // same candidate machinery applies with an empty log context. Each
+    // stand-in entry is built inside its worker.
+    let auxiliary = pool::map(verilog_bug, pool::cores(), |vb| {
         let as_entry = SvaBugEntry {
             module_name: vb.module_name.clone(),
             spec: vb.spec.clone(),
@@ -218,10 +231,9 @@ pub fn sft(
             length_bin: asv_datagen::LengthBin::of_lines(vb.buggy_source.lines().count()),
             cot: None,
         };
-        if let Some(c) = prepare_case(&as_entry, &base.lm) {
-            cases.push(c);
-        }
-    }
+        prepare_case(&as_entry, &base.lm)
+    });
+    cases.extend(auxiliary.into_iter().flatten());
     let trainable: Vec<&PreparedCase> = cases.iter().filter(|c| !c.golden.is_empty()).collect();
     let mut policy = base.policy.clone();
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -536,6 +548,20 @@ mod tests {
             }
         }
         assert!(prepared.next().is_none());
+    }
+
+    #[test]
+    fn sft_weights_are_pinned() {
+        // Pinned at the serial preparation: preparing the cases in
+        // parallel must train the same weights, bit for bit.
+        let ds = datasets();
+        let base = base_model(&ds.verilog_pt);
+        let model = sft(&base, &ds.sva_bug, &ds.verilog_bug, &SftConfig::default());
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for w in &model.policy.weights {
+            fnv1a(&mut hash, &w.to_bits().to_le_bytes());
+        }
+        assert_eq!(hash, 0xf06a_d9aa_da94_a5bf, "SFT weights moved");
     }
 
     #[test]

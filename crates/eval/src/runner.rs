@@ -13,12 +13,14 @@
 
 use crate::judge::Judge;
 use crate::passk::mean_pass_at_k;
-use assertsolver_core::{RepairEngine, RepairTask, Response};
+use assertsolver_core::{RepairEngine, RepairTask};
 use asv_datagen::dataset::{LengthBin, SvaBugEntry};
 use asv_mutation::BugCategory;
 use asv_serve::{ServeOptions, VerifyJob, VerifyService};
+use asv_sim::pool;
 use asv_sva::bmc::Verifier;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Evaluation protocol parameters (paper: n = 20, k ∈ {1, 5}, temp 0.2).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -191,9 +193,11 @@ enum Resolution {
 /// Reproduces the [`Judge`] semantics exactly: a response is effective
 /// iff it textually matches the golden source, or it compiles and every
 /// assertion of the patched design holds non-vacuously under
-/// `verifier`'s bounds. All candidate patches of the whole benchmark are
-/// submitted as **one batch**, so the `n = 20` pass@k protocol fans out
-/// across the service's workers and repeated candidates verify once.
+/// `verifier`'s bounds. The cases' responses are sampled in parallel on
+/// every core ([`asv_sim::pool::map`], so `engine.respond` must not start
+/// a pool of its own), and all candidate patches of the whole benchmark
+/// are submitted as **one batch**, so the `n = 20` pass@k protocol fans
+/// out across the service's workers and repeated candidates verify once.
 pub fn evaluate_with_service(
     engine: &dyn RepairEngine,
     benchmark: &[BenchCase],
@@ -201,34 +205,55 @@ pub fn evaluate_with_service(
     verifier: Verifier,
     service: &VerifyService,
 ) -> EvalRun {
-    // Phase 1 (sequential, cheap): sample responses, compile candidates,
-    // and turn every non-trivial one into a job.
+    // Phase 1: sample every case's responses in parallel on every core
+    // (each case seeds from its index, so the samples do not depend on
+    // scheduling). Then compile each case's distinct patched sources
+    // once, and turn every non-trivial response into a job: a repeated
+    // source submits a clone of its first job, so the service sees one
+    // submission per response, exactly as if each had been compiled.
+    let indices: Vec<usize> = (0..benchmark.len()).collect();
+    let sampled = pool::map(&indices, pool::cores(), |&i| {
+        let task = RepairTask::from(&benchmark[i].entry);
+        engine.respond(&task, config.n, config.seed.wrapping_add(i as u64))
+    });
     let mut jobs: Vec<VerifyJob> = Vec::new();
-    let mut per_case: Vec<(usize, Vec<Resolution>)> = Vec::with_capacity(benchmark.len());
-    for (i, bc) in benchmark.iter().enumerate() {
-        let task = RepairTask::from(&bc.entry);
-        let responses: Vec<Response> =
-            engine.respond(&task, config.n, config.seed.wrapping_add(i as u64));
+    let mut per_case: Vec<Vec<Resolution>> = Vec::with_capacity(benchmark.len());
+    for (bc, responses) in benchmark.iter().zip(&sampled) {
+        // Index of the first job of each distinct source compiled so far
+        // (`None`: it did not compile).
+        let mut first_job: HashMap<&str, Option<usize>> = HashMap::new();
         let mut resolutions = Vec::with_capacity(responses.len());
-        for r in &responses {
+        for r in responses {
             if r.patched_source == bc.entry.golden_source {
                 resolutions.push(Resolution::Golden);
-            } else if let Ok(design) = asv_verilog::compile(&r.patched_source) {
-                resolutions.push(Resolution::Pending(jobs.len()));
-                jobs.push(VerifyJob::new(design, verifier));
-            } else {
-                resolutions.push(Resolution::NoCompile);
+                continue;
             }
+            let job = match first_job.get(r.patched_source.as_str()) {
+                Some(first) => first.map(|j| jobs[j].clone()),
+                None => {
+                    let job = asv_verilog::compile(&r.patched_source)
+                        .ok()
+                        .map(|design| VerifyJob::new(design, verifier));
+                    first_job.insert(&r.patched_source, job.as_ref().map(|_| jobs.len()));
+                    job
+                }
+            };
+            resolutions.push(match job {
+                Some(job) => {
+                    jobs.push(job);
+                    Resolution::Pending(jobs.len() - 1)
+                }
+                None => Resolution::NoCompile,
+            });
         }
-        per_case.push((i, resolutions));
+        per_case.push(resolutions);
     }
     // Phase 2: one batch across the service's worker pool (deduplicated
     // by job key, memoised across calls).
     let verdicts = service.verify_batch(&jobs);
     // Phase 3: fold verdicts back into per-case effective counts.
     let mut cases = Vec::with_capacity(benchmark.len());
-    for (i, resolutions) in per_case {
-        let bc = &benchmark[i];
+    for (bc, resolutions) in benchmark.iter().zip(per_case) {
         let c = resolutions
             .iter()
             .filter(|res| match res {
@@ -298,6 +323,47 @@ mod tests {
                 evaluate_with_service(&engine, &bench, &cfg, Judge::fast().verifier(), &service);
             assert_eq!(run, sequential, "worker count {workers} changed results");
         }
+    }
+
+    #[test]
+    fn evaluation_and_service_stats_are_pinned() {
+        // Pinned when every response was compiled on its own: compiling
+        // each case's distinct sources once must submit the same jobs.
+        let (bench, cfg) = small_eval();
+        let engine = Solver::new(base_model(&[]));
+        let service = VerifyService::default();
+        let run = evaluate_with_service(&engine, &bench, &cfg, Judge::fast().verifier(), &service);
+        let per_case: Vec<(&str, usize)> =
+            run.cases.iter().map(|c| (c.module.as_str(), c.c)).collect();
+        assert_eq!(
+            per_case,
+            vec![
+                ("pwm_9", 0),
+                ("pwm_21", 2),
+                ("pwm_21", 2),
+                ("handshake_23", 0),
+                ("clkdiv3", 0),
+                ("clkdiv3", 0),
+                ("clkdiv3", 0),
+                ("clkdiv3", 1),
+                ("debounce", 1),
+                ("debounce", 0),
+                ("debounce", 3),
+                ("debounce", 0),
+            ],
+            "per-case results moved"
+        );
+        let stats = service.stats();
+        assert_eq!(
+            (
+                stats.submitted,
+                stats.deduped,
+                stats.memo_hits,
+                stats.executed
+            ),
+            (113, 29, 0, 84),
+            "submitted, deduped, memo hits, executed"
+        );
     }
 
     #[test]

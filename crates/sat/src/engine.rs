@@ -490,12 +490,14 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// The structured error for a solver that reported
-    /// [`SolveResult::Unknown`] (conflict budget spent).
-    fn conflicts_exhausted(&self) -> BmcError {
+    /// The structured error for a solve that reported
+    /// [`SolveResult::Unknown`] (conflict budget spent). The budget holds
+    /// per solve call, so `spent` counts the conflicts of that call alone:
+    /// those since `conflicts_before`, the solver's total when it began.
+    fn conflicts_exhausted(&self, conflicts_before: u64) -> BmcError {
         BmcError::Exhausted(Exhausted {
             resource: Resource::SatConflicts,
-            spent: self.solver.conflicts,
+            spent: self.solver.conflicts - conflicts_before,
             limit: self.opts.conflict_budget.unwrap_or(u64::MAX),
         })
     }
@@ -819,7 +821,9 @@ impl<'a> Engine<'a> {
                             });
                         }
                         SolveResult::Unsat => continue,
-                        SolveResult::Unknown => return Err(self.conflicts_exhausted()),
+                        SolveResult::Unknown => {
+                            return Err(self.conflicts_exhausted(conflicts_before))
+                        }
                     }
                 }
             }
@@ -860,7 +864,9 @@ impl<'a> Engine<'a> {
                     match res {
                         SolveResult::Sat => true,
                         SolveResult::Unsat => false,
-                        SolveResult::Unknown => return Err(self.conflicts_exhausted()),
+                        SolveResult::Unknown => {
+                            return Err(self.conflicts_exhausted(conflicts_before))
+                        }
                     }
                 }
             };
@@ -1182,5 +1188,35 @@ endmodule
                 limit: 4,
             }))
         );
+    }
+
+    #[test]
+    fn conflict_budget_exhaustion_counts_only_the_call_that_ran_out() {
+        // At 5 bits the earlier depths' solves finish within the budget,
+        // so the solve that runs out starts with conflicts already spent.
+        let src = r#"
+module mul(input clk, input rst_n, input [4:0] a, input [4:0] b,
+           output reg [4:0] p, output reg [4:0] q);
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) begin p <= 5'd0; q <= 5'd0; end
+    else begin p <= a * b; q <= b * a; end
+  end
+  eq: assert property (@(posedge clk) 1'b1 |-> ##1 p == q);
+endmodule
+"#;
+        let cd = compiled(src);
+        let opts = BmcOptions {
+            depth: 8,
+            conflict_budget: Some(512),
+            ..BmcOptions::default()
+        };
+        match check(&cd, opts) {
+            Err(BmcError::Exhausted(Exhausted {
+                resource: Resource::SatConflicts,
+                spent,
+                limit: 512,
+            })) => assert!(spent <= 512, "spent {spent} of a per-call budget of 512"),
+            other => panic!("expected conflict exhaustion, got {other:?}"),
+        }
     }
 }

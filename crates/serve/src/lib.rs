@@ -15,7 +15,8 @@
 //!   [`JobKey`] of `(design, verifier)`: the design's AST with its
 //!   properties and assertion directives, and every verifier knob
 //!   (engine, bounds, budget, seed, opt level).
-//! * **[`VerifyService`]** — a self-scheduling worker pool: jobs are
+//! * **[`VerifyService`]** — runs a batch's pending jobs on the
+//!   workspace's one worker pool, [`asv_sim::pool::map`]: jobs are
 //!   claimed index-by-index from a shared atomic cursor (idle workers
 //!   steal the next unclaimed job, so a slow symbolic proof never blocks
 //!   the rest of the batch) and results are collected in

@@ -9,11 +9,14 @@
 //!    evaluation submits the same patched design many times across the
 //!    20-sample protocol);
 //! 2. keys already in the [`VerdictCache`] are answered in O(hash);
-//! 3. the remaining jobs go to a self-scheduling worker pool: each
-//!    worker claims the next unclaimed job from a shared atomic cursor,
-//!    so a batch mixing microsecond enumerations with millisecond
-//!    symbolic proofs stays load-balanced without any up-front
-//!    partitioning (idle workers steal whatever is left);
+//! 3. the remaining jobs go to the workspace's one worker pool,
+//!    [`asv_sim::pool::map`]: each worker claims the next unclaimed job
+//!    from a shared atomic cursor, so a batch mixing microsecond
+//!    enumerations with millisecond symbolic proofs stays load-balanced
+//!    without any up-front partitioning, and the outcomes come back in
+//!    order, re-homed on the calling thread. A batch with one pending
+//!    job runs it inline, and a batch answered wholly by dedup and the
+//!    memo starts no thread;
 //! 4. results land in their submission slot and *cacheable* verdicts are
 //!    memoised.
 //!
@@ -48,17 +51,16 @@ use crate::cache::VerdictCache;
 use crate::job::{JobKey, JobOutcome, VerdictError, VerifyJob};
 use crate::report::{assemble_reports, AnswerTier, JobReport};
 use asv_sim::cancel::Budget;
-use asv_sim::FaultPlan;
+use asv_sim::{pool, FaultPlan};
 use asv_sva::bmc::Verdict;
 use asv_trace::{probe, Counter, EndReason, Registry, SpanKind, TraceHandle, TraceSink, Tracer};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Service configuration. The default runs one worker per core with no
 /// fault injection.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// Worker threads; 0 means `std::thread::available_parallelism`.
+    /// Worker threads; 0 means one per core ([`asv_sim::pool::cores`]).
     pub workers: usize,
     /// Deterministic fault-injection plan for the chaos suite. Each job
     /// gets a session salted by [`JobKey::fault_salt`], so the fault
@@ -220,7 +222,7 @@ impl VerifyService {
     /// The resolved worker count.
     pub fn workers(&self) -> usize {
         if self.opts.workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            pool::cores()
         } else {
             self.opts.workers
         }
@@ -355,37 +357,11 @@ impl VerifyService {
             );
             pending.push(i);
         }
-        // Self-scheduling pool over the pending jobs.
-        if !pending.is_empty() {
-            let workers = self.workers().min(pending.len()).max(1);
-            let cursor = AtomicUsize::new(0);
-            let mut per_worker: Vec<Vec<(usize, JobOutcome)>> = Vec::with_capacity(workers);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for _ in 0..workers {
-                    let cursor = &cursor;
-                    let pending = &pending;
-                    handles.push(scope.spawn(move || {
-                        let mut done = Vec::new();
-                        loop {
-                            let at = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&job_idx) = pending.get(at) else {
-                                break;
-                            };
-                            done.push((job_idx, self.execute(&jobs[job_idx])));
-                        }
-                        done
-                    }));
-                }
-                for h in handles {
-                    // Engine panics are caught inside `execute`; a panic
-                    // escaping here is a bug in the service itself.
-                    per_worker.push(h.join().expect("verification worker panicked"));
-                }
-            });
-            for (job_idx, outcome) in per_worker.into_iter().flatten() {
-                results[job_idx] = Some((outcome, AnswerTier::Engine));
-            }
+        // The pending jobs on the workspace's one worker pool. Engine
+        // panics are caught inside `execute`.
+        let outcomes = pool::map(&pending, self.workers(), |&i| self.execute(&jobs[i]));
+        for (job_idx, outcome) in pending.into_iter().zip(outcomes) {
+            results[job_idx] = Some((outcome, AnswerTier::Engine));
         }
         // Copy duplicates from their owners, in submission order.
         for i in 0..jobs.len() {

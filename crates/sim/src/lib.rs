@@ -40,6 +40,7 @@ pub mod eval;
 pub mod exec;
 pub mod fault;
 pub mod interp;
+pub mod pool;
 pub mod stimulus;
 pub mod trace;
 pub use asv_ir::value;
