@@ -31,7 +31,6 @@
 pub mod eval;
 pub mod ir;
 pub mod opt;
-pub mod stablehash;
 pub mod value;
 
 pub use eval::EvalError;

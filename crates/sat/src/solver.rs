@@ -251,16 +251,6 @@ impl Solver {
         }
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.assigns.len()
-    }
-
-    /// Number of clauses (original and learned).
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.assigns.len() as u32);

@@ -312,3 +312,55 @@ fn frontend_never_panics_on_byte_mutated_sources() {
         }
     }
 }
+
+/// The front end compiles deeply nested inputs on a thread with the
+/// default 2 MiB stack of an `asv_sim::pool::map` worker, where candidate
+/// preparation, inference and self-verification compile patches. Each
+/// depth is at most half the deepest input of its shape that still
+/// compiled in a debug build, so these are the depths any later nesting
+/// limit must accept. A stack overflow aborts the whole test binary
+/// rather than failing here.
+#[test]
+fn frontend_compiles_deep_nesting_on_a_worker_sized_stack() {
+    let ternary_arms: String = (0..255)
+        .map(|i| format!("b == 8'd{i} ? 8'd{} : ", 255 - i))
+        .collect();
+    let bodies = [
+        (
+            "100 nested parentheses",
+            format!("y <= {}b{};", "(".repeat(100), ")".repeat(100)),
+        ),
+        (
+            "100 nested begin/end blocks",
+            format!("{}y <= b;{}", "begin ".repeat(100), " end".repeat(100)),
+        ),
+        (
+            "100 nested ifs",
+            format!("{}y <= b;", "if (a) ".repeat(100)),
+        ),
+        (
+            "a 256-arm ternary chain",
+            format!("y <= {ternary_arms}8'd0;"),
+        ),
+        ("1,000 unary ~", format!("y <= {}b;", "~".repeat(1000))),
+        (
+            "a 1,000-term ^ chain",
+            format!("y <= {};", ["b"; 1000].join(" ^ ")),
+        ),
+    ];
+    for (what, body) in bodies {
+        let src = format!(
+            "module m(input clk, input a, input [7:0] b, output reg [7:0] y);\n  \
+             always @(posedge clk) begin\n    {body}\n  end\nendmodule\n"
+        );
+        let compiled = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || asv_verilog::compile(&src).map(drop))
+            .expect("spawn a compile thread")
+            .join()
+            .unwrap_or_else(|_| panic!("{what}: the front end panicked"));
+        if let Err(e) = compiled {
+            panic!("{what}: does not compile: {e}");
+        }
+    }
+}
