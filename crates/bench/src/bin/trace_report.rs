@@ -103,12 +103,10 @@ fn main() {
     let jobs = mixed_batch();
 
     // Baseline leg: an untraced service on the same cold batch.
-    asv_serve::clear_design_cache();
     let plain = VerifyService::new(ServeOptions::default());
     let baseline = plain.verify_batch(&jobs);
 
     // Traced leg.
-    asv_serve::clear_design_cache();
     let service = VerifyService::new(ServeOptions::default()).traced(Tracer::new());
     let (outcomes, reports, events) = service.verify_batch_traced(&jobs);
 

@@ -12,11 +12,6 @@
 //!   **exact equality**: any drift is either a real cost change or a
 //!   determinism break, and both deserve a red build.
 //!
-//! The determinism caveat the matrix is built around (see
-//! `asv_trace::cost` module docs): the counter legs pre-warm the
-//! process-wide compile cache before concurrent serving (concurrent
-//! workers may otherwise both compile the same design).
-//!
 //! No serde in this workspace, so [`json`] is a ~150-line hand-rolled
 //! parser covering exactly the JSON this module emits.
 
@@ -42,8 +37,9 @@ use std::time::Instant;
 /// v2: added the lane-batched simulation legs (`simulate_64x_scalar`,
 /// `simulate_64x_batch`, `fuzz_throughput_batch`) and the
 /// `sim_batches`/`sim_lanes_*` counter fields. v3: dropped the
-/// `serve_warm_disk` leg and the four `store_*` counter fields.
-pub const SCHEMA_VERSION: u64 = 3;
+/// `serve_warm_disk` leg and the four `store_*` counter fields. v4:
+/// dropped the compile-cache hit counter.
+pub const SCHEMA_VERSION: u64 = 4;
 
 // ---------------------------------------------------------------------------
 // Minimal JSON
@@ -623,24 +619,11 @@ pub fn mixed_batch(quick: bool) -> Vec<VerifyJob> {
         .collect()
 }
 
-/// Pre-warms the process-wide compile cache for every job, so a traced
-/// concurrent run sees deterministic hit counts (two workers racing on
-/// a cold cache may both compile the same design). The cache keeps a
-/// lowering only while someone holds it: hold the returned lowerings
-/// until the run is over.
-pub fn prewarm_compile_cache(jobs: &[VerifyJob]) -> Vec<Arc<CompiledDesign>> {
-    jobs.iter()
-        .map(|job| asv_sim::cache::global().get_or_compile_opt(job.design(), job.verifier().opt))
-        .collect()
-}
-
 /// Runs `jobs` through a traced service with `workers` threads
-/// (0 = all cores) against a pre-warmed compile cache and returns the
-/// folded counters plus the raw events. The counters are bit-identical
-/// for any `workers` value — `tests/perf_counters.rs` enforces this.
+/// (0 = all cores) and returns the folded counters plus the raw events.
+/// The counters are bit-identical for any `workers` value —
+/// `tests/perf_counters.rs` enforces this.
 pub fn batch_counters(jobs: &[VerifyJob], workers: usize) -> (CostCounters, Vec<Event>) {
-    asv_serve::clear_design_cache();
-    let _lowerings = prewarm_compile_cache(jobs);
     let tracer = Tracer::new();
     let service = VerifyService::new(ServeOptions {
         workers,
@@ -901,7 +884,6 @@ fn workload_engine(pool: &[Arc<Design>], verifier: Verifier, runs: usize) -> Wor
         .map(|d| VerifyJob::new(Arc::clone(d), verifier))
         .collect();
     let wall_ns = time_runs(runs, || {
-        asv_serve::clear_design_cache();
         let service = VerifyService::new(ServeOptions {
             workers: 1,
             ..ServeOptions::default()
@@ -917,14 +899,13 @@ fn workload_engine(pool: &[Arc<Design>], verifier: Verifier, runs: usize) -> Wor
 }
 
 /// Cold + warm serve legs over the mixed batch. Cold runs on a fresh
-/// service with cleared caches; warm re-submits the same batch to the
-/// same service (memo tier). Also returns the cold traced events so the
-/// caller can synthesize a profile.
+/// service; warm re-submits the same batch to the same service (memo
+/// tier). Also returns the cold traced events so the caller can
+/// synthesize a profile.
 fn workload_serve(jobs: &[VerifyJob], runs: usize) -> (WorkloadResult, WorkloadResult, Vec<Event>) {
     let mut cold_wall = Vec::new();
     let mut warm_wall = Vec::new();
     for _ in 0..runs.max(1) {
-        asv_serve::clear_design_cache();
         let service = VerifyService::new(ServeOptions::default());
         let t = Instant::now();
         std::hint::black_box(service.verify_batch(jobs));
@@ -935,8 +916,6 @@ fn workload_serve(jobs: &[VerifyJob], runs: usize) -> (WorkloadResult, WorkloadR
     }
 
     // Counter legs: one traced service, cold batch then warm batch.
-    asv_serve::clear_design_cache();
-    let _lowerings = prewarm_compile_cache(jobs);
     let tracer = Tracer::new();
     let service = VerifyService::new(ServeOptions::default()).traced(tracer.clone());
     let (_o, _r, cold_events) = service.verify_batch_traced(jobs);

@@ -171,8 +171,8 @@ struct PropSym {
     name: String,
     disable: Option<Prog>,
     body: PropBody,
-    /// Ticks beyond the start the attempt may observe (the monitor's
-    /// `property_window`).
+    /// Ticks beyond the start the attempt may observe
+    /// ([`PropExpr::window`]).
     window: u32,
 }
 
@@ -251,19 +251,7 @@ fn compile_props(cd: &CompiledDesign) -> Result<Vec<PropSym>, BmcError> {
                 dir.log_name()
             )));
         };
-        // Semantic twin of the monitor's `property_window` (asv-sva
-        // monitor.rs): any change there must be mirrored here — the
-        // differential suite (tests/differential_bmc.rs) enforces the
-        // agreement on enumerable designs.
-        let window = match &prop.body {
-            PropExpr::Seq(s) => s.duration(),
-            PropExpr::Implication {
-                antecedent,
-                overlapping,
-                consequent,
-                ..
-            } => antecedent.duration() + consequent.duration() + u32::from(!*overlapping),
-        };
+        let window = prop.body.window();
         let body = match &prop.body {
             PropExpr::Seq(s) => PropBody::Seq(compile_seq(s, &mut compile)),
             PropExpr::Implication {

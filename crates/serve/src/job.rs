@@ -76,14 +76,14 @@ pub struct VerifyJob {
 /// domain-separated so they never cancel together.
 ///
 /// Both halves hash the same inputs: the schema version, the
-/// design's 64-bit structural hash ([`asv_sim::cache::design_hash`], the
-/// compile cache's key: the module's AST with spans excluded, which
-/// covers logic, property declarations and every assertion directive
-/// with its label and message, plus the resolved parameters), and the
-/// whole [`Verifier`]. The `Verifier` covers depth, reset protocol,
-/// enumeration limit, stimulus budget, seed, engine selection and IR
-/// optimization level, so a mixed-opt workload can never alias one
-/// level's verdict (or its compiled artifact) to the other's.
+/// design's 64-bit structural hash ([`asv_sim::cache::design_hash`]: the
+/// module's AST with spans excluded, which covers logic, property
+/// declarations and every assertion directive with its label and
+/// message, plus the resolved parameters), and the whole [`Verifier`].
+/// The `Verifier` covers depth, reset protocol, enumeration limit,
+/// stimulus budget, seed, engine selection and IR optimization level,
+/// so a mixed-opt workload can never alias one level's verdict to the
+/// other's.
 ///
 /// Jobs with equal keys get one verdict: every engine is deterministic
 /// in `(design, Verifier)`, so a wrong memo hit would be an *unsound
@@ -91,9 +91,8 @@ pub struct VerifyJob {
 /// schema collide with probability about 2⁻¹²⁸. The design, however,
 /// enters both halves as one 64-bit hash, so two distinct designs share
 /// a key with probability about 2⁻⁶⁴ per pair. That is the key's bound
-/// on design identity. The compile cache re-checks full equality behind
-/// the same hash; the memo does not. (A deliberate collision is outside
-/// this tool's threat model.)
+/// on design identity, and nothing re-checks full equality behind it.
+/// (A deliberate collision is outside this tool's threat model.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobKey(pub u128);
 

@@ -73,16 +73,11 @@ pub use job::{JobKey, JobOutcome, VerdictError, VerifyJob};
 pub use report::{AnswerTier, JobReport, RungReport};
 pub use service::{ServeOptions, ServeStats, VerifyService};
 
-/// Clears the process-wide compiled-design cache (`asv_sim::cache`).
+/// Does nothing: no compiled design outlives the job that lowered it,
+/// so there is no process state to clear before a cold run. Verdict
+/// memos are per-service (drop the service or use
+/// [`VerifyService::verdict_cache`]`().clear()`).
 ///
-/// The cache keeps a lowering only while some caller holds it, so
-/// between jobs it is usually empty already. Benchmarks measuring *cold*
-/// verification call this between runs anyway: afterwards no lookup can
-/// reuse a lowering that a caller still holds, so a "cold" run lowers
-/// every design it checks. Verdict memos are per-service (drop the
-/// service or use [`VerifyService::verdict_cache`]`().clear()`); the
-/// compile cache is the one shared piece of process state, and this is
-/// its one reset.
-pub fn clear_design_cache() {
-    asv_sim::cache::global().clear();
-}
+/// Kept because the repository benchmark (`e2ebench`) calls it before
+/// each cold pass, until its next change (ROADMAP item 3).
+pub fn clear_design_cache() {}

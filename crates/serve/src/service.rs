@@ -509,6 +509,30 @@ mod tests {
         assert_eq!(asv_trace::CostCounters::from_events(&events).memo_misses, 4);
     }
 
+    /// `e2ebench` reads the process-wide lowering count to check that a
+    /// cold pass lowered designs, and calls `clear_design_cache` before
+    /// each cold pass: both must keep meaning what they did.
+    #[test]
+    fn cold_batch_lowers_every_distinct_job_and_clearing_changes_no_verdict() {
+        let jobs = batch(6, Engine::Auto);
+        let distinct: HashSet<JobKey> = jobs.iter().map(VerifyJob::key).collect();
+        assert_eq!(distinct.len(), 6, "the batch must hold 6 distinct jobs");
+        let lowerings = || asv_sim::cache::global().stats();
+        let before = lowerings().1;
+        let first = VerifyService::default().verify_batch(&jobs);
+        // Sibling tests lower designs in this process too, so the count
+        // is only bounded below.
+        let lowered = lowerings().1 - before;
+        assert!(
+            lowered >= 6,
+            "6 distinct cold jobs lowered {lowered} designs"
+        );
+        assert_eq!(lowerings().0, 0, "nothing is reused");
+        crate::clear_design_cache();
+        let second = VerifyService::default().verify_batch(&jobs);
+        assert_eq!(first, second, "clearing must change no verdict");
+    }
+
     #[test]
     fn concurrent_batches_on_one_service_match_a_one_worker_run() {
         let jobs = batch(12, Engine::Auto);

@@ -210,8 +210,8 @@ impl CompiledDesign {
         opt: OptLevel,
         sink: &S,
     ) -> Self {
-        let mut span = sink.span(asv_trace::probe::SIM_COMPILE, asv_trace::SpanKind::Compile);
-        span.set_code(1); // 1 = actually compiled (cache hits emit 0)
+        let _span = sink.span(asv_trace::probe::SIM_COMPILE, asv_trace::SpanKind::Compile);
+        crate::cache::count_lowering();
         Self::compile_inner(design, opt, sink)
     }
 

@@ -46,7 +46,6 @@ pub mod trace;
 pub use asv_ir::value;
 
 pub use asv_ir::OptLevel;
-pub use cache::CompileCache;
 pub use cancel::{Budget, Exhausted, Resource};
 pub use compile::batch::{run_stimulus_group, LaneBatch, LaneOutcome, LaneRun, LANE_WIDTHS};
 pub use compile::{CompiledDesign, SigId};

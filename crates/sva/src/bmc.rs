@@ -400,23 +400,6 @@ impl Default for Verifier {
     }
 }
 
-/// Compiled-design lookup through the process-wide **sharded** cache in
-/// [`asv_sim::cache`]: callers that hold one design's lowering at the
-/// same time (concurrent checks of one design) share it.
-fn compiled_for(design: &Design, opt: OptLevel) -> Arc<CompiledDesign> {
-    asv_sim::cache::global().get_or_compile_opt(design, opt)
-}
-
-/// [`compiled_for`] with compile-cost attribution: hits and misses both
-/// land a `sim.compile` event on the caller's trace handle.
-fn compiled_for_traced(
-    design: &Design,
-    opt: OptLevel,
-    trace: &asv_trace::TraceHandle,
-) -> Arc<CompiledDesign> {
-    asv_sim::cache::global().get_or_compile_traced(design, opt, trace)
-}
-
 impl Verifier {
     /// Creates a verifier with default bounds.
     pub fn new() -> Self {
@@ -425,10 +408,10 @@ impl Verifier {
 
     /// Checks all assertions of `design` with the configured [`Engine`].
     ///
-    /// The design is lowered once per call (shared with any caller that
-    /// holds the same lowering); assertions are compiled once per call. The symbolic engine decides the entire
-    /// bounded input space; the simulation engine enumerates it when small
-    /// enough and samples otherwise.
+    /// The design is lowered and its assertions are compiled once per
+    /// call. The symbolic engine decides the entire bounded input space;
+    /// the simulation engine enumerates it when small enough and samples
+    /// otherwise.
     ///
     /// # Errors
     ///
@@ -456,7 +439,11 @@ impl Verifier {
         if design.module.assertions().count() == 0 {
             return Err(VerifyError::NoAssertions);
         }
-        let compiled = compiled_for_traced(design, self.opt, budget.trace());
+        let compiled = Arc::new(CompiledDesign::compile_traced(
+            design,
+            self.opt,
+            budget.trace(),
+        ));
         // State index == trace column: the checker can be built from the
         // compiled design's interner before any trace exists.
         let col = |name: &str| compiled.sig(name).map(|s| s.idx());
@@ -901,14 +888,14 @@ impl Verifier {
     }
 
     /// Simulates one stimulus, returning the trace. The design is lowered
-    /// through the shared compile cache, so a lowering another caller
-    /// still holds is reused.
+    /// once per call.
     ///
     /// # Errors
     ///
     /// Propagates [`SimError`].
     pub fn simulate(&self, design: &Design, stim: &Stimulus) -> Result<Trace, VerifyError> {
-        let mut sim = Simulator::from_compiled(compiled_for(design, self.opt));
+        let mut sim =
+            Simulator::from_compiled(Arc::new(CompiledDesign::compile_opt(design, self.opt)));
         for t in 0..stim.len() {
             sim.step(&stim.cycle(t))?;
         }

@@ -283,7 +283,7 @@ fn compile_property<C: Fn(&str) -> Option<usize> + Copy>(
                 consequent: compile_seq(consequent, col),
             },
         },
-        window: property_window(prop),
+        window: prop.body.window(),
     }
 }
 
@@ -451,22 +451,6 @@ fn match_seq(
             SeqOutcome::Match { end } => match_seq(rhs, trace, end + *cycles as usize, stack),
             other => Ok(other),
         },
-    }
-}
-
-/// Total number of ticks (beyond the start) a property may observe.
-///
-/// Semantic twin of the symbolic engine's window computation in
-/// `asv-sat` (engine.rs `compile_props`); keep the two in lock step.
-fn property_window(prop: &PropertyDecl) -> u32 {
-    match &prop.body {
-        PropExpr::Seq(s) => s.duration(),
-        PropExpr::Implication {
-            antecedent,
-            overlapping,
-            consequent,
-            ..
-        } => antecedent.duration() + consequent.duration() + u32::from(!*overlapping),
     }
 }
 

@@ -11,14 +11,9 @@
 //! valid regression gate: any drift in a counter is a real semantic
 //! change in what the system computed, never scheduler noise.
 //!
-//! One caveat is part of the contract: **compile counters need a warm
-//! compile cache under concurrency.** The process-wide design cache
-//! compiles outside its shard lock, so concurrent workers may compile
-//! the same design more than once, and it keeps a lowering only while
-//! someone holds it. With the cache pre-warmed and the pre-warmed
-//! lowerings held, every lookup is a deterministic hit; the perf harness
-//! does exactly that around its concurrent serve legs
-//! (`asv_bench::perf::prewarm_compile_cache`).
+//! Compile counters are no exception: every verifier call lowers its
+//! design itself, so each executed job counts exactly one compile
+//! (`compiles == jobs_executed` on the serve legs) for any worker count.
 //!
 //! The counters are captured through the existing [`TraceSink`] plumbing
 //! — paths instrumented against [`NoTrace`](crate::NoTrace) still
@@ -34,10 +29,8 @@ use crate::span::{Event, SpanKind};
 pub struct CostCounters {
     /// Bytecode operations dispatched by the compiled simulator.
     pub ops: u64,
-    /// Designs actually lowered (`sim.compile` spans with code 1).
+    /// Designs lowered (`sim.compile` spans).
     pub compiles: u64,
-    /// Compile-cache hits (`sim.compile` instants with code 0).
-    pub compile_cache_hits: u64,
     /// IR optimization passes run.
     pub opt_passes: u64,
     /// AIG nodes built by the symbolic engine.
@@ -82,7 +75,7 @@ pub struct CostCounters {
 }
 
 /// Number of counter fields (length of [`CostCounters::fields`]).
-pub const COUNTER_FIELDS: usize = 23;
+pub const COUNTER_FIELDS: usize = 22;
 
 impl CostCounters {
     /// Folds a drained event vector into counters. Order-insensitive:
@@ -94,13 +87,7 @@ impl CostCounters {
             // Op counts accrue on whatever span ran the simulator.
             c.ops = c.ops.saturating_add(e.cost.ops);
             match e.kind {
-                SpanKind::Compile => {
-                    if e.code == 1 {
-                        c.compiles += 1;
-                    } else {
-                        c.compile_cache_hits += 1;
-                    }
-                }
+                SpanKind::Compile => c.compiles += 1,
                 SpanKind::OptPass => c.opt_passes += 1,
                 SpanKind::AigBlast => {
                     c.aig_nodes = c.aig_nodes.saturating_add(e.cost.aig_nodes);
@@ -164,7 +151,6 @@ impl CostCounters {
         [
             ("ops", self.ops),
             ("compiles", self.compiles),
-            ("compile_cache_hits", self.compile_cache_hits),
             ("opt_passes", self.opt_passes),
             ("aig_nodes", self.aig_nodes),
             ("sat_solves", self.sat_solves),
@@ -192,7 +178,6 @@ impl CostCounters {
         [
             ("ops", &mut self.ops),
             ("compiles", &mut self.compiles),
-            ("compile_cache_hits", &mut self.compile_cache_hits),
             ("opt_passes", &mut self.opt_passes),
             ("aig_nodes", &mut self.aig_nodes),
             ("sat_solves", &mut self.sat_solves),
@@ -263,7 +248,6 @@ mod tests {
     #[test]
     fn events_fold_into_the_right_counters() {
         let events = vec![
-            event(SpanKind::Compile, None, 1, Cost::default()),
             event(SpanKind::Compile, None, 0, Cost::default()),
             event(SpanKind::OptPass, None, 0, Cost::default()),
             event(
@@ -330,7 +314,6 @@ mod tests {
         ];
         let c = CostCounters::from_events(&events);
         assert_eq!(c.compiles, 1);
-        assert_eq!(c.compile_cache_hits, 1);
         assert_eq!(c.opt_passes, 1);
         assert_eq!(c.aig_nodes, 40);
         assert_eq!(c.sat_solves, 1);

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A monotonically increasing counter.
 #[derive(Clone, Debug, Default)]
@@ -157,10 +157,9 @@ enum Metric {
     Histogram { help: String, histogram: Histogram },
 }
 
-/// A named collection of metrics. Cloning shares the collection; use
-/// [`global`] for process-wide metrics or one registry per
-/// `VerifyService` (per-service registries keep concurrent services —
-/// and concurrent tests — from polluting each other's counts).
+/// A named collection of metrics. Cloning shares the collection. Each
+/// `VerifyService` owns one, which keeps concurrent services — and
+/// concurrent tests — from polluting each other's counts.
 #[derive(Clone, Default)]
 pub struct Registry {
     inner: Arc<Mutex<BTreeMap<String, Metric>>>,
@@ -323,13 +322,6 @@ impl Registry {
     }
 }
 
-/// The process-wide registry (for genuinely global things like the
-/// compile cache; services keep their own).
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,12 +459,5 @@ mod tests {
             "{\"counters\":{\"asv_a_total\":2},\
              \"histograms\":{\"asv_b_ns\":{\"count\":1,\"sum_ns\":100,\"buckets\":[[1024,1]]}}}"
         );
-    }
-
-    #[test]
-    fn global_registry_is_shared() {
-        let a = global().counter("asv_global_probe_total", "test");
-        global().counter("asv_global_probe_total", "test").inc();
-        assert!(a.get() >= 1);
     }
 }

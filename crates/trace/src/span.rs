@@ -237,7 +237,7 @@ pub struct Event {
     /// What was measured.
     pub kind: SpanKind,
     /// The `JobKey` bits of the job this event belongs to (0 when the
-    /// event predates job attribution, e.g. a process-wide compile).
+    /// event predates job attribution, e.g. a compile outside any job).
     pub job: u128,
     /// Engine attribution, when known.
     pub engine: Option<EngineTag>,
@@ -246,8 +246,7 @@ pub struct Event {
     /// Span duration in nanoseconds (0 for instant events).
     pub dur_ns: u64,
     /// Kind-specific discriminator: an [`EndReason`] code for `Rung` and
-    /// `Job` spans, hit (1) / miss (0) for cache lookups, compiled (1) /
-    /// cache-hit (0) for compile spans.
+    /// `Job` spans, hit (1) / miss (0) for memo lookups.
     pub code: u64,
     /// Resource deltas attributed to this span.
     pub cost: Cost,

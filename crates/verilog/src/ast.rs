@@ -8,7 +8,7 @@
 //!
 //! Every node derives `Hash`, and a [`Span`] hashes to nothing, so the
 //! hash of a tree covers its structure and never where it was written.
-//! That hash keys the compile cache (`asv_sim::cache::design_hash`).
+//! That hash keys verification jobs (`asv_sim::cache::design_hash`).
 
 use crate::source::Span;
 use serde::{Deserialize, Serialize};
@@ -768,6 +768,22 @@ impl PropExpr {
         }
     }
 
+    /// Number of clock ticks beyond its start that one attempt of the
+    /// property may observe: the sequences' durations, plus the tick that
+    /// `|=>` skips. The simulation monitor and the symbolic engine both
+    /// size an attempt by it.
+    pub fn window(&self) -> u32 {
+        match self {
+            PropExpr::Seq(s) => s.duration(),
+            PropExpr::Implication {
+                antecedent,
+                overlapping,
+                consequent,
+                ..
+            } => antecedent.duration() + consequent.duration() + u32::from(!*overlapping),
+        }
+    }
+
     /// All identifiers referenced by the property body.
     pub fn idents(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -897,6 +913,20 @@ mod tests {
         };
         assert_eq!(s.duration(), 5);
         assert_eq!(s.idents(), vec!["a", "b", "c"]);
+    }
+
+    #[test]
+    fn property_window_counts_ticks_beyond_the_start() {
+        for (body, window) in [("a", 0), ("a ##2 b", 2), ("a |-> ##1 b", 1), ("a |=> b", 1)] {
+            let unit = crate::parser::parse(&format!(
+                "module m(input clk, input a, input b);\n\
+                 property p; @(posedge clk) {body}; endproperty\n\
+                 assert property (p);\nendmodule"
+            ))
+            .expect("parse");
+            let p = unit.modules[0].properties().next().expect("property");
+            assert_eq!(p.body.window(), window, "{body}");
+        }
     }
 
     #[test]

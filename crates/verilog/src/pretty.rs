@@ -19,8 +19,8 @@
 //! where each slot root landed, which lets the repair-candidate enumeration
 //! build every single-site edit from its own line instead of re-rendering
 //! the design. [`render_module`] records nothing. It renders whole designs
-//! for the repair pipeline; the keys (compile cache, verification jobs)
-//! hash the AST instead, which needs no rendering (see [`crate::ast`]).
+//! for the repair pipeline; verification job keys hash the AST instead,
+//! which needs no rendering (see [`crate::ast`]).
 
 use crate::ast::*;
 use std::fmt::Write;

@@ -50,10 +50,10 @@ impl Span {
 }
 
 /// Hashes nothing: a span says where a node was written, not what it is.
-/// The compile cache and the verification service key a design by the
-/// hash of its AST, and two spellings of one design (other whitespace,
-/// other comments) must share that key. This agrees with the derived
-/// `Eq`, as `Hash` requires: equal spans hash alike.
+/// The verification service keys a design by the hash of its AST, and
+/// two spellings of one design (other whitespace, other comments) must
+/// share that key. This agrees with the derived `Eq`, as `Hash`
+/// requires: equal spans hash alike.
 impl Hash for Span {
     fn hash<H: Hasher>(&self, _state: &mut H) {}
 }

@@ -128,7 +128,6 @@ fn compiled_bytecode_is_identical_under_notrace_and_live_tracer() {
 #[test]
 fn cold_batch_reports_provenance_and_exports_cleanly() {
     let jobs = mixed_batch();
-    asv_serve::clear_design_cache();
     let service = VerifyService::new(ServeOptions::default()).traced(Tracer::new());
     let (outcomes, reports, events) = service.verify_batch_traced(&jobs);
     assert_eq!(outcomes.len(), jobs.len());
