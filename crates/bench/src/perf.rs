@@ -15,9 +15,12 @@
 //! No serde in this workspace, so [`json`] is a ~150-line hand-rolled
 //! parser covering exactly the JSON this module emits.
 
+use assertsolver_core::features::{extract_all, CaseContext};
+use assertsolver_core::lm::NgramLm;
 use asv_datagen::corpus::{Archetype, CorpusGen};
 use asv_fuzz::{AssertionOracle, FuzzOptions};
 use asv_mutation::inject::{apply, enumerate};
+use asv_mutation::repairspace::candidates;
 use asv_sat::{Lit, SolveResult, Solver};
 use asv_serve::{ServeOptions, VerifyJob, VerifyService};
 use asv_sim::cover::CovMap;
@@ -744,6 +747,35 @@ fn workload_simulate_interp(golden: &[Arc<Design>], runs: usize, cycles: usize) 
     }
 }
 
+/// Repair-candidate preparation as `prepare_case` runs it: the candidates
+/// of every injected-bug design of the pool and their features, against
+/// an LM trained on the pool's sources. Each case's context (no spec and
+/// no logs) is built before the timed runs. Preparation emits no spans,
+/// so the counter vector is all zero and the leg is gated on wall time
+/// alone.
+fn workload_prepare(pool: &DesignPool, runs: usize) -> WorkloadResult {
+    let mut lm = NgramLm::new();
+    for src in &pool.sources {
+        lm.train_text(src);
+    }
+    let cases: Vec<(&Design, CaseContext)> = pool
+        .pool
+        .iter()
+        .filter(|d| !pool.golden.iter().any(|g| Arc::ptr_eq(g, d)))
+        .map(|d| (&**d, CaseContext::new(&d.module, "", &[])))
+        .collect();
+    let wall_ns = time_runs(runs, || {
+        for (design, ctx) in &cases {
+            std::hint::black_box(extract_all(ctx, &lm, &candidates(design)));
+        }
+    });
+    WorkloadResult {
+        wall_ns,
+        counters: CostCounters::default(),
+        job_ns: None,
+    }
+}
+
 /// 64 seeded random stimuli per design for the stimulus-throughput legs
 /// (the "64x" in the workload names).
 fn batch_stimuli(golden: &[Arc<Design>], cycles: usize) -> Vec<Vec<Stimulus>> {
@@ -995,6 +1027,11 @@ pub fn run_matrix(cfg: &MatrixConfig) -> (BenchReport, Vec<Event>) {
         "frontend".to_string(),
         workload_frontend(&pool.sources, cfg.runs),
     );
+    eprintln!(
+        "[perf] prepare: repair candidates and features of {} injected-bug designs ...",
+        pool.pool.len() - pool.golden.len()
+    );
+    workloads.insert("prepare".to_string(), workload_prepare(&pool, cfg.runs));
     eprintln!("[perf] compile: {} designs ...", pool.golden.len());
     workloads.insert(
         "compile".to_string(),

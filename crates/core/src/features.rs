@@ -6,20 +6,24 @@
 //! phase), and lexical evidence (spec and log overlap) — the same signals
 //! a verification engineer weighs in the paper's Fig. 1.
 //!
-//! Extraction borrows every token from the candidate's lines; it builds a
-//! string for a token only to lowercase a word with capitals. [`extract_all`] derives the buggy line's side of the
-//! edit (its tokens, LM score, shape and index coherence) once for each
-//! run of consecutive candidates that edit the same line; [`extract`] is
-//! the one-candidate case.
+//! [`CaseContext::new`] builds the case's evidence once, with one
+//! vocabulary table that answers whether a word occurs in the spec, the
+//! logs or the checked properties in a single lookup. [`extract_all`]
+//! derives each line's side of the edit (its tokens, LM score, shape and
+//! index coherence) in buffers it reuses for the whole case, borrowing
+//! every token from the candidate's lines. So a candidate allocates
+//! nothing beyond its feature vector, except a string to lowercase a word
+//! with capitals. The buggy line's side is derived once for each run of
+//! consecutive candidates that edit the same line. [`extract`] is the
+//! one-candidate case.
 
 use crate::lm::NgramLm;
 use crate::localize::Localization;
-use crate::tokenizer::{tokenize, tokens};
+use crate::tokenizer::{tokenize, tokens_into};
 use asv_mutation::kinds::SyntacticKind;
 use asv_mutation::Candidate;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, HashMap};
 
 /// Number of features (dimension of the policy weight vector).
 pub const FEATURE_DIM: usize = 14;
@@ -45,23 +49,31 @@ pub const FEATURE_NAMES: [&str; FEATURE_DIM] = [
 /// A feature vector for one candidate.
 pub type Features = [f64; FEATURE_DIM];
 
+/// Vocabulary bit: a lowercased word of the spec.
+const SPEC: u8 = 1;
+/// Vocabulary bit: a lowercased signal-like word of the failure logs.
+const LOG: u8 = 2;
+/// Vocabulary bit: a token of a checked property, as written.
+const PROPERTY: u8 = 4;
+
 /// Shared per-case context used to extract candidate features.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CaseContext {
     /// Localisation of the failing assertions.
     pub localization: Localization,
-    /// Lowercased spec tokens.
-    pub spec_tokens: BTreeSet<String>,
-    /// Signal-like tokens extracted from the failure logs (assertion names
-    /// split on `.`/`_`, message words).
-    pub log_tokens: BTreeSet<String>,
-    /// Tokens of the property bodies (identifiers, operators, literals):
-    /// golden fixes usually mirror the checked expression.
-    pub property_tokens: BTreeSet<String>,
+    /// The case's evidence, one entry per word or token with its
+    /// [`SPEC`], [`LOG`] and [`PROPERTY`] bits:
+    /// - lowercased spec words;
+    /// - lowercased signal-like words of the failure logs (assertion names
+    ///   split on `.`/`_`, message words);
+    /// - tokens of the failing properties (identifiers, operators,
+    ///   literals), as written: golden fixes usually mirror the checked
+    ///   expression.
+    vocabulary: HashMap<String, u8>,
     /// Digit/identifier-index-normalised line shapes of the design, with
     /// occurrence counts: replicated structures (lanes, unrolled stages)
     /// make a correct fix restore a shape its siblings already have.
-    pub line_shapes: std::collections::BTreeMap<String, usize>,
+    pub line_shapes: BTreeMap<String, usize>,
 }
 
 impl CaseContext {
@@ -77,20 +89,21 @@ impl CaseContext {
                 Some(&failing)
             },
         );
-        let spec_tokens = spec
-            .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
-            .filter(|w| w.len() > 1)
-            .map(str::to_lowercase)
-            .collect();
-        let mut log_tokens: BTreeSet<String> = BTreeSet::new();
+        let mut vocabulary: HashMap<String, u8> = HashMap::new();
+        let mut mark = |word: String, bit: u8| *vocabulary.entry(word).or_insert(0) |= bit;
+        for w in spec.split(|c: char| !c.is_ascii_alphanumeric() && c != '_') {
+            if w.len() > 1 {
+                mark(w.to_lowercase(), SPEC);
+            }
+        }
         for log in logs {
             for w in log.split(|c: char| !c.is_ascii_alphanumeric() && c != '_') {
                 if w.len() > 1 {
-                    log_tokens.insert(w.to_lowercase());
+                    mark(w.to_lowercase(), LOG);
                     // Assertion labels often concatenate signal names.
                     for part in w.split('_') {
                         if part.len() > 1 {
-                            log_tokens.insert(part.to_lowercase());
+                            mark(part.to_lowercase(), LOG);
                         }
                     }
                 }
@@ -98,7 +111,6 @@ impl CaseContext {
         }
         // Property tokens restricted to the failing assertions (fall back
         // to all properties when the logs name none).
-        let mut property_tokens: BTreeSet<String> = BTreeSet::new();
         let failing_props: Vec<String> = module
             .assertions()
             .filter(|a| failing.is_empty() || failing.iter().any(|n| n == a.log_name()))
@@ -107,28 +119,28 @@ impl CaseContext {
                 asv_verilog::ast::AssertTarget::Inline(p) => p.name.clone(),
             })
             .collect();
+        let mut bodies = Vec::new();
         for p in module.properties() {
-            if !failing_props.is_empty() && !failing_props.contains(&p.name) {
-                continue;
-            }
-            for tok in tokenize(&asv_verilog::pretty::render_prop(&p.body)) {
-                property_tokens.insert(tok);
+            if failing_props.is_empty() || failing_props.contains(&p.name) {
+                bodies.push(&p.body);
             }
         }
         for a in module.assertions() {
             if let asv_verilog::ast::AssertTarget::Inline(p) = &a.target {
-                if !failing.is_empty() && !failing.iter().any(|n| n == a.log_name()) {
-                    continue;
-                }
-                for tok in tokenize(&asv_verilog::pretty::render_prop(&p.body)) {
-                    property_tokens.insert(tok);
+                if failing.is_empty() || failing.iter().any(|n| n == a.log_name()) {
+                    bodies.push(&p.body);
                 }
             }
         }
-        // Strip history wrappers: `$past(a)` contributes `a`, `+`, ...
-        property_tokens.retain(|t| !t.starts_with('$'));
-        let mut line_shapes: std::collections::BTreeMap<String, usize> =
-            std::collections::BTreeMap::new();
+        for body in bodies {
+            for tok in tokenize(&asv_verilog::pretty::render_prop(body)) {
+                // Strip history wrappers: `$past(a)` contributes `a`, `+`, ...
+                if !tok.starts_with('$') {
+                    mark(tok, PROPERTY);
+                }
+            }
+        }
+        let mut line_shapes: BTreeMap<String, usize> = BTreeMap::new();
         for line in asv_verilog::pretty::render_module(module).lines() {
             let shape = line_shape(line);
             if !shape.is_empty() {
@@ -137,11 +149,15 @@ impl CaseContext {
         }
         CaseContext {
             localization,
-            spec_tokens,
-            log_tokens,
-            property_tokens,
+            vocabulary,
             line_shapes,
         }
+    }
+
+    /// The vocabulary bits of `word`: 0 when the case's evidence never
+    /// mentions it.
+    fn lookup(&self, word: &str) -> u8 {
+        self.vocabulary.get(word).copied().unwrap_or(0)
     }
 }
 
@@ -149,6 +165,12 @@ impl CaseContext {
 /// lane indices and literal values do not distinguish replicated lines.
 pub fn line_shape(line: &str) -> String {
     let mut out = String::with_capacity(line.len());
+    push_line_shape(&mut out, line);
+    out
+}
+
+/// Appends the [`line_shape`] of `line` to `out`.
+fn push_line_shape(out: &mut String, line: &str) {
     let mut prev_hash = false;
     for c in line.trim().chars() {
         if c.is_ascii_digit() {
@@ -161,11 +183,11 @@ pub fn line_shape(line: &str) -> String {
             prev_hash = false;
         }
     }
-    out
 }
 
 /// One side of an edit, the buggy line or its replacement: what the
-/// features need of it.
+/// features need of it. [`Side::fill`] reuses its buffers.
+#[derive(Default)]
 struct Side<'a> {
     /// Tokens in line order.
     tokens: Vec<&'a str>,
@@ -180,41 +202,47 @@ struct Side<'a> {
 }
 
 impl<'a> Side<'a> {
-    fn new(lm: &NgramLm, line: &'a str) -> Self {
-        let tokens = tokens(line);
-        let mut set = tokens.clone();
-        set.sort_unstable();
-        set.dedup();
-        Side {
-            score: lm.score_tokens(&tokens),
-            shape: line_shape(line),
-            coherence: index_coherence(&tokens),
-            tokens,
-            set,
-        }
+    /// Derives the side of `line`; `indices` is scratch for its index
+    /// coherence.
+    fn fill(&mut self, lm: &NgramLm, line: &'a str, indices: &mut Vec<u64>) {
+        self.tokens.clear();
+        tokens_into(line, &mut self.tokens);
+        self.set.clear();
+        self.set.extend_from_slice(&self.tokens);
+        self.set.sort_unstable();
+        self.set.dedup();
+        self.score = lm.score_tokens(&self.tokens);
+        self.shape.clear();
+        push_line_shape(&mut self.shape, line);
+        self.coherence = index_coherence(&self.tokens, indices);
     }
 }
 
 /// Extracts the feature vector of one candidate.
 pub fn extract(ctx: &CaseContext, lm: &NgramLm, candidate: &Candidate) -> Features {
-    features(ctx, lm, &Side::new(lm, &candidate.old_line), candidate)
+    extract_all(ctx, lm, std::slice::from_ref(candidate))[0]
 }
 
 /// Extracts the feature vectors of a case's candidates, equal to
-/// [`extract`] on each. The buggy line's side is derived once per run of
-/// consecutive candidates with the same `old_line`.
+/// [`extract`] on each. One set of buffers serves every candidate, and
+/// the buggy line's side is derived once per run of consecutive candidates
+/// with the same `old_line`.
 pub fn extract_all(ctx: &CaseContext, lm: &NgramLm, candidates: &[Candidate]) -> Vec<Features> {
     let mut out = Vec::with_capacity(candidates.len());
+    let (mut old, mut new, mut indices) = (Side::default(), Side::default(), Vec::new());
     for run in candidates.chunk_by(|a, b| a.old_line == b.old_line) {
-        let old = Side::new(lm, &run[0].old_line);
-        out.extend(run.iter().map(|c| features(ctx, lm, &old, c)));
+        old.fill(lm, &run[0].old_line, &mut indices);
+        for c in run {
+            new.fill(lm, &c.new_line, &mut indices);
+            out.push(features(ctx, &old, &new, c));
+        }
     }
     out
 }
 
-/// The features of `candidate`, whose buggy line is `old`.
-fn features(ctx: &CaseContext, lm: &NgramLm, old: &Side, candidate: &Candidate) -> Features {
-    let new = Side::new(lm, &candidate.new_line);
+/// The features of `candidate`, whose buggy line is `old` and whose
+/// replacement is `new`.
+fn features(ctx: &CaseContext, old: &Side, new: &Side, candidate: &Candidate) -> Features {
     let mut f = [0.0; FEATURE_DIM];
     f[0] = 1.0;
     // Structural: how close the edited statement's targets sit to the
@@ -233,46 +261,44 @@ fn features(ctx: &CaseContext, lm: &NgramLm, old: &Side, candidate: &Candidate) 
         SyntacticKind::Op => f[5] = 1.0,
     }
     f[6] = f64::from(u8::from(candidate.mutation.class.cond));
-    // Lexical: overlap of the *new* line's words with the spec and logs.
-    // Words start with a letter, so they are ASCII identifiers.
-    let (mut words, mut spec_hits, mut log_hits) = (0usize, 0usize, 0usize);
+    // Lexical: overlap of the *new* line's words with the spec and logs,
+    // and of all its tokens with the checked properties. Words start with
+    // a letter, so they are ASCII identifiers.
+    let (mut words, mut spec_hits, mut log_hits, mut property_hits) = (0usize, 0, 0, 0);
     for t in &new.tokens {
+        let mut found = ctx.lookup(t);
+        property_hits += usize::from(found & PROPERTY != 0);
         if !t.starts_with(|c: char| c.is_ascii_alphabetic()) {
             continue;
         }
-        let word = if t.bytes().any(|b| b.is_ascii_uppercase()) {
-            Cow::Owned(t.to_ascii_lowercase())
-        } else {
-            Cow::Borrowed(*t)
-        };
+        if t.bytes().any(|b| b.is_ascii_uppercase()) {
+            found = ctx.lookup(&t.to_ascii_lowercase());
+        }
         words += 1;
-        spec_hits += usize::from(ctx.spec_tokens.contains(&*word));
-        log_hits += usize::from(ctx.log_tokens.contains(&*word));
+        spec_hits += usize::from(found & SPEC != 0);
+        log_hits += usize::from(found & LOG != 0);
     }
     if words > 0 {
         f[7] = spec_hits as f64 / words as f64;
         f[8] = log_hits as f64 / words as f64;
     }
     // Edit size: token-level symmetric difference, normalised.
-    let introduced: Vec<&str> = new
-        .set
-        .iter()
-        .copied()
-        .filter(|t| old.set.binary_search(t).is_err())
-        .collect();
-    let common = new.set.len() - introduced.len();
-    let sym = (old.set.len() - common) + introduced.len();
+    let (mut introduced, mut introduced_hits) = (0usize, 0usize);
+    for t in &new.set {
+        if old.set.binary_search(t).is_err() {
+            introduced += 1;
+            introduced_hits += usize::from(ctx.lookup(t) & PROPERTY != 0);
+        }
+    }
+    let common = new.set.len() - introduced;
+    let sym = (old.set.len() - common) + introduced;
     let denom = (old.set.len() + new.set.len()).max(1);
     f[9] = 1.0 - (sym as f64 / denom as f64);
     // Property mirror: how much of the *changed* content matches tokens of
     // the checked properties. Measured on the tokens the edit introduced,
     // so an unchanged context line does not dilute the signal.
-    if !introduced.is_empty() {
-        let hits = introduced
-            .iter()
-            .filter(|t| ctx.property_tokens.contains(**t))
-            .count();
-        f[10] = hits as f64 / introduced.len() as f64;
+    if introduced > 0 {
+        f[10] = introduced_hits as f64 / introduced as f64;
     }
     // Sibling consistency: does the repaired line's shape match replicated
     // lines elsewhere in the design? The bug breaks lane symmetry; the
@@ -294,21 +320,17 @@ fn features(ctx: &CaseContext, lm: &NgramLm, old: &Side, candidate: &Candidate) 
     // share vocabulary (case labels, operands, operators) with the checked
     // expression — this is what points at the right case arm of an ALU.
     if !new.tokens.is_empty() {
-        let hits = new
-            .tokens
-            .iter()
-            .filter(|t| ctx.property_tokens.contains(**t))
-            .count();
-        f[13] = hits as f64 / new.tokens.len() as f64;
+        f[13] = property_hits as f64 / new.tokens.len() as f64;
     }
     f
 }
 
 /// Fraction of a line's numeric indices that agree with the most common
-/// one, given the line's tokens. Lines with fewer than two indices score a
-/// neutral 0.5.
-pub fn index_coherence(tokens: &[&str]) -> f64 {
-    let indices: Vec<u64> = tokens.iter().filter_map(|t| index_of(t)).collect();
+/// one, given the line's tokens; `indices` is scratch. Lines with fewer
+/// than two indices score a neutral 0.5.
+fn index_coherence(tokens: &[&str], indices: &mut Vec<u64>) -> f64 {
+    indices.clear();
+    indices.extend(tokens.iter().filter_map(|t| index_of(t)));
     if indices.len() < 2 {
         return 0.5;
     }
@@ -385,11 +407,11 @@ mod tests {
         let (ctx, lm, cands) = setup();
         let on_q = cands
             .iter()
-            .find(|c| c.mutation.assigned == vec!["q".to_string()])
+            .find(|c| c.mutation.assigned[..] == ["q"])
             .expect("candidate on q");
         let on_aux = cands
             .iter()
-            .find(|c| c.mutation.assigned == vec!["aux".to_string()])
+            .find(|c| c.mutation.assigned[..] == ["aux"])
             .expect("candidate on aux");
         let fq = extract(&ctx, &lm, on_q);
         let fa = extract(&ctx, &lm, on_aux);

@@ -165,7 +165,7 @@ pub fn render_response(
     );
     Response {
         line_no: cand.line_no,
-        buggy_line: cand.old_line.clone(),
+        buggy_line: cand.old_line.to_string(),
         fix: cand.new_line.clone(),
         patched_source: cand.patched_source(),
         cot,

@@ -20,8 +20,14 @@ pub fn tokenize(line: &str) -> Vec<String> {
 
 /// Splits a line of Verilog into tokens, each a slice of `line`.
 pub fn tokens(line: &str) -> Vec<&str> {
-    let bytes = line.as_bytes();
     let mut out = Vec::new();
+    tokens_into(line, &mut out);
+    out
+}
+
+/// Appends the [`tokens`] of `line` to `out`.
+pub(crate) fn tokens_into<'a>(line: &'a str, out: &mut Vec<&'a str>) {
+    let bytes = line.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i];
@@ -82,7 +88,6 @@ pub fn tokens(line: &str) -> Vec<&str> {
         out.push(&rest[..len]);
         i += len;
     }
-    out
 }
 
 /// Tokenizes a multi-line text, inserting a line-break sentinel between

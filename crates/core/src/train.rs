@@ -245,16 +245,7 @@ pub fn sft(
         order.shuffle(&mut rng);
         for &i in &order {
             let case = trainable[i];
-            // Cross-entropy gradient at training temperature 1.
-            let probs = policy.probabilities_at(&case.features, 1.0);
-            let golden = case.golden[0];
-            let mut grad = [0.0; FEATURE_DIM];
-            for (k, g) in grad.iter_mut().enumerate() {
-                *g = case.features[golden][k];
-                for (j, p) in probs.iter().enumerate() {
-                    *g -= p * case.features[j][k];
-                }
-            }
+            let grad = nll_grad(&policy, case, case.golden[0]);
             let lr = if (step as f64) < warmup {
                 config.lr * (step as f64 + 1.0) / warmup
             } else {
@@ -385,15 +376,16 @@ pub fn dpo_with_triples(
     }
 }
 
-/// Softmax cross-entropy gradient toward `golden` at training temperature 1.
+/// Softmax cross-entropy gradient toward `golden` at training temperature
+/// 1: `f(golden) − Σ_j p_j·f_j`. One pass over the candidates; each
+/// component still subtracts its terms in ascending `j`, so the result is
+/// the same, bit for bit, as summing component by component.
 fn nll_grad(policy: &Policy, case: &PreparedCase, golden: usize) -> Features {
     let probs = policy.probabilities_at(&case.features, 1.0);
-    let fp = case.features[golden];
-    let mut g = [0.0; FEATURE_DIM];
-    for (k, gk) in g.iter_mut().enumerate() {
-        *gk = fp[k];
-        for (j, p) in probs.iter().enumerate() {
-            *gk -= p * case.features[j][k];
+    let mut g = case.features[golden];
+    for (p, f) in probs.iter().zip(&case.features) {
+        for (gk, x) in g.iter_mut().zip(f) {
+            *gk -= p * x;
         }
     }
     g

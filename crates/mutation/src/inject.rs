@@ -7,9 +7,9 @@
 
 use crate::kinds::{BugClass, SyntacticKind};
 use crate::repairspace::splice_line;
-use crate::sites::{collect_sites, transform_node, SiteInfo};
+use crate::sites::{collect_sites, node_mut, SiteInfo};
 use asv_verilog::ast::*;
-use asv_verilog::pretty::{render_expr, render_module_slots};
+use asv_verilog::pretty::{render_module_slots, write_expr};
 use asv_verilog::sema::Design;
 use asv_verilog::Span;
 use serde::{Deserialize, Serialize};
@@ -33,61 +33,55 @@ pub enum Edit {
     Unnegate,
 }
 
-impl fmt::Display for Edit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Edit::SwapBinOp(op) => write!(f, "use operator `{}`", op.as_str()),
-            Edit::SetLiteral(v) => write!(f, "use constant {v}"),
-            Edit::SetIdent(n) => write!(f, "use signal `{n}`"),
-            Edit::Negate => write!(f, "negate the expression"),
-            Edit::Unnegate => write!(f, "drop the negation"),
-        }
-    }
-}
-
 impl Edit {
     /// `e` rewritten by this edit, or `None` when the edit does not fit
     /// `e`'s shape.
     pub fn rewrite(&self, e: &Expr) -> Option<Expr> {
-        match (e, self) {
-            (Expr::Binary { lhs, rhs, span, .. }, Edit::SwapBinOp(op)) => Some(Expr::Binary {
-                op: *op,
-                lhs: lhs.clone(),
-                rhs: rhs.clone(),
-                span: *span,
-            }),
+        let mut out = e.clone();
+        self.apply_in_place(&mut out).then_some(out)
+    }
+
+    /// Rewrites `e` in place by this edit; false, leaving `e` as it was,
+    /// when the edit does not fit `e`'s shape.
+    fn apply_in_place(&self, e: &mut Expr) -> bool {
+        match (self, &mut *e) {
+            (Edit::SwapBinOp(new), Expr::Binary { op, .. }) => *op = *new,
+            (Edit::SetLiteral(v), Expr::Number { value, .. }) => *value = *v,
+            (Edit::SetIdent(n), Expr::Ident { name, .. }) => name.clone_from(n),
+            (Edit::Negate, _) => {
+                let span = e.span();
+                let operand = Box::new(std::mem::replace(e, PLACEHOLDER));
+                *e = Expr::Unary {
+                    op: UnaryOp::LogicNot,
+                    operand,
+                    span,
+                };
+            }
             (
-                Expr::Number {
-                    width, base, span, ..
-                },
-                Edit::SetLiteral(v),
-            ) => Some(Expr::Number {
-                value: *v,
-                width: *width,
-                base: *base,
-                span: *span,
-            }),
-            (Expr::Ident { span, .. }, Edit::SetIdent(n)) => Some(Expr::Ident {
-                name: n.clone(),
-                span: *span,
-            }),
-            (expr, Edit::Negate) => Some(Expr::Unary {
-                op: UnaryOp::LogicNot,
-                operand: Box::new(expr.clone()),
-                span: expr.span(),
-            }),
-            (
+                Edit::Unnegate,
                 Expr::Unary {
                     op: UnaryOp::LogicNot | UnaryOp::BitNot,
                     operand,
                     ..
                 },
-                Edit::Unnegate,
-            ) => Some((**operand).clone()),
-            _ => None,
+            ) => {
+                let inner = std::mem::replace(&mut **operand, PLACEHOLDER);
+                *e = inner;
+            }
+            _ => return false,
         }
+        true
     }
 }
+
+/// A node that owns no heap memory, left behind while an edit moves a
+/// subtree.
+const PLACEHOLDER: Expr = Expr::Number {
+    value: 0,
+    width: None,
+    base: None,
+    span: Span { start: 0, end: 0 },
+};
 
 /// One enumerated mutation: a site plus an edit plus its classification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -100,10 +94,8 @@ pub struct Mutation {
     pub class: BugClass,
     /// Span of the enclosing statement in the *original* AST.
     pub stmt_span: Span,
-    /// Signals assigned by the enclosing statement.
-    pub assigned: Vec<String>,
-    /// Human-readable description.
-    pub description: String,
+    /// Signals assigned by the enclosing statement, shared with its site.
+    pub assigned: Arc<[String]>,
 }
 
 /// The rendered artefacts of applying a mutation.
@@ -132,22 +124,22 @@ pub fn enumerate(design: &Design) -> Vec<Mutation> {
 
 /// [`enumerate`] over the design's already collected sites.
 pub(crate) fn enumerate_sites(design: &Design, sites: &[SiteInfo]) -> Vec<Mutation> {
-    let clock = design.clock().map(str::to_string);
-    let reset = design.reset().map(|(n, _)| n.to_string());
+    let clock = design.clock();
+    let reset = design.reset().map(|(n, _)| n);
     let mut out = Vec::new();
     for site in sites {
         // Sites touching only clock/reset are infrastructure (e.g. the
         // `!rst_n` guard): excluded from mutation entirely so the edit
         // space stays closed under inversion.
-        let idents = site.expr.idents();
-        let infra_only = !idents.is_empty()
-            && idents.iter().all(|n| {
-                Some(n.as_str()) == clock.as_deref() || Some(n.as_str()) == reset.as_deref()
-            });
-        if infra_only {
+        let (mut any, mut infra_only) = (false, true);
+        site.expr.for_each_ident(&mut |n| {
+            any = true;
+            infra_only &= Some(n) == clock || Some(n) == reset;
+        });
+        if any && infra_only {
             continue;
         }
-        match &site.expr {
+        match site.expr {
             Expr::Binary { op, .. } => {
                 for peer in op_peers(*op) {
                     out.push(make(site, Edit::SwapBinOp(peer), SyntacticKind::Op));
@@ -170,26 +162,19 @@ pub(crate) fn enumerate_sites(design: &Design, sites: &[SiteInfo]) -> Vec<Mutati
                 // mutating them is excluded (keeps the edit space closed
                 // under inversion, since they are also excluded as
                 // replacement names).
-                if Some(name.as_str()) == clock.as_deref()
-                    || Some(name.as_str()) == reset.as_deref()
-                {
+                if Some(name.as_str()) == clock || Some(name.as_str()) == reset {
                     continue;
                 }
                 let width = design.width_of(name);
                 // All same-width peers (no truncation: truncating would
                 // break inversion symmetry of the edit space).
-                let alts: Vec<&str> = design
-                    .signals
-                    .values()
-                    .filter(|s| {
-                        s.name != *name
-                            && Some(s.width) == width
-                            && Some(s.name.as_str()) != clock.as_deref()
-                            && Some(s.name.as_str()) != reset.as_deref()
-                    })
-                    .map(|s| s.name.as_str())
-                    .collect();
-                for alt in alts {
+                let alts = design.signals.values().filter(|s| {
+                    s.name != *name
+                        && Some(s.width) == width
+                        && Some(s.name.as_str()) != clock
+                        && Some(s.name.as_str()) != reset
+                });
+                for alt in alts.map(|s| s.name.as_str()) {
                     out.push(make(
                         site,
                         Edit::SetIdent(alt.to_string()),
@@ -224,10 +209,6 @@ pub(crate) fn enumerate_sites(design: &Design, sites: &[SiteInfo]) -> Vec<Mutati
 }
 
 fn make(site: &SiteInfo, edit: Edit, syntactic: SyntacticKind) -> Mutation {
-    let description = format!(
-        "{edit} (was `{}`)",
-        asv_verilog::pretty::render_expr(&site.expr)
-    );
     Mutation {
         site_id: site.id,
         edit,
@@ -237,8 +218,7 @@ fn make(site: &SiteInfo, edit: Edit, syntactic: SyntacticKind) -> Mutation {
             direct: None,
         },
         stmt_span: site.stmt_span,
-        assigned: site.assigned.clone(),
-        description,
+        assigned: Arc::clone(&site.assigned),
     }
 }
 
@@ -299,7 +279,7 @@ impl std::error::Error for InjectError {}
 pub fn apply(design: &Design, mutation: &Mutation) -> Result<Injection, InjectError> {
     let sites = collect_sites(&design.module);
     let rendering = Rendering::new(&design.module, &sites);
-    let edit = rendering.edit(mutation)?;
+    let edit = rendering.edit(mutation, &mut String::new())?;
     let buggy_source = splice_line(&rendering.source, edit.line_no, &edit.new_line)
         .expect("the edited line exists");
     Ok(Injection {
@@ -307,7 +287,7 @@ pub fn apply(design: &Design, mutation: &Mutation) -> Result<Injection, InjectEr
         golden_source: rendering.source.to_string(),
         line_no: edit.line_no,
         buggy_line: edit.new_line,
-        fixed_line: edit.old_line,
+        fixed_line: edit.old_line.to_string(),
         mutation: mutation.clone(),
     })
 }
@@ -330,27 +310,31 @@ struct Root<'a> {
     expr: &'a Expr,
     /// Byte range of the root in the rendering.
     span: Range<usize>,
-    /// Byte range of the line holding it, without the newline.
-    line: Range<usize>,
+    /// Byte range of its line's text in the rendering: the line without
+    /// its leading and trailing whitespace. It holds `span`, because a
+    /// rendered expression neither starts nor ends with whitespace.
+    text: Range<usize>,
     /// 1-based number of that line.
     line_no: u32,
+    /// That line's text, shared by the roots on the line and their edits.
+    old_line: Arc<str>,
 }
 
 /// One edited line: 1-based number, and the line before and after the
 /// edit, trimmed.
 pub(crate) struct LineEdit {
     pub line_no: u32,
-    pub old_line: String,
+    pub old_line: Arc<str>,
     pub new_line: String,
 }
 
 impl<'a> Rendering<'a> {
     /// Renders `module`; `sites` are its sites as [`collect_sites`]
     /// returns them.
-    pub fn new(module: &Module, sites: &'a [SiteInfo]) -> Self {
+    pub fn new(module: &Module, sites: &[SiteInfo<'a>]) -> Self {
         let (source, spans) = render_module_slots(module);
         let mut root_sites = sites.iter().filter(|s| s.is_root);
-        let mut roots = Vec::with_capacity(spans.len());
+        let mut roots: Vec<Root> = Vec::with_capacity(spans.len());
         let (mut line_no, mut counted) = (1u32, 0usize);
         for span in spans {
             let site = root_sites.next().expect("one root site per recorded slot");
@@ -359,16 +343,29 @@ impl<'a> Rendering<'a> {
                 .filter(|&&b| b == b'\n')
                 .count() as u32;
             counted = span.start;
-            let start = source[..span.start].rfind('\n').map_or(0, |i| i + 1);
-            let end = source[span.end..]
-                .find('\n')
-                .map_or(source.len(), |i| span.end + i);
+            let (text, old_line) = match roots.last() {
+                Some(prev) if prev.line_no == line_no => {
+                    (prev.text.clone(), Arc::clone(&prev.old_line))
+                }
+                _ => {
+                    let start = source[..span.start].rfind('\n').map_or(0, |i| i + 1);
+                    let end = source[span.end..]
+                        .find('\n')
+                        .map_or(source.len(), |i| span.end + i);
+                    let line = &source[start..end];
+                    let text_start = start + (line.len() - line.trim_start().len());
+                    let text = line.trim();
+                    (text_start..text_start + text.len(), Arc::from(text))
+                }
+            };
+            debug_assert!(text.start <= span.start && span.end <= text.end);
             roots.push(Root {
                 first_site: site.id,
-                expr: &site.expr,
+                expr: site.expr,
                 span,
-                line: start..end,
+                text,
                 line_no,
+                old_line,
             });
         }
         assert!(
@@ -381,44 +378,37 @@ impl<'a> Rendering<'a> {
         }
     }
 
-    /// The line `mutation` edits, rendered by re-rendering its slot root.
+    /// The line `mutation` edits, rendered by re-rendering its slot root
+    /// into `scratch`; the new line is allocated once, at its final size.
     ///
     /// # Errors
     ///
     /// As [`apply`].
-    pub fn edit(&self, mutation: &Mutation) -> Result<LineEdit, InjectError> {
+    pub fn edit(&self, mutation: &Mutation, scratch: &mut String) -> Result<LineEdit, InjectError> {
         let id = mutation.site_id;
         let stale = InjectError::StaleSite(id);
         let last = self.roots.partition_point(|r| r.first_site <= id);
         let root = &self.roots[last.checked_sub(1).ok_or(stale.clone())?];
         let mut expr = root.expr.clone();
-        let mut shape_ok = true;
-        let hit = transform_node(&mut expr, id - root.first_site, |e| {
-            mutation.edit.rewrite(e).unwrap_or_else(|| {
-                shape_ok = false;
-                e.clone()
-            })
-        });
-        if !hit {
-            return Err(stale);
-        }
-        if !shape_ok {
+        let node = node_mut(&mut expr, &mut (id - root.first_site)).ok_or(stale)?;
+        if !mutation.edit.apply_in_place(node) {
             return Err(InjectError::ShapeMismatch(id));
         }
-        let text = render_expr(&expr);
-        if text == self.source[root.span.clone()] {
+        scratch.clear();
+        write_expr(scratch, &expr);
+        if *scratch == self.source[root.span.clone()] {
             return Err(InjectError::NoOp);
         }
-        let new_line = [
-            &self.source[root.line.start..root.span.start],
-            &text,
-            &self.source[root.span.end..root.line.end],
-        ]
-        .concat();
+        let before = &self.source[root.text.start..root.span.start];
+        let after = &self.source[root.span.end..root.text.end];
+        let mut new_line = String::with_capacity(before.len() + scratch.len() + after.len());
+        new_line.push_str(before);
+        new_line.push_str(scratch);
+        new_line.push_str(after);
         Ok(LineEdit {
             line_no: root.line_no,
-            old_line: self.source[root.line.clone()].trim().to_string(),
-            new_line: new_line.trim().to_string(),
+            old_line: Arc::clone(&root.old_line),
+            new_line,
         })
     }
 }
@@ -536,13 +526,13 @@ mod tests {
         // property observes -> Direct.
         let on_y = muts
             .iter()
-            .find(|m| m.assigned == vec!["y".to_string()] && matches!(m.edit, Edit::SwapBinOp(_)))
+            .find(|m| m.assigned[..] == ["y"] && matches!(m.edit, Edit::SwapBinOp(_)))
             .expect("mutation on y's add");
         assert_eq!(classify_direct(&d, on_y), Some(true));
         // A mutation on `ok <= y != 0` assigns ok, not observed -> Indirect.
         let on_ok = muts
             .iter()
-            .find(|m| m.assigned == vec!["ok".to_string()])
+            .find(|m| m.assigned[..] == ["ok"])
             .expect("mutation on ok");
         assert_eq!(classify_direct(&d, on_ok), Some(false));
     }
@@ -556,7 +546,7 @@ mod tests {
             .find(|m| {
                 matches!(m.edit, Edit::Negate)
                     && m.class.cond
-                    && m.assigned.contains(&"y".to_string())
+                    && m.assigned.iter().any(|s| s == "y")
             })
             .expect("condition negation on g");
         let inj = apply(&d, neg_g).expect("apply");

@@ -12,13 +12,16 @@
 //! [`candidates`] renders the buggy design once and records where each
 //! slot root lands (`asv_verilog::pretty::render_module_slots`). Each
 //! candidate clones only the root expression that holds its site, applies
-//! its edit, renders that root and splices it into the root's line; the
-//! printer renders every root on one line at precedence 0, so the result
-//! equals rendering the whole mutated module. A candidate keeps its edited
-//! line and shares the design's rendering with its siblings;
-//! [`Candidate::patched_source`] builds the full source only when asked,
-//! with [`splice_line`], and [`golden_candidates`] finds the candidates that
-//! restore a golden source by comparing the one line where the two differ.
+//! its edit in place, renders that root into a buffer the enumeration
+//! reuses, and builds its new line once, at its final trimmed size, from
+//! the root's line around it; the printer renders every root on one line
+//! at precedence 0, so the result equals rendering the whole mutated
+//! module. A candidate owns only that line: it shares the design's
+//! rendering, its line's old text and its statement's `assigned` list with
+//! its siblings. [`Candidate::patched_source`] builds the full source only
+//! when asked, with [`splice_line`], and [`golden_candidates`] finds the
+//! candidates that restore a golden source by comparing the one line where
+//! the two differ.
 
 use crate::inject::{enumerate_sites, Mutation, Rendering};
 use crate::sites::collect_sites;
@@ -33,8 +36,9 @@ pub struct Candidate {
     pub id: usize,
     /// 1-based line number changed in the canonical rendering.
     pub line_no: u32,
-    /// The line as it appears in the buggy source (trimmed).
-    pub old_line: String,
+    /// The line as it appears in the buggy source (trimmed), shared by
+    /// the candidates that edit the line.
+    pub old_line: Arc<str>,
     /// The proposed replacement line (trimmed).
     pub new_line: String,
     /// The underlying mutation (site/edit/classification).
@@ -68,9 +72,11 @@ impl Candidate {
 pub fn candidates(buggy: &Design) -> Vec<Candidate> {
     let sites = collect_sites(&buggy.module);
     let rendering = Rendering::new(&buggy.module, &sites);
-    let mut out = Vec::new();
-    for (id, m) in enumerate_sites(buggy, &sites).into_iter().enumerate() {
-        let Ok(edit) = rendering.edit(&m) else {
+    let mutations = enumerate_sites(buggy, &sites);
+    let mut out = Vec::with_capacity(mutations.len());
+    let mut scratch = String::new();
+    for (id, m) in mutations.into_iter().enumerate() {
+        let Ok(edit) = rendering.edit(&m, &mut scratch) else {
             continue;
         };
         out.push(Candidate {
@@ -211,8 +217,7 @@ mod tests {
             let cands = candidates(&buggy);
             assert!(
                 cands.iter().any(|c| matches_golden(c, &golden_src)),
-                "no inverse candidate for mutation: {}",
-                m.description
+                "no inverse candidate for mutation: {m:?}"
             );
             tested += 1;
             if tested >= 25 {
@@ -233,7 +238,7 @@ mod tests {
                 .lines()
                 .nth(c.line_no as usize - 1)
                 .expect("line exists");
-            assert_eq!(line.trim(), c.old_line, "old_line must match source");
+            assert_eq!(line.trim(), &*c.old_line, "old_line must match source");
         }
     }
 
@@ -242,7 +247,7 @@ mod tests {
         let golden = compile(SRC).expect("compile");
         let c = &candidates(&golden)[0];
         let d = c.describe();
-        assert!(d.contains(&c.old_line));
+        assert!(d.contains(&*c.old_line));
         assert!(d.contains(&c.new_line));
     }
 
@@ -294,7 +299,7 @@ mod tests {
             assert_eq!(c.patched_source(), full, "{}", c.describe());
             assert_eq!(
                 first_diff_line(&golden, &full),
-                Some((c.line_no, c.old_line.clone(), c.new_line.clone()))
+                Some((c.line_no, c.old_line.to_string(), c.new_line.clone()))
             );
             assert!(matches_golden(c, &full));
             assert!(golden_candidates(&cands, &full).contains(&i));
@@ -381,11 +386,12 @@ mod tests {
             .position(|l| l == "    if (en) ")
             .expect("the printer ends the `if` line with a space") as u32
             + 1;
-        let negate = inject::enumerate(&golden)
-            .into_iter()
-            .find(|m| m.edit == inject::Edit::Negate && m.description.ends_with("(was `en`)"))
+        let inj = inject::enumerate(&golden)
+            .iter()
+            .filter(|m| m.edit == inject::Edit::Negate)
+            .filter_map(|m| inject::apply(&golden, m).ok())
+            .find(|inj| inj.line_no == line_no)
             .expect("negation of the `if` condition");
-        let inj = inject::apply(&golden, &negate).expect("apply");
         assert_eq!(
             (inj.line_no, inj.buggy_line.as_str()),
             (line_no, "if (!en)")

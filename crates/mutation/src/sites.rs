@@ -3,48 +3,55 @@
 //! A *site* is one expression node in the design logic (continuous assigns
 //! and procedural blocks — never SVA properties, parameters or initial
 //! blocks, which the paper's bug generator leaves untouched). Sites are
-//! numbered in a deterministic pre-order walk so that collection and
+//! numbered in a deterministic pre-order walk: the slot roots in source
+//! order (the order `asv_verilog::pretty::render_module_slots` records
+//! them), and within each root its nodes in pre-order. Collection and
 //! transformation agree on ids.
+//!
+//! Collection copies no expression: a [`SiteInfo`] borrows its node from
+//! the module, and the sites of one statement share one `assigned` list,
+//! which their mutations and candidates share in turn.
 
 use asv_verilog::ast::*;
 use asv_verilog::Span;
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Context captured for each site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SiteInfo {
+#[derive(Debug, Clone, PartialEq)]
+pub struct SiteInfo<'a> {
     /// Site id (stable across calls for the same module).
     pub id: usize,
-    /// The expression at the site.
-    pub expr: Expr,
+    /// The expression at the site, in the module.
+    pub expr: &'a Expr,
     /// True when the site is inside an `if`/`case`/ternary condition.
     pub in_condition: bool,
     /// Span of the enclosing statement or item (line granularity).
     pub stmt_span: Span,
     /// Signals assigned by the enclosing statement (for `Direct` analysis:
-    /// for a condition site, the signals assigned under that conditional).
-    pub assigned: Vec<String>,
+    /// for a condition site, the signals assigned under that conditional),
+    /// shared by every site of the statement.
+    pub assigned: Arc<[String]>,
     /// Whether this expression is the *root* of its slot (full RHS, full
     /// condition, full case label) rather than a sub-expression.
     pub is_root: bool,
 }
 
 /// Collects every mutation-eligible expression site of a module.
-pub fn collect_sites(module: &Module) -> Vec<SiteInfo> {
+pub fn collect_sites(module: &Module) -> Vec<SiteInfo<'_>> {
     let mut sites = Vec::new();
-    let mut next_id = 0usize;
-    let mut m = module.clone();
-    visit_module(&mut m, &mut |ctx, expr| {
-        sites.push(SiteInfo {
-            id: next_id,
-            expr: expr.clone(),
-            in_condition: ctx.in_condition,
-            stmt_span: ctx.stmt_span,
-            assigned: ctx.assigned.clone(),
-            is_root: ctx.is_root,
+    for slot in slots(module) {
+        let first = sites.len();
+        walk(slot.root, slot.in_condition, &mut |expr, in_condition| {
+            sites.push(SiteInfo {
+                id: sites.len(),
+                expr,
+                in_condition,
+                stmt_span: slot.stmt_span,
+                assigned: Arc::clone(&slot.assigned),
+                is_root: sites.len() == first,
+            });
         });
-        next_id += 1;
-    });
+    }
     sites
 }
 
@@ -58,84 +65,78 @@ pub fn transform_site(
     f: impl FnOnce(&Expr) -> Expr,
 ) -> Option<Module> {
     let mut m = module.clone();
-    let mut next_id = 0usize;
-    let mut f = Some(f);
-    let mut hit = false;
-    visit_module(&mut m, &mut |_ctx, expr| {
-        if next_id == site_id {
-            if let Some(f) = f.take() {
-                *expr = f(expr);
-                hit = true;
-            }
+    let mut index = site_id;
+    let node = roots_mut(&mut m)
+        .into_iter()
+        .find_map(|root| node_mut(root, &mut index))?;
+    *node = f(node);
+    Some(m)
+}
+
+/// The node at pre-order position `index` of a slot root, numbering the
+/// nodes as site ids number them within the root (0 is the root itself).
+/// `None` when the root has fewer nodes; `index` is then lowered by their
+/// number.
+pub(crate) fn node_mut<'e>(e: &'e mut Expr, index: &mut usize) -> Option<&'e mut Expr> {
+    if *index == 0 {
+        return Some(e);
+    }
+    *index -= 1;
+    match e {
+        Expr::Unary { operand, .. } => node_mut(operand, index),
+        Expr::Binary { lhs, rhs, .. } => node_mut(lhs, index).or_else(|| node_mut(rhs, index)),
+        Expr::Ternary {
+            cond,
+            then_expr,
+            else_expr,
+            ..
+        } => node_mut(cond, index)
+            .or_else(|| node_mut(then_expr, index))
+            .or_else(|| node_mut(else_expr, index)),
+        Expr::Concat { parts: list, .. } | Expr::SysCall { args: list, .. } => {
+            list.iter_mut().find_map(|p| node_mut(p, index))
         }
-        next_id += 1;
-    });
-    hit.then_some(m)
-}
-
-/// Replaces the node at pre-order position `index` of a slot root by
-/// `f(node)`, numbering the nodes as site ids number them within the root
-/// (0 is the root itself). Returns false when the root has no such node.
-pub(crate) fn transform_node(root: &mut Expr, index: usize, f: impl FnOnce(&Expr) -> Expr) -> bool {
-    let ctx = Ctx {
-        in_condition: false,
-        stmt_span: Span::default(),
-        assigned: Vec::new(),
-        is_root: true,
-    };
-    let mut next = 0usize;
-    let mut f = Some(f);
-    let mut hit = false;
-    visit_expr(root, &ctx, &mut |_ctx, expr| {
-        if next == index {
-            if let Some(f) = f.take() {
-                *expr = f(expr);
-                hit = true;
-            }
+        Expr::Repeat { count, value, .. } => {
+            node_mut(count, index).or_else(|| node_mut(value, index))
         }
-        next += 1;
-    });
-    hit
+        Expr::Bit { index: i, .. } => node_mut(i, index),
+        Expr::Number { .. } | Expr::Ident { .. } | Expr::Part { .. } => None,
+    }
 }
 
-/// Visitor context.
-pub(crate) struct Ctx {
-    pub in_condition: bool,
-    pub stmt_span: Span,
-    pub assigned: Vec<String>,
-    pub is_root: bool,
+/// One slot root with the context of its statement.
+struct Slot<'a> {
+    root: &'a Expr,
+    in_condition: bool,
+    stmt_span: Span,
+    assigned: Arc<[String]>,
 }
 
-/// Walks all design-logic expressions of a module in deterministic
-/// pre-order, invoking `cb` with a mutable reference to each node.
-pub(crate) fn visit_module(module: &mut Module, cb: &mut impl FnMut(&Ctx, &mut Expr)) {
-    // Two passes over items would break determinism; a single ordered pass.
-    for item in &mut module.items {
+/// The slot roots of a module's design logic, in source order.
+fn slots(module: &Module) -> Vec<Slot<'_>> {
+    let mut out = Vec::new();
+    for item in &module.items {
         match item {
-            Item::Assign(a) => {
-                let ctx = Ctx {
-                    in_condition: false,
-                    stmt_span: a.span,
-                    assigned: a.lhs.target_names().iter().map(|s| s.to_string()).collect(),
-                    is_root: true,
-                };
-                visit_expr(&mut a.rhs, &ctx, cb);
-            }
-            Item::Always(al) => {
-                visit_stmt(&mut al.body, cb);
-            }
+            Item::Assign(a) => out.push(Slot {
+                root: &a.rhs,
+                in_condition: false,
+                stmt_span: a.span,
+                assigned: targets(&a.lhs),
+            }),
+            Item::Always(al) => stmt_slots(&al.body, &mut out),
             // Properties, assertions, parameters, nets, initial blocks are
             // never mutated.
             _ => {}
         }
     }
+    out
 }
 
-fn visit_stmt(s: &mut Stmt, cb: &mut impl FnMut(&Ctx, &mut Expr)) {
+fn stmt_slots<'a>(s: &'a Stmt, out: &mut Vec<Slot<'a>>) {
     match s {
         Stmt::Block { stmts, .. } => {
             for st in stmts {
-                visit_stmt(st, cb);
+                stmt_slots(st, out);
             }
         }
         Stmt::If {
@@ -146,21 +147,18 @@ fn visit_stmt(s: &mut Stmt, cb: &mut impl FnMut(&Ctx, &mut Expr)) {
         } => {
             let mut assigned = Vec::new();
             collect_targets(then_branch, &mut assigned);
-            if let Some(e) = else_branch.as_deref() {
+            if let Some(e) = else_branch {
                 collect_targets(e, &mut assigned);
             }
-            assigned.sort();
-            assigned.dedup();
-            let ctx = Ctx {
+            out.push(Slot {
+                root: cond,
                 in_condition: true,
                 stmt_span: *span,
-                assigned,
-                is_root: true,
-            };
-            visit_expr(cond, &ctx, cb);
-            visit_stmt(then_branch, cb);
+                assigned: sorted(assigned),
+            });
+            stmt_slots(then_branch, out);
             if let Some(e) = else_branch {
-                visit_stmt(e, cb);
+                stmt_slots(e, out);
             }
         }
         Stmt::Case {
@@ -171,64 +169,109 @@ fn visit_stmt(s: &mut Stmt, cb: &mut impl FnMut(&Ctx, &mut Expr)) {
             ..
         } => {
             let mut assigned = Vec::new();
-            for arm in arms.iter() {
+            for arm in arms {
                 collect_targets(&arm.body, &mut assigned);
             }
-            if let Some(d) = default.as_deref() {
+            if let Some(d) = default {
                 collect_targets(d, &mut assigned);
             }
-            assigned.sort();
-            assigned.dedup();
-            let ctx = Ctx {
+            let assigned = sorted(assigned);
+            out.push(Slot {
+                root: scrutinee,
                 in_condition: true,
                 stmt_span: *span,
-                assigned: assigned.clone(),
-                is_root: true,
-            };
-            visit_expr(scrutinee, &ctx, cb);
+                assigned: Arc::clone(&assigned),
+            });
             for arm in arms {
-                let actx = Ctx {
-                    in_condition: true,
-                    stmt_span: arm.span,
-                    assigned: assigned.clone(),
-                    is_root: true,
-                };
-                for label in &mut arm.labels {
-                    visit_expr(label, &actx, cb);
+                for label in &arm.labels {
+                    out.push(Slot {
+                        root: label,
+                        in_condition: true,
+                        stmt_span: arm.span,
+                        assigned: Arc::clone(&assigned),
+                    });
                 }
-                visit_stmt(&mut arm.body, cb);
+                stmt_slots(&arm.body, out);
             }
             if let Some(d) = default {
-                visit_stmt(d, cb);
+                stmt_slots(d, out);
             }
         }
-        Stmt::Assign { lhs, rhs, span, .. } => {
-            let ctx = Ctx {
-                in_condition: false,
-                stmt_span: *span,
-                assigned: lhs.target_names().iter().map(|s| s.to_string()).collect(),
-                is_root: true,
-            };
-            visit_expr(rhs, &ctx, cb);
-        }
+        Stmt::Assign { lhs, rhs, span, .. } => out.push(Slot {
+            root: rhs,
+            in_condition: false,
+            stmt_span: *span,
+            assigned: targets(lhs),
+        }),
         Stmt::Empty { .. } => {}
     }
 }
 
-/// Pre-order expression walk. Ternary conditions flip `in_condition`.
-fn visit_expr(e: &mut Expr, ctx: &Ctx, cb: &mut impl FnMut(&Ctx, &mut Expr)) {
-    cb(ctx, e);
-    let child = Ctx {
-        in_condition: ctx.in_condition,
-        stmt_span: ctx.stmt_span,
-        assigned: ctx.assigned.clone(),
-        is_root: false,
-    };
+/// The slot roots of a module, mutably, in the order of [`slots`], for the
+/// [`transform_site`] oracle. It is a walk of its own because [`slots`]
+/// lends its roots for the module's lifetime; the splice tests, which
+/// compare every candidate with the rerendered [`transform_site`], fail if
+/// the two orders differ.
+fn roots_mut(module: &mut Module) -> Vec<&mut Expr> {
+    let mut out = Vec::new();
+    for item in &mut module.items {
+        match item {
+            Item::Assign(a) => out.push(&mut a.rhs),
+            Item::Always(al) => stmt_roots_mut(&mut al.body, &mut out),
+            _ => {}
+        }
+    }
+    out
+}
+
+fn stmt_roots_mut<'a>(s: &'a mut Stmt, out: &mut Vec<&'a mut Expr>) {
+    match s {
+        Stmt::Block { stmts, .. } => {
+            for st in stmts {
+                stmt_roots_mut(st, out);
+            }
+        }
+        Stmt::If {
+            cond,
+            then_branch,
+            else_branch,
+            ..
+        } => {
+            out.push(cond);
+            stmt_roots_mut(then_branch, out);
+            if let Some(e) = else_branch {
+                stmt_roots_mut(e, out);
+            }
+        }
+        Stmt::Case {
+            scrutinee,
+            arms,
+            default,
+            ..
+        } => {
+            out.push(scrutinee);
+            for arm in arms {
+                out.extend(&mut arm.labels);
+                stmt_roots_mut(&mut arm.body, out);
+            }
+            if let Some(d) = default {
+                stmt_roots_mut(d, out);
+            }
+        }
+        Stmt::Assign { rhs, .. } => out.push(rhs),
+        Stmt::Empty { .. } => {}
+    }
+}
+
+/// Pre-order expression walk, calling `cb` with each node and whether it
+/// sits in a condition. Ternary conditions set the flag.
+fn walk<'a>(e: &'a Expr, in_condition: bool, cb: &mut impl FnMut(&'a Expr, bool)) {
+    cb(e, in_condition);
     match e {
-        Expr::Unary { operand, .. } => visit_expr(operand, &child, cb),
+        Expr::Unary { operand, .. } => walk(operand, in_condition, cb),
         Expr::Binary { lhs, rhs, .. } => {
-            visit_expr(lhs, &child, cb);
-            visit_expr(rhs, &child, cb);
+            walk(lhs, in_condition, cb);
+            walk(rhs, in_condition, cb);
         }
         Expr::Ternary {
             cond,
@@ -236,33 +279,34 @@ fn visit_expr(e: &mut Expr, ctx: &Ctx, cb: &mut impl FnMut(&Ctx, &mut Expr)) {
             else_expr,
             ..
         } => {
-            let cond_ctx = Ctx {
-                in_condition: true,
-                stmt_span: ctx.stmt_span,
-                assigned: ctx.assigned.clone(),
-                is_root: false,
-            };
-            visit_expr(cond, &cond_ctx, cb);
-            visit_expr(then_expr, &child, cb);
-            visit_expr(else_expr, &child, cb);
+            walk(cond, true, cb);
+            walk(then_expr, in_condition, cb);
+            walk(else_expr, in_condition, cb);
         }
-        Expr::Concat { parts, .. } => {
-            for p in parts {
-                visit_expr(p, &child, cb);
+        Expr::Concat { parts: list, .. } | Expr::SysCall { args: list, .. } => {
+            for p in list {
+                walk(p, in_condition, cb);
             }
         }
         Expr::Repeat { count, value, .. } => {
-            visit_expr(count, &child, cb);
-            visit_expr(value, &child, cb);
+            walk(count, in_condition, cb);
+            walk(value, in_condition, cb);
         }
-        Expr::Bit { index, .. } => visit_expr(index, &child, cb),
-        Expr::SysCall { args, .. } => {
-            for a in args {
-                visit_expr(a, &child, cb);
-            }
-        }
+        Expr::Bit { index, .. } => walk(index, in_condition, cb),
         Expr::Number { .. } | Expr::Ident { .. } | Expr::Part { .. } => {}
     }
+}
+
+/// The signals an lvalue writes.
+fn targets(lhs: &LValue) -> Arc<[String]> {
+    lhs.target_names().into_iter().map(str::to_string).collect()
+}
+
+/// `names` sorted and deduplicated.
+fn sorted(mut names: Vec<String>) -> Arc<[String]> {
+    names.sort();
+    names.dedup();
+    names.into()
 }
 
 fn collect_targets(s: &Stmt, out: &mut Vec<String>) {
@@ -330,7 +374,7 @@ mod tests {
             s.expr.collect_idents(&mut idents);
             // The property references y with literal 4'd0 comparisons; no
             // design expression in SRC contains the number 0 with width 4.
-            if let Expr::Number { value, width, .. } = s.expr {
+            if let Expr::Number { value, width, .. } = *s.expr {
                 assert!(
                     !(value == 0 && width == Some(4)),
                     "property literal leaked into sites"
@@ -357,7 +401,7 @@ mod tests {
         let sites = collect_sites(&m);
         let rhs = sites
             .iter()
-            .find(|s| !s.in_condition && s.is_root && s.assigned == vec!["g".to_string()])
+            .find(|s| !s.in_condition && s.is_root && s.assigned[..] == ["g"])
             .expect("assign g site");
         assert!(matches!(rhs.expr, Expr::Binary { .. }));
     }

@@ -625,7 +625,7 @@ impl Expr {
 
     /// Calls `f` with the name of every identifier the expression
     /// references, in source order, repeats included.
-    pub(crate) fn for_each_ident<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
+    pub fn for_each_ident<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         match self {
             Expr::Number { .. } => {}
             Expr::Ident { name, .. } | Expr::Part { name, .. } => f(name),

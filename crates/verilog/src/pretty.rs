@@ -61,8 +61,13 @@ pub fn render_module_slots(m: &Module) -> (String, Vec<Range<usize>>) {
 /// Renders a single expression (used in diffs, CoT text and candidate fixes).
 pub fn render_expr(e: &Expr) -> String {
     let mut s = String::new();
-    expr(&mut s, e, 0);
+    write_expr(&mut s, e);
     s
+}
+
+/// Appends [`render_expr`] of `e` to `out`.
+pub fn write_expr(out: &mut String, e: &Expr) {
+    expr(out, e, 0);
 }
 
 /// Renders a single statement at indent level 0, without a trailing newline.

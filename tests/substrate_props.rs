@@ -42,7 +42,7 @@ fn check_splices(design: &Design, name: &str) -> Result<(), TestCaseError> {
         );
         prop_assert_eq!(
             first_diff_line(&golden, &full),
-            Some((c.line_no, c.old_line.clone(), c.new_line.clone())),
+            Some((c.line_no, c.old_line.to_string(), c.new_line.clone())),
             "{}: {}",
             name,
             c.describe()
@@ -59,18 +59,18 @@ fn check_splices(design: &Design, name: &str) -> Result<(), TestCaseError> {
         match asv_mutation::apply(design, &m) {
             Ok(inj) => {
                 prop_assert_eq!(&inj.golden_source, &golden, "{}", name);
-                prop_assert_eq!(&inj.buggy_source, &full, "{}: {}", name, m.description);
+                prop_assert_eq!(&inj.buggy_source, &full, "{}: {:?}", name, m);
                 prop_assert_eq!(
                     first_diff_line(&golden, &full),
                     Some((inj.line_no, inj.fixed_line, inj.buggy_line)),
-                    "{}: {}",
+                    "{}: {:?}",
                     name,
-                    m.description
+                    m
                 );
             }
             Err(e) => {
-                prop_assert_eq!(e, InjectError::NoOp, "{}: {}", name, m.description);
-                prop_assert_eq!(&full, &golden, "{}: {}", name, m.description);
+                prop_assert_eq!(e, InjectError::NoOp, "{}: {:?}", name, m);
+                prop_assert_eq!(&full, &golden, "{}: {:?}", name, m);
             }
         }
     }
@@ -120,8 +120,8 @@ proptest! {
             let cands = candidates(&buggy);
             prop_assert!(
                 cands.iter().any(|c| matches_golden(c, &golden_src)),
-                "no inverse for `{}` in {}",
-                m.description,
+                "no inverse for {:?} in {}",
+                m,
                 d.name
             );
         }
@@ -170,7 +170,7 @@ proptest! {
             for m in asv_mutation::enumerate(&golden).iter().step_by(13).take(2) {
                 let Ok(inj) = asv_mutation::apply(&golden, m) else { continue };
                 let Ok(mutant) = asv_verilog::compile(&inj.buggy_source) else { continue };
-                check_splices(&mutant, &format!("{} with `{}`", d.name, m.description))?;
+                check_splices(&mutant, &format!("{} with {:?}", d.name, m))?;
             }
         }
     }
@@ -363,4 +363,154 @@ fn frontend_compiles_deep_nesting_on_a_worker_sized_stack() {
             panic!("{what}: does not compile: {e}");
         }
     }
+}
+
+/// The golden design of every archetype and up to three mutants injected
+/// into each, named for failure messages: the designs the candidate pin
+/// and the job-hash check cover.
+fn archetypes_and_mutants() -> Vec<(String, Design)> {
+    let gen = CorpusGen::new(0xCA4D);
+    let mut rng = StdRng::seed_from_u64(0xCA4D);
+    let mut designs = Vec::new();
+    for (k, arch) in Archetype::ALL.into_iter().enumerate() {
+        let d = gen.instantiate(
+            arch,
+            k,
+            SizeHint {
+                stages: 2,
+                width: 4,
+            },
+            &mut rng,
+        );
+        let golden = asv_verilog::compile(&d.source).expect("corpus design compiles");
+        for (i, m) in asv_mutation::enumerate(&golden)
+            .iter()
+            .step_by(11)
+            .take(3)
+            .enumerate()
+        {
+            let Ok(inj) = asv_mutation::apply(&golden, m) else {
+                continue;
+            };
+            let Ok(mutant) = asv_verilog::compile(&inj.buggy_source) else {
+                continue;
+            };
+            designs.push((format!("{} mutant {i}", d.name), mutant));
+        }
+        designs.push((d.name, golden));
+    }
+    designs
+}
+
+/// Folds bytes into a 64-bit FNV-1a hash.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Folds a length-prefixed string into `hash`.
+fn fnv1a_str(hash: &mut u64, s: &str) {
+    fnv1a(hash, &(s.len() as u64).to_le_bytes());
+    fnv1a(hash, s.as_bytes());
+}
+
+/// Every field of every repair candidate of the archetypes and their
+/// mutants, in order: `id`, `line_no`, `old_line`, `new_line` and the
+/// mutation's `site_id`, `edit`, `class`, `stmt_span` and `assigned`.
+#[test]
+fn repair_candidates_are_pinned() {
+    use asv_mutation::{Edit, SyntacticKind};
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let designs = archetypes_and_mutants();
+    let mut count = 0usize;
+    for (_, design) in &designs {
+        let cands = candidates(design);
+        fnv1a(&mut hash, &(cands.len() as u64).to_le_bytes());
+        for c in &cands {
+            count += 1;
+            fnv1a(&mut hash, &(c.id as u64).to_le_bytes());
+            fnv1a(&mut hash, &c.line_no.to_le_bytes());
+            fnv1a_str(&mut hash, &c.old_line);
+            fnv1a_str(&mut hash, &c.new_line);
+            let m = &c.mutation;
+            fnv1a(&mut hash, &(m.site_id as u64).to_le_bytes());
+            match &m.edit {
+                Edit::SwapBinOp(op) => {
+                    fnv1a(&mut hash, &[0]);
+                    fnv1a_str(&mut hash, op.as_str());
+                }
+                Edit::SetLiteral(v) => {
+                    fnv1a(&mut hash, &[1]);
+                    fnv1a(&mut hash, &v.to_le_bytes());
+                }
+                Edit::SetIdent(n) => {
+                    fnv1a(&mut hash, &[2]);
+                    fnv1a_str(&mut hash, n);
+                }
+                Edit::Negate => fnv1a(&mut hash, &[3]),
+                Edit::Unnegate => fnv1a(&mut hash, &[4]),
+            }
+            let syntactic = match m.class.syntactic {
+                SyntacticKind::Var => 0,
+                SyntacticKind::Value => 1,
+                SyntacticKind::Op => 2,
+            };
+            let direct = match m.class.direct {
+                None => 0,
+                Some(false) => 1,
+                Some(true) => 2,
+            };
+            fnv1a(&mut hash, &[syntactic, u8::from(m.class.cond), direct]);
+            fnv1a(&mut hash, &m.stmt_span.start.to_le_bytes());
+            fnv1a(&mut hash, &m.stmt_span.end.to_le_bytes());
+            fnv1a(&mut hash, &(m.assigned.len() as u64).to_le_bytes());
+            for name in m.assigned.iter() {
+                fnv1a_str(&mut hash, name);
+            }
+        }
+    }
+    assert_eq!(
+        (designs.len(), count, hash),
+        (46, 2800, 0xd756_fd75_0483_e05b),
+        "repair candidates moved"
+    );
+}
+
+/// `asv_sim::cache::design_hash` equals SipHash streamed over the
+/// module's and the parameters' `Hash` writes, as `DefaultHasher` takes
+/// them, on the archetypes and their mutants and on every repair
+/// candidate's patched design: every `JobKey` keeps its value.
+#[test]
+fn design_hash_equals_a_streaming_default_hasher() {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    let streamed = |design: &Design| {
+        let mut h = DefaultHasher::new();
+        design.module.hash(&mut h);
+        design.params.hash(&mut h);
+        h.finish()
+    };
+    let mut checked = 0usize;
+    for (name, design) in archetypes_and_mutants() {
+        assert_eq!(
+            asv_sim::cache::design_hash(&design),
+            streamed(&design),
+            "{name}"
+        );
+        for c in candidates(&design).iter().step_by(7) {
+            let Ok(patched) = asv_verilog::compile(&c.patched_source()) else {
+                continue;
+            };
+            assert_eq!(
+                asv_sim::cache::design_hash(&patched),
+                streamed(&patched),
+                "{name}: {}",
+                c.describe()
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 300, "only {checked} patched designs hashed");
 }
