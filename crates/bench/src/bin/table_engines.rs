@@ -197,7 +197,7 @@ fn verdict_cell(v: &Result<Verdict, VerifyError>) -> String {
             if vacuous.is_empty() { "" } else { ", vacuous!" }
         ),
         Ok(Verdict::Fails(_)) => "Fails(cex)".to_string(),
-        Ok(Verdict::Inconclusive { tried }) => format!("inconclusive({} rungs)", tried.len()),
+        Ok(Verdict::Inconclusive {}) => "inconclusive".to_string(),
         // Expected for the symbolic engine on out-of-subset scenarios;
         // anything else (oracle divergence, simulation errors) is a
         // harness failure the asserts below turn into a CI failure.

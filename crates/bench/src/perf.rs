@@ -25,12 +25,12 @@ use asv_sat::{Lit, SolveResult, Solver};
 use asv_serve::{ServeOptions, VerifyJob, VerifyService};
 use asv_sim::cover::CovMap;
 use asv_sim::{
-    run_stimulus_group, AstSimulator, Budget, CompiledDesign, OptLevel, Simulator, Stimulus,
-    StimulusGen, Trace,
+    run_stimulus_group, AstSimulator, CompiledDesign, OptLevel, Simulator, Stimulus, StimulusGen,
+    Trace,
 };
 use asv_sva::bmc::{Engine, Verifier};
 use asv_sva::monitor::CompiledChecker;
-use asv_trace::{CostCounters, Event, SpanKind, Tracer};
+use asv_trace::{CostCounters, Event, SpanKind, TraceHandle, Tracer};
 use asv_verilog::Design;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -628,11 +628,7 @@ pub fn mixed_batch(quick: bool) -> Vec<VerifyJob> {
 /// `tests/perf_counters.rs` enforces this.
 pub fn batch_counters(jobs: &[VerifyJob], workers: usize) -> (CostCounters, Vec<Event>) {
     let tracer = Tracer::new();
-    let service = VerifyService::new(ServeOptions {
-        workers,
-        ..ServeOptions::default()
-    })
-    .traced(tracer.clone());
+    let service = VerifyService::with_workers(workers).traced(tracer.clone());
     let (_outcomes, _reports, events) = service.verify_batch_traced(jobs);
     assert_eq!(
         tracer.dropped(),
@@ -890,17 +886,17 @@ fn workload_fuzz_batch(golden: &[Arc<Design>], runs: usize) -> WorkloadResult {
         lanes: 16,
         ..FuzzOptions::default()
     };
-    let campaign = |budget: &Budget| {
+    let campaign = |trace: &TraceHandle| {
         for (c, checker) in compiled.iter().zip(&checkers) {
             let oracle = BenchOracle { checker };
             std::hint::black_box(
-                asv_fuzz::fuzz_budgeted(c, &oracle, &opts, budget).expect("bench fuzz"),
+                asv_fuzz::fuzz_traced(c, &oracle, &opts, trace).expect("bench fuzz"),
             );
         }
     };
-    let wall_ns = time_runs(runs, || campaign(&Budget::unbounded()));
+    let wall_ns = time_runs(runs, || campaign(&TraceHandle::disabled()));
     let tracer = Tracer::new();
-    campaign(&Budget::unbounded().with_trace(tracer.handle()));
+    campaign(&tracer.handle());
     WorkloadResult {
         wall_ns,
         counters: CostCounters::from_events(&tracer.drain()),
@@ -916,10 +912,7 @@ fn workload_engine(pool: &[Arc<Design>], verifier: Verifier, runs: usize) -> Wor
         .map(|d| VerifyJob::new(Arc::clone(d), verifier))
         .collect();
     let wall_ns = time_runs(runs, || {
-        let service = VerifyService::new(ServeOptions {
-            workers: 1,
-            ..ServeOptions::default()
-        });
+        let service = VerifyService::with_workers(1);
         std::hint::black_box(service.verify_batch(&jobs));
     });
     let (counters, _events) = batch_counters(&jobs, 1);

@@ -311,10 +311,9 @@ mod tests {
                         "{arch}: golden design fails its own SVA: {:?}\n{}",
                         cex.logs, d.source
                     ),
-                    Verdict::Inconclusive { tried } => panic!(
-                        "{arch}: unbudgeted check came back inconclusive: {tried:?}\n{}",
-                        d.source
-                    ),
+                    Verdict::Inconclusive {} => {
+                        panic!("{arch}: check came back inconclusive\n{}", d.source)
+                    }
                 }
             }
         }

@@ -116,7 +116,7 @@ fn pct(part: u64, whole: u64) -> f64 {
 
 /// Renders the service-side observability table: how a batch's jobs were
 /// answered (memo / engine, with the memo hit rate) and how many
-/// degradation-ladder rungs each engine ran. Counts come straight from
+/// rungs each engine ran. Counts come straight from
 /// the service's metrics registry — the same values a Prometheus scrape
 /// sees. Rung counts need an attached tracer (they read the span-derived
 /// `asv_rung_*` counters) and render as 0 without one.

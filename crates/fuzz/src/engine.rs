@@ -10,7 +10,6 @@
 
 use crate::corpus::Corpus;
 use crate::mutate::Mutator;
-use asv_sim::cancel::{Budget, Exhausted};
 use asv_sim::compile::CompiledDesign;
 use asv_sim::cover::{CovMap, CoverageReport};
 use asv_sim::exec::{SimError, Simulator};
@@ -18,7 +17,7 @@ use asv_sim::interp::AstSimulator;
 use asv_sim::run_stimulus_group;
 use asv_sim::stimulus::{Stimulus, StimulusGen};
 use asv_sim::trace::Trace;
-use asv_trace::{probe, Cost, SpanKind, TraceSink};
+use asv_trace::{probe, Cost, SpanKind, TraceHandle, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -116,8 +115,6 @@ pub enum FuzzError {
     /// A failing stimulus did not replay bit-identically on the
     /// interpreter oracle — a simulator bug, never a design property.
     OracleDivergence,
-    /// A [`Budget`] fault probe injected an exhaustion before a verdict.
-    Exhausted(Exhausted),
 }
 
 impl fmt::Display for FuzzError {
@@ -128,7 +125,6 @@ impl fmt::Display for FuzzError {
             FuzzError::OracleDivergence => {
                 write!(f, "failure did not replay on the interpreter oracle")
             }
-            FuzzError::Exhausted(e) => write!(f, "fuzzing campaign {e}"),
         }
     }
 }
@@ -138,12 +134,6 @@ impl std::error::Error for FuzzError {}
 impl From<SimError> for FuzzError {
     fn from(e: SimError) -> Self {
         FuzzError::Sim(e)
-    }
-}
-
-impl From<Exhausted> for FuzzError {
-    fn from(e: Exhausted) -> Self {
-        FuzzError::Exhausted(e)
     }
 }
 
@@ -228,21 +218,19 @@ pub fn fuzz<O: AssertionOracle>(
     oracle: &O,
     opts: &FuzzOptions,
 ) -> Result<FuzzResult, FuzzError> {
-    fuzz_budgeted(compiled, oracle, opts, &Budget::unbounded())
+    fuzz_traced(compiled, oracle, opts, &TraceHandle::disabled())
 }
 
-/// [`fuzz`] under a [`Budget`]: spans go to its trace handle, and its
-/// fault probe runs before every round.
+/// [`fuzz`] emitting one span per round through `trace`.
 ///
 /// # Errors
 ///
-/// As [`fuzz`], plus [`FuzzError::Exhausted`] when a fault probe fires
-/// an exhaustion.
-pub fn fuzz_budgeted<O: AssertionOracle>(
+/// As [`fuzz`].
+pub fn fuzz_traced<O: AssertionOracle>(
     compiled: &Arc<CompiledDesign>,
     oracle: &O,
     opts: &FuzzOptions,
-    budget: &Budget,
+    trace: &TraceHandle,
 ) -> Result<FuzzResult, FuzzError> {
     let gen = StimulusGen::new(compiled.design());
     let mutator = Mutator::new(compiled, opts.reset_cycles);
@@ -254,13 +242,11 @@ pub fn fuzz_budgeted<O: AssertionOracle>(
     let mut rounds = 0u64;
     let mut verdict = FuzzVerdict::NoFailure;
 
-    let sink = budget.trace().clone();
     'campaign: while runs < opts.budget {
-        budget.probe(probe::FUZZ_ROUND)?;
         rounds += 1;
         // Cost accrues incrementally so the span stays honest on every
         // exit path (verdict, error) via its drop guard.
-        let mut round_span = sink.span(probe::FUZZ_ROUND, SpanKind::FuzzRound);
+        let mut round_span = trace.span(probe::FUZZ_ROUND, SpanKind::FuzzRound);
         round_span.set_code(rounds);
         round_span.add_cost(Cost {
             rounds: 1,
@@ -270,7 +256,7 @@ pub fn fuzz_budgeted<O: AssertionOracle>(
         let batch = schedule(&gen, &mutator, &mut corpus, &mut rng, n, opts);
         if opts.lanes > 1 {
             let batches = (batch.len().div_ceil(opts.lanes)) as u64;
-            sink.instant(
+            trace.instant(
                 probe::SIM_BATCH,
                 SpanKind::Batch,
                 0,

@@ -37,6 +37,6 @@ pub mod mutate;
 
 pub use corpus::{Corpus, CorpusEntry};
 pub use engine::{
-    fuzz, fuzz_budgeted, AssertionOracle, FuzzError, FuzzOptions, FuzzResult, FuzzVerdict,
+    fuzz, fuzz_traced, AssertionOracle, FuzzError, FuzzOptions, FuzzResult, FuzzVerdict,
 };
 pub use mutate::{design_dictionary, Mutator};

@@ -32,11 +32,11 @@ use crate::aig::{Aig, NLit, Node};
 use crate::blast::{run_sym, BlastError, SymEnv, SymVec};
 use crate::solver::{Lit, SolveResult, Solver, Var};
 use crate::unroll::{clock_edge_sym, settle_sym, SymState};
-use asv_sim::cancel::{Budget, Exhausted, Resource};
+use asv_sim::cancel::{Exhausted, Resource};
 use asv_sim::compile::{compile_expr, CompiledDesign, ExprProg, HistoryKind, NameRef, SigId};
 use asv_sim::stimulus::{InputVector, Stimulus};
 use asv_sim::value::Value;
-use asv_trace::{probe, Cost, SpanKind, TraceSink};
+use asv_trace::{probe, Cost, SpanKind, TraceHandle, TraceSink};
 use asv_verilog::ast::{AssertTarget, Expr, Module, PropExpr, PropertyDecl, SeqExpr};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -95,9 +95,8 @@ pub enum BmcError {
     /// The design or its properties fall outside the encodable subset;
     /// callers fall back to the simulation oracle.
     Unsupported(String),
-    /// A resource cap (conflicts, AIG nodes) was hit, or a fault probe
-    /// injected an exhaustion; the structured record says which and by
-    /// how much.
+    /// A resource cap (conflicts, AIG nodes) was hit; the structured
+    /// record says which and by how much.
     Exhausted(Exhausted),
 }
 
@@ -412,7 +411,7 @@ struct Engine<'a> {
     /// Programs numbered across `props` (ids are `0..n_progs`).
     n_progs: usize,
     opts: BmcOptions,
-    budget: Budget,
+    trace: TraceHandle,
     g: Aig,
     solver: Solver,
     enc: Encoder,
@@ -439,7 +438,7 @@ impl<'a> Engine<'a> {
         cd: &'a CompiledDesign,
         props: &'a [PropSym],
         opts: BmcOptions,
-        budget: &Budget,
+        trace: &TraceHandle,
         live: Option<(Vec<bool>, Vec<bool>)>,
     ) -> Result<Self, BmcError> {
         if !cd.is_levelized() {
@@ -464,7 +463,7 @@ impl<'a> Engine<'a> {
             props,
             n_progs,
             opts,
-            budget: budget.clone(),
+            trace: trace.clone(),
             g: Aig::new(),
             solver,
             enc: Encoder::default(),
@@ -739,7 +738,7 @@ impl<'a> Engine<'a> {
                 vacuous: props.iter().map(|p| p.name.clone()).collect(),
             });
         }
-        let trace = self.budget.trace().clone();
+        let trace = self.trace.clone();
         // `attempts[p][s]`: `(fail, pass)` of directive `p`'s attempt from
         // tick `s` at the latest depth. Once `s + window < len` the attempt
         // has seen every tick it can observe and its literals are final:
@@ -750,7 +749,6 @@ impl<'a> Engine<'a> {
         let mut attempts: Vec<Vec<(NLit, NLit)>> = vec![Vec::new(); props.len()];
         let mut closed = vec![0usize; props.len()];
         for len in 1..=max_len {
-            self.budget.probe(probe::SAT_DEPTH)?;
             let mut blast = trace.span(probe::SAT_BLAST, SpanKind::AigBlast);
             blast.set_code(len as u64);
             let nodes_before = self.g.len();
@@ -832,7 +830,6 @@ impl<'a> Engine<'a> {
         }
         let mut fired: BTreeSet<&str> = BTreeSet::new();
         for (name, lit) in &pass_by_name {
-            self.budget.probe(probe::SAT_VACUITY)?;
             let can_fire = match lit.as_const() {
                 Some(b) => b,
                 None => {
@@ -881,20 +878,18 @@ impl<'a> Engine<'a> {
 /// [`BmcOptions::conflict_budget`] or [`BmcOptions::node_limit`] is hit.
 /// Both are signals to fall back to the simulation oracle.
 pub fn check(cd: &CompiledDesign, opts: BmcOptions) -> Result<BmcVerdict, BmcError> {
-    check_budgeted(cd, opts, &Budget::unbounded())
+    check_traced(cd, opts, &TraceHandle::disabled())
 }
 
-/// [`check`] under a [`Budget`]: spans go to its trace handle, and its
-/// fault probes run before each unrolling step and each vacuity query.
+/// [`check`] emitting its blast and solve spans through `trace`.
 ///
 /// # Errors
 ///
-/// As [`check`], plus [`BmcError::Exhausted`] with
-/// [`Resource::Injected`] when a fault probe fires an exhaustion.
-pub fn check_budgeted(
+/// As [`check`].
+pub fn check_traced(
     cd: &CompiledDesign,
     opts: BmcOptions,
-    budget: &Budget,
+    trace: &TraceHandle,
 ) -> Result<BmcVerdict, BmcError> {
     let props = compile_props(cd)?;
     // Dead-logic elimination: restrict the unrolling to the assertion
@@ -904,7 +899,7 @@ pub fn check_budgeted(
     // identical either way.
     let live =
         (cd.opt_level() == asv_sim::OptLevel::Full).then(|| cd.sym_live(&prop_roots(&props)));
-    Engine::new(cd, &props, opts, budget, live)?.run()
+    Engine::new(cd, &props, opts, trace, live)?.run()
 }
 
 /// Observability roots of the properties: every signal any compiled
@@ -957,7 +952,7 @@ pub fn unroll_stats(cd: &CompiledDesign, opts: BmcOptions) -> Result<UnrollStats
     let props = compile_props(cd)?;
     let live =
         (cd.opt_level() == asv_sim::OptLevel::Full).then(|| cd.sym_live(&prop_roots(&props)));
-    let mut engine = Engine::new(cd, &props, opts, &Budget::unbounded(), live)?;
+    let mut engine = Engine::new(cd, &props, opts, &TraceHandle::disabled(), live)?;
     let max_len = opts.reset_cycles + opts.depth;
     for _ in 0..max_len {
         engine.push_frame()?;

@@ -58,5 +58,5 @@ pub mod unroll;
 
 pub use aig::{Aig, NLit};
 pub use blast::{BlastError, SymVec};
-pub use engine::{check, check_budgeted, BmcError, BmcOptions, BmcVerdict};
+pub use engine::{check, check_traced, BmcError, BmcOptions, BmcVerdict};
 pub use solver::{Lit, SolveResult, Solver, Var};

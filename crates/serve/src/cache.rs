@@ -15,9 +15,9 @@
 //! [`PoisonError`](std::sync::PoisonError) instead of propagating it.
 //! Every critical section leaves the shard structurally valid at every
 //! intermediate point (entries are removed and re-pushed whole), so a
-//! thread that panics while holding the lock — as injected faults under
-//! `fault-inject` deliberately do — can never wedge the cache for the
-//! rest of the service.
+//! panic while a shard is held (in an outcome's clone or a metrics
+//! update, both of which run under the lock) costs only the call that
+//! panicked and never wedges the cache for the rest of the service.
 
 use crate::job::{JobKey, JobOutcome};
 use asv_trace::{Counter, Histogram, Registry};

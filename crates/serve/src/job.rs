@@ -17,8 +17,8 @@ pub type JobOutcome = Result<Verdict, VerdictError>;
 /// Why a job produced no verdict: the service's failure taxonomy.
 ///
 /// The split matters for memoisation: [`VerdictError::Verify`] failures
-/// are deterministic in the job key and may be cached; the other
-/// variants may come from injected faults, and are never cached.
+/// are cached like verdicts; a panic or a spent cap is the engine
+/// failing rather than a verdict on the design, and is never cached.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerdictError {
     /// The verifier itself failed deterministically (no assertions,
@@ -27,9 +27,8 @@ pub enum VerdictError {
     /// The engine panicked; the worker caught the unwind and isolated it
     /// to this job. Carries the rendered panic payload.
     Panic(String),
-    /// The job ran out of a budgeted resource in a forced single-engine
-    /// mode (auto jobs degrade to
-    /// [`Verdict::Inconclusive`](asv_sva::bmc::Verdict) instead).
+    /// A forced `Engine::Symbolic` job spent a `BmcOptions` cap (an
+    /// `Engine::Auto` job hands the design to a concrete engine instead).
     Exhausted(Exhausted),
 }
 
@@ -157,17 +156,6 @@ fn job_key(design: u64, verifier: &Verifier, schema: u32) -> JobKey {
         h.finish()
     };
     JobKey((u128::from(half(KEY_TAG_HI)) << 64) | u128::from(half(KEY_TAG_LO)))
-}
-
-impl JobKey {
-    /// The job's fault-injection salt: the XOR of the key's two 64-bit
-    /// halves. A [`FaultPlan`](asv_sim::FaultPlan) derives the job's
-    /// fault session from this value, so the fault schedule is a pure
-    /// function of `(plan, job)`. Chaos tests use the same value with
-    /// `FaultPlan::is_victim` to predict which jobs a plan targets.
-    pub fn fault_salt(self) -> u64 {
-        ((self.0 >> 64) as u64) ^ (self.0 as u64)
-    }
 }
 
 #[cfg(test)]

@@ -30,19 +30,14 @@
 //!   only verdict tier and lives as long as its service: nothing is
 //!   written to disk. Each job takes one verdict path: in-batch dedup,
 //!   a memo hit, or an engine run whose cacheable outcome is memoised.
-//!   Compiled designs are additionally shared process-wide through the
-//!   sharded [`asv_sim::cache`] while some caller holds them, so
-//!   concurrent checks of one design lower it once.
-//! * **Fault tolerance** — each job runs under its own
-//!   [`Budget`](asv_sim::cancel::Budget) (its trace handle and, under the
-//!   `fault-inject` feature, a fault session from
-//!   [`ServeOptions::fault_plan`]) behind a `catch_unwind` barrier: a job
-//!   that panics or runs out of a bounded resource yields a
-//!   [`VerdictError`] in its own slot while its batch siblings finish
-//!   normally. Only deterministic outcomes are memoised, so degraded runs
-//!   never poison the verdict cache, and the whole schedule is
-//!   reproducible under the seeded fault-injection plans of the
-//!   `fault-inject` feature (see `asv_sim::fault`).
+//!   No compiled design outlives its job: each engine run lowers its own
+//!   design, and repeats are answered by dedup and the memo instead.
+//! * **Fault tolerance** — each job's check traces through a job-tagged
+//!   [`TraceHandle`](asv_trace::TraceHandle) and runs behind one
+//!   `catch_unwind` barrier: a job that panics or spends a
+//!   `BmcOptions` cap yields a [`VerdictError`] in its own slot while its
+//!   batch siblings finish normally. Neither failure is memoised, so a
+//!   later submission of the key runs the engine again.
 //!
 //! ```
 //! use asv_serve::{ServeOptions, VerifyJob, VerifyService};

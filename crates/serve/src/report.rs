@@ -7,7 +7,7 @@
 //! empty rung lists. Rung resource costs are attributed by **engine
 //! tag**, not time containment: every child span (SAT solve, fuzz
 //! round, enumeration sweep) carries the [`EngineTag`] of the rung whose
-//! budget it ran under, so the grouping is exact.
+//! trace handle it ran under, so the grouping is exact.
 //!
 //! Wall-clock numbers appear *only* here and in the trace output;
 //! verdicts, job keys and cache contents never see a timestamp.
@@ -37,7 +37,7 @@ impl AnswerTier {
     }
 }
 
-/// One degradation-ladder rung a job tried.
+/// One rung a job tried: one engine's attempt at its check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RungReport {
     /// Which engine the rung ran.

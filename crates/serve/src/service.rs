@@ -29,18 +29,15 @@
 //!
 //! The service is fault-tolerant per job:
 //!
-//! * each job runs under its own [`Budget`]: the service's trace handle
-//!   tagged with the job key and, under the `fault-inject` feature, a
-//!   per-job fault session from [`ServeOptions::fault_plan`] salted by
-//!   the job key;
-//! * every engine invocation is wrapped in `catch_unwind`: a panicking
-//!   job yields [`VerdictError::Panic`] in its own slot and its batch
-//!   siblings are untouched;
-//! * only *deterministic* outcomes are memoised — verdicts and
-//!   [`VerdictError::Verify`] errors, which are pure functions of the
-//!   job key. `Inconclusive` verdicts, panics and exhaustion may come
-//!   from injected faults and are never cached, so a degraded run can
-//!   never poison a later, healthier one;
+//! * each job's check emits its spans through the service's trace handle
+//!   tagged with the job key;
+//! * each check runs behind one `catch_unwind` barrier, the only one in
+//!   the stack: a panicking job yields [`VerdictError::Panic`] in its own
+//!   slot and its batch siblings are untouched;
+//! * only verdicts and [`VerdictError::Verify`] errors are memoised. A
+//!   panic or a spent `BmcOptions` cap is the engine failing, not a
+//!   verdict on the design, so it is never cached and a later
+//!   submission of the key runs the engine again;
 //! * each job takes one verdict path: in-batch dedup, a memo hit, or an
 //!   engine run whose cacheable outcome is memoised. Two batches that
 //!   threads submit to one service at once may both run a key that
@@ -50,24 +47,16 @@
 use crate::cache::VerdictCache;
 use crate::job::{JobKey, JobOutcome, VerdictError, VerifyJob};
 use crate::report::{assemble_reports, AnswerTier, JobReport};
-use asv_sim::cancel::Budget;
-use asv_sim::{pool, FaultPlan};
-use asv_sva::bmc::Verdict;
+use asv_sim::pool;
+use asv_sva::bmc::{Verdict, VerifyError};
 use asv_trace::{probe, Counter, EndReason, Registry, SpanKind, TraceHandle, TraceSink, Tracer};
 use std::collections::HashMap;
 
-/// Service configuration. The default runs one worker per core with no
-/// fault injection.
+/// Service configuration. The default runs one worker per core.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Worker threads; 0 means one per core ([`asv_sim::pool::cores`]).
     pub workers: usize,
-    /// Deterministic fault-injection plan for the chaos suite. Each job
-    /// gets a session salted by [`JobKey::fault_salt`], so the fault
-    /// schedule is a pure function of `(plan, job)` — independent of
-    /// worker count and scheduling. Inert unless the `fault-inject`
-    /// feature is enabled (probes compile to `Ok(())`).
-    pub fault_plan: Option<FaultPlan>,
 }
 
 /// Cumulative service counters.
@@ -111,24 +100,16 @@ pub struct VerifyService {
     deduped: Counter,
 }
 
-/// True if `outcome` is a pure function of the job key and may be
-/// memoised. Degraded outcomes (inconclusive verdicts, panics, budget
-/// exhaustion) may come from injected faults — caching one would poison
-/// every later call with this key.
+/// True if `outcome` may be memoised: a verdict or a
+/// [`VerdictError::Verify`] error. A panic or a spent cap is the engine
+/// failing rather than a verdict on the design, so it is not kept.
 fn cacheable(outcome: &JobOutcome) -> bool {
-    match outcome {
-        Ok(Verdict::Inconclusive { .. }) => false,
-        Ok(_) => true,
-        Err(VerdictError::Verify(_)) => true,
-        Err(_) => false,
-    }
+    matches!(outcome, Ok(_) | Err(VerdictError::Verify(_)))
 }
 
 /// Renders a caught panic payload for [`VerdictError::Panic`].
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(injected) = payload.downcast_ref::<asv_sim::fault::InjectedPanic>() {
-        format!("injected fault at probe `{}`", injected.0)
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
+    if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
@@ -142,20 +123,22 @@ fn job_end(outcome: &JobOutcome) -> EndReason {
     match outcome {
         Ok(Verdict::Holds { .. }) => EndReason::Holds,
         Ok(Verdict::Fails(_)) => EndReason::Fails,
-        Ok(Verdict::Inconclusive { .. }) => EndReason::Exhausted,
+        Ok(Verdict::Inconclusive {}) => EndReason::Exhausted,
         Err(VerdictError::Panic(_)) => EndReason::Panicked,
         Err(VerdictError::Exhausted(_)) => EndReason::Exhausted,
         Err(VerdictError::Verify(_)) => EndReason::Unknown,
     }
 }
 
-/// Runs one job under `budget`, catching panics so one bad job never
-/// takes down its worker (or the batch).
-fn run_job(job: &VerifyJob, budget: &Budget) -> JobOutcome {
-    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        job.verifier().check_budgeted(job.design(), budget)
-    }));
-    match unwound {
+/// Runs `check` behind the service's panic barrier, so one bad job
+/// never takes down its worker (or the batch): a panic becomes
+/// [`VerdictError::Panic`] carrying the rendered payload.
+///
+/// A check builds everything it touches from its own job (it lowers its
+/// own design), so unwinding out of it leaves no shared state half
+/// updated — `AssertUnwindSafe` is sound here.
+fn isolated(check: impl FnOnce() -> Result<Verdict, VerifyError>) -> JobOutcome {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(check)) {
         Ok(Ok(verdict)) => Ok(verdict),
         Ok(Err(e)) => Err(VerdictError::from(e)),
         Err(payload) => Err(VerdictError::Panic(panic_message(payload.as_ref()))),
@@ -213,10 +196,7 @@ impl VerifyService {
 
     /// A service with an explicit worker count (0 = all cores).
     pub fn with_workers(workers: usize) -> Self {
-        Self::new(ServeOptions {
-            workers,
-            ..ServeOptions::default()
-        })
+        Self::new(ServeOptions { workers })
     }
 
     /// The resolved worker count.
@@ -228,20 +208,7 @@ impl VerifyService {
         }
     }
 
-    /// Builds the per-job budget: the job's fault session, if the
-    /// service has a plan, and its trace handle. The trace handle is
-    /// observational only, so traced and untraced runs take identical
-    /// paths.
-    fn job_budget(&self, key: JobKey) -> Budget {
-        let mut budget = Budget::unbounded();
-        if let Some(plan) = self.opts.fault_plan {
-            budget = budget.with_fault(plan.session(key.fault_salt()));
-        }
-        budget.with_trace(self.trace_handle().for_job(key.0))
-    }
-
-    /// Executes one pending job under the per-job budget and memoises a
-    /// cacheable outcome.
+    /// Executes one pending job and memoises a cacheable outcome.
     fn execute(&self, job: &VerifyJob) -> JobOutcome {
         self.executed.inc();
         let outcome = self.run_job_traced(job);
@@ -251,12 +218,15 @@ impl VerifyService {
         outcome
     }
 
-    /// [`run_job`] under a `serve.job` span carrying the outcome's
-    /// [`EndReason`] — the root of the job's trace tree.
+    /// Checks one job behind the panic barrier ([`isolated`]), under a
+    /// `serve.job` span carrying the outcome's [`EndReason`] — the root
+    /// of the job's trace tree. The job's engines trace through the same
+    /// job-tagged handle; it only observes, so traced and untraced runs
+    /// take identical paths.
     fn run_job_traced(&self, job: &VerifyJob) -> JobOutcome {
         let trace = self.trace_handle().for_job(job.key().0);
         let mut span = trace.span(probe::SERVE_JOB, SpanKind::Job);
-        let outcome = run_job(job, &self.job_budget(job.key()));
+        let outcome = isolated(|| job.verifier().check_traced(job.design(), &trace));
         span.set_end(job_end(&outcome));
         outcome
     }
@@ -269,7 +239,7 @@ impl VerifyService {
     }
 
     /// Verifies a batch, returning outcomes in submission order. A job
-    /// that errors (panics, exhausts its budget) fills only its own slot
+    /// that errors (panics, spends a cap) fills only its own slot
     /// — the rest of the batch completes normally.
     ///
     /// The result vector is deterministic in the batch: worker count and
@@ -284,7 +254,7 @@ impl VerifyService {
 
     /// [`VerifyService::verify_batch`] plus per-job provenance: one
     /// [`JobReport`] per submission slot recording which tier answered,
-    /// which ladder rungs ran (with engine, end reason, wall time, and
+    /// which rungs ran (with engine, end reason, wall time, and
     /// engine-tagged resource costs), and the engine wall time.
     ///
     /// Rung detail requires an attached tracer ([`VerifyService::traced`])
@@ -411,7 +381,8 @@ impl Default for VerifyService {
 mod tests {
     use super::*;
     use asv_sim::cancel::{Exhausted, Resource};
-    use asv_sva::bmc::{CounterExample, Engine, TriedEngine, Verdict, Verifier, VerifyError};
+    use asv_sva::bmc::{CounterExample, Engine, Verifier};
+    use asv_trace::EngineTag;
     use asv_verilog::sema::Design;
     use std::collections::HashSet;
 
@@ -450,7 +421,7 @@ mod tests {
             match o.as_ref().expect("verdict") {
                 Verdict::Fails(_) => assert!(fails, "job {i} must hold"),
                 Verdict::Holds { .. } => assert!(!fails, "job {i} must fail"),
-                Verdict::Inconclusive { tried } => panic!("unexpected inconclusive: {tried:?}"),
+                Verdict::Inconclusive {} => panic!("unexpected inconclusive verdict"),
             }
         }
     }
@@ -616,13 +587,6 @@ mod tests {
             spent: 4,
             limit: 4,
         };
-        let inconclusive = Verdict::Inconclusive {
-            tried: vec![TriedEngine {
-                engine: Engine::Symbolic,
-                reason: exhausted.to_string(),
-                exhausted: Some(exhausted),
-            }],
-        };
         let holds = Verdict::Holds {
             exhaustive: true,
             stimuli: 0,
@@ -636,7 +600,6 @@ mod tests {
             failures: vec![],
             logs: vec![],
         }));
-        assert!(!cacheable(&Ok(inconclusive)));
         assert!(!cacheable(&Err(VerdictError::Panic("boom".into()))));
         assert!(!cacheable(&Err(VerdictError::Exhausted(exhausted))));
         assert!(cacheable(&Ok(holds)));
@@ -646,64 +609,85 @@ mod tests {
         ))));
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
-    fn injected_exhaustion_on_forced_engine_is_not_memoised() {
-        use asv_sim::{FaultKinds, FaultPlan};
-        let plan = FaultPlan {
-            rate_per_1024: 1024,
-            victims_per_16: 16,
-            kinds: FaultKinds::EXHAUST,
-            ..FaultPlan::new(13)
-        };
-        let service = VerifyService::new(ServeOptions {
-            fault_plan: Some(plan),
-            ..ServeOptions::default()
-        });
-        let out = service.verify_one(&batch(1, Engine::Symbolic).remove(0));
-        match out {
-            Err(VerdictError::Exhausted(e)) => assert_eq!(e.resource, Resource::Injected),
-            other => panic!("expected injected exhaustion, got {other:?}"),
-        }
-        assert!(
-            service.verdict_cache().is_empty(),
-            "degraded outcomes must not be memoised"
+    fn a_panicking_check_fills_its_slot_and_is_not_memoised() {
+        let literal = isolated(|| panic!("engine bug"));
+        assert_eq!(literal, Err(VerdictError::Panic("engine bug".into())));
+        assert!(!cacheable(&literal));
+        let formatted = isolated(|| panic!("engine bug at depth {}", 3));
+        assert_eq!(
+            formatted,
+            Err(VerdictError::Panic("engine bug at depth 3".into()))
+        );
+        let opaque = isolated(|| std::panic::panic_any(7_u32));
+        assert_eq!(
+            opaque,
+            Err(VerdictError::Panic("opaque panic payload".into()))
+        );
+        // Outcomes that return pass through the barrier unchanged.
+        assert_eq!(
+            isolated(|| Err(VerifyError::NoAssertions)),
+            Err(VerdictError::Verify(VerifyError::NoAssertions))
         );
     }
 
-    #[cfg(feature = "fault-inject")]
+    /// A 16-bit latch-style design with a rare trigger: outside the
+    /// symbolic subset, and too wide to enumerate.
+    const LATCH_RARE: &str = r#"
+module lrare(input clk, input rst_n, input [15:0] a, output reg bad);
+  reg shadow;
+  always @(*) begin if (a[0]) shadow = a[1]; end
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) bad <= 1'b0;
+    else bad <= (a == 16'hBEEF);
+  end
+  p_rare: assert property (@(posedge clk) disable iff (!rst_n)
+    a == 16'hBEEF |-> ##1 !bad) else $error("rare trigger");
+endmodule
+"#;
+
     #[test]
-    fn injected_panics_in_forced_engines_are_isolated_per_job() {
-        use asv_sim::{FaultKinds, FaultPlan};
-        asv_sim::fault::silence_injected_panics();
-        let plan = FaultPlan {
-            rate_per_1024: 1024,
-            victims_per_16: 16,
-            kinds: FaultKinds::PANIC,
-            ..FaultPlan::new(11)
+    fn auto_runs_symbolic_then_at_most_one_concrete_rung() {
+        let rungs = |design: Design, verifier: Verifier| -> Vec<(EngineTag, EndReason)> {
+            let service = VerifyService::default().traced(asv_trace::Tracer::new());
+            let (out, reports) = service.verify_batch_reported(&[VerifyJob::new(design, verifier)]);
+            assert!(out[0].is_ok(), "{:?}", out[0]);
+            reports[0].rungs.iter().map(|r| (r.engine, r.end)).collect()
         };
-        let service = VerifyService::new(ServeOptions {
-            fault_plan: Some(plan),
-            ..ServeOptions::default()
-        });
-        let jobs = batch(4, Engine::Fuzz);
-        let out = service.verify_batch(&jobs);
-        for (i, o) in out.iter().enumerate() {
-            match o {
-                Err(VerdictError::Panic(m)) => assert!(
-                    m.contains("injected fault at probe"),
-                    "job {i}: unexpected panic message {m:?}"
-                ),
-                other => panic!("job {i}: expected isolated panic, got {other:?}"),
-            }
-        }
-        assert!(
-            service.verdict_cache().is_empty(),
-            "panic outcomes must not be memoised"
+        let verifier = Verifier {
+            depth: 6,
+            ..Verifier::default()
+        };
+        assert_eq!(
+            rungs(design(true, 0), verifier),
+            [(EngineTag::Symbolic, EndReason::Holds)]
         );
-        // The service survives and still answers healthy jobs.
-        let healthy = VerifyService::default().verify_batch(&batch(2, Engine::Auto));
-        assert!(healthy.iter().all(|o| o.is_ok()));
+        // A latch with one 1-bit input: 2^8 stimuli over reset and depth.
+        let latch = asv_verilog::compile(
+            "module lat(input clk, input d, output reg q);\n\
+             always @(*) begin if (d) q = 1'b1; end\n\
+             p: assert property (@(posedge clk) 1'b1 |-> 1'b1);\nendmodule",
+        )
+        .expect("compile");
+        assert_eq!(
+            rungs(latch, verifier),
+            [
+                (EngineTag::Symbolic, EndReason::Unsupported),
+                (EngineTag::Enumeration, EndReason::Holds)
+            ]
+        );
+        let wide = Verifier {
+            depth: 8,
+            random_runs: 64,
+            ..Verifier::default()
+        };
+        assert_eq!(
+            rungs(asv_verilog::compile(LATCH_RARE).expect("compile"), wide),
+            [
+                (EngineTag::Symbolic, EndReason::Unsupported),
+                (EngineTag::Fuzz, EndReason::Fails)
+            ]
+        );
     }
 
     #[test]

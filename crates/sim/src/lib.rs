@@ -13,6 +13,12 @@
 //! keeps the original tree-walking executor as the reference oracle for
 //! differential testing.
 //!
+//! Three modules serve the layers above the simulator: the worker pool
+//! [`pool::map`], the structural design hash [`cache::design_hash`] that
+//! job keys are built on, and [`cancel::Exhausted`], the record an engine
+//! returns when it spends one of its own caps. Engines trace through an
+//! [`asv_trace::TraceHandle`] passed to each call.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -38,7 +44,6 @@ pub mod compile;
 pub mod cover;
 pub mod eval;
 pub mod exec;
-pub mod fault;
 pub mod interp;
 pub mod pool;
 pub mod stimulus;
@@ -46,13 +51,12 @@ pub mod trace;
 pub use asv_ir::value;
 
 pub use asv_ir::OptLevel;
-pub use cancel::{Budget, Exhausted, Resource};
+pub use cancel::{Exhausted, Resource};
 pub use compile::batch::{run_stimulus_group, LaneBatch, LaneOutcome, LaneRun, LANE_WIDTHS};
 pub use compile::{CompiledDesign, SigId};
 pub use cover::{CovMap, CoverageReport};
 pub use eval::{Env, EvalError};
 pub use exec::{SimError, Simulator};
-pub use fault::{FaultKind, FaultKinds, FaultPlan, FaultSession};
 pub use interp::AstSimulator;
 pub use stimulus::{Stimulus, StimulusGen};
 pub use trace::{Trace, TraceHeader};

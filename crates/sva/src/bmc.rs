@@ -32,34 +32,32 @@
 //! on the `AstSimulator` interpreter oracle, so `Fails` verdicts carry
 //! exactly the logs a concrete run produces.
 //!
-//! ## Budgets and the degradation ladder
+//! ## Rungs and tracing
 //!
-//! [`Verifier::check_budgeted`] threads a [`Budget`] (a trace handle and,
-//! under the `fault-inject` feature, a fault session) into every engine.
-//! An engine that runs out, whether of its own cap
-//! (`BmcOptions::{conflict_budget, node_limit}`) or by an injected
-//! exhaustion, reports the structured [`VerifyError::Exhausted`] when it
-//! is forced as a single engine. [`Engine::Auto`] instead *degrades* down
-//! a deterministic ladder (symbolic → exhaustive enumeration →
-//! coverage-guided fuzzing → random sampling), isolating per-rung panics
-//! and running every fallback rung at [`Verifier::random_runs`], and
-//! reports [`Verdict::Inconclusive`] with the full attempt trace only
-//! when every rung fails. Fault-free checks take exactly the pre-ladder
-//! path, so their verdicts are bit-identical to the sequential chain.
+//! [`Verifier::check_traced`] passes a [`TraceHandle`] to every engine,
+//! and each engine a check runs is one *rung*, traced as one
+//! [`SpanKind::Rung`] span. [`Engine::Auto`] runs at most two: symbolic
+//! first, then, when the symbolic engine gives no verdict (an
+//! out-of-subset design or a spent `BmcOptions::{conflict_budget,
+//! node_limit}` cap), enumeration if the input space fits
+//! [`Verifier::exhaustive_limit`] and the fuzzer otherwise. A forced
+//! [`Engine::Symbolic`] that spends a cap reports the structured
+//! [`VerifyError::Exhausted`]. Panics are not caught here: the
+//! verification service isolates each job behind its own barrier.
 
 pub use asv_sim::compile::OptLevel;
 
 use crate::monitor::{AssertionFailure, CheckOutcome, CompiledChecker, MonitorError};
 use asv_fuzz::{AssertionOracle, FuzzError, FuzzOptions, FuzzVerdict};
 use asv_sat::engine::{BmcError, BmcOptions, BmcVerdict};
-use asv_sim::cancel::{Budget, Exhausted};
+use asv_sim::cancel::Exhausted;
 use asv_sim::compile::CompiledDesign;
 use asv_sim::cover::CovMap;
 use asv_sim::exec::{SimError, Simulator};
 use asv_sim::run_stimulus_group;
 use asv_sim::stimulus::{Stimulus, StimulusGen};
 use asv_sim::trace::Trace;
-use asv_trace::{probe, Cost, EndReason, EngineTag, SpanKind, TraceSink};
+use asv_trace::{probe, Cost, EndReason, EngineTag, SpanKind, TraceHandle, TraceSink};
 use asv_verilog::sema::Design;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -86,29 +84,11 @@ pub enum Verdict {
     /// point at one allocation, so cloning a verdict never copies its
     /// stimulus, failures or logs.
     Fails(Arc<CounterExample>),
-    /// No engine produced a verdict within its budget: every rung of the
-    /// [`Engine::Auto`] degradation ladder failed recoverably (resource
-    /// exhaustion or an isolated panic). Never cached, never produced by
-    /// a fault-free check.
-    Inconclusive {
-        /// Every engine attempt, in the order the ladder ran them.
-        tried: Vec<TriedEngine>,
-    },
-}
-
-/// One failed rung of the degradation ladder, recorded in
-/// [`Verdict::Inconclusive`] so callers can see how far the check got
-/// and why each engine gave up.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TriedEngine {
-    /// The engine that ran.
-    pub engine: Engine,
-    /// Human-readable failure description: the exhaustion record, a
-    /// caught panic payload, or the out-of-subset reason.
-    pub reason: String,
-    /// Structured record when the rung ran out of a budgeted resource
-    /// (`None` for panics and out-of-subset designs).
-    pub exhausted: Option<Exhausted>,
+    /// No engine produced a verdict. No check returns it: every engine
+    /// either decides or errors. The variant stays, with no fields, so
+    /// that matches written against it (the repository benchmark's, for
+    /// one) keep compiling.
+    Inconclusive {},
 }
 
 impl Verdict {
@@ -151,10 +131,9 @@ pub enum VerifyError {
     /// The fuzzing engine failed (oracle error or a finding that did not
     /// replay on the interpreter — harness bugs, not design verdicts).
     Fuzz(String),
-    /// A budgeted resource ran out before a verdict. Forced single-engine
-    /// modes surface this directly; [`Engine::Auto`] degrades down the
-    /// ladder instead and only reports [`Verdict::Inconclusive`] when
-    /// every rung is exhausted.
+    /// A forced [`Engine::Symbolic`] spent a `BmcOptions` cap before a
+    /// verdict ([`Engine::Auto`] hands the design to a concrete engine
+    /// instead).
     Exhausted(Exhausted),
 }
 
@@ -185,23 +164,16 @@ impl From<MonitorError> for VerifyError {
     }
 }
 
-impl From<Exhausted> for VerifyError {
-    fn from(e: Exhausted) -> Self {
-        VerifyError::Exhausted(e)
-    }
-}
-
 /// Why the symbolic engine produced no verdict: the `Err` side of
-/// [`Verifier::check_symbolic`], carrying enough structure for the ladder
-/// to tell an exhausted engine from an out-of-subset design.
+/// [`Verifier::check_symbolic`], carrying enough structure to tell an
+/// exhausted engine from an out-of-subset design.
 #[derive(Debug, Clone)]
 struct RungFailure {
     /// Human-readable description (the [`VerifyError::Symbolic`] message
     /// when the symbolic engine is forced).
     reason: String,
-    /// Structured record when a budgeted resource ran out; `None` when
-    /// the design is outside the engine's subset, so the fallback is the
-    /// design's *canonical* engine rather than a degraded one.
+    /// Structured record when a `BmcOptions` cap ran out; `None` when the
+    /// design is outside the engine's subset.
     exhausted: Option<Exhausted>,
 }
 
@@ -222,119 +194,56 @@ impl RungFailure {
             None => VerifyError::Symbolic(self.reason),
         }
     }
-
-    /// The ladder-trace record for this failure.
-    fn tried(self, engine: Engine) -> TriedEngine {
-        TriedEngine {
-            engine,
-            reason: self.reason,
-            exhausted: self.exhausted,
-        }
-    }
 }
 
-/// Outcome of one degradation-ladder rung.
-enum RungOutcome {
-    /// The engine decided the check.
-    Verdict(Verdict),
-    /// Unrecoverable — propagate immediately: simulation/monitor errors
-    /// (the design itself is broken, no engine will do better).
-    Hard(VerifyError),
-    /// Recoverable: resource exhaustion or an isolated panic.
-    Exhausted(TriedEngine),
-    /// Recoverable: the engine cannot handle the design at all, so the
-    /// next rung is the canonical one.
-    Unsupported(TriedEngine),
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(p) = payload.downcast_ref::<asv_sim::fault::InjectedPanic>() {
-        return format!("injected fault at probe `{}`", p.0);
-    }
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        return (*s).to_string();
-    }
-    if let Some(s) = payload.downcast_ref::<String>() {
-        return s.clone();
-    }
-    "opaque panic payload".into()
-}
-
-/// Runs one ladder rung with panic isolation and classifies the result.
-///
-/// The closure only touches per-call state (the rung rebuilds everything
-/// it needs from the compiled design), so unwinding out of it leaves no
-/// broken invariants behind — `AssertUnwindSafe` is sound here.
-fn run_rung(engine: Engine, body: impl FnOnce() -> Result<Verdict, VerifyError>) -> RungOutcome {
-    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
-    classify_rung(engine, res)
-}
-
-/// Sorts a rung result into the [`RungOutcome`] taxonomy.
-fn classify_rung(
-    engine: Engine,
-    res: std::thread::Result<Result<Verdict, VerifyError>>,
-) -> RungOutcome {
-    match res {
-        Ok(Ok(v)) => RungOutcome::Verdict(v),
-        Ok(Err(VerifyError::Exhausted(e))) => RungOutcome::Exhausted(TriedEngine {
-            engine,
-            reason: e.to_string(),
-            exhausted: Some(e),
-        }),
-        Ok(Err(e)) => RungOutcome::Hard(e),
-        Err(payload) => RungOutcome::Exhausted(TriedEngine {
-            engine,
-            reason: format!("panicked: {}", panic_message(payload.as_ref())),
-            exhausted: None,
-        }),
+/// [`EndReason`] of a rung that returned `verdict`.
+fn end_of(verdict: &Verdict) -> EndReason {
+    match verdict {
+        Verdict::Holds { .. } => EndReason::Holds,
+        Verdict::Fails(_) => EndReason::Fails,
+        Verdict::Inconclusive {} => EndReason::Exhausted,
     }
 }
 
 /// [`EndReason`] of a finished verification attempt, for rung spans.
 fn verdict_end(res: &Result<Verdict, VerifyError>) -> EndReason {
     match res {
-        Ok(Verdict::Holds { .. }) => EndReason::Holds,
-        Ok(Verdict::Fails(_)) => EndReason::Fails,
-        Ok(Verdict::Inconclusive { .. }) => EndReason::Exhausted,
+        Ok(verdict) => end_of(verdict),
         Err(VerifyError::Exhausted(_)) => EndReason::Exhausted,
         Err(_) => EndReason::Unknown,
     }
 }
 
-/// [`EndReason`] of a classified ladder rung.
-fn rung_end(outcome: &RungOutcome) -> EndReason {
-    match outcome {
-        RungOutcome::Verdict(Verdict::Holds { .. }) => EndReason::Holds,
-        RungOutcome::Verdict(Verdict::Fails(_)) => EndReason::Fails,
-        RungOutcome::Verdict(Verdict::Inconclusive { .. }) => EndReason::Exhausted,
-        RungOutcome::Hard(_) => EndReason::Unknown,
-        RungOutcome::Exhausted(t) if t.reason.starts_with("panicked") => EndReason::Panicked,
-        RungOutcome::Exhausted(_) => EndReason::Exhausted,
-        RungOutcome::Unsupported(_) => EndReason::Unsupported,
+/// [`EndReason`] of [`Engine::Auto`]'s symbolic rung, whose failure hands
+/// the design to a concrete engine.
+fn symbolic_end(res: &Result<Verdict, RungFailure>) -> EndReason {
+    match res {
+        Ok(verdict) => end_of(verdict),
+        Err(RungFailure {
+            exhausted: Some(_), ..
+        }) => EndReason::Exhausted,
+        Err(_) => EndReason::Unsupported,
     }
 }
 
-/// Wraps one ladder rung in its trace span.
+/// Wraps one rung in its trace span.
 ///
-/// The body runs under an engine-tagged copy of `budget`, so every child
+/// The body runs under an engine-tagged copy of `trace`, so every child
 /// span it emits (SAT solves, fuzz rounds, enumeration sweeps) carries
 /// the rung's [`EngineTag`] — that tag, not time containment, is how
 /// per-rung resource costs are attributed. The span itself records the
 /// rung's [`EndReason`] on every exit path via its drop guard. With
-/// tracing disabled the tagged budget is byte-identical in behaviour and
-/// the span is inert, so verdicts cannot depend on instrumentation.
+/// tracing disabled the tagged handle is disabled too and the span is
+/// inert, so verdicts cannot depend on instrumentation.
 fn traced_rung<R>(
     name: &'static str,
     tag: EngineTag,
-    budget: &Budget,
-    body: impl FnOnce(&Budget) -> R,
+    trace: &TraceHandle,
+    body: impl FnOnce(&TraceHandle) -> R,
     end: impl FnOnce(&R) -> EndReason,
 ) -> R {
-    let sink = budget.trace().clone();
-    let tagged = budget.clone().with_trace(sink.with_engine(tag));
-    let mut span = sink.span(name, SpanKind::Rung);
+    let tagged = trace.with_engine(tag);
+    let mut span = trace.span(name, SpanKind::Rung);
     span.set_engine(tag);
     let out = body(&tagged);
     span.set_end(end(&out));
@@ -380,9 +289,9 @@ pub struct Verifier {
     /// IR optimization level the design is compiled at. `Full` (default)
     /// runs the `asv-ir` pass pipeline; `None` keeps the raw lowering as
     /// the differential reference. Verdicts are bit-identical either way
-    /// (enforced by `tests/differential_opt.rs`); compiled-design and
-    /// verdict caches key on the level, so mixed-opt workloads never
-    /// alias.
+    /// (enforced by `tests/differential_opt.rs`); the service's job key
+    /// covers the level, so mixed-opt workloads never alias in its
+    /// verdict memo.
     pub opt: OptLevel,
 }
 
@@ -420,187 +329,113 @@ impl Verifier {
     /// [`Engine::Symbolic`] is forced on an out-of-subset design, and
     /// propagates simulation/monitoring errors.
     pub fn check(&self, design: &Design) -> Result<Verdict, VerifyError> {
-        self.check_budgeted(design, &Budget::unbounded())
+        self.check_traced(design, &TraceHandle::disabled())
     }
 
-    /// [`Verifier::check`] under a [`Budget`]: every engine emits spans
-    /// through its trace handle and fires its fault probes. The budget is
-    /// *per call* — it is not part of the verifier's identity, so verdict
-    /// caches keyed on [`Verifier`] stay valid whatever budget a call
-    /// carries.
+    /// [`Verifier::check`] with every engine emitting spans through
+    /// `trace`. The handle is *per call* and only observes: it is not
+    /// part of the verifier's identity, and verdicts are bit-identical
+    /// with tracing on or off.
     ///
     /// # Errors
     ///
     /// As [`Verifier::check`], plus [`VerifyError::Exhausted`] when a
-    /// forced single-engine mode runs out of a bounded resource.
-    /// [`Engine::Auto`] degrades down the ladder instead and reports
-    /// [`Verdict::Inconclusive`] when every rung fails.
-    pub fn check_budgeted(&self, design: &Design, budget: &Budget) -> Result<Verdict, VerifyError> {
+    /// forced [`Engine::Symbolic`] spends a `BmcOptions` cap.
+    pub fn check_traced(
+        &self,
+        design: &Design,
+        trace: &TraceHandle,
+    ) -> Result<Verdict, VerifyError> {
         if design.module.assertions().count() == 0 {
             return Err(VerifyError::NoAssertions);
         }
-        let compiled = Arc::new(CompiledDesign::compile_traced(
-            design,
-            self.opt,
-            budget.trace(),
-        ));
+        let compiled = Arc::new(CompiledDesign::compile_traced(design, self.opt, trace));
         // State index == trace column: the checker can be built from the
         // compiled design's interner before any trace exists.
         let col = |name: &str| compiled.sig(name).map(|s| s.idx());
         let checker = CompiledChecker::new(&design.module, col)?;
         match self.engine {
-            Engine::Simulation => self.check_simulation(design, &compiled, &checker, budget),
+            Engine::Simulation => self.check_simulation(design, &compiled, &checker, trace),
             Engine::Fuzz => traced_rung(
                 probe::RUNG_FUZZ,
                 EngineTag::Fuzz,
-                budget,
-                |b| self.check_fuzz(design, &compiled, &checker, b),
+                trace,
+                |t| self.check_fuzz(design, &compiled, &checker, t),
                 verdict_end,
             ),
             Engine::Symbolic => traced_rung(
                 probe::RUNG_SYMBOLIC,
                 EngineTag::Symbolic,
-                budget,
-                |b| {
-                    self.check_symbolic(&compiled, &checker, b)
+                trace,
+                |t| {
+                    self.check_symbolic(&compiled, &checker, t)
                         .map_err(RungFailure::into_error)
                 },
                 verdict_end,
             ),
-            Engine::Auto => self.check_auto(design, &compiled, &checker, budget),
+            Engine::Auto => self.check_auto(design, &compiled, &checker, trace),
         }
     }
 
-    /// The sequential [`Engine::Auto`] chain, now the top of the
-    /// degradation ladder: symbolic first, then the concrete rungs. A
-    /// fault-free run takes exactly the pre-ladder path (symbolic, else
-    /// enumeration, else fuzzing).
+    /// [`Engine::Auto`]: symbolic first; when it gives no verdict (an
+    /// out-of-subset design or a spent `BmcOptions` cap), enumeration if
+    /// the input space fits [`Verifier::exhaustive_limit`] and the fuzzer
+    /// otherwise, at [`Verifier::random_runs`].
     fn check_auto(
         &self,
         design: &Design,
         compiled: &Arc<CompiledDesign>,
         checker: &CompiledChecker,
-        budget: &Budget,
+        trace: &TraceHandle,
     ) -> Result<Verdict, VerifyError> {
-        let tried = match traced_rung(
+        let symbolic = traced_rung(
             probe::RUNG_SYMBOLIC,
             EngineTag::Symbolic,
-            budget,
-            |b| self.symbolic_rung(compiled, checker, b),
-            rung_end,
-        ) {
-            RungOutcome::Verdict(v) => return Ok(v),
-            RungOutcome::Hard(e) => return Err(e),
-            RungOutcome::Exhausted(t) | RungOutcome::Unsupported(t) => vec![t],
-        };
-        self.check_concrete_ladder(design, compiled, checker, budget, tried)
-    }
-
-    /// The symbolic rung: [`Verifier::check_symbolic`] with panic
-    /// isolation, classified for the ladder.
-    fn symbolic_rung(
-        &self,
-        compiled: &Arc<CompiledDesign>,
-        checker: &CompiledChecker,
-        budget: &Budget,
-    ) -> RungOutcome {
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.check_symbolic(compiled, checker, budget)
-        }));
-        match res {
-            Ok(Ok(verdict)) => RungOutcome::Verdict(verdict),
-            Ok(Err(fall)) if fall.exhausted.is_none() => {
-                RungOutcome::Unsupported(fall.tried(Engine::Symbolic))
-            }
-            Ok(Err(fall)) => RungOutcome::Exhausted(fall.tried(Engine::Symbolic)),
-            Err(payload) => classify_rung(Engine::Symbolic, Err(payload)),
-        }
-    }
-
-    /// The concrete rungs of the degradation ladder: enumeration (when
-    /// feasible) → coverage-guided fuzzing → blind random sampling, each
-    /// panic-isolated and each at the full stimulus budget. Returns
-    /// [`Verdict::Inconclusive`] with the attempt trace when every rung
-    /// fails recoverably.
-    fn check_concrete_ladder(
-        &self,
-        design: &Design,
-        compiled: &Arc<CompiledDesign>,
-        checker: &CompiledChecker,
-        budget: &Budget,
-        mut tried: Vec<TriedEngine>,
-    ) -> Result<Verdict, VerifyError> {
-        let gen = StimulusGen::new(design);
-        if let Some(all) = gen.exhaustive(self.depth, self.reset_cycles, self.exhaustive_limit) {
-            match traced_rung(
-                probe::RUNG_ENUM,
-                EngineTag::Enumeration,
-                budget,
-                |b| {
-                    run_rung(Engine::Simulation, || {
-                        self.check_enumerated(design, compiled, checker, all, b)
-                    })
-                },
-                rung_end,
+            trace,
+            |t| self.check_symbolic(compiled, checker, t),
+            symbolic_end,
+        );
+        match symbolic {
+            Ok(verdict) => Ok(verdict),
+            // Either symbolic failure, unsupported or a spent cap.
+            Err(_) => match StimulusGen::new(design).exhaustive(
+                self.depth,
+                self.reset_cycles,
+                self.exhaustive_limit,
             ) {
-                RungOutcome::Verdict(v) => return Ok(v),
-                RungOutcome::Hard(e) => return Err(e),
-                RungOutcome::Exhausted(t) | RungOutcome::Unsupported(t) => tried.push(t),
-            }
-        }
-        match traced_rung(
-            probe::RUNG_FUZZ,
-            EngineTag::Fuzz,
-            budget,
-            |b| {
-                run_rung(Engine::Fuzz, || {
-                    self.check_fuzz(design, compiled, checker, b)
-                })
+                Some(all) => traced_rung(
+                    probe::RUNG_ENUM,
+                    EngineTag::Enumeration,
+                    trace,
+                    |t| self.check_enumerated(design, compiled, checker, all, t),
+                    verdict_end,
+                ),
+                None => traced_rung(
+                    probe::RUNG_FUZZ,
+                    EngineTag::Fuzz,
+                    trace,
+                    |t| self.check_fuzz(design, compiled, checker, t),
+                    verdict_end,
+                ),
             },
-            rung_end,
-        ) {
-            RungOutcome::Verdict(v) => return Ok(v),
-            RungOutcome::Hard(e) => return Err(e),
-            RungOutcome::Exhausted(t) | RungOutcome::Unsupported(t) => tried.push(t),
-        }
-        // Last resort: blind sampling shares no infrastructure with the
-        // fuzzer (no corpus, no coverage maps), so it survives failure
-        // modes that take the fuzzer down.
-        match traced_rung(
-            probe::RUNG_SAMPLE,
-            EngineTag::Sampling,
-            budget,
-            |b| {
-                run_rung(Engine::Simulation, || {
-                    self.check_sampled(design, compiled, checker, b)
-                })
-            },
-            rung_end,
-        ) {
-            RungOutcome::Verdict(v) => Ok(v),
-            RungOutcome::Hard(e) => Err(e),
-            RungOutcome::Exhausted(t) | RungOutcome::Unsupported(t) => {
-                tried.push(t);
-                Ok(Verdict::Inconclusive { tried })
-            }
         }
     }
 
     /// Runs the symbolic engine. A [`RungFailure`] means the engine could
-    /// not produce a verdict (out-of-subset design or an exhausted
-    /// budget) — the caller decides between fallback and a hard error.
+    /// not produce a verdict (out-of-subset design or a spent cap) — the
+    /// caller decides between fallback and a hard error.
     fn check_symbolic(
         &self,
         compiled: &Arc<CompiledDesign>,
         checker: &CompiledChecker,
-        budget: &Budget,
+        trace: &TraceHandle,
     ) -> Result<Verdict, RungFailure> {
         let opts = BmcOptions {
             depth: self.depth,
             reset_cycles: self.reset_cycles,
             ..BmcOptions::default()
         };
-        let bmc = match asv_sat::engine::check_budgeted(compiled, opts, budget) {
+        let bmc = match asv_sat::engine::check_traced(compiled, opts, trace) {
             Ok(v) => v,
             Err(BmcError::Exhausted(e)) => {
                 return Err(RungFailure {
@@ -663,42 +498,38 @@ impl Verifier {
         design: &Design,
         compiled: &Arc<CompiledDesign>,
         checker: &CompiledChecker,
-        budget: &Budget,
+        trace: &TraceHandle,
     ) -> Result<Verdict, VerifyError> {
         let gen = StimulusGen::new(design);
         match gen.exhaustive(self.depth, self.reset_cycles, self.exhaustive_limit) {
             Some(all) => traced_rung(
                 probe::RUNG_ENUM,
                 EngineTag::Enumeration,
-                budget,
-                |b| self.check_enumerated(design, compiled, checker, all, b),
+                trace,
+                |t| self.check_enumerated(design, compiled, checker, all, t),
                 verdict_end,
             ),
             None => traced_rung(
                 probe::RUNG_SAMPLE,
                 EngineTag::Sampling,
-                budget,
-                |b| self.check_sampled(design, compiled, checker, b),
+                trace,
+                |t| self.check_sampled(design, compiled, checker, t),
                 verdict_end,
             ),
         }
     }
 
     /// Seeded random sampling over [`Verifier::random_runs`] stimuli: the
-    /// non-exhaustive half of the simulation oracle and the ladder's last
-    /// rung.
+    /// non-exhaustive half of the simulation oracle.
     fn check_sampled(
         &self,
         design: &Design,
         compiled: &Arc<CompiledDesign>,
         checker: &CompiledChecker,
-        budget: &Budget,
+        trace: &TraceHandle,
     ) -> Result<Verdict, VerifyError> {
         let runs = self.random_runs;
-        // The sampling rung's one fault probe.
-        budget.probe(probe::SVA_SAMPLE)?;
-        let sink = budget.trace().clone();
-        let mut span = sink.span(probe::SVA_SAMPLE, SpanKind::Sampling);
+        let mut span = trace.span(probe::SVA_SAMPLE, SpanKind::Sampling);
         let gen = StimulusGen::new(design);
         // Per-stimulus RNG streams (SplitMix64-expanded seeds) are
         // decorrelated but can still collide on narrow inputs;
@@ -725,7 +556,7 @@ impl Verifier {
         // when a failure stops the loop early.
         if count > 0 {
             let batches = count.div_ceil(LANES) as u64;
-            sink.instant(
+            trace.instant(
                 probe::SIM_BATCH,
                 SpanKind::Batch,
                 0,
@@ -752,28 +583,16 @@ impl Verifier {
         compiled: &Arc<CompiledDesign>,
         checker: &CompiledChecker,
         all: Vec<Stimulus>,
-        budget: &Budget,
+        trace: &TraceHandle,
     ) -> Result<Verdict, VerifyError> {
         let count = all.len();
-        let sink = budget.trace().clone();
-        let mut span = sink.span(probe::SVA_ENUM, SpanKind::Enumeration);
+        let mut span = trace.span(probe::SVA_ENUM, SpanKind::Enumeration);
         let mut fired: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
         // Count bytecode ops only when someone is listening — the
         // untraced sweep keeps the fully uninstrumented simulator.
-        let counting = sink.is_enabled();
+        let counting = trace.is_enabled();
         for group in all.chunks(LANES) {
-            // Fire the per-stimulus fault probes *before* the group runs —
-            // one draw per stimulus, exactly the cardinality the scalar
-            // sweep had, so deterministic fault schedules keyed on this
-            // probe hit the same stimulus ordinals. (Under an injected
-            // fault the batched sweep stops before the group's earlier
-            // stimuli run, where the scalar sweep had already run and
-            // accrued them — cost accounting under fault is the one
-            // tolerated difference; verdicts and probe draws match.)
-            for _ in group {
-                budget.probe(probe::SVA_ENUM)?;
-            }
-            sink.instant(
+            trace.instant(
                 probe::SIM_BATCH,
                 SpanKind::Batch,
                 0,
@@ -825,7 +644,7 @@ impl Verifier {
         design: &Design,
         compiled: &Arc<CompiledDesign>,
         checker: &CompiledChecker,
-        budget: &Budget,
+        trace: &TraceHandle,
     ) -> Result<Verdict, VerifyError> {
         let oracle = CheckerOracle { checker };
         let opts = FuzzOptions {
@@ -835,12 +654,10 @@ impl Verifier {
             seed: self.seed,
             ..FuzzOptions::default()
         };
-        let res =
-            asv_fuzz::fuzz_budgeted(compiled, &oracle, &opts, budget).map_err(|e| match e {
-                FuzzError::Sim(s) => VerifyError::Sim(s),
-                FuzzError::Exhausted(ex) => VerifyError::Exhausted(ex),
-                other => VerifyError::Fuzz(other.to_string()),
-            })?;
+        let res = asv_fuzz::fuzz_traced(compiled, &oracle, &opts, trace).map_err(|e| match e {
+            FuzzError::Sim(s) => VerifyError::Sim(s),
+            other => VerifyError::Fuzz(other.to_string()),
+        })?;
         match res.verdict {
             FuzzVerdict::Failure { stimulus, .. } => {
                 match run_stimulus(compiled, checker, stimulus)? {
@@ -1075,7 +892,7 @@ endmodule
                 assert!(vacuous.is_empty());
             }
             Verdict::Fails(cex) => panic!("unexpected failure: {:?}", cex.logs),
-            Verdict::Inconclusive { tried } => panic!("unexpected inconclusive: {tried:?}"),
+            Verdict::Inconclusive {} => panic!("unexpected inconclusive verdict"),
         }
     }
 
@@ -1098,7 +915,7 @@ endmodule
                 assert!(vacuous.is_empty());
             }
             Verdict::Fails(cex) => panic!("unexpected failure: {:?}", cex.logs),
-            Verdict::Inconclusive { tried } => panic!("unexpected inconclusive: {tried:?}"),
+            Verdict::Inconclusive {} => panic!("unexpected inconclusive verdict"),
         }
     }
 
@@ -1174,7 +991,7 @@ endmodule
                 assert_eq!(stimuli, 0, "no simulation needed for the proof");
             }
             Verdict::Fails(cex) => panic!("unexpected failure: {:?}", cex.logs),
-            Verdict::Inconclusive { tried } => panic!("unexpected inconclusive: {tried:?}"),
+            Verdict::Inconclusive {} => panic!("unexpected inconclusive verdict"),
         }
         let sampled = Verifier {
             engine: Engine::Simulation,
@@ -1190,7 +1007,7 @@ endmodule
                 assert_eq!(stimuli, 8);
             }
             Verdict::Fails(cex) => panic!("unexpected failure: {:?}", cex.logs),
-            Verdict::Inconclusive { tried } => panic!("unexpected inconclusive: {tried:?}"),
+            Verdict::Inconclusive {} => panic!("unexpected inconclusive verdict"),
         }
     }
 
@@ -1225,7 +1042,7 @@ endmodule
                 );
             }
             Verdict::Fails(_) => panic!("8 random runs cannot hit a 1/256 trigger with this seed"),
-            Verdict::Inconclusive { tried } => panic!("unexpected inconclusive: {tried:?}"),
+            Verdict::Inconclusive {} => panic!("unexpected inconclusive verdict"),
         }
         let auto = Verifier {
             depth: 8,
@@ -1292,7 +1109,7 @@ endmodule
                 assert_eq!(vacuous, vec!["p".to_string()]);
             }
             Verdict::Fails(cex) => panic!("nothing was checked: {:?}", cex.logs),
-            Verdict::Inconclusive { tried } => panic!("unexpected inconclusive: {tried:?}"),
+            Verdict::Inconclusive {} => panic!("unexpected inconclusive verdict"),
         }
     }
 
@@ -1339,7 +1156,7 @@ endmodule
         match sampled.check(&d).expect("verify") {
             Verdict::Holds { vacuous, .. } => assert_eq!(vacuous, vec!["p_rare".to_string()]),
             Verdict::Fails(_) => panic!("sampling cannot hit a 1/65536 trigger at budget 64"),
-            Verdict::Inconclusive { tried } => panic!("unexpected inconclusive: {tried:?}"),
+            Verdict::Inconclusive {} => panic!("unexpected inconclusive verdict"),
         }
         // ...the dictionary-guided fuzzer refutes it at the same budget.
         let fuzzed = Verifier {
@@ -1397,115 +1214,28 @@ endmodule
                 );
             }
             Verdict::Fails(cex) => panic!("safe design failed: {:?}", cex.logs),
-            Verdict::Inconclusive { tried } => panic!("unexpected inconclusive: {tried:?}"),
+            Verdict::Inconclusive {} => panic!("unexpected inconclusive verdict"),
         }
     }
 
-    /// A plan that fires a synthetic exhaustion at every probe hit on
-    /// every job.
-    #[cfg(feature = "fault-inject")]
-    fn exhaust_everywhere() -> Budget {
-        use asv_sim::fault::{FaultKinds, FaultPlan};
-        let plan = FaultPlan {
-            rate_per_1024: 1024,
-            victims_per_16: 16,
-            kinds: FaultKinds::EXHAUST,
-            ..FaultPlan::new(5)
-        };
-        Budget::unbounded().with_fault(plan.session(1))
-    }
-
-    #[cfg(feature = "fault-inject")]
     #[test]
-    fn injected_exhaustion_degrades_to_inconclusive() {
-        // Every rung's first probe exhausts before it simulates or solves
-        // anything, and Auto reports the full attempt trace.
+    fn forced_symbolic_reports_a_spent_cap_as_exhaustion() {
         use asv_sim::cancel::Resource;
-        let d = compile(BAD).expect("compile");
-        let v = Verifier {
-            depth: 6,
-            ..Verifier::default()
+        let spent = Exhausted {
+            resource: Resource::SatConflicts,
+            spent: 4,
+            limit: 4,
         };
-        let verdict = v
-            .check_budgeted(&d, &exhaust_everywhere())
-            .expect("degrades, not errors");
-        let Verdict::Inconclusive { tried } = &verdict else {
-            panic!("an all-exhaust plan must be inconclusive, got {verdict:?}");
+        let exhausted = RungFailure {
+            reason: spent.to_string(),
+            exhausted: Some(spent),
         };
-        let engines: Vec<Engine> = tried.iter().map(|t| t.engine).collect();
+        assert_eq!(exhausted.into_error(), VerifyError::Exhausted(spent));
+        let unsupported = RungFailure::fallback("latch".into());
         assert_eq!(
-            engines,
-            vec![
-                Engine::Symbolic,
-                Engine::Simulation,
-                Engine::Fuzz,
-                Engine::Simulation
-            ],
-            "ladder order: symbolic, enumeration, fuzzing, sampling"
+            unsupported.into_error(),
+            VerifyError::Symbolic("latch".into())
         );
-        for t in tried {
-            match t.exhausted {
-                Some(e) => assert_eq!(e.resource, Resource::Injected, "{t:?}"),
-                None => panic!("every rung must report structured exhaustion: {t:?}"),
-            }
-        }
-        // Same plan, same trace: the ladder is deterministic.
-        assert_eq!(v.check_budgeted(&d, &exhaust_everywhere()), Ok(verdict));
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn forced_engines_surface_injected_exhaustion() {
-        use asv_sim::cancel::Resource;
-        let d = compile(BAD).expect("compile");
-        for engine in [Engine::Symbolic, Engine::Simulation, Engine::Fuzz] {
-            let v = Verifier {
-                depth: 6,
-                engine,
-                ..Verifier::default()
-            };
-            match v.check_budgeted(&d, &exhaust_everywhere()) {
-                Err(VerifyError::Exhausted(e)) => {
-                    assert_eq!(e.resource, Resource::Injected, "{engine:?}");
-                }
-                other => panic!("{engine:?} must exhaust, got {other:?}"),
-            }
-        }
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn injected_panics_degrade_every_rung_to_inconclusive() {
-        // A plan that fires a panic at every probe takes out all four
-        // rungs; the ladder isolates each one and reports the trace
-        // instead of unwinding.
-        use asv_sim::fault::{FaultKinds, FaultPlan};
-        asv_sim::fault::silence_injected_panics();
-        let d = compile(BAD).expect("compile");
-        let plan = FaultPlan {
-            rate_per_1024: 1024,
-            victims_per_16: 16,
-            kinds: FaultKinds::PANIC,
-            ..FaultPlan::new(7)
-        };
-        let budget = Budget::unbounded().with_fault(plan.session(1));
-        let v = Verifier {
-            depth: 6,
-            ..Verifier::default()
-        };
-        let verdict = v.check_budgeted(&d, &budget).expect("degrades, not errors");
-        let Verdict::Inconclusive { tried } = &verdict else {
-            panic!("all-panic plan must be inconclusive, got {verdict:?}");
-        };
-        assert_eq!(tried.len(), 4, "{tried:?}");
-        for t in tried {
-            assert!(
-                t.reason.contains("injected fault at probe"),
-                "panic payloads must be preserved: {t:?}"
-            );
-        }
-        // Same plan, same seed: the chaos outcome is reproducible.
-        assert_eq!(v.check_budgeted(&d, &budget), Ok(verdict));
     }
 
     #[test]
@@ -1531,7 +1261,7 @@ endmodule
                 assert!(stimuli >= 2, "dedup must not collapse everything");
             }
             Verdict::Fails(cex) => panic!("design holds: {:?}", cex.logs),
-            Verdict::Inconclusive { tried } => panic!("unexpected inconclusive: {tried:?}"),
+            Verdict::Inconclusive {} => panic!("unexpected inconclusive verdict"),
         }
     }
 

@@ -36,6 +36,6 @@ pub mod eval;
 pub mod mine;
 pub mod monitor;
 
-pub use bmc::{CounterExample, Engine, TriedEngine, Verdict, Verifier, VerifyError};
+pub use bmc::{CounterExample, Engine, Verdict, Verifier, VerifyError};
 pub use mine::{attach_property, Miner};
 pub use monitor::{check_module, failure_logs, AssertionFailure, CheckOutcome};

@@ -6,8 +6,8 @@
 //! whose methods are empty `#[inline(always)]` bodies, and the compiler
 //! monomorphizes the untraced instantiation down to nothing. The live
 //! sink is a [`TraceHandle`] — a cheap clonable pointer at a [`Tracer`]
-//! plus the job/engine attribution the event should carry — threaded
-//! through the stack inside `asv_sim::Budget`.
+//! plus the job/engine attribution the event should carry — passed
+//! down the stack to each engine's `*_traced` entry point.
 //!
 //! Events land in per-thread rings: each recording thread appends to its
 //! own buffer (registered with the tracer on first use), so writers
@@ -47,7 +47,8 @@ pub enum SpanKind {
     Sampling = 6,
     /// Verdict-memo lookup.
     MemoLookup = 7,
-    /// One degradation-ladder rung (carries an [`EndReason`] code).
+    /// One rung: one engine's attempt at a check (carries an
+    /// [`EndReason`] code).
     Rung = 8,
     /// One whole job as the service executed it.
     Job = 9,
@@ -138,7 +139,8 @@ pub enum EndReason {
     Fails,
     /// A resource budget ran out.
     Exhausted,
-    /// The engine panicked.
+    /// The job's check panicked (recorded on `serve.job` spans, whose
+    /// service caught the unwind).
     Panicked,
     /// The engine cannot handle the design at all.
     Unsupported,
@@ -420,7 +422,7 @@ impl SpanMetrics {
             .map(|t| {
                 registry.counter(
                     &format!("asv_rung_{}_total", t.slug()),
-                    &format!("Degradation-ladder rungs run on the {} engine", t.slug()),
+                    &format!("Rungs run on the {} engine", t.slug()),
                 )
             })
             .collect();
@@ -592,7 +594,7 @@ impl Default for Tracer {
 /// A cheap, clonable recording context: which [`Tracer`] (if any) plus
 /// the job/engine attribution events should carry. The default handle is
 /// disabled — recording through it is a single `Option` branch, which is
-/// why it can live inside every `Budget` without a feature gate.
+/// why every engine can take one without a feature gate.
 #[derive(Clone, Default)]
 pub struct TraceHandle {
     tracer: Option<Tracer>,
@@ -700,7 +702,7 @@ mod tests {
     fn disabled_handle_records_nothing_and_reads_no_clock() {
         let h = TraceHandle::disabled();
         assert!(!h.enabled());
-        let mut span = h.span(probe::SAT_DEPTH, SpanKind::SatSolve);
+        let mut span = h.span(probe::SAT_SOLVE, SpanKind::SatSolve);
         assert!(
             span.start.is_none(),
             "disabled sink must not read the clock"

@@ -62,9 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             mined.len()
         ),
         Verdict::Fails(cex) => println!("\nunexpected failure: {:?}", cex.logs),
-        Verdict::Inconclusive { tried } => {
-            println!("\nno verdict within budget; engines tried: {tried:?}")
-        }
+        Verdict::Inconclusive {} => println!("\nno verdict"),
     }
     Ok(())
 }

@@ -11,7 +11,7 @@
 //! [`CostCounters`]: asv_trace::CostCounters
 
 use asv_bench::perf::{batch_counters, mixed_batch};
-use asv_serve::{JobOutcome, ServeOptions, VerifyJob, VerifyService};
+use asv_serve::{JobOutcome, VerifyJob, VerifyService};
 use asv_sva::bmc::{Engine, Verdict, Verifier};
 use asv_sva::monitor::failure_logs;
 use asv_trace::{CostCounters, Tracer};
@@ -106,11 +106,7 @@ fn selected_mux_check(op: &str) -> (Verifier, asv_verilog::Design, JobOutcome, C
         ..Verifier::default()
     };
     let tracer = Tracer::new();
-    let service = VerifyService::new(ServeOptions {
-        workers: 1,
-        ..ServeOptions::default()
-    })
-    .traced(tracer.clone());
+    let service = VerifyService::with_workers(1).traced(tracer.clone());
     let job = VerifyJob::new(design.clone(), verifier);
     let (mut outcomes, _, events) = service.verify_batch_traced(std::slice::from_ref(&job));
     assert_eq!(

@@ -71,20 +71,13 @@ fn verdicts_identical_with_tracing_on_and_off_across_workers() {
     let jobs = mixed_batch();
     let reference = VerifyService::with_workers(1).verify_batch(&jobs);
     for workers in [1usize, 2, 8] {
-        let plain = VerifyService::new(ServeOptions {
-            workers,
-            ..ServeOptions::default()
-        });
+        let plain = VerifyService::with_workers(workers);
         assert_eq!(
             plain.verify_batch(&jobs),
             reference,
             "untraced service with {workers} workers changed the verdict vector"
         );
-        let traced = VerifyService::new(ServeOptions {
-            workers,
-            ..ServeOptions::default()
-        })
-        .traced(Tracer::new());
+        let traced = VerifyService::with_workers(workers).traced(Tracer::new());
         assert_eq!(
             traced.verify_batch(&jobs),
             reference,
@@ -220,8 +213,8 @@ fn notrace_spans_read_no_clock_and_emit_nothing() {
         ..asv_trace::Cost::default()
     });
     drop(span);
-    // A disabled handle behaves identically and is what `Budget`
-    // carries by default.
+    // A disabled handle behaves identically and is what every untraced
+    // engine entry point passes down.
     let handle = asv_trace::TraceHandle::disabled();
     assert!(!handle.is_enabled());
     let mut span = handle.span("sat.solve", asv_trace::SpanKind::SatSolve);
