@@ -1,17 +1,17 @@
 //! Engine comparison table: verdict fidelity on **rare-trigger** scenarios
-//! across all three verification engines.
+//! for the symbolic engine and the coverage-guided fuzzer.
 //!
 //! Two scenario families:
 //!
 //! * **In-subset** — levelizable designs whose bug fires only for one
 //!   exact wide-input value. The symbolic engine decides these
-//!   exhaustively; seeded sampling is overwhelmingly likely to miss them.
+//!   exhaustively; blind random stimuli are overwhelmingly likely to miss
+//!   them.
 //! * **Out-of-subset** — the same rare triggers inside designs the
 //!   symbolic engine rejects (latch-style combinational blocks). This is
-//!   the scenario class the coverage-guided fuzzer exists for: at the
-//!   *same stimulus budget*, blind sampling misses every violation while
-//!   the fuzzer's dictionary + corpus search finds them (asserted below,
-//!   so CI enforces the claim).
+//!   the scenario class the coverage-guided fuzzer exists for: its
+//!   dictionary + corpus search finds every violation within a
+//!   192-stimulus budget (asserted below, so CI enforces the claim).
 //!
 //! `Engine::Auto` must land on the ground truth of every scenario: it
 //! *is* the best single-engine chain per scenario. After the table, a
@@ -86,7 +86,7 @@ fn latch_rare_design(width: u32, trigger: u64, buggy: bool) -> String {
 }
 
 /// Out-of-subset design violable only by **two consecutive** trigger
-/// cycles (`bad` registers last cycle's hit): sampling's odds fall
+/// cycles (`bad` registers last cycle's hit): blind random odds fall
 /// quadratically, while the fuzzer's corpus keeps single-hit stimuli
 /// (new toggle coverage on `hit`) and the duplicate-cycle mutation turns
 /// them into back-to-back hits.
@@ -111,8 +111,8 @@ fn latch_rare2_design(width: u32, trigger: u64) -> String {
 }
 
 /// A two-stage lock: `armed` latches after `a == 8'hA5`, the violation
-/// needs a later `a == 8'h5A` — a sequencing bug blind sampling
-/// essentially never reproduces, while the fuzzer's corpus keeps the
+/// needs a later `a == 8'h5A` — a sequencing bug blind random stimuli
+/// essentially never reproduce, while the fuzzer's corpus keeps the
 /// armed prefix and mutates the suffix.
 fn lock_design() -> String {
     "module lock2(input clk, input rst_n, input [7:0] a, output reg armed, output reg bad);\n\
@@ -193,7 +193,7 @@ fn verdict_cell(v: &Result<Verdict, VerifyError>) -> String {
             ..
         }) => format!(
             "Holds({}{})",
-            if *exhaustive { "exhaustive" } else { "sampled" },
+            if *exhaustive { "exhaustive" } else { "fuzzed" },
             if vacuous.is_empty() { "" } else { ", vacuous!" }
         ),
         Ok(Verdict::Fails(_)) => "Fails(cex)".to_string(),
@@ -216,8 +216,6 @@ fn matches_truth(verdict: &Result<Verdict, VerifyError>, violable: bool) -> bool
 }
 
 fn main() {
-    // Equal stimulus budget for sampling and fuzzing: the comparison is
-    // engine quality, not run count.
     let budget = 192;
     println!("== Verification engines on rare-trigger scenarios (budget {budget}) ==");
     println!(
@@ -225,7 +223,6 @@ fn main() {
         "scenario", "truth", "engine", "verdict", "time"
     );
     let mut fuzz_found = 0usize;
-    let mut sampling_found = 0usize;
     let mut rare_out_of_subset = 0usize;
     for sc in scenarios() {
         let design = asv_verilog::compile(&sc.src).expect("scenario compiles");
@@ -245,11 +242,7 @@ fn main() {
             sc.name,
             auto_verdict
         );
-        for (engine, label) in [
-            (Engine::Simulation, "sampling"),
-            (Engine::Symbolic, "symbolic"),
-            (Engine::Fuzz, "fuzz"),
-        ] {
+        for (engine, label) in [(Engine::Symbolic, "symbolic"), (Engine::Fuzz, "fuzz")] {
             let verifier = Verifier {
                 depth: 8,
                 random_runs: budget,
@@ -276,18 +269,13 @@ fn main() {
                     "✗ (misses bug or vacuous)"
                 }
             );
-            if sc.violable && sc.out_of_subset {
-                let found = matches!(&verdict, Ok(Verdict::Fails(_)));
-                match engine {
-                    Engine::Fuzz => fuzz_found += usize::from(found),
-                    Engine::Simulation => sampling_found += usize::from(found),
-                    _ => {}
-                }
+            if engine == Engine::Fuzz && sc.violable && sc.out_of_subset {
+                fuzz_found += usize::from(matches!(&verdict, Ok(Verdict::Fails(_))));
             }
             // In-subset scenarios: the symbolic engine must land on the
             // ground truth; out-of-subset ones must be rejected, not
-            // silently mislabelled. The concrete engines may miss bugs
-            // but must never error — an error there is a harness bug.
+            // silently mislabelled. The fuzzer may miss bugs but must
+            // never error — an error there is a harness bug.
             if engine == Engine::Symbolic {
                 if sc.out_of_subset {
                     assert!(
@@ -302,7 +290,7 @@ fn main() {
             } else {
                 assert!(
                     verdict.is_ok(),
-                    "{}/{label}: concrete engine errored: {:?}",
+                    "{}/{label}: fuzzer errored: {:?}",
                     sc.name,
                     verdict
                 );
@@ -311,8 +299,8 @@ fn main() {
         rare_out_of_subset += usize::from(sc.violable && sc.out_of_subset);
     }
     println!(
-        "\nrare out-of-subset violations found: fuzz {fuzz_found}/{rare_out_of_subset}, \
-         sampling {sampling_found}/{rare_out_of_subset} (same {budget}-stimulus budget)"
+        "\nrare out-of-subset violations found: fuzz {fuzz_found}/{rare_out_of_subset} \
+         ({budget}-stimulus budget)"
     );
     assert!(
         rare_out_of_subset >= 3,
@@ -321,10 +309,6 @@ fn main() {
     assert_eq!(
         fuzz_found, rare_out_of_subset,
         "the fuzzer must find every rare out-of-subset violation"
-    );
-    assert_eq!(
-        sampling_found, 0,
-        "blind sampling at the same budget must miss every one (else the scenarios are too easy)"
     );
 
     optimizing_ir_table();

@@ -26,9 +26,9 @@ use asv_trace::{chrome_trace_json, Profile, Tracer};
 use std::sync::Arc;
 
 /// 64 jobs over the `perf_matrix` pool (golden + bug-injected designs of
-/// every archetype), mixing engines so the timeline exercises every rung
-/// family: symbolic BMC, exhaustive enumeration, coverage-guided fuzzing
-/// and random sampling.
+/// every archetype), alternating `Auto` with `Simulation` (the concrete
+/// rung alone) so the timeline exercises every rung family: symbolic BMC,
+/// exhaustive enumeration and coverage-guided fuzzing.
 fn mixed_batch() -> Vec<VerifyJob> {
     let pool = design_pool(false).pool;
     let engines = [Engine::Auto, Engine::Simulation];

@@ -25,8 +25,8 @@ use asv_sat::{Lit, SolveResult, Solver};
 use asv_serve::{ServeOptions, VerifyJob, VerifyService};
 use asv_sim::cover::CovMap;
 use asv_sim::{
-    run_stimulus_group, AstSimulator, CompiledDesign, OptLevel, Simulator, Stimulus, StimulusGen,
-    Trace,
+    run_stimulus_group, AstSimulator, CompiledDesign, LaneBatch, LaneOutcome, OptLevel, Simulator,
+    Stimulus, StimulusGen, Trace, LANES,
 };
 use asv_sva::bmc::{Engine, Verifier};
 use asv_sva::monitor::CompiledChecker;
@@ -41,8 +41,9 @@ use std::time::Instant;
 /// `simulate_64x_batch`, `fuzz_throughput_batch`) and the
 /// `sim_batches`/`sim_lanes_*` counter fields. v3: dropped the
 /// `serve_warm_disk` leg and the four `store_*` counter fields. v4:
-/// dropped the compile-cache hit counter.
-pub const SCHEMA_VERSION: u64 = 4;
+/// dropped the compile-cache hit counter. v5: dropped the
+/// `sample_stimuli` counter field.
+pub const SCHEMA_VERSION: u64 = 5;
 
 // ---------------------------------------------------------------------------
 // Minimal JSON
@@ -787,10 +788,10 @@ fn batch_stimuli(golden: &[Arc<Design>], cycles: usize) -> Vec<Vec<Stimulus>> {
 }
 
 /// Stimulus-throughput workload: the same 64 stimuli per design drained
-/// through [`run_stimulus_group`] at lane width `lanes` (1 = one
-/// single-lane `LaneBatch<1>` per stimulus, what `Simulator` runs; that
-/// leg keeps its `simulate_64x_scalar` name so it still matches the
-/// committed baselines). The single-lane and batched legs therefore
+/// in groups of `lanes` through `run`, which runs one group with op
+/// counting on or off. The `simulate_64x_scalar` leg runs one
+/// `LaneBatch<1>` per stimulus, what `Simulator` runs; the batched leg
+/// runs [`run_stimulus_group`] at [`LANES`]. Both legs therefore
 /// simulate identical work — their wall-time ratio *is* the lane
 /// speedup, and their `ops` counters must be equal.
 fn workload_simulate_stimuli(
@@ -798,6 +799,7 @@ fn workload_simulate_stimuli(
     runs: usize,
     cycles: usize,
     lanes: usize,
+    run: impl Fn(&Arc<CompiledDesign>, &[Stimulus], bool) -> Vec<LaneOutcome>,
 ) -> WorkloadResult {
     let compiled: Vec<Arc<CompiledDesign>> = golden
         .iter()
@@ -807,7 +809,7 @@ fn workload_simulate_stimuli(
     let wall_ns = time_runs(runs, || {
         for (c, stims) in compiled.iter().zip(&stim_sets) {
             for group in stims.chunks(lanes) {
-                std::hint::black_box(run_stimulus_group(c, group, lanes, None, false));
+                std::hint::black_box(run(c, group, false));
             }
         }
     });
@@ -817,11 +819,8 @@ fn workload_simulate_stimuli(
     let mut counters = CostCounters::default();
     for (c, stims) in compiled.iter().zip(&stim_sets) {
         for group in stims.chunks(lanes) {
-            for run in run_stimulus_group(c, group, lanes, None, true)
-                .into_iter()
-                .flatten()
-            {
-                counters.ops = counters.ops.saturating_add(run.ops);
+            for lane in run(c, group, true).into_iter().flatten() {
+                counters.ops = counters.ops.saturating_add(lane.ops);
             }
         }
         if lanes > 1 {
@@ -861,7 +860,7 @@ impl AssertionOracle for BenchOracle<'_> {
 }
 
 /// Fuzzer stimulus-throughput workload: a fixed-budget campaign per
-/// golden design with the lane-batched round executor (K = 16), called
+/// golden design with the lane-batched round executor, called
 /// directly rather than through the service. Counters come from a traced
 /// rerun of the same campaigns (rounds, runs and scheduled-basis batch
 /// occupancy).
@@ -883,8 +882,6 @@ fn workload_fuzz_batch(golden: &[Arc<Design>], runs: usize) -> WorkloadResult {
         reset_cycles: 2,
         budget: 128,
         seed: 0xF422,
-        lanes: 16,
-        ..FuzzOptions::default()
     };
     let campaign = |trace: &TraceHandle| {
         for (c, checker) in compiled.iter().zip(&checkers) {
@@ -1050,11 +1047,15 @@ pub fn run_matrix(cfg: &MatrixConfig) -> (BenchReport, Vec<Event>) {
     );
     workloads.insert(
         "simulate_64x_scalar".to_string(),
-        workload_simulate_stimuli(&pool.golden, cfg.runs, stim_cycles, 1),
+        workload_simulate_stimuli(&pool.golden, cfg.runs, stim_cycles, 1, |c, g, ops| {
+            LaneBatch::<1>::run_group(c, g, None, ops)
+        }),
     );
     workloads.insert(
         "simulate_64x_batch".to_string(),
-        workload_simulate_stimuli(&pool.golden, cfg.runs, stim_cycles, 16),
+        workload_simulate_stimuli(&pool.golden, cfg.runs, stim_cycles, LANES, |c, g, ops| {
+            run_stimulus_group(c, g, None, ops)
+        }),
     );
     eprintln!(
         "[perf] fuzz_throughput_batch: {} designs, lane-batched campaigns ...",

@@ -2,21 +2,22 @@
 //!
 //! Rounds alternate between a seeded *scheduler* (parent selection,
 //! mutation, dedup — cheap) and an *executor* (the simulations — the
-//! cost) that runs the round's lane groups in stimulus-index order on the
-//! calling thread. Results are merged in that order and the corpus is
-//! updated as they arrive, so a campaign is a pure function of
-//! `(design, options)`. Parallelism is across campaigns: the verification
-//! service runs each job on one of its workers.
+//! cost) that runs the round's stimuli as one lane group of
+//! [`asv_sim::LANES`] on the calling thread. Results are merged in
+//! stimulus-index order and the corpus is updated as they arrive, so a
+//! campaign is a pure function of `(design, options)`. Parallelism is
+//! across campaigns: the verification service runs each job on one of
+//! its workers.
 
 use crate::corpus::Corpus;
 use crate::mutate::Mutator;
 use asv_sim::compile::CompiledDesign;
-use asv_sim::cover::{CovMap, CoverageReport};
+use asv_sim::cover::CovMap;
 use asv_sim::exec::{SimError, Simulator};
 use asv_sim::interp::AstSimulator;
-use asv_sim::run_stimulus_group;
 use asv_sim::stimulus::{Stimulus, StimulusGen};
 use asv_sim::trace::Trace;
+use asv_sim::{run_stimulus_group, LANES};
 use asv_trace::{probe, Cost, SpanKind, TraceHandle, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +40,8 @@ pub trait AssertionOracle {
     fn failed(&self, trace: &Trace, cov: &mut CovMap) -> Result<bool, String>;
 }
 
-/// Fuzzing campaign configuration.
+/// Fuzzing campaign configuration. Each round schedules up to
+/// [`asv_sim::LANES`] stimuli and runs them as one lane group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuzzOptions {
     /// Post-reset cycles per run.
@@ -50,13 +52,6 @@ pub struct FuzzOptions {
     pub budget: usize,
     /// Campaign seed; equal seeds reproduce the campaign exactly.
     pub seed: u64,
-    /// Executions scheduled per round (scheduling granularity).
-    pub batch: usize,
-    /// Simulation lanes per bytecode pass (`asv_sim::LaneBatch`
-    /// widths 8/16/32; anything else — including 1, the differential
-    /// configuration — runs one single-lane batch per stimulus). Results
-    /// are bit-identical at every setting; only throughput changes.
-    pub lanes: usize,
 }
 
 impl Default for FuzzOptions {
@@ -66,8 +61,6 @@ impl Default for FuzzOptions {
             reset_cycles: 2,
             budget: 256,
             seed: 0xF0_77E12,
-            batch: 16,
-            lanes: 16,
         }
     }
 }
@@ -94,8 +87,6 @@ pub struct FuzzResult {
     pub verdict: FuzzVerdict,
     /// Coverage accumulated over every merged run.
     pub coverage: CovMap,
-    /// Percentage summary of `coverage`.
-    pub report: CoverageReport,
     /// Stimuli actually executed and merged.
     pub runs: usize,
     /// Coverage-increasing stimuli retained.
@@ -171,32 +162,26 @@ fn replay_on_interpreter(compiled: &Arc<CompiledDesign>, stim: &Stimulus) -> Res
 /// assertion failed.
 type RunOutcome = Result<(CovMap, bool), FuzzError>;
 
-/// Executes a round's `batch` in lane groups, returning per-stimulus
+/// Executes a round's `batch` as one lane group, returning per-stimulus
 /// results in index order up to and including the first failure or
-/// error — later indices cannot affect the round.
-fn run_chunk<O: AssertionOracle>(
+/// error — later indices cannot affect the round. The whole group
+/// simulates together, so everything after that first event is dropped
+/// to give exactly what a one-at-a-time loop produces.
+fn run_round<O: AssertionOracle>(
     compiled: &Arc<CompiledDesign>,
     oracle: &O,
     batch: &[Stimulus],
-    lanes: usize,
 ) -> Vec<RunOutcome> {
     let mut out = Vec::with_capacity(batch.len());
-    for group in batch.chunks(lanes.max(1)) {
-        // The whole group simulates together; results are still judged
-        // and reported in index order, and everything after the batch's
-        // first failure/error is dropped — exactly what a one-at-a-time
-        // loop produces.
-        for outcome in run_stimulus_group(compiled, group, lanes, Some(oracle.assertions()), false)
-        {
-            let r = match outcome {
-                Ok(run) => judge(oracle, run),
-                Err(e) => Err(e.into()),
-            };
-            let stop = matches!(&r, Err(_) | Ok((_, true)));
-            out.push(r);
-            if stop {
-                return out;
-            }
+    for outcome in run_stimulus_group(compiled, batch, Some(oracle.assertions()), false) {
+        let r = match outcome {
+            Ok(run) => judge(oracle, run),
+            Err(e) => Err(e.into()),
+        };
+        let stop = matches!(&r, Err(_) | Ok((_, true)));
+        out.push(r);
+        if stop {
+            break;
         }
     }
     out
@@ -237,7 +222,6 @@ pub fn fuzz_traced<O: AssertionOracle>(
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut corpus = Corpus::new();
     let mut coverage = CovMap::new(compiled, oracle.assertions());
-    let batch_size = opts.batch.max(1);
     let mut runs = 0usize;
     let mut rounds = 0u64;
     let mut verdict = FuzzVerdict::NoFailure;
@@ -252,23 +236,20 @@ pub fn fuzz_traced<O: AssertionOracle>(
             rounds: 1,
             ..Cost::default()
         });
-        let n = batch_size.min(opts.budget - runs);
+        let n = LANES.min(opts.budget - runs);
         let batch = schedule(&gen, &mutator, &mut corpus, &mut rng, n, opts);
-        if opts.lanes > 1 {
-            let batches = (batch.len().div_ceil(opts.lanes)) as u64;
-            trace.instant(
-                probe::SIM_BATCH,
-                SpanKind::Batch,
-                0,
-                Cost {
-                    batches,
-                    lanes_occupied: batch.len() as u64,
-                    lanes_total: batches * opts.lanes as u64,
-                    ..Cost::default()
-                },
-            );
-        }
-        let results = run_chunk(compiled, oracle, &batch, opts.lanes);
+        trace.instant(
+            probe::SIM_BATCH,
+            SpanKind::Batch,
+            0,
+            Cost {
+                batches: 1,
+                lanes_occupied: batch.len() as u64,
+                lanes_total: LANES as u64,
+                ..Cost::default()
+            },
+        );
+        let results = run_round(compiled, oracle, &batch);
         for (stim, result) in batch.iter().zip(results) {
             let (cov, failed) = result?;
             let new_points = coverage.merge(&cov);
@@ -292,7 +273,6 @@ pub fn fuzz_traced<O: AssertionOracle>(
     }
 
     Ok(FuzzResult {
-        report: CoverageReport::of(&coverage),
         verdict,
         runs,
         corpus_size: corpus.len(),
@@ -438,29 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn campaign_is_deterministic_across_lane_widths() {
-        let cd = compiled(RARE);
-        let oracle = rare_oracle(&cd);
-        let base = FuzzOptions {
-            budget: 96,
-            seed: 3,
-            ..FuzzOptions::default()
-        };
-        let single = fuzz(&cd, &oracle, &FuzzOptions { lanes: 1, ..base }).expect("lanes=1");
-        for lanes in [8, 16, 32] {
-            let batched = fuzz(&cd, &oracle, &FuzzOptions { lanes, ..base })
-                .unwrap_or_else(|e| panic!("lanes={lanes}: {e}"));
-            assert_eq!(single.verdict, batched.verdict, "lanes={lanes}");
-            assert_eq!(single.runs, batched.runs, "lanes={lanes}");
-            assert_eq!(single.coverage, batched.coverage, "lanes={lanes}");
-            assert_eq!(
-                single.corpus_fingerprint, batched.corpus_fingerprint,
-                "lanes={lanes}"
-            );
-        }
-    }
-
-    #[test]
     fn no_failure_reports_coverage_and_exhausted_budget() {
         let cd = compiled(
             "module ok(input clk, input rst_n, input [3:0] a, output reg [3:0] q);\n\
@@ -485,7 +442,8 @@ mod tests {
         let res = fuzz(&cd, &Never, &opts).expect("fuzz");
         assert_eq!(res.verdict, FuzzVerdict::NoFailure);
         assert_eq!(res.runs, 40);
-        assert!(res.report.toggle_pct() > 50.0, "got {}", res.report);
+        let (toggled, bits) = res.coverage.toggle_coverage();
+        assert!(2 * toggled > bits, "toggled {toggled} of {bits} bits");
         assert!(res.corpus_size >= 1, "coverage-increasing runs retained");
     }
 }

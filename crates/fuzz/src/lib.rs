@@ -2,13 +2,13 @@
 //!
 //! Coverage-guided stimulus fuzzing — the reproduction's third
 //! verification backend, next to the symbolic bounded model checker
-//! (`asv-sat`) and the enumeration/sampling oracle.
+//! (`asv-sat`) and exhaustive enumeration.
 //!
 //! Designs outside the symbolic engine's subset (non-levelizable logic,
-//! dynamic bit indices, latch loops) used to fall back to *blind* random
-//! sampling, which almost never exercises rare-trigger assertions. This
-//! crate replaces that fallback with a directed greybox search in the
-//! AFL lineage:
+//! dynamic bit indices, latch loops) whose input space is too wide to
+//! enumerate are checked here. Blind random sampling almost never
+//! exercises rare-trigger assertions, so this crate runs a directed
+//! greybox search in the AFL lineage:
 //!
 //! * every run records a [`CovMap`](asv_sim::CovMap) (branch arms, signal
 //!   toggles, assertion antecedents) through the zero-cost-when-disabled
@@ -21,9 +21,10 @@
 //!   compiled bytecode — the AFL dictionary trick that cracks
 //!   `a == 8'hA5`-style triggers), cycle splice/duplicate/truncate and
 //!   two-parent crossover;
-//! * each round runs its batch in stimulus-index order on the calling
-//!   thread, so the result is deterministic from a single seed (the
-//!   verification service runs campaigns in parallel, one per worker);
+//! * each round runs up to [`asv_sim::LANES`] stimuli as one lane group
+//!   on the calling thread and merges them in stimulus-index order, so
+//!   the result is deterministic from a single seed (the verification
+//!   service runs campaigns in parallel, one per worker);
 //! * every failure is replayed on the `AstSimulator` interpreter oracle
 //!   before it is reported.
 //!

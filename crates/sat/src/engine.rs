@@ -25,8 +25,8 @@
 //! When every depth up to the bound is unsatisfiable the result is a
 //! bounded *proof*: `Holds` with per-assertion vacuity decided by a second
 //! round of queries (an assertion is vacuous iff *no* input sequence
-//! completes a non-vacuous attempt — strictly stronger than the sampled
-//! notion the simulation oracle reports).
+//! completes a non-vacuous attempt — strictly stronger than the observed
+//! notion the fuzzer reports).
 
 use crate::aig::{Aig, NLit, Node};
 use crate::blast::{run_sym, BlastError, SymEnv, SymVec};
@@ -93,7 +93,7 @@ pub enum BmcVerdict {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BmcError {
     /// The design or its properties fall outside the encodable subset;
-    /// callers fall back to the simulation oracle.
+    /// callers fall back to enumeration or the fuzzer.
     Unsupported(String),
     /// A resource cap (conflicts, AIG nodes) was hit; the structured
     /// record says which and by how much.

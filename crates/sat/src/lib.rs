@@ -26,7 +26,7 @@
 //! Designs outside the encodable subset (non-levelizable combinational
 //! logic, non-constant division, unsupported system calls) are reported
 //! as [`engine::BmcError::Unsupported`]; the verifier in `asv-sva` then
-//! falls back to its enumeration/sampling oracle.
+//! falls back to enumeration or the coverage-guided fuzzer.
 //!
 //! ## Quick start
 //!

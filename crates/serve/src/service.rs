@@ -646,13 +646,34 @@ module lrare(input clk, input rst_n, input [15:0] a, output reg bad);
 endmodule
 "#;
 
+    /// A latch with one 1-bit input, outside the symbolic subset: 2^8
+    /// stimuli over reset and a depth of 6.
+    fn latch() -> Design {
+        asv_verilog::compile(
+            "module lat(input clk, input d, output reg q);\n\
+             always @(*) begin if (d) q = 1'b1; end\n\
+             p: assert property (@(posedge clk) 1'b1 |-> 1'b1);\nendmodule",
+        )
+        .expect("compile")
+    }
+
+    /// One job's outcome and `(engine, end)` rungs on a traced service.
+    fn traced_rungs(
+        design: Design,
+        verifier: Verifier,
+    ) -> (JobOutcome, Vec<(EngineTag, EndReason)>) {
+        let service = VerifyService::default().traced(asv_trace::Tracer::new());
+        let (mut out, reports) = service.verify_batch_reported(&[VerifyJob::new(design, verifier)]);
+        let rungs = reports[0].rungs.iter().map(|r| (r.engine, r.end)).collect();
+        (out.remove(0), rungs)
+    }
+
     #[test]
     fn auto_runs_symbolic_then_at_most_one_concrete_rung() {
         let rungs = |design: Design, verifier: Verifier| -> Vec<(EngineTag, EndReason)> {
-            let service = VerifyService::default().traced(asv_trace::Tracer::new());
-            let (out, reports) = service.verify_batch_reported(&[VerifyJob::new(design, verifier)]);
-            assert!(out[0].is_ok(), "{:?}", out[0]);
-            reports[0].rungs.iter().map(|r| (r.engine, r.end)).collect()
+            let (out, rungs) = traced_rungs(design, verifier);
+            assert!(out.is_ok(), "{out:?}");
+            rungs
         };
         let verifier = Verifier {
             depth: 6,
@@ -662,15 +683,8 @@ endmodule
             rungs(design(true, 0), verifier),
             [(EngineTag::Symbolic, EndReason::Holds)]
         );
-        // A latch with one 1-bit input: 2^8 stimuli over reset and depth.
-        let latch = asv_verilog::compile(
-            "module lat(input clk, input d, output reg q);\n\
-             always @(*) begin if (d) q = 1'b1; end\n\
-             p: assert property (@(posedge clk) 1'b1 |-> 1'b1);\nendmodule",
-        )
-        .expect("compile");
         assert_eq!(
-            rungs(latch, verifier),
+            rungs(latch(), verifier),
             [
                 (EngineTag::Symbolic, EndReason::Unsupported),
                 (EngineTag::Enumeration, EndReason::Holds)
@@ -688,6 +702,54 @@ endmodule
                 (EngineTag::Fuzz, EndReason::Fails)
             ]
         );
+    }
+
+    #[test]
+    fn forced_simulation_takes_autos_concrete_rung() {
+        let cases = [
+            (
+                latch(),
+                Verifier {
+                    depth: 6,
+                    ..Verifier::default()
+                },
+                (EngineTag::Enumeration, EndReason::Holds),
+            ),
+            (
+                asv_verilog::compile(LATCH_RARE).expect("compile"),
+                Verifier {
+                    depth: 8,
+                    random_runs: 64,
+                    ..Verifier::default()
+                },
+                (EngineTag::Fuzz, EndReason::Fails),
+            ),
+        ];
+        for (design, auto, rung) in cases {
+            let forced = Verifier {
+                engine: Engine::Simulation,
+                ..auto
+            };
+            let (out, rungs) = traced_rungs(design.clone(), forced);
+            assert_eq!(rungs, [rung]);
+            assert_eq!(out, traced_rungs(design, auto).0, "verdict equals Auto's");
+        }
+    }
+
+    #[test]
+    fn forced_symbolic_on_an_unsupported_design_ends_unsupported() {
+        let forced = Verifier {
+            depth: 6,
+            engine: Engine::Symbolic,
+            ..Verifier::default()
+        };
+        let (out, rungs) = traced_rungs(latch(), forced);
+        assert_eq!(rungs, [(EngineTag::Symbolic, EndReason::Unsupported)]);
+        let Err(VerdictError::Verify(err @ VerifyError::Symbolic(_))) = out else {
+            panic!("forced symbolic must reject the latch, got {out:?}");
+        };
+        let text = err.to_string();
+        assert_eq!(text.matches("symbolic engine").count(), 1, "{text}");
     }
 
     #[test]

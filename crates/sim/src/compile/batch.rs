@@ -40,8 +40,9 @@
 //! Statement execution (`if`/`case`) re-applies the same discipline at
 //! statement granularity, charging coverage probes and op counts per
 //! lane, so each lane's instrumented results equal those of a
-//! single-lane run of its stimulus. [`run_stimulus_group`] runs any lane
-//! count outside [`LANE_WIDTHS`] as one `LaneBatch<1>` per stimulus.
+//! single-lane run of its stimulus. Every stimulus-bound consumer (the
+//! verifier's enumeration sweep, the fuzzer's rounds) runs its stimuli
+//! through [`run_stimulus_group`], [`LANES`] per bytecode pass.
 
 use super::bytecode::{run, ExecEnv, ExprProg, Op};
 use super::{CLValue, CStmt, CombStep, CompiledDesign, SigId, MAX_SETTLE_ITERS};
@@ -54,9 +55,9 @@ use crate::value::Value;
 use asv_verilog::ast::{BinaryOp, UnaryOp};
 use std::sync::Arc;
 
-/// Lane counts [`run_stimulus_group`] batches stimuli at; any other lane
-/// count runs one `LaneBatch<1>` per stimulus instead.
-pub const LANE_WIDTHS: [usize; 3] = [8, 16, 32];
+/// Lanes per [`run_stimulus_group`] pass: the most stimuli one group
+/// holds. Outcomes do not depend on it.
+pub const LANES: usize = 16;
 
 /// Mask with the low `K` lane bits set.
 #[inline(always)]
@@ -1508,40 +1509,23 @@ impl<const K: usize> LaneBatch<K> {
     }
 }
 
-/// Runs a group of stimuli with `lanes` lanes per bytecode pass: one
-/// `LaneBatch` when `lanes` is one of [`LANE_WIDTHS`] and the group fits,
-/// otherwise (including `lanes == 1`) one `LaneBatch<1>` per stimulus.
-/// Outcomes do not depend on the lane count.
+/// Runs a group of at most [`LANES`] stimuli in one `LaneBatch<LANES>`,
+/// one stimulus per lane; an empty group runs nothing. Each outcome
+/// equals a single-lane run of its stimulus.
+///
+/// # Panics
+///
+/// Panics when `group` holds more than [`LANES`] stimuli.
 pub fn run_stimulus_group(
     compiled: &Arc<CompiledDesign>,
     group: &[Stimulus],
-    lanes: usize,
     assertions: Option<usize>,
     count_ops: bool,
 ) -> Vec<LaneOutcome> {
     if group.is_empty() {
         return Vec::new();
     }
-    match lanes {
-        8 if group.len() <= 8 => LaneBatch::<8>::run_group(compiled, group, assertions, count_ops),
-        16 if group.len() <= 16 => {
-            LaneBatch::<16>::run_group(compiled, group, assertions, count_ops)
-        }
-        32 if group.len() <= 32 => {
-            LaneBatch::<32>::run_group(compiled, group, assertions, count_ops)
-        }
-        _ => group
-            .iter()
-            .flat_map(|stim| {
-                LaneBatch::<1>::run_group(
-                    compiled,
-                    std::slice::from_ref(stim),
-                    assertions,
-                    count_ops,
-                )
-            })
-            .collect(),
-    }
+    LaneBatch::<LANES>::run_group(compiled, group, assertions, count_ops)
 }
 
 impl LaneBatch<1> {
@@ -1590,7 +1574,10 @@ mod tests {
         let stimuli: Vec<Stimulus> = (0..n)
             .map(|i| gen.random_seeded(cycles, 2, 0xBA7C_4000 + i as u64))
             .collect();
-        let single = run_stimulus_group(&cd, &stimuli, 1, Some(3), true);
+        let single: Vec<LaneOutcome> = stimuli
+            .iter()
+            .flat_map(|s| LaneBatch::<1>::run_group(&cd, std::slice::from_ref(s), Some(3), true))
+            .collect();
         let mut batched = Vec::new();
         for group in stimuli.chunks(K) {
             batched.extend(LaneBatch::<K>::run_group(&cd, group, Some(3), true));
@@ -1695,16 +1682,17 @@ mod tests {
         let cd = compiled(COUNTER);
         let gen = StimulusGen::new(cd.design());
         let stimuli: Vec<Stimulus> = (0..5).map(|i| gen.random_seeded(6, 2, i)).collect();
-        // lanes = 1 (and any unsupported width) runs one single-lane
-        // batch per stimulus; lanes = 8 runs one batch. Results must
-        // agree regardless.
-        let batch = run_stimulus_group(&cd, &stimuli, 8, Some(0), true);
-        for lanes in [1, 5] {
-            let single = run_stimulus_group(&cd, &stimuli, lanes, Some(0), true);
-            assert_eq!(single, batch, "lanes = {lanes}");
-        }
+        // A group runs as one LANES-wide batch; each lane's outcome must
+        // equal the scalar (single-lane) run of its stimulus, and an
+        // empty group dispatches nothing.
+        let batch = run_stimulus_group(&cd, &stimuli, Some(0), true);
+        let single: Vec<LaneOutcome> = stimuli
+            .iter()
+            .flat_map(|s| LaneBatch::<1>::run_group(&cd, std::slice::from_ref(s), Some(0), true))
+            .collect();
+        assert_eq!(single, batch);
         assert!(batch.iter().all(Result::is_ok));
-        assert!(run_stimulus_group(&cd, &[], 8, None, false).is_empty());
+        assert!(run_stimulus_group(&cd, &[], None, false).is_empty());
     }
 
     #[test]

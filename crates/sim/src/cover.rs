@@ -21,7 +21,6 @@
 use crate::compile::CompiledDesign;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 fn width_mask(w: u32) -> u64 {
     if w >= 64 {
@@ -186,92 +185,6 @@ impl CovMap {
     }
 }
 
-/// Human- and machine-readable summary of a [`CovMap`]: covered/total and
-/// percentages per coverage class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CoverageReport {
-    /// Executed branch arms.
-    pub branch_covered: usize,
-    /// Total branch arms.
-    pub branch_total: usize,
-    /// Bits observed at both 0 and 1.
-    pub toggle_covered: usize,
-    /// Total signal bits.
-    pub toggle_total: usize,
-    /// Assertions that completed a non-vacuous attempt.
-    pub antecedent_covered: usize,
-    /// Total assertion directives.
-    pub antecedent_total: usize,
-}
-
-impl CoverageReport {
-    /// Summarises a coverage map.
-    pub fn of(cov: &CovMap) -> Self {
-        let (branch_covered, branch_total) = cov.branch_coverage();
-        let (toggle_covered, toggle_total) = cov.toggle_coverage();
-        let (antecedent_covered, antecedent_total) = cov.antecedent_coverage();
-        CoverageReport {
-            branch_covered,
-            branch_total,
-            toggle_covered,
-            toggle_total,
-            antecedent_covered,
-            antecedent_total,
-        }
-    }
-
-    fn pct(covered: usize, total: usize) -> f64 {
-        if total == 0 {
-            100.0
-        } else {
-            covered as f64 * 100.0 / total as f64
-        }
-    }
-
-    /// Branch-arm coverage percentage (100 when there are no branches).
-    pub fn branch_pct(&self) -> f64 {
-        Self::pct(self.branch_covered, self.branch_total)
-    }
-
-    /// Toggle coverage percentage.
-    pub fn toggle_pct(&self) -> f64 {
-        Self::pct(self.toggle_covered, self.toggle_total)
-    }
-
-    /// Antecedent coverage percentage.
-    pub fn antecedent_pct(&self) -> f64 {
-        Self::pct(self.antecedent_covered, self.antecedent_total)
-    }
-
-    /// Covered points across all classes.
-    pub fn covered(&self) -> usize {
-        self.branch_covered + self.toggle_covered + self.antecedent_covered
-    }
-
-    /// Total points across all classes.
-    pub fn total(&self) -> usize {
-        self.branch_total + self.toggle_total + self.antecedent_total
-    }
-}
-
-impl fmt::Display for CoverageReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "branch {}/{} ({:.1}%), toggle {}/{} ({:.1}%), antecedent {}/{} ({:.1}%)",
-            self.branch_covered,
-            self.branch_total,
-            self.branch_pct(),
-            self.toggle_covered,
-            self.toggle_total,
-            self.toggle_pct(),
-            self.antecedent_covered,
-            self.antecedent_total,
-            self.antecedent_pct(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,20 +242,6 @@ mod tests {
         assert_eq!(new, 2, "one new branch arm + one new antecedent");
         assert_eq!(a.merge(&b), 0, "idempotent re-merge");
         assert!(a.antecedent_hit(1) && !a.antecedent_hit(0));
-    }
-
-    #[test]
-    fn report_percentages_and_display() {
-        let c = compiled(MUX);
-        let mut cov = CovMap::new(&c, 1);
-        cov.branch(0);
-        let r = CoverageReport::of(&cov);
-        assert_eq!(r.branch_covered, 1);
-        assert_eq!(r.branch_total, 2);
-        assert!((r.branch_pct() - 50.0).abs() < 1e-9);
-        assert_eq!(r.antecedent_pct(), 0.0);
-        let s = r.to_string();
-        assert!(s.contains("branch 1/2"), "got: {s}");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! backends"): the compiled core in [`compile`] (interned signals,
 //! bytecode expressions, levelized combinational scheduling) executes
 //! statements in one place, the lane executor [`LaneBatch`], which the
-//! default [`Simulator`] runs with a single lane; [`interp::AstSimulator`]
-//! keeps the original tree-walking executor as the reference oracle for
-//! differential testing.
+//! default [`Simulator`] runs with a single lane and
+//! [`run_stimulus_group`] with [`LANES`] lanes, one stimulus each;
+//! [`interp::AstSimulator`] keeps the original tree-walking executor as
+//! the reference oracle for differential testing.
 //!
 //! Three modules serve the layers above the simulator: the worker pool
 //! [`pool::map`], the structural design hash [`cache::design_hash`] that
@@ -52,9 +53,9 @@ pub use asv_ir::value;
 
 pub use asv_ir::OptLevel;
 pub use cancel::{Exhausted, Resource};
-pub use compile::batch::{run_stimulus_group, LaneBatch, LaneOutcome, LaneRun, LANE_WIDTHS};
+pub use compile::batch::{run_stimulus_group, LaneBatch, LaneOutcome, LaneRun, LANES};
 pub use compile::{CompiledDesign, SigId};
-pub use cover::{CovMap, CoverageReport};
+pub use cover::CovMap;
 pub use eval::{Env, EvalError};
 pub use exec::{SimError, Simulator};
 pub use interp::AstSimulator;

@@ -126,7 +126,7 @@ impl StimulusGen {
     /// Enumerates *every* input sequence of length `cycles` (after
     /// `reset_cycles` of reset), provided the total input space
     /// `2^(bits × cycles)` does not exceed `limit`. Returns `None` when the
-    /// space is too large — callers then fall back to random stimulus.
+    /// space is too large — callers then fall back to the fuzzer.
     pub fn exhaustive(
         &self,
         cycles: usize,

@@ -10,22 +10,19 @@
 //!   assertion with an embedded CDCL SAT solver. Verdicts are exhaustive
 //!   over the *entire* input space up to the depth, counterexamples are
 //!   minimal-depth, and vacuity is proven rather than sampled.
-//! * **Simulation** — the original oracle: exhaustive stimulus enumeration
-//!   when the input space fits [`Verifier::exhaustive_limit`], otherwise
-//!   seeded random sampling (identical stimuli deduplicated, lane groups
-//!   run in stimulus-index order, the first failure reported).
+//! * **Simulation** — the concrete rung alone: exhaustive stimulus
+//!   enumeration when the input space fits [`Verifier::exhaustive_limit`],
+//!   otherwise the fuzzer at [`Verifier::random_runs`].
 //! * **Fuzz** — the `asv-fuzz` coverage-guided greybox fuzzer: branch,
 //!   toggle and antecedent coverage recorded per run feeds an AFL-style
 //!   corpus whose mutations (including design-constant dictionary
-//!   substitution) direct the search toward rare triggers blind sampling
-//!   misses. Deterministic from [`Verifier::seed`]; the stimulus budget
-//!   is [`Verifier::random_runs`], making fuzz and sampling verdicts
-//!   comparable at equal cost.
+//!   substitution) direct the search toward rare triggers that blind
+//!   random stimuli miss. Deterministic from [`Verifier::seed`]; the
+//!   stimulus budget is [`Verifier::random_runs`].
 //! * **Auto** (default) — symbolic whenever the design is levelizable and
 //!   2-state encodable. Outside that subset (cyclic/latch designs,
-//!   non-constant division, dynamic bit indices) it enumerates the input
-//!   space when small enough and otherwise runs the **fuzzer** — not
-//!   blind sampling — over the same budget.
+//!   non-constant division, dynamic bit indices) it runs the concrete
+//!   rung, as **Simulation** does.
 //!
 //! Every symbolic counterexample is replayed on the compiled simulator
 //! before being reported, and every fuzzer finding additionally replays
@@ -39,10 +36,10 @@
 //! [`SpanKind::Rung`] span. [`Engine::Auto`] runs at most two: symbolic
 //! first, then, when the symbolic engine gives no verdict (an
 //! out-of-subset design or a spent `BmcOptions::{conflict_budget,
-//! node_limit}` cap), enumeration if the input space fits
-//! [`Verifier::exhaustive_limit`] and the fuzzer otherwise. A forced
-//! [`Engine::Symbolic`] that spends a cap reports the structured
-//! [`VerifyError::Exhausted`]. Panics are not caught here: the
+//! node_limit}` cap), the concrete rung. A forced [`Engine::Symbolic`]
+//! that gets no verdict reports [`VerifyError::Symbolic`] with the
+//! engine's reason, or the structured [`VerifyError::Exhausted`] for a
+//! spent cap. Panics are not caught here: the
 //! verification service isolates each job behind its own barrier.
 
 pub use asv_sim::compile::OptLevel;
@@ -54,9 +51,9 @@ use asv_sim::cancel::Exhausted;
 use asv_sim::compile::CompiledDesign;
 use asv_sim::cover::CovMap;
 use asv_sim::exec::{SimError, Simulator};
-use asv_sim::run_stimulus_group;
 use asv_sim::stimulus::{Stimulus, StimulusGen};
 use asv_sim::trace::Trace;
+use asv_sim::{run_stimulus_group, LANES};
 use asv_trace::{probe, Cost, EndReason, EngineTag, SpanKind, TraceHandle, TraceSink};
 use asv_verilog::sema::Design;
 use serde::{Deserialize, Serialize};
@@ -68,7 +65,8 @@ use std::sync::Arc;
 pub enum Verdict {
     /// No failure found. `exhaustive` is true when the whole input space up
     /// to the depth was covered — by enumeration (`stimuli > 0`) or by a
-    /// symbolic bounded proof (`stimuli == 0`); false when sampled.
+    /// symbolic bounded proof (`stimuli == 0`); false after a fuzz
+    /// campaign, which covers only its `stimuli` runs.
     Holds {
         /// Whether the search was exhaustive up to the depth.
         exhaustive: bool,
@@ -125,8 +123,9 @@ pub enum VerifyError {
     /// The design has no assertions to check.
     NoAssertions,
     /// [`Engine::Symbolic`] was requested but the design falls outside the
-    /// symbolic engine's subset (with [`Engine::Auto`] this silently falls
-    /// back to a concrete engine instead).
+    /// symbolic engine's subset; carries the engine's reason (with
+    /// [`Engine::Auto`] this silently falls back to a concrete engine
+    /// instead).
     Symbolic(String),
     /// The fuzzing engine failed (oracle error or a finding that did not
     /// replay on the interpreter — harness bugs, not design verdicts).
@@ -165,33 +164,23 @@ impl From<MonitorError> for VerifyError {
 }
 
 /// Why the symbolic engine produced no verdict: the `Err` side of
-/// [`Verifier::check_symbolic`], carrying enough structure to tell an
-/// exhausted engine from an out-of-subset design.
+/// [`Verifier::check_symbolic`]. [`Engine::Auto`] hands the design to the
+/// concrete rung on either failure.
 #[derive(Debug, Clone)]
-struct RungFailure {
-    /// Human-readable description (the [`VerifyError::Symbolic`] message
-    /// when the symbolic engine is forced).
-    reason: String,
-    /// Structured record when a `BmcOptions` cap ran out; `None` when the
-    /// design is outside the engine's subset.
-    exhausted: Option<Exhausted>,
+enum RungFailure {
+    /// The design is outside the engine's subset, or its witness did not
+    /// replay: the reason alone, without the engine's name.
+    Unsupported(String),
+    /// A `BmcOptions` cap ran out.
+    Exhausted(Exhausted),
 }
 
 impl RungFailure {
-    /// An out-of-subset failure (no structured exhaustion): out-of-subset
-    /// designs and witness-replay harness failures.
-    fn fallback(reason: String) -> Self {
-        RungFailure {
-            reason,
-            exhausted: None,
-        }
-    }
-
     /// The forced-engine ([`Engine::Symbolic`]) error for this failure.
     fn into_error(self) -> VerifyError {
-        match self.exhausted {
-            Some(e) => VerifyError::Exhausted(e),
-            None => VerifyError::Symbolic(self.reason),
+        match self {
+            RungFailure::Unsupported(reason) => VerifyError::Symbolic(reason),
+            RungFailure::Exhausted(e) => VerifyError::Exhausted(e),
         }
     }
 }
@@ -205,24 +194,21 @@ fn end_of(verdict: &Verdict) -> EndReason {
     }
 }
 
-/// [`EndReason`] of a finished verification attempt, for rung spans.
+/// [`EndReason`] of a concrete rung (enumeration or the fuzzer), whose
+/// errors are simulation or harness failures.
 fn verdict_end(res: &Result<Verdict, VerifyError>) -> EndReason {
     match res {
         Ok(verdict) => end_of(verdict),
-        Err(VerifyError::Exhausted(_)) => EndReason::Exhausted,
         Err(_) => EndReason::Unknown,
     }
 }
 
-/// [`EndReason`] of [`Engine::Auto`]'s symbolic rung, whose failure hands
-/// the design to a concrete engine.
+/// [`EndReason`] of a symbolic rung, forced or under [`Engine::Auto`].
 fn symbolic_end(res: &Result<Verdict, RungFailure>) -> EndReason {
     match res {
         Ok(verdict) => end_of(verdict),
-        Err(RungFailure {
-            exhausted: Some(_), ..
-        }) => EndReason::Exhausted,
-        Err(_) => EndReason::Unsupported,
+        Err(RungFailure::Exhausted(_)) => EndReason::Exhausted,
+        Err(RungFailure::Unsupported(_)) => EndReason::Unsupported,
     }
 }
 
@@ -261,7 +247,9 @@ pub enum Engine {
     Auto,
     /// Symbolic only; out-of-subset designs are a [`VerifyError::Symbolic`].
     Symbolic,
-    /// The enumeration/sampling oracle only.
+    /// The concrete rung [`Engine::Auto`] falls back to, alone:
+    /// enumeration when the input space fits [`Verifier::exhaustive_limit`],
+    /// the fuzzer beyond that.
     Simulation,
     /// The coverage-guided fuzzer only, with [`Verifier::random_runs`] as
     /// its execution budget.
@@ -275,14 +263,12 @@ pub struct Verifier {
     pub depth: usize,
     /// Reset cycles at the head of every run.
     pub reset_cycles: usize,
-    /// Cap on exhaustively enumerated stimuli before falling back to
-    /// random sampling (simulation engine).
+    /// Cap on the stimuli the concrete rung enumerates; a larger input
+    /// space goes to the fuzzer instead.
     pub exhaustive_limit: u64,
-    /// Stimulus budget of the concrete non-exhaustive engines: the number
-    /// of random samples (simulation engine) and the fuzzer's execution
-    /// budget — the same number, so the two are comparable at equal cost.
+    /// The fuzzer's execution budget (number of simulated stimuli).
     pub random_runs: usize,
-    /// RNG seed for random stimulus and fuzzing campaigns.
+    /// Seed of the fuzzing campaign.
     pub seed: u64,
     /// Engine selection.
     pub engine: Engine,
@@ -319,7 +305,7 @@ impl Verifier {
     ///
     /// The design is lowered and its assertions are compiled once per
     /// call. The symbolic engine decides the entire bounded input space;
-    /// the simulation engine enumerates it when small enough and samples
+    /// the concrete rung enumerates it when small enough and fuzzes it
     /// otherwise.
     ///
     /// # Errors
@@ -354,8 +340,23 @@ impl Verifier {
         // compiled design's interner before any trace exists.
         let col = |name: &str| compiled.sig(name).map(|s| s.idx());
         let checker = CompiledChecker::new(&design.module, col)?;
+        let symbolic = || {
+            traced_rung(
+                probe::RUNG_SYMBOLIC,
+                EngineTag::Symbolic,
+                trace,
+                |t| self.check_symbolic(&compiled, &checker, t),
+                symbolic_end,
+            )
+        };
         match self.engine {
-            Engine::Simulation => self.check_simulation(design, &compiled, &checker, trace),
+            // Symbolic first; either symbolic failure (out of subset or a
+            // spent cap) hands the design to the concrete rung.
+            Engine::Auto => {
+                symbolic().or_else(|_| self.check_concrete(design, &compiled, &checker, trace))
+            }
+            Engine::Symbolic => symbolic().map_err(RungFailure::into_error),
+            Engine::Simulation => self.check_concrete(design, &compiled, &checker, trace),
             Engine::Fuzz => traced_rung(
                 probe::RUNG_FUZZ,
                 EngineTag::Fuzz,
@@ -363,61 +364,39 @@ impl Verifier {
                 |t| self.check_fuzz(design, &compiled, &checker, t),
                 verdict_end,
             ),
-            Engine::Symbolic => traced_rung(
-                probe::RUNG_SYMBOLIC,
-                EngineTag::Symbolic,
-                trace,
-                |t| {
-                    self.check_symbolic(&compiled, &checker, t)
-                        .map_err(RungFailure::into_error)
-                },
-                verdict_end,
-            ),
-            Engine::Auto => self.check_auto(design, &compiled, &checker, trace),
         }
     }
 
-    /// [`Engine::Auto`]: symbolic first; when it gives no verdict (an
-    /// out-of-subset design or a spent `BmcOptions` cap), enumeration if
-    /// the input space fits [`Verifier::exhaustive_limit`] and the fuzzer
-    /// otherwise, at [`Verifier::random_runs`].
-    fn check_auto(
+    /// The concrete rung, which [`Engine::Simulation`] runs alone and
+    /// [`Engine::Auto`] after a symbolic attempt without a verdict:
+    /// enumeration if the input space fits [`Verifier::exhaustive_limit`],
+    /// and the fuzzer at [`Verifier::random_runs`] otherwise.
+    fn check_concrete(
         &self,
         design: &Design,
         compiled: &Arc<CompiledDesign>,
         checker: &CompiledChecker,
         trace: &TraceHandle,
     ) -> Result<Verdict, VerifyError> {
-        let symbolic = traced_rung(
-            probe::RUNG_SYMBOLIC,
-            EngineTag::Symbolic,
-            trace,
-            |t| self.check_symbolic(compiled, checker, t),
-            symbolic_end,
-        );
-        match symbolic {
-            Ok(verdict) => Ok(verdict),
-            // Either symbolic failure, unsupported or a spent cap.
-            Err(_) => match StimulusGen::new(design).exhaustive(
-                self.depth,
-                self.reset_cycles,
-                self.exhaustive_limit,
-            ) {
-                Some(all) => traced_rung(
-                    probe::RUNG_ENUM,
-                    EngineTag::Enumeration,
-                    trace,
-                    |t| self.check_enumerated(design, compiled, checker, all, t),
-                    verdict_end,
-                ),
-                None => traced_rung(
-                    probe::RUNG_FUZZ,
-                    EngineTag::Fuzz,
-                    trace,
-                    |t| self.check_fuzz(design, compiled, checker, t),
-                    verdict_end,
-                ),
-            },
+        match StimulusGen::new(design).exhaustive(
+            self.depth,
+            self.reset_cycles,
+            self.exhaustive_limit,
+        ) {
+            Some(all) => traced_rung(
+                probe::RUNG_ENUM,
+                EngineTag::Enumeration,
+                trace,
+                |t| self.check_enumerated(design, compiled, checker, all, t),
+                verdict_end,
+            ),
+            None => traced_rung(
+                probe::RUNG_FUZZ,
+                EngineTag::Fuzz,
+                trace,
+                |t| self.check_fuzz(design, compiled, checker, t),
+                verdict_end,
+            ),
         }
     }
 
@@ -437,13 +416,8 @@ impl Verifier {
         };
         let bmc = match asv_sat::engine::check_traced(compiled, opts, trace) {
             Ok(v) => v,
-            Err(BmcError::Exhausted(e)) => {
-                return Err(RungFailure {
-                    reason: e.to_string(),
-                    exhausted: Some(e),
-                })
-            }
-            Err(e) => return Err(RungFailure::fallback(e.to_string())),
+            Err(BmcError::Exhausted(e)) => return Err(RungFailure::Exhausted(e)),
+            Err(BmcError::Unsupported(reason)) => return Err(RungFailure::Unsupported(reason)),
         };
         match bmc {
             BmcVerdict::Holds { vacuous } => Ok(Verdict::Holds {
@@ -457,7 +431,7 @@ impl Verifier {
                 let mut sim = Simulator::from_compiled(Arc::clone(compiled));
                 for t in 0..stimulus.len() {
                     if let Err(e) = sim.step(&stimulus.cycle(t)) {
-                        return Err(RungFailure::fallback(format!(
+                        return Err(RungFailure::Unsupported(format!(
                             "witness replay raised `{e}`"
                         )));
                     }
@@ -466,7 +440,7 @@ impl Verifier {
                 let results = match checker.outcomes(&trace) {
                     Ok(r) => r,
                     Err(e) => {
-                        return Err(RungFailure::fallback(format!(
+                        return Err(RungFailure::Unsupported(format!(
                             "witness monitoring raised `{e}`"
                         )))
                     }
@@ -478,7 +452,7 @@ impl Verifier {
                     }
                 }
                 if failures.is_empty() {
-                    return Err(RungFailure::fallback(
+                    return Err(RungFailure::Unsupported(
                         "witness did not replay to a concrete failure".into(),
                     ));
                 }
@@ -490,90 +464,6 @@ impl Verifier {
                 })))
             }
         }
-    }
-
-    /// The enumeration/sampling oracle.
-    fn check_simulation(
-        &self,
-        design: &Design,
-        compiled: &Arc<CompiledDesign>,
-        checker: &CompiledChecker,
-        trace: &TraceHandle,
-    ) -> Result<Verdict, VerifyError> {
-        let gen = StimulusGen::new(design);
-        match gen.exhaustive(self.depth, self.reset_cycles, self.exhaustive_limit) {
-            Some(all) => traced_rung(
-                probe::RUNG_ENUM,
-                EngineTag::Enumeration,
-                trace,
-                |t| self.check_enumerated(design, compiled, checker, all, t),
-                verdict_end,
-            ),
-            None => traced_rung(
-                probe::RUNG_SAMPLE,
-                EngineTag::Sampling,
-                trace,
-                |t| self.check_sampled(design, compiled, checker, t),
-                verdict_end,
-            ),
-        }
-    }
-
-    /// Seeded random sampling over [`Verifier::random_runs`] stimuli: the
-    /// non-exhaustive half of the simulation oracle.
-    fn check_sampled(
-        &self,
-        design: &Design,
-        compiled: &Arc<CompiledDesign>,
-        checker: &CompiledChecker,
-        trace: &TraceHandle,
-    ) -> Result<Verdict, VerifyError> {
-        let runs = self.random_runs;
-        let mut span = trace.span(probe::SVA_SAMPLE, SpanKind::Sampling);
-        let gen = StimulusGen::new(design);
-        // Per-stimulus RNG streams (SplitMix64-expanded seeds) are
-        // decorrelated but can still collide on narrow inputs;
-        // identical stimuli are deduplicated so no run repeats.
-        let mut seen: std::collections::HashSet<Stimulus> =
-            std::collections::HashSet::with_capacity(runs);
-        let stimuli: Vec<Stimulus> = (0..runs)
-            .map(|i| {
-                gen.random_seeded(
-                    self.depth,
-                    self.reset_cycles,
-                    self.seed.wrapping_add(i as u64),
-                )
-            })
-            .filter(|s| seen.insert(s.clone()))
-            .collect();
-        let count = stimuli.len();
-        span.add_cost(Cost {
-            stimuli: count as u64,
-            ..Cost::default()
-        });
-        // Scheduled-basis batch accounting: the lane grouping is a pure
-        // function of the stimulus count, so it is emitted once here even
-        // when a failure stops the loop early.
-        if count > 0 {
-            let batches = count.div_ceil(LANES) as u64;
-            trace.instant(
-                probe::SIM_BATCH,
-                SpanKind::Batch,
-                0,
-                Cost {
-                    batches,
-                    lanes_occupied: count as u64,
-                    lanes_total: batches * LANES as u64,
-                    ..Cost::default()
-                },
-            );
-        }
-        let mut fired = std::collections::BTreeSet::new();
-        let first = first_failure(compiled, checker, &stimuli, &mut fired)?;
-        Ok(match first {
-            Some(cex) => Verdict::Fails(Arc::new(cex)),
-            None => self.holds(design, false, count, fired),
-        })
     }
 
     /// Checks a fully enumerated stimulus set (exhaustive coverage).
@@ -603,7 +493,7 @@ impl Verifier {
                     ..Cost::default()
                 },
             );
-            let runs = run_stimulus_group(compiled, group, LANES, None, counting);
+            let runs = run_stimulus_group(compiled, group, None, counting);
             // One shared monitor scratch stack for the whole group.
             let mut judged = checker
                 .outcomes_lanes(
@@ -631,12 +521,21 @@ impl Verifier {
                 });
             }
         }
-        Ok(self.holds(design, true, count, fired))
+        let vacuous = design
+            .module
+            .assertions()
+            .map(|a| a.log_name().to_string())
+            .filter(|n| !fired.contains(n))
+            .collect();
+        Ok(Verdict::Holds {
+            exhaustive: true,
+            stimuli: count,
+            vacuous,
+        })
     }
 
     /// The coverage-guided fuzzing engine, with [`Verifier::random_runs`]
-    /// as its execution budget so its verdicts compare to sampling at
-    /// equal cost. Non-vacuity is read off the merged coverage map's
+    /// as its execution budget. Non-vacuity is read off the merged coverage map's
     /// antecedent bits; failures replay through [`run_stimulus`] so the
     /// reported logs are exactly what a concrete run produces.
     fn check_fuzz(
@@ -652,7 +551,6 @@ impl Verifier {
             reset_cycles: self.reset_cycles,
             budget: self.random_runs,
             seed: self.seed,
-            ..FuzzOptions::default()
         };
         let res = asv_fuzz::fuzz_traced(compiled, &oracle, &opts, trace).map_err(|e| match e {
             FuzzError::Sim(s) => VerifyError::Sim(s),
@@ -681,26 +579,6 @@ impl Verifier {
                     vacuous,
                 })
             }
-        }
-    }
-
-    fn holds(
-        &self,
-        design: &Design,
-        exhaustive: bool,
-        stimuli: usize,
-        fired: std::collections::BTreeSet<String>,
-    ) -> Verdict {
-        let vacuous: Vec<String> = design
-            .module
-            .assertions()
-            .map(|a| a.log_name().to_string())
-            .filter(|n| !fired.contains(n))
-            .collect();
-        Verdict::Holds {
-            exhaustive,
-            stimuli,
-            vacuous,
         }
     }
 
@@ -775,7 +653,7 @@ fn run_stimulus(
 /// Folds one stimulus's per-directive monitor outcomes into a
 /// [`StimulusOutcome`], cloning the stimulus into the counterexample
 /// only on failure. Shared between the scalar runner and the
-/// lane-batched group paths so both classify identically.
+/// enumeration sweep so both classify identically.
 fn classify_outcomes(
     results: &[(&asv_verilog::ast::AssertDirective, CheckOutcome)],
     stim: &Stimulus,
@@ -799,49 +677,6 @@ fn classify_outcomes(
             logs,
         })
     }
-}
-
-/// Lane width for batched stimulus simulation: each group of this many
-/// stimuli runs through one SoA bytecode pass
-/// ([`asv_sim::run_stimulus_group`], bit-identical per lane to the
-/// scalar loop it replaces). Deliberately a private constant rather
-/// than a [`Verifier`] field — `Verifier` derives `Hash`/`Serialize`
-/// as the service cache key, and the lane width must never affect
-/// verdicts or cache identity.
-const LANES: usize = 16;
-
-/// Runs sampled `stimuli` in lane groups, in stimulus-index order,
-/// collecting the assertions that passed non-vacuously into `fired`.
-/// Returns the first failing stimulus's counterexample, or the first
-/// error, whichever comes first; `None` when every stimulus passes.
-fn first_failure(
-    compiled: &Arc<CompiledDesign>,
-    checker: &CompiledChecker,
-    stimuli: &[Stimulus],
-    fired: &mut std::collections::BTreeSet<String>,
-) -> Result<Option<CounterExample>, VerifyError> {
-    for group in stimuli.chunks(LANES) {
-        let runs = run_stimulus_group(compiled, group, LANES, None, false);
-        // One shared monitor scratch stack for the whole group.
-        let mut judged = checker
-            .outcomes_lanes(
-                runs.iter()
-                    .filter_map(|o| o.as_ref().ok())
-                    .map(|r| &r.trace),
-            )
-            .into_iter();
-        for (outcome, stim) in runs.iter().zip(group) {
-            if let Err(e) = outcome {
-                return Err(VerifyError::Sim(e.clone()));
-            }
-            let results = judged.next().expect("one judgment per surviving lane")?;
-            match classify_outcomes(&results, stim) {
-                StimulusOutcome::Fails(cex) => return Ok(Some(cex)),
-                StimulusOutcome::Passes(names) => fired.extend(names),
-            }
-        }
-    }
-    Ok(None)
 }
 
 #[cfg(test)]
@@ -962,9 +797,10 @@ endmodule
 
     #[test]
     fn wide_inputs_fall_back_to_random() {
-        // Under Engine::Auto this scenario is no longer statistically
-        // hollow: the symbolic engine proves the whole 8-bit × 8-cycle
-        // space. Engine::Simulation preserves the old sampling behaviour.
+        // Under Engine::Auto the symbolic engine proves the whole 8-bit ×
+        // 8-cycle space. Engine::Simulation cannot enumerate it and runs
+        // the concrete rung's seeded random search, the fuzzer, at
+        // `random_runs`.
         let src = r#"
 module add1(input clk, input rst_n, input [7:0] a, output reg [8:0] s);
   always @(posedge clk or negedge rst_n) begin
@@ -993,11 +829,11 @@ endmodule
             Verdict::Fails(cex) => panic!("unexpected failure: {:?}", cex.logs),
             Verdict::Inconclusive {} => panic!("unexpected inconclusive verdict"),
         }
-        let sampled = Verifier {
+        let concrete = Verifier {
             engine: Engine::Simulation,
             ..auto
         };
-        match sampled.check(&d).expect("verify") {
+        match concrete.check(&d).expect("verify") {
             Verdict::Holds {
                 exhaustive,
                 stimuli,
@@ -1014,8 +850,10 @@ endmodule
     #[test]
     fn rare_trigger_bug_is_refuted_by_auto() {
         // The buggy consequent fires only when a == 8'hA5 — a 1-in-256
-        // event per cycle that seeded sampling misses, but Engine::Auto
-        // refutes symbolically with a replaying counterexample.
+        // event per cycle. The concrete rung at a budget of 8 runs only the
+        // fuzzer's first round, whose stimuli are all random (its corpus
+        // starts empty), and misses it; Engine::Auto refutes it
+        // symbolically with a replaying counterexample.
         let src = r#"
 module rare(input clk, input rst_n, input [7:0] a, output reg bad);
   always @(posedge clk or negedge rst_n) begin
@@ -1027,18 +865,18 @@ module rare(input clk, input rst_n, input [7:0] a, output reg bad);
 endmodule
 "#;
         let d = compile(src).expect("compile");
-        let sampled = Verifier {
+        let concrete = Verifier {
             depth: 8,
             random_runs: 8,
             engine: Engine::Simulation,
             ..Verifier::default()
         };
-        match sampled.check(&d).expect("verify") {
+        match concrete.check(&d).expect("verify") {
             Verdict::Holds { vacuous, .. } => {
                 assert_eq!(
                     vacuous,
                     vec!["p_rare".to_string()],
-                    "sampling must miss the rare trigger entirely"
+                    "one random round must miss the rare trigger entirely"
                 );
             }
             Verdict::Fails(_) => panic!("8 random runs cannot hit a 1/256 trigger with this seed"),
@@ -1087,8 +925,9 @@ endmodule
 
     #[test]
     fn zero_random_runs_hold_trivially() {
-        // Wide inputs + random_runs: 0 must reproduce the sequential
-        // loop's "checked nothing, held vacuously" verdict, not panic.
+        // Wide inputs + random_runs: 0: the concrete rung's fuzzer runs
+        // nothing and must report "checked nothing, held vacuously", not
+        // panic.
         let src = "module z(input clk, input [9:0] a, output reg [9:0] q);\n\
              always @(posedge clk) q <= a;\n\
              p: assert property (@(posedge clk) 1'b1 |-> 1'b1);\nendmodule";
@@ -1143,22 +982,14 @@ endmodule
             ),
             "scenario must be outside the symbolic subset"
         );
+        // 64 blind random stimuli of 8 cycles hit a 1/65536-per-cycle
+        // trigger with odds under 1%; the dictionary-guided fuzzer
+        // refutes it at that budget.
         let budget = Verifier {
             depth: 8,
             random_runs: 64,
             ..Verifier::default()
         };
-        // Blind sampling at this budget cannot hit a 1/65536 trigger...
-        let sampled = Verifier {
-            engine: Engine::Simulation,
-            ..budget
-        };
-        match sampled.check(&d).expect("verify") {
-            Verdict::Holds { vacuous, .. } => assert_eq!(vacuous, vec!["p_rare".to_string()]),
-            Verdict::Fails(_) => panic!("sampling cannot hit a 1/65536 trigger at budget 64"),
-            Verdict::Inconclusive {} => panic!("unexpected inconclusive verdict"),
-        }
-        // ...the dictionary-guided fuzzer refutes it at the same budget.
         let fuzzed = Verifier {
             engine: Engine::Fuzz,
             ..budget
@@ -1190,8 +1021,8 @@ endmodule
     #[test]
     fn fuzz_reports_non_vacuous_holds_on_safe_designs() {
         // Same rare antecedent, correct consequent: the fuzzer still digs
-        // up the trigger, so the hold is non-vacuous where sampling's is
-        // vacuous.
+        // up the trigger, so the hold is non-vacuous where blind random
+        // stimuli would leave it vacuous.
         let src = LATCH_RARE.replace("bad <= (a == 16'hBEEF);", "bad <= 1'b0;");
         let d = compile(&src).expect("compile");
         let v = Verifier {
@@ -1226,89 +1057,13 @@ endmodule
             spent: 4,
             limit: 4,
         };
-        let exhausted = RungFailure {
-            reason: spent.to_string(),
-            exhausted: Some(spent),
-        };
-        assert_eq!(exhausted.into_error(), VerifyError::Exhausted(spent));
-        let unsupported = RungFailure::fallback("latch".into());
         assert_eq!(
-            unsupported.into_error(),
+            RungFailure::Exhausted(spent).into_error(),
+            VerifyError::Exhausted(spent)
+        );
+        assert_eq!(
+            RungFailure::Unsupported("latch".into()).into_error(),
             VerifyError::Symbolic("latch".into())
         );
-    }
-
-    #[test]
-    fn sampling_deduplicates_repeated_stimuli() {
-        // One 1-bit input over 2 cycles: only 4 distinct stimuli exist, so
-        // 32 sampled runs must collapse below 32 (no run repeats).
-        let src = "module n(input clk, input rst_n, input d, output reg q);\n\
-             always @(posedge clk or negedge rst_n) begin\n\
-               if (!rst_n) q <= 1'b0; else q <= d;\n\
-             end\n\
-             p: assert property (@(posedge clk) disable iff (!rst_n) d |-> ##1 q);\nendmodule";
-        let d = compile(src).expect("compile");
-        let v = Verifier {
-            depth: 2,
-            random_runs: 32,
-            exhaustive_limit: 1, // force the sampling path
-            engine: Engine::Simulation,
-            ..Verifier::default()
-        };
-        match v.check(&d).expect("verify") {
-            Verdict::Holds { stimuli, .. } => {
-                assert!(stimuli <= 4, "4 distinct stimuli exist, ran {stimuli}");
-                assert!(stimuli >= 2, "dedup must not collapse everything");
-            }
-            Verdict::Fails(cex) => panic!("design holds: {:?}", cex.logs),
-            Verdict::Inconclusive {} => panic!("unexpected inconclusive verdict"),
-        }
-    }
-
-    #[test]
-    fn sampling_reports_the_first_failing_stimulus() {
-        // Wide inputs force the random path; the bug fires only when `a`
-        // takes one of 16 values in 1024, so several sampled stimuli pass
-        // before the first one fails.
-        let src = r#"
-module wsum(input clk, input rst_n, input [9:0] a, output reg [9:0] s);
-  always @(posedge clk or negedge rst_n) begin
-    if (!rst_n) s <= 10'd0;
-    else s <= (a[9:4] == 6'h15) ? a : a + 10'd1;
-  end
-  p_sum: assert property (@(posedge clk) disable iff (!rst_n)
-    1'b1 |-> ##1 s == $past(a, 1) + 10'd1) else $error("bad sum");
-endmodule
-"#;
-        let d = compile(src).expect("compile");
-        let v = Verifier {
-            depth: 6,
-            random_runs: 48,
-            engine: Engine::Simulation,
-            ..Verifier::default()
-        };
-        // The rung's stimuli: one seeded stream per index, the first
-        // occurrence of each kept.
-        let gen = StimulusGen::new(&d);
-        let mut seen = std::collections::HashSet::new();
-        let stimuli: Vec<Stimulus> = (0..v.random_runs)
-            .map(|i| gen.random_seeded(v.depth, v.reset_cycles, v.seed.wrapping_add(i as u64)))
-            .filter(|s| seen.insert(s.clone()))
-            .collect();
-        let (index, logs) = stimuli
-            .iter()
-            .enumerate()
-            .find_map(|(i, stim)| {
-                let trace = v.simulate(&d, stim).expect("simulate");
-                let logs = crate::monitor::failure_logs(&d.module, &trace).expect("monitor");
-                (!logs.is_empty()).then_some((i, logs))
-            })
-            .expect("a sampled stimulus fails");
-        assert!(index >= LANES, "the first failure lies past a lane group");
-        let Verdict::Fails(cex) = v.check(&d).expect("verify") else {
-            panic!("sampling must find the bug");
-        };
-        assert_eq!(cex.stimulus, stimuli[index]);
-        assert_eq!(cex.logs, logs);
     }
 }

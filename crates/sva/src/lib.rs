@@ -6,7 +6,8 @@
 //!   producing the assertion-failure logs the repair model consumes;
 //! * [`bmc`] — a bounded verifier standing in for SymbiYosys
 //!   (substitution rationale in DESIGN.md), with a symbolic SAT-based
-//!   engine (`asv-sat`) and an enumeration/sampling simulation oracle;
+//!   engine (`asv-sat`), exhaustive enumeration and the coverage-guided
+//!   fuzzer (`asv-fuzz`);
 //! * [`mine`] — trace-driven invariant mining standing in for the paper's
 //!   LLM-based SVA generation;
 //! * [`eval`] — sampled-value evaluation with `$past`/`$rose`/`$fell`/

@@ -49,8 +49,6 @@ pub struct CostCounters {
     pub fuzz_stimuli: u64,
     /// Stimuli swept by exhaustive enumeration.
     pub enum_stimuli: u64,
-    /// Stimuli scheduled by the sampling rung (deduplicated draws).
-    pub sample_stimuli: u64,
     /// Jobs an engine actually executed (`serve.job` spans).
     pub jobs_executed: u64,
     /// Verdict-memo hits.
@@ -63,7 +61,8 @@ pub struct CostCounters {
     pub rungs_enumeration: u64,
     /// Fuzz ladder rungs run.
     pub rungs_fuzz: u64,
-    /// Sampling ladder rungs run.
+    /// Always 0: no engine runs a sampling rung. The field stays for
+    /// readers that still report it.
     pub rungs_sampling: u64,
     /// Lane-batched executor passes scheduled (`sim.batch` events).
     pub sim_batches: u64,
@@ -75,7 +74,7 @@ pub struct CostCounters {
 }
 
 /// Number of counter fields (length of [`CostCounters::fields`]).
-pub const COUNTER_FIELDS: usize = 22;
+pub const COUNTER_FIELDS: usize = 21;
 
 impl CostCounters {
     /// Folds a drained event vector into counters. Order-insensitive:
@@ -105,9 +104,6 @@ impl CostCounters {
                 SpanKind::Enumeration => {
                     c.enum_stimuli = c.enum_stimuli.saturating_add(e.cost.stimuli);
                 }
-                SpanKind::Sampling => {
-                    c.sample_stimuli = c.sample_stimuli.saturating_add(e.cost.stimuli);
-                }
                 SpanKind::MemoLookup => {
                     if e.code == 1 {
                         c.memo_hits += 1;
@@ -121,7 +117,6 @@ impl CostCounters {
                         Some(EngineTag::Symbolic) => c.rungs_symbolic += 1,
                         Some(EngineTag::Enumeration) => c.rungs_enumeration += 1,
                         Some(EngineTag::Fuzz) => c.rungs_fuzz += 1,
-                        Some(EngineTag::Sampling) => c.rungs_sampling += 1,
                         None => {}
                     }
                 }
@@ -160,7 +155,6 @@ impl CostCounters {
             ("fuzz_rounds", self.fuzz_rounds),
             ("fuzz_stimuli", self.fuzz_stimuli),
             ("enum_stimuli", self.enum_stimuli),
-            ("sample_stimuli", self.sample_stimuli),
             ("jobs_executed", self.jobs_executed),
             ("memo_hits", self.memo_hits),
             ("memo_misses", self.memo_misses),
@@ -187,7 +181,6 @@ impl CostCounters {
             ("fuzz_rounds", &mut self.fuzz_rounds),
             ("fuzz_stimuli", &mut self.fuzz_stimuli),
             ("enum_stimuli", &mut self.enum_stimuli),
-            ("sample_stimuli", &mut self.sample_stimuli),
             ("jobs_executed", &mut self.jobs_executed),
             ("memo_hits", &mut self.memo_hits),
             ("memo_misses", &mut self.memo_misses),

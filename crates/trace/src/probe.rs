@@ -23,8 +23,6 @@ pub const SAT_VACUITY: &str = "sat.vacuity";
 pub const FUZZ_ROUND: &str = "fuzz.round";
 /// Enumeration oracle: one span per enumerated rung.
 pub const SVA_ENUM: &str = "sva.enum";
-/// Sampling oracle: one span per sampled rung.
-pub const SVA_SAMPLE: &str = "sva.sample";
 /// Lane-batched simulation: batch scheduling instant carrying batch
 /// count and lane occupancy (emitted at sequential points, so the cost
 /// vector is identical however many workers drain the groups).
@@ -35,9 +33,6 @@ pub const RUNG_SYMBOLIC: &str = "rung.symbolic";
 pub const RUNG_ENUM: &str = "rung.enum";
 /// Rung: coverage-guided fuzzing.
 pub const RUNG_FUZZ: &str = "rung.fuzz";
-/// Rung: blind random sampling (`Engine::Simulation` beyond the
-/// enumeration limit).
-pub const RUNG_SAMPLE: &str = "rung.sample";
 /// Service: verdict-memo lookup.
 pub const SERVE_MEMO: &str = "serve.memo";
 /// Service: whole-job execution span.

@@ -47,9 +47,9 @@ pub struct Profile {
 /// that ran them.
 ///
 /// Rung frames are canonicalized to `rung.<engine slug>` so they always
-/// line up with their children's engine-tag segment — some rung probes
-/// use short names (`rung.enum`, `rung.sample`) that differ from the
-/// slug (`enumeration`, `sampling`).
+/// line up with their children's engine-tag segment — the enumeration
+/// rung's probe uses the short name `rung.enum`, which differs from its
+/// slug `enumeration`.
 fn stack_of(e: &Event) -> String {
     let under_job = e.job != 0;
     let mut path = String::new();
@@ -74,7 +74,6 @@ fn stack_of(e: &Event) -> String {
         | SpanKind::SatSolve
         | SpanKind::FuzzRound
         | SpanKind::Enumeration
-        | SpanKind::Sampling
         | SpanKind::Batch => {
             if let Some(tag) = e.engine {
                 path.push_str("rung.");
@@ -330,30 +329,32 @@ mod tests {
 
     #[test]
     fn short_rung_names_canonicalize_so_children_nest() {
-        // The sampling rung's probe is `rung.sample`, but its children
-        // carry the `sampling` slug; both must land on one path.
+        // The enumeration rung's probe is `rung.enum`, but its children
+        // carry the `enumeration` slug; both must land on one path.
         let events = vec![
             span(
-                "rung.sample",
+                "rung.enum",
                 SpanKind::Rung,
                 7,
-                Some(EngineTag::Sampling),
+                Some(EngineTag::Enumeration),
                 500,
             ),
             span(
-                "sva.sample",
-                SpanKind::Sampling,
+                "sva.enum",
+                SpanKind::Enumeration,
                 7,
-                Some(EngineTag::Sampling),
+                Some(EngineTag::Enumeration),
                 400,
             ),
         ];
         let p = Profile::from_events(&events);
-        let rung = p.frame("serve.job;rung.sampling").expect("canonical rung");
+        let rung = p
+            .frame("serve.job;rung.enumeration")
+            .expect("canonical rung");
         assert_eq!(rung.incl_ns, 500);
-        assert_eq!(rung.excl_ns, 100, "sampling child subtracted");
-        assert!(p.frame("serve.job;rung.sampling;sva.sample").is_some());
-        assert!(p.frame("serve.job;rung.sample").is_none());
+        assert_eq!(rung.excl_ns, 100, "enumeration child subtracted");
+        assert!(p.frame("serve.job;rung.enumeration;sva.enum").is_some());
+        assert!(p.frame("serve.job;rung.enum").is_none());
     }
 
     #[test]

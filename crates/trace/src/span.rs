@@ -43,29 +43,26 @@ pub enum SpanKind {
     FuzzRound = 4,
     /// An exhaustive-enumeration run over a stimulus set.
     Enumeration = 5,
-    /// A random-sampling run over generated stimuli.
-    Sampling = 6,
     /// Verdict-memo lookup.
-    MemoLookup = 7,
+    MemoLookup = 6,
     /// One rung: one engine's attempt at a check (carries an
     /// [`EndReason`] code).
-    Rung = 8,
+    Rung = 7,
     /// One whole job as the service executed it.
-    Job = 9,
+    Job = 8,
     /// A lane-batched simulation pass (`LaneBatch` stimulus groups).
-    Batch = 10,
+    Batch = 9,
 }
 
 impl SpanKind {
     /// Every kind, in discriminant order.
-    pub const ALL: [SpanKind; 11] = [
+    pub const ALL: [SpanKind; 10] = [
         SpanKind::Compile,
         SpanKind::OptPass,
         SpanKind::AigBlast,
         SpanKind::SatSolve,
         SpanKind::FuzzRound,
         SpanKind::Enumeration,
-        SpanKind::Sampling,
         SpanKind::MemoLookup,
         SpanKind::Rung,
         SpanKind::Job,
@@ -81,7 +78,6 @@ impl SpanKind {
             SpanKind::SatSolve => "sat_solve",
             SpanKind::FuzzRound => "fuzz_round",
             SpanKind::Enumeration => "enumeration",
-            SpanKind::Sampling => "sampling",
             SpanKind::MemoLookup => "memo_lookup",
             SpanKind::Rung => "rung",
             SpanKind::Job => "job",
@@ -90,9 +86,8 @@ impl SpanKind {
     }
 }
 
-/// Which engine an event is attributed to. Finer than
-/// `asv_sva::bmc::Engine`: the ladder's enumeration and sampling rungs
-/// both run the simulation oracle but are distinct rungs here.
+/// Which engine an event is attributed to: the rung that ran, which for
+/// `asv_sva::bmc::Engine::Simulation` is enumeration or the fuzzer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum EngineTag {
@@ -102,18 +97,11 @@ pub enum EngineTag {
     Enumeration = 1,
     /// The coverage-guided fuzzer.
     Fuzz = 2,
-    /// Blind random sampling.
-    Sampling = 3,
 }
 
 impl EngineTag {
     /// Every tag, in discriminant order.
-    pub const ALL: [EngineTag; 4] = [
-        EngineTag::Symbolic,
-        EngineTag::Enumeration,
-        EngineTag::Fuzz,
-        EngineTag::Sampling,
-    ];
+    pub const ALL: [EngineTag; 3] = [EngineTag::Symbolic, EngineTag::Enumeration, EngineTag::Fuzz];
 
     /// Metric-name-safe slug.
     pub fn slug(self) -> &'static str {
@@ -121,7 +109,6 @@ impl EngineTag {
             EngineTag::Symbolic => "symbolic",
             EngineTag::Enumeration => "enumeration",
             EngineTag::Fuzz => "fuzz",
-            EngineTag::Sampling => "sampling",
         }
     }
 }
@@ -200,7 +187,7 @@ pub struct Cost {
     pub rounds: u64,
     /// AIG nodes built.
     pub aig_nodes: u64,
-    /// Stimuli simulated (enumeration/sampling/fuzz executions).
+    /// Stimuli simulated (enumeration and fuzz executions).
     pub stimuli: u64,
     /// Bytecode operations dispatched by the compiled simulator (at
     /// statement-expression program granularity; see
@@ -801,7 +788,10 @@ mod tests {
         );
         assert_eq!(registry.counter_value("asv_rung_symbolic_total"), Some(1));
         assert_eq!(registry.counter_value("asv_rung_fuzz_total"), Some(1));
-        assert_eq!(registry.counter_value("asv_rung_sampling_total"), Some(0));
+        assert_eq!(
+            registry.counter_value("asv_rung_enumeration_total"),
+            Some(0)
+        );
     }
 
     #[test]

@@ -15,21 +15,19 @@
 //! * handwritten stress modules covering the trickier lowering paths
 //!   (concat lvalues, dynamic bit selects, incomplete comb blocks /
 //!   fixpoint settling, faulting division);
-//! * the fuzzer campaign: corpus admission order, coverage, run counts
-//!   and verdicts must not depend on the lane width;
 //! * the enumerated verification verdict: the batched sweep must report
 //!   the same first-failing stimulus an interpreter sweep finds.
 //!
-//! Test names call that one-stimulus-at-a-time reference "scalar".
+//! Test names call that one-stimulus-at-a-time reference "scalar". The
+//! fuzzer and the verifier run one width, `asv_sim::LANES`; since every
+//! lane's outcome, coverage map included, equals its K=1 run, their
+//! campaigns and verdicts are those of one-at-a-time runs.
 //!
 //! [`AstSimulator`]: asv_sim::AstSimulator
 
 use asv_datagen::corpus::{Archetype, CorpusGen, SizeHint};
-use asv_fuzz::{fuzz, AssertionOracle, FuzzOptions};
-use asv_sim::cover::CovMap;
 use asv_sim::{
-    run_stimulus_group, AstSimulator, CompiledDesign, LaneOutcome, SimError, Stimulus, StimulusGen,
-    Trace, LANE_WIDTHS,
+    AstSimulator, CompiledDesign, LaneBatch, LaneOutcome, SimError, Stimulus, StimulusGen, Trace,
 };
 use asv_sva::bmc::{Engine, Verdict, Verifier};
 use asv_sva::monitor::{CheckOutcome, CompiledChecker};
@@ -37,24 +35,6 @@ use asv_verilog::sema::Design;
 use std::sync::Arc;
 
 const RESET_CYCLES: usize = 2;
-
-/// The SVA checker bridged into the fuzzer, as `asv-sva` wires it.
-struct Oracle<'a> {
-    checker: &'a CompiledChecker,
-}
-
-impl AssertionOracle for Oracle<'_> {
-    fn assertions(&self) -> usize {
-        self.checker.assertion_count()
-    }
-    fn failed(&self, trace: &Trace, cov: &mut CovMap) -> Result<bool, String> {
-        let out = self
-            .checker
-            .outcomes_cov(trace, cov)
-            .map_err(|e| e.to_string())?;
-        Ok(out.iter().any(|(_, o)| o.is_failure()))
-    }
-}
 
 /// The interpreter oracle's outcome for one stimulus: its trace, or its
 /// first error.
@@ -66,15 +46,26 @@ fn oracle(design: &Design, stim: &Stimulus) -> Result<Trace, SimError> {
     Ok(sim.into_trace())
 }
 
+/// `stimuli` run in `LaneBatch<K>` groups, one outcome per stimulus.
+fn run_batched<const K: usize>(
+    compiled: &Arc<CompiledDesign>,
+    stimuli: &[Stimulus],
+    assertions: Option<usize>,
+) -> Vec<LaneOutcome> {
+    stimuli
+        .chunks(K)
+        .flat_map(|group| LaneBatch::<K>::run_group(compiled, group, assertions, true))
+        .collect()
+}
+
 /// Runs `stimuli` one at a time (K=1) and in lane groups at every width
-/// in `widths`, asserting each run's trace or first error equals the
+/// K ∈ {8, 16, 32}, asserting each run's trace or first error equals the
 /// interpreter oracle's, and each batched lane's whole outcome — coverage
 /// map and op tally included — equals the K=1 run's. Returns the number
 /// of errored stimuli.
 fn assert_lanes_match_oracle(
     compiled: &Arc<CompiledDesign>,
     stimuli: &[Stimulus],
-    widths: &[usize],
     assertions: Option<usize>,
     label: &str,
 ) -> usize {
@@ -82,24 +73,24 @@ fn assert_lanes_match_oracle(
         .iter()
         .map(|stim| oracle(compiled.design(), stim))
         .collect();
-    let single = run_stimulus_group(compiled, stimuli, 1, assertions, true);
+    let single = run_batched::<1>(compiled, stimuli, assertions);
     for (i, outcome) in single.iter().enumerate() {
         assert_matches_oracle(outcome, &expected[i], &format!("{label}: K=1 stimulus {i}"));
     }
-    for &lanes in widths {
-        for (g, group) in stimuli.chunks(lanes).enumerate() {
-            let batched = run_stimulus_group(compiled, group, lanes, assertions, true);
-            assert_eq!(
-                batched.len(),
-                group.len(),
-                "{label}: K={lanes} group {g}: one outcome per stimulus"
-            );
-            for (l, outcome) in batched.iter().enumerate() {
-                let i = g * lanes + l;
-                let tag = format!("{label}: K={lanes} group {g} lane {l}");
-                assert_matches_oracle(outcome, &expected[i], &tag);
-                assert_eq!(*outcome, single[i], "{tag} diverged from K=1");
-            }
+    for (k, batched) in [
+        (8, run_batched::<8>(compiled, stimuli, assertions)),
+        (16, run_batched::<16>(compiled, stimuli, assertions)),
+        (32, run_batched::<32>(compiled, stimuli, assertions)),
+    ] {
+        assert_eq!(
+            batched.len(),
+            stimuli.len(),
+            "{label}: K={k}: one outcome per stimulus"
+        );
+        for (i, outcome) in batched.iter().enumerate() {
+            let tag = format!("{label}: K={k} stimulus {i}");
+            assert_matches_oracle(outcome, &expected[i], &tag);
+            assert_eq!(*outcome, single[i], "{tag} diverged from K=1");
         }
     }
     single.iter().filter(|o| o.is_err()).count()
@@ -162,15 +153,9 @@ fn archetypes_batched_match_scalar_at_all_lane_widths() {
         for (label, design) in archetype_designs(0xD1FF, hint) {
             let compiled = Arc::new(CompiledDesign::compile(&design));
             let checker = checker_for(&compiled, &design);
-            // 2×32 + 5: a ragged tail group at every supported width.
+            // 2×32 + 5: a ragged tail group at every width.
             let stimuli = stimuli_for(&design, 69, 24, true);
-            assert_lanes_match_oracle(
-                &compiled,
-                &stimuli,
-                &LANE_WIDTHS,
-                Some(checker.assertion_count()),
-                &label,
-            );
+            assert_lanes_match_oracle(&compiled, &stimuli, Some(checker.assertion_count()), &label);
         }
     }
 }
@@ -198,7 +183,6 @@ fn mutated_archetypes_batched_match_scalar() {
             assert_lanes_match_oracle(
                 &compiled,
                 &stimuli,
-                &[8, 16],
                 Some(checker.assertion_count()),
                 &format!("{label}/mut{mi}"),
             );
@@ -258,7 +242,7 @@ fn stress_modules_batched_match_scalar() {
             .unwrap_or_else(|e| panic!("{name}: stress module must compile: {e}"));
         let compiled = Arc::new(CompiledDesign::compile(&design));
         let stimuli = stimuli_for(&design, 37, 20, true);
-        assert_lanes_match_oracle(&compiled, &stimuli, &LANE_WIDTHS, None, name);
+        assert_lanes_match_oracle(&compiled, &stimuli, None, name);
     }
 }
 
@@ -277,50 +261,13 @@ fn mid_batch_lane_errors_match_scalar_error_ordering() {
     let design = asv_verilog::compile(src).expect("compile");
     let compiled = Arc::new(CompiledDesign::compile(&design));
     let stimuli = stimuli_for(&design, 35, 20, false);
-    let errored = assert_lanes_match_oracle(&compiled, &stimuli, &LANE_WIDTHS, None, "div_fault");
+    let errored = assert_lanes_match_oracle(&compiled, &stimuli, None, "div_fault");
     assert!(
         errored > 0 && errored < stimuli.len(),
         "the batches must mix surviving and errored lanes \
          ({errored}/{} errored) for the ordering check to bite",
         stimuli.len()
     );
-}
-
-#[test]
-fn fuzz_campaign_identical_across_lane_widths() {
-    let (_, design) = archetype_designs(
-        31,
-        SizeHint {
-            stages: 2,
-            width: 3,
-        },
-    )
-    .swap_remove(5); // FifoCtrl
-    let compiled = Arc::new(CompiledDesign::compile(&design));
-    let checker = checker_for(&compiled, &design);
-    let oracle = Oracle { checker: &checker };
-    let base = FuzzOptions {
-        cycles: 10,
-        reset_cycles: RESET_CYCLES,
-        budget: 96,
-        seed: 0xDEED,
-        ..FuzzOptions::default()
-    };
-    // Reference: single-lane runs (lanes: 1).
-    let reference =
-        fuzz(&compiled, &oracle, &FuzzOptions { lanes: 1, ..base }).expect("reference fuzz");
-    for lanes in [8usize, 16, 32] {
-        let got = fuzz(&compiled, &oracle, &FuzzOptions { lanes, ..base }).expect("batched fuzz");
-        let tag = format!("lanes={lanes}");
-        assert_eq!(got.verdict, reference.verdict, "{tag}: verdict");
-        assert_eq!(got.runs, reference.runs, "{tag}: run count");
-        assert_eq!(got.coverage, reference.coverage, "{tag}: coverage map");
-        assert_eq!(got.corpus_size, reference.corpus_size, "{tag}: corpus size");
-        assert_eq!(
-            got.corpus_fingerprint, reference.corpus_fingerprint,
-            "{tag}: corpus admission order"
-        );
-    }
 }
 
 #[test]

@@ -67,7 +67,6 @@ fn same_seed_same_corpus_coverage_and_verdict() {
         reset_cycles: 2,
         budget: 64,
         seed: 0xDEED,
-        ..FuzzOptions::default()
     };
     let a = fuzz(&compiled, &oracle, &base).expect("fuzz a");
     let b = fuzz(&compiled, &oracle, &base).expect("fuzz b");
