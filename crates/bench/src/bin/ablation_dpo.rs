@@ -1,4 +1,5 @@
-//! Ablation: the DPO phase's β and stabiliser terms (DESIGN.md §6.1).
+//! Ablation beyond the paper's artefacts: the DPO phase's β and
+//! stabiliser terms.
 //!
 //! Shows (a) the pass@1/pass@5 trade-off strength across β, and (b) the
 //! textbook DPO pathology — chosen-likelihood collapse — when the NLL and

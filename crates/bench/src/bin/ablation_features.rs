@@ -1,5 +1,5 @@
-//! Ablation: zeroing one policy feature at a time after full training
-//! (DESIGN.md §6.2) — how much each evidence source contributes.
+//! Ablation beyond the paper's artefacts: zeroing one policy feature at a
+//! time after full training — how much each evidence source contributes.
 
 use assertsolver_core::features::FEATURE_NAMES;
 use assertsolver_core::prelude::*;

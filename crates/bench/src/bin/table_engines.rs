@@ -25,10 +25,7 @@
 //! Run with `cargo run --release -p asv-bench --bin table_engines`.
 
 use asv_bench::perf::{bench_verifier, design_pool};
-use asv_datagen::corpus::{Archetype, CorpusGen, SizeHint};
-use asv_sat::engine::{unroll_stats, BmcOptions};
 use asv_serve::{ServeOptions, VerifyJob, VerifyService};
-use asv_sim::{CompiledDesign, OptLevel};
 use asv_sva::bmc::{Engine, Verdict, Verifier, VerifyError};
 use std::time::{Duration, Instant};
 
@@ -311,95 +308,7 @@ fn main() {
         "the fuzzer must find every rare out-of-subset violation"
     );
 
-    optimizing_ir_table();
     mixed_batch_comparison();
-}
-
-/// Per-archetype before/after table of the IR pass pipeline: bytecode
-/// length (the simulator's program size) and the AIG node count of a
-/// depth-8 unrolling (the SAT engine's problem size), at
-/// `OptLevel::None` vs `OptLevel::Full`.
-fn optimizing_ir_table() {
-    println!("\n== Optimizing IR: bytecode and AIG reduction per archetype (depth 8) ==");
-    println!(
-        "{:<14} {:>9} {:>9} {:>6}  {:>9} {:>9} {:>6}",
-        "archetype", "ops·raw", "ops·opt", "Δ%", "aig·raw", "aig·opt", "Δ%"
-    );
-    let gen = CorpusGen::new(0x17AB);
-    let opts = BmcOptions {
-        depth: 8,
-        reset_cycles: 2,
-        ..BmcOptions::default()
-    };
-    let pct = |raw: usize, opt: usize| -> f64 {
-        if raw == 0 {
-            0.0
-        } else {
-            (raw as f64 - opt as f64) * 100.0 / raw as f64
-        }
-    };
-    let (mut ops_raw_t, mut ops_opt_t) = (0usize, 0usize);
-    let (mut aig_raw_t, mut aig_opt_t) = (0usize, 0usize);
-    for (ai, arch) in Archetype::ALL.iter().enumerate() {
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(ai as u64);
-        let gd = gen.instantiate(
-            *arch,
-            ai,
-            SizeHint {
-                stages: 2,
-                width: 4,
-            },
-            &mut rng,
-        );
-        let design = asv_verilog::compile(&gd.source).expect("archetype compiles");
-        let raw = CompiledDesign::compile_opt(&design, OptLevel::None);
-        let opt = CompiledDesign::compile_opt(&design, OptLevel::Full);
-        let (ops_raw, ops_opt) = (raw.bytecode_len(), opt.bytecode_len());
-        assert!(
-            ops_opt <= ops_raw,
-            "{arch}: optimization must not grow the bytecode"
-        );
-        ops_raw_t += ops_raw;
-        ops_opt_t += ops_opt;
-        let (stats_raw, stats_opt) = (unroll_stats(&raw, opts), unroll_stats(&opt, opts));
-        let (ar, ao) = match (&stats_raw, &stats_opt) {
-            (Ok(r), Ok(o)) => (r.aig_nodes, o.aig_nodes),
-            // Out-of-subset designs must be rejected identically.
-            (Err(_), Err(_)) => (0, 0),
-            (r, o) => panic!("{arch}: symbolic subset flipped across opt levels: {r:?} vs {o:?}"),
-        };
-        assert!(ao <= ar, "{arch}: optimization must not grow the AIG");
-        aig_raw_t += ar;
-        aig_opt_t += ao;
-        println!(
-            "{:<14} {:>9} {:>9} {:>5.1}%  {:>9} {:>9} {:>5.1}%",
-            format!("{arch}"),
-            ops_raw,
-            ops_opt,
-            pct(ops_raw, ops_opt),
-            ar,
-            ao,
-            pct(ar, ao),
-        );
-    }
-    println!(
-        "{:<14} {:>9} {:>9} {:>5.1}%  {:>9} {:>9} {:>5.1}%",
-        "TOTAL",
-        ops_raw_t,
-        ops_opt_t,
-        pct(ops_raw_t, ops_opt_t),
-        aig_raw_t,
-        aig_opt_t,
-        pct(aig_raw_t, aig_opt_t),
-    );
-    assert!(
-        ops_opt_t < ops_raw_t,
-        "the pipeline must shrink total bytecode across the archetypes"
-    );
-    assert!(
-        aig_opt_t < aig_raw_t,
-        "the pipeline must shrink total AIG size across the archetypes"
-    );
 }
 
 /// 64 `Engine::Auto` jobs cycling over the `perf_matrix` design pool

@@ -1,9 +1,10 @@
 //! # asv-bench
 //!
 //! Benchmark harness regenerating every table and figure of the
-//! AssertSolver paper (see DESIGN.md §4 for the experiment index).
+//! AssertSolver paper; README "Experiments" shows how to run them.
 //!
-//! Each binary prints the rows/series of one artefact:
+//! Each binary prints the rows/series of one artefact (the experiment
+//! index):
 //!
 //! | Binary       | Paper artefact |
 //! |--------------|----------------|

@@ -25,8 +25,8 @@ use asv_sat::{Lit, SolveResult, Solver};
 use asv_serve::{ServeOptions, VerifyJob, VerifyService};
 use asv_sim::cover::CovMap;
 use asv_sim::{
-    run_stimulus_group, AstSimulator, CompiledDesign, LaneBatch, LaneOutcome, OptLevel, Simulator,
-    Stimulus, StimulusGen, Trace, LANES,
+    run_stimulus_group, AstSimulator, CompiledDesign, LaneBatch, LaneOutcome, Simulator, Stimulus,
+    StimulusGen, Trace, LANES,
 };
 use asv_sva::bmc::{Engine, Verifier};
 use asv_sva::monitor::CompiledChecker;
@@ -42,8 +42,9 @@ use std::time::Instant;
 /// `sim_batches`/`sim_lanes_*` counter fields. v3: dropped the
 /// `serve_warm_disk` leg and the four `store_*` counter fields. v4:
 /// dropped the compile-cache hit counter. v5: dropped the
-/// `sample_stimuli` counter field.
-pub const SCHEMA_VERSION: u64 = 5;
+/// `sample_stimuli` counter field. v6: dropped the `symbolic_unopt` leg
+/// and the counter field of IR optimization passes.
+pub const SCHEMA_VERSION: u64 = 6;
 
 // ---------------------------------------------------------------------------
 // Minimal JSON
@@ -670,13 +671,13 @@ fn time_runs(runs: usize, mut f: impl FnMut()) -> Vec<u64> {
 fn workload_compile(golden: &[Arc<Design>], runs: usize) -> WorkloadResult {
     let wall_ns = time_runs(runs, || {
         for d in golden {
-            std::hint::black_box(CompiledDesign::compile_opt(d, OptLevel::Full));
+            std::hint::black_box(CompiledDesign::compile(d));
         }
     });
     let tracer = Tracer::new();
     let handle = tracer.handle();
     for d in golden {
-        std::hint::black_box(CompiledDesign::compile_traced(d, OptLevel::Full, &handle));
+        std::hint::black_box(CompiledDesign::compile_traced(d, &handle));
     }
     WorkloadResult {
         wall_ns,
@@ -704,7 +705,7 @@ fn workload_frontend(sources: &[String], runs: usize) -> WorkloadResult {
 fn workload_simulate(golden: &[Arc<Design>], runs: usize, cycles: usize) -> WorkloadResult {
     let compiled: Vec<Arc<CompiledDesign>> = golden
         .iter()
-        .map(|d| Arc::new(CompiledDesign::compile_opt(d, OptLevel::Full)))
+        .map(|d| Arc::new(CompiledDesign::compile(d)))
         .collect();
     let wall_ns = time_runs(runs, || {
         for c in &compiled {
@@ -803,7 +804,7 @@ fn workload_simulate_stimuli(
 ) -> WorkloadResult {
     let compiled: Vec<Arc<CompiledDesign>> = golden
         .iter()
-        .map(|d| Arc::new(CompiledDesign::compile_opt(d, OptLevel::Full)))
+        .map(|d| Arc::new(CompiledDesign::compile(d)))
         .collect();
     let stim_sets = batch_stimuli(golden, cycles);
     let wall_ns = time_runs(runs, || {
@@ -867,7 +868,7 @@ impl AssertionOracle for BenchOracle<'_> {
 fn workload_fuzz_batch(golden: &[Arc<Design>], runs: usize) -> WorkloadResult {
     let compiled: Vec<Arc<CompiledDesign>> = golden
         .iter()
-        .map(|d| Arc::new(CompiledDesign::compile_opt(d, OptLevel::Full)))
+        .map(|d| Arc::new(CompiledDesign::compile(d)))
         .collect();
     let checkers: Vec<CompiledChecker> = golden
         .iter()
@@ -1065,23 +1066,10 @@ pub fn run_matrix(cfg: &MatrixConfig) -> (BenchReport, Vec<Event>) {
         "fuzz_throughput_batch".to_string(),
         workload_fuzz_batch(&pool.golden, cfg.runs),
     );
-    let symbolic = bench_verifier(Engine::Symbolic);
     eprintln!("[perf] symbolic: {} designs ...", pool.pool.len());
     workloads.insert(
         "symbolic".to_string(),
-        workload_engine(&pool.pool, symbolic, cfg.runs),
-    );
-    eprintln!("[perf] symbolic_unopt: the same at OptLevel::None ...");
-    workloads.insert(
-        "symbolic_unopt".to_string(),
-        workload_engine(
-            &pool.pool,
-            Verifier {
-                opt: OptLevel::None,
-                ..symbolic
-            },
-            cfg.runs,
-        ),
+        workload_engine(&pool.pool, bench_verifier(Engine::Symbolic), cfg.runs),
     );
     eprintln!("[perf] fuzz: {} designs ...", pool.pool.len());
     workloads.insert(

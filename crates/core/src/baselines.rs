@@ -1,9 +1,9 @@
 //! Baseline repair engines: the reproduction's stand-ins for the paper's
 //! closed- and open-source comparators (RQ2).
 //!
-//! Per the substitution table in DESIGN.md, each proxy is a *real,
-//! algorithmically distinct* engine whose strength ordering is designed to
-//! mirror the paper's field:
+//! The reproduction cannot run the paper's models, so each is replaced by
+//! a proxy (table below): a *real, algorithmically distinct* engine whose
+//! strength ordering is designed to mirror the paper's field:
 //!
 //! | Paper model            | Proxy mechanism                                                    |
 //! |------------------------|--------------------------------------------------------------------|
@@ -140,7 +140,6 @@ impl SelfVerifyEngine {
                 random_runs: 6,
                 seed: 0x01_5EEF,
                 engine: Engine::Auto,
-                opt: asv_sva::bmc::OptLevel::default(),
             },
             shortlist: 5,
             anchor_prob: 0.82,

@@ -1,7 +1,8 @@
 //! # assertsolver-core
 //!
 //! The paper's primary contribution, reproduced as a trainable repair
-//! policy (DESIGN.md documents the LLM→policy substitution):
+//! policy in place of the paper's fine-tuned LLM, which an offline,
+//! from-scratch build cannot train:
 //!
 //! * [`tokenizer`] + [`lm`] — the pretraining (PT) substrate;
 //! * [`localize`] + [`features`] — evidence extraction (cone of

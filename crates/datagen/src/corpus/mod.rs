@@ -1,5 +1,6 @@
 //! Synthetic RTL corpus generation: the reproduction's substitute for the
-//! 108,971-sample Hugging Face Verilog corpus (DESIGN.md).
+//! 108,971-sample Hugging Face Verilog corpus, which an offline build
+//! cannot fetch.
 //!
 //! Every generated design is an *archetype instance*: a parameterised
 //! realistic RTL module (counter, accumulator, FIFO controller, FSM, ALU,

@@ -50,7 +50,6 @@ impl Default for PipelineConfig {
                 random_runs: 24,
                 seed: 0xA55E_7501,
                 engine: Engine::Auto,
-                opt: asv_sva::bmc::OptLevel::default(),
             },
         }
     }
@@ -69,7 +68,6 @@ impl PipelineConfig {
                 random_runs: 10,
                 seed: 0xA55E_7501,
                 engine: Engine::Auto,
-                opt: asv_sva::bmc::OptLevel::default(),
             },
             ..Self::default()
         }

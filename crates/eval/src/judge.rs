@@ -45,7 +45,6 @@ impl Judge {
             random_runs: 16,
             seed: 0x007E_57ED,
             engine: Engine::Auto,
-            opt: asv_sva::bmc::OptLevel::default(),
         })
     }
 

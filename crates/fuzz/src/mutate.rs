@@ -21,10 +21,8 @@ use rand::Rng;
 /// design body never mentions them: an antecedent like `a == 16'hBEEF`
 /// must fire for the assertion to be exercised non-vacuously.
 pub fn design_dictionary(compiled: &CompiledDesign) -> Vec<u64> {
-    // Bytecode constants come from the design's *raw* (pre-optimization)
-    // emission, recorded at compile time: constant folding merges and
-    // rewrites literals, and the dictionary — and with it every fuzzing
-    // campaign — must be bit-identical at every `OptLevel`.
+    // Bytecode constants were recorded at compile time, from the same
+    // programs the simulator runs.
     let mut dict: Vec<u64> = compiled.dict_consts().to_vec();
     let module = &compiled.design().module;
     for prop in module.properties() {

@@ -2,8 +2,8 @@
 //!
 //! These functions are the single source of truth for what each Verilog
 //! operator *means* on [`Value`]s: the AST interpreter, the compiled
-//! bytecode executor, the IR constant folder and the AIG bit-blaster all
-//! call (or mirror) exactly this code, which is what makes cross-backend
+//! bytecode executor and the AIG bit-blaster all call (or mirror)
+//! exactly this code, which is what makes cross-backend
 //! bit-identity a local property instead of a suite-wide prayer.
 
 use crate::value::Value;

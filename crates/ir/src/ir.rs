@@ -4,23 +4,19 @@
 //! The IR is the *canonical* design form every engine lowers from: the
 //! simulator emits bytecode from it, the SAT engine's bit-blaster walks
 //! the bytecode the IR emitted, and the fuzzer's coverage sites are
-//! assigned here — once — so branch-site ids are identical at every
-//! [`crate::OptLevel`].
+//! assigned here — once.
 //!
-//! Three invariants keep optimization bit-exact:
+//! Three properties are fixed at lowering:
 //!
 //! * **Lazy errors are nodes.** A construct whose evaluation would raise
-//!   ([`EvalError`]) lowers to [`IrExpr::Fail`]; passes may only delete a
-//!   node from a program when [`Arena::can_fail`] proves no error can be
-//!   lost.
-//! * **Coverage sites are allocated at lowering.** Statements are never
-//!   created, deleted or reordered by passes, so an `if`/`case` arm keeps
-//!   its site id no matter what happens to the expressions around it.
+//!   ([`EvalError`]) lowers to [`IrExpr::Fail`], which raises when (and
+//!   only when) it is evaluated.
+//! * **Coverage sites are allocated at lowering.** Every `if`/`case` arm
+//!   gets its site id here, in source order.
 //! * **Symbolic supportability is a node property.** [`Arena::sym_clean`]
 //!   conservatively marks cones the AIG bit-blaster is guaranteed to
-//!   accept; passes must not turn an unclean cone into a clean one (or
-//!   vice versa) anywhere it could flip engine selection between opt
-//!   levels.
+//!   accept; the symbolic engine may skip only clean steps outside the
+//!   assertion cone.
 
 use crate::eval::EvalError;
 use crate::value::Value;
@@ -45,7 +41,7 @@ impl NodeId {
 /// arena; structurally identical nodes are interned to one id.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum IrExpr {
-    /// A constant (literals, folded parameters, pass results).
+    /// A constant (literals and folded parameters).
     Const(Value),
     /// A live signal read.
     Load(SigId),
@@ -105,8 +101,6 @@ pub enum IrExpr {
 /// Per-node analysis results, computed incrementally on interning.
 #[derive(Debug, Clone, Copy)]
 struct NodeMeta {
-    /// Evaluating the node can raise an [`EvalError`].
-    can_fail: bool,
     /// The AIG bit-blaster is statically guaranteed to accept the node's
     /// cone (conservative: `false` means "maybe unsupported").
     sym_clean: bool,
@@ -149,8 +143,7 @@ impl Arena {
     }
 
     /// Interns a node, returning the existing id for structurally
-    /// identical nodes (structural hashing — the shared-subexpression
-    /// basis of CSE).
+    /// identical nodes (structural hashing).
     pub fn add(&mut self, node: IrExpr) -> NodeId {
         if let Some(&id) = self.interner.get(&node) {
             return id;
@@ -176,11 +169,6 @@ impl Arena {
         }
     }
 
-    /// True when evaluating `id` can raise an [`EvalError`].
-    pub fn can_fail(&self, id: NodeId) -> bool {
-        self.meta[id.idx()].can_fail
-    }
-
     /// True when the AIG bit-blaster is statically guaranteed to accept
     /// the cone of `id`.
     pub fn sym_clean(&self, id: NodeId) -> bool {
@@ -192,29 +180,18 @@ impl Arena {
         self.meta[id.idx()].width
     }
 
-    /// A node may be deleted from a program (its evaluation skipped)
-    /// without observable effect: it cannot raise an error concretely and
-    /// cannot flip symbolic supportability.
-    pub fn removable(&self, id: NodeId) -> bool {
-        let m = self.meta[id.idx()];
-        !m.can_fail && m.sym_clean
-    }
-
     fn analyse(&self, node: &IrExpr) -> NodeMeta {
         let m = |id: NodeId| self.meta[id.idx()];
         match node {
             IrExpr::Const(v) => NodeMeta {
-                can_fail: false,
                 sym_clean: true,
                 width: Some(v.width()),
             },
             IrExpr::Load(sig) => NodeMeta {
-                can_fail: false,
                 sym_clean: true,
                 width: self.sig_widths.get(sig.idx()).copied(),
             },
             IrExpr::Fail(_) => NodeMeta {
-                can_fail: true,
                 sym_clean: false,
                 width: None,
             },
@@ -225,7 +202,6 @@ impl Arena {
                     _ => Some(1),
                 };
                 NodeMeta {
-                    can_fail: ma.can_fail,
                     sym_clean: ma.sym_clean,
                     width,
                 }
@@ -251,20 +227,18 @@ impl Arena {
                 };
                 // Division/modulo by a constant power of two is lowered
                 // to shifts/masks by the bit-blaster, so those cones stay
-                // inside the symbolic subset; any other divisor can fail
-                // concretely and/or is symbolically unsupported.
-                let rhs_pow2 = self
-                    .as_const(*b)
-                    .is_some_and(|v| v.bits().is_power_of_two());
-                let (op_fails, op_clean) = match op {
-                    B::Div | B::Mod => (!rhs_pow2, rhs_pow2),
-                    // `**` never raises concretely but has no gate-level
-                    // lowering for non-constant operands.
-                    B::Pow => (false, false),
-                    _ => (false, true),
+                // inside the symbolic subset; any other divisor is
+                // symbolically unsupported.
+                let op_clean = match op {
+                    B::Div | B::Mod => self
+                        .as_const(*b)
+                        .is_some_and(|v| v.bits().is_power_of_two()),
+                    // `**` has no gate-level lowering for non-constant
+                    // operands.
+                    B::Pow => false,
+                    _ => true,
                 };
                 NodeMeta {
-                    can_fail: ma.can_fail || mb.can_fail || op_fails,
                     sym_clean: ma.sym_clean && mb.sym_clean && op_clean,
                     width,
                 }
@@ -280,33 +254,26 @@ impl Arena {
                     _ => None,
                 };
                 // A symbolic condition muxes both branches: the blaster
-                // requires equal branch widths. A constant condition is
-                // folded before the blaster ever sees the select, but the
-                // conservative flag ignores that.
+                // requires equal branch widths. The blaster takes one
+                // branch under a constant condition, but the conservative
+                // flag ignores that.
                 NodeMeta {
-                    can_fail: mc.can_fail || mt.can_fail || me.can_fail,
                     sym_clean: mc.sym_clean && mt.sym_clean && me.sym_clean && width.is_some(),
                     width,
                 }
             }
             IrExpr::Concat(parts) => {
-                let mut can_fail = false;
                 let mut sym_clean = true;
                 let mut width = Some(0u32);
                 for p in parts {
                     let mp = m(*p);
-                    can_fail |= mp.can_fail;
                     sym_clean &= mp.sym_clean;
                     width = match (width, mp.width) {
                         (Some(acc), Some(w)) => Some((acc + w).min(64)),
                         _ => None,
                     };
                 }
-                NodeMeta {
-                    can_fail,
-                    sym_clean,
-                    width,
-                }
+                NodeMeta { sym_clean, width }
             }
             IrExpr::Repeat { count, value } => {
                 let (mc, mv) = (m(*count), m(*value));
@@ -317,7 +284,6 @@ impl Arena {
                     _ => None,
                 };
                 NodeMeta {
-                    can_fail: mc.can_fail || mv.can_fail || !guard_ok,
                     sym_clean: mc.sym_clean && mv.sym_clean && guard_ok,
                     width,
                 }
@@ -325,20 +291,17 @@ impl Arena {
             IrExpr::BitIndex { base, index } => {
                 let (mb, mi) = (m(*base), m(*index));
                 NodeMeta {
-                    can_fail: mb.can_fail || mi.can_fail,
                     sym_clean: mb.sym_clean && mi.sym_clean,
                     width: Some(1),
                 }
             }
             IrExpr::Slice { base, msb, lsb } => NodeMeta {
-                can_fail: m(*base).can_fail,
                 sym_clean: m(*base).sym_clean,
                 width: Some((msb - lsb + 1).min(64)),
             },
             IrExpr::SysCall { name, args } => {
                 let supported =
                     matches!(name.as_str(), "countones" | "onehot" | "onehot0") && args.len() == 1;
-                let kids_fail = args.iter().any(|a| m(*a).can_fail);
                 let kids_clean = args.iter().all(|a| m(*a).sym_clean);
                 let width = match (supported, name.as_str()) {
                     (true, "countones") => Some(32),
@@ -346,7 +309,6 @@ impl Arena {
                     _ => None,
                 };
                 NodeMeta {
-                    can_fail: kids_fail || !supported,
                     sym_clean: kids_clean && supported,
                     width,
                 }
@@ -383,8 +345,7 @@ pub enum IrLValue {
 }
 
 /// A lowered procedural statement. Branch-site ids are allocated here —
-/// at lowering — and never change afterwards, so coverage maps are
-/// comparable across opt levels.
+/// at lowering — and never change afterwards.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IrStmt {
     /// `begin ... end`
@@ -451,14 +412,9 @@ pub enum IrCombStep {
 /// backend consumes (via the bytecode the simulator emits from it).
 #[derive(Debug, Clone)]
 pub struct IrDesign {
-    /// Interned signal names, sorted — identical to the compiled design's
-    /// state/trace column order.
-    pub names: Vec<String>,
-    /// Declared widths by [`SigId`].
-    pub widths: Vec<u32>,
-    /// Per-signal: is this an input port (externally driven)?
-    pub is_input: Vec<bool>,
-    /// Expression store.
+    /// Expression store. Signals are [`SigId`]s in the sorted order of
+    /// the design's signal names, the compiled design's state/trace
+    /// column order.
     pub arena: Arena,
     /// Combinational steps in declaration order.
     pub comb: Vec<IrCombStep>,
@@ -473,7 +429,6 @@ impl IrDesign {
     /// lower to [`IrExpr::Fail`] nodes that raise the interpreter's
     /// runtime error when (and only when) evaluated.
     pub fn from_design(design: &Design) -> Self {
-        let names: Vec<String> = design.signals.keys().cloned().collect();
         let index: HashMap<&str, SigId> = design
             .signals
             .keys()
@@ -481,13 +436,8 @@ impl IrDesign {
             .map(|(i, n)| (n.as_str(), SigId(i as u32)))
             .collect();
         let widths: Vec<u32> = design.signals.values().map(|s| s.width).collect();
-        let is_input: Vec<bool> = design
-            .signals
-            .values()
-            .map(|s| s.dir == Some(asv_verilog::ast::PortDir::Input))
-            .collect();
         let mut lo = Lowerer {
-            arena: Arena::new(widths.clone()),
+            arena: Arena::new(widths),
             index,
             params: &design.params,
             sites: 0,
@@ -513,9 +463,6 @@ impl IrDesign {
             }
         }
         IrDesign {
-            names,
-            widths,
-            is_input,
             arena: lo.arena,
             comb,
             seq,
@@ -526,8 +473,8 @@ impl IrDesign {
     /// Per-step symbolic cleanliness: `(comb, seq)` vectors, true when
     /// every expression and lvalue in the step is statically guaranteed
     /// to bit-blast. Dead-logic elimination on the symbolic path may only
-    /// skip *clean* steps — skipping a maybe-unsupported one could flip
-    /// engine selection between opt levels.
+    /// skip *clean* steps — skipping a maybe-unsupported one could turn a
+    /// design the bit-blaster rejects into one it accepts.
     pub fn sym_clean_steps(&self) -> (Vec<bool>, Vec<bool>) {
         let comb = self
             .comb
@@ -777,8 +724,15 @@ mod tests {
     #[test]
     fn signals_intern_in_sorted_order() {
         let ir = lowered("module m(input b, input a, output y);\nassign y = a & b;\nendmodule");
-        assert_eq!(ir.names, ["a", "b", "y"]);
-        assert!(ir.is_input[0] && ir.is_input[1] && !ir.is_input[2]);
+        let IrCombStep::Assign { lhs, rhs } = &ir.comb[0] else {
+            panic!("assign expected");
+        };
+        assert_eq!(lhs, &IrLValue::Whole(SigId(2)), "y is the third name");
+        let IrExpr::Binary(BinaryOp::BitAnd, a, b) = ir.arena.node(*rhs) else {
+            panic!("`a & b` expected");
+        };
+        assert_eq!(ir.arena.node(*a), &IrExpr::Load(SigId(0)));
+        assert_eq!(ir.arena.node(*b), &IrExpr::Load(SigId(1)));
     }
 
     #[test]
@@ -810,7 +764,7 @@ mod tests {
     }
 
     #[test]
-    fn can_fail_tracks_lazy_errors() {
+    fn sym_clean_tracks_unsupported_division() {
         let ir = lowered(
             "module m(input [3:0] a, input [3:0] b, output [3:0] y, output [3:0] z);\n\
              assign y = a / b;\nassign z = a / 4'd4;\nendmodule",
@@ -821,13 +775,11 @@ mod tests {
         let IrCombStep::Assign { rhs: div_pow2, .. } = &ir.comb[1] else {
             panic!("assign expected");
         };
-        assert!(ir.arena.can_fail(*div_sym), "a / b can divide by zero");
         assert!(
-            !ir.arena.can_fail(*div_pow2),
-            "a / 4 can never raise and lowers to a shift"
+            ir.arena.sym_clean(*div_pow2),
+            "a / 4 lowers to a shift in the bit-blaster"
         );
-        assert!(ir.arena.sym_clean(*div_pow2));
-        assert!(!ir.arena.sym_clean(*div_sym));
+        assert!(!ir.arena.sym_clean(*div_sym), "a / b does not bit-blast");
     }
 
     #[test]
@@ -848,13 +800,16 @@ mod tests {
         // node directly: the contract is on the arena.
         let mut arena = Arena::new(vec![4]);
         let f = arena.add(IrExpr::Fail(EvalError::UnknownSignal("ghost".into())));
-        assert!(arena.can_fail(f) && !arena.sym_clean(f));
+        assert!(!arena.sym_clean(f));
         let l = arena.add(IrExpr::Load(SigId(0)));
         let gated = arena.add(IrExpr::Select {
             cond: l,
             then_n: f,
             else_n: l,
         });
-        assert!(arena.can_fail(gated), "failure propagates conservatively");
+        assert!(
+            !arena.sym_clean(gated),
+            "uncleanness propagates conservatively"
+        );
     }
 }

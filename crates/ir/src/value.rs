@@ -1,9 +1,9 @@
 //! Two-state bit-vector values, up to 64 bits wide.
 //!
 //! The paper's pipeline simulates scraped RTL with Icarus Verilog's 4-state
-//! semantics; our substitution (documented in DESIGN.md) uses 2-state
-//! values: the injected bug classes (operator, constant, variable and
-//! condition bugs) are all fully expressible without X/Z.
+//! semantics; our substitution uses 2-state values, because the injected
+//! bug classes (operator, constant, variable and condition bugs) are all
+//! fully expressible without X/Z.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

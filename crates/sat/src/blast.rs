@@ -437,11 +437,10 @@ pub fn binary_sym(g: &mut Aig, op: BinaryOp, a: &SymVec, b: &SymVec) -> Result<S
         }
         B::Div | B::Mod => {
             // A constant power-of-two divisor is a pure rewire: `x / 2^k`
-            // is a logical right shift, `x % 2^k` keeps the low k bits —
-            // exactly the strength reduction the IR pipeline performs,
-            // supported here too so the symbolic subset is identical at
-            // every opt level. Any other divisor can raise DivideByZero
-            // (or needs a divider network) and stays unsupported.
+            // is a logical right shift, `x % 2^k` keeps the low k bits
+            // (the cones `Arena::sym_clean` marks clean). Any other
+            // divisor can raise DivideByZero (or needs a divider network)
+            // and stays unsupported.
             let Some(bv) = b.as_const() else {
                 return unsupported(format!("`{}` with non-constant operands", op.as_str()));
             };
@@ -577,22 +576,17 @@ pub fn run_sym<E: SymEnv + ?Sized>(
     prog: &ExprProg,
     env: &E,
 ) -> Result<SymVec, BlastError> {
-    let mut tmps: Vec<Option<SymVec>> = vec![None; prog.n_tmps as usize];
-    exec_range(g, prog, 0, prog.ops.len(), env, &mut tmps)
+    exec_range(g, prog, 0, prog.ops.len(), env)
 }
 
 /// Executes `prog.ops[start..end]`, which must form a self-contained
-/// expression (pushes exactly one net value). `tmps` are the program's
-/// CSE slots; the emitter guarantees tmp ops only appear at unconditional
-/// positions, so sharing the slot vector across branch sub-ranges is
-/// sound.
+/// expression (pushes exactly one net value).
 fn exec_range<E: SymEnv + ?Sized>(
     g: &mut Aig,
     prog: &ExprProg,
     start: usize,
     end: usize,
     env: &E,
-    tmps: &mut Vec<Option<SymVec>>,
 ) -> Result<SymVec, BlastError> {
     let mut stack: Vec<SymVec> = Vec::new();
     let mut pc = start;
@@ -608,30 +602,6 @@ fn exec_range<E: SymEnv + ?Sized>(
                 let b = stack.pop().expect("binary rhs");
                 let a = stack.pop().expect("binary lhs");
                 stack.push(binary_sym(g, *op, &a, &b)?);
-            }
-            Op::BinConst { op, rhs } => {
-                let a = stack.pop().expect("binary lhs");
-                stack.push(binary_sym(g, *op, &a, &SymVec::from_value(*rhs))?);
-            }
-            Op::LoadBin { op, a, b } => {
-                let va = env.load(*a);
-                let vb = env.load(*b);
-                stack.push(binary_sym(g, *op, &va, &vb)?);
-            }
-            Op::LoadBinConst { op, sig, rhs } => {
-                let v = env.load(*sig);
-                stack.push(binary_sym(g, *op, &v, &SymVec::from_value(*rhs))?);
-            }
-            Op::LoadUnary { op, sig } => {
-                let v = env.load(*sig);
-                stack.push(unary_sym(g, *op, &v));
-            }
-            Op::StoreTmp(i) => {
-                let v = stack.last().expect("tmp source").clone();
-                tmps[*i as usize] = Some(v);
-            }
-            Op::LoadTmp(i) => {
-                stack.push(tmps[*i as usize].clone().expect("tmp stored before load"));
             }
             Op::JumpIfFalse(target) => {
                 let c = stack.pop().expect("jump condition");
@@ -651,8 +621,8 @@ fn exec_range<E: SymEnv + ?Sized>(
                             return unsupported("unstructured branch in bytecode");
                         };
                         let end_t = *end_t as usize;
-                        let tv = exec_range(g, prog, pc + 1, else_start - 1, env, tmps)?;
-                        let ev = exec_range(g, prog, else_start, end_t, env, tmps)?;
+                        let tv = exec_range(g, prog, pc + 1, else_start - 1, env)?;
+                        let ev = exec_range(g, prog, else_start, end_t, env)?;
                         if tv.width() != ev.width() {
                             return unsupported(
                                 "ternary branches of different widths under a symbolic condition",

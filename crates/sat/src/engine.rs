@@ -423,9 +423,11 @@ struct Engine<'a> {
     /// Per frame, the symbolic free inputs in `free_inputs` order.
     frame_inputs: Vec<Vec<SymVec>>,
     /// Dead-logic elimination masks for the unrolling: `(comb, seq)`
-    /// liveness from `CompiledDesign::sym_live` (None = blast everything,
-    /// as `OptLevel::None` designs do).
-    live: Option<(Vec<bool>, Vec<bool>)>,
+    /// liveness from `CompiledDesign::sym_live`, which restricts every
+    /// unrolling to the assertion cone. Steps that might not bit-blast
+    /// are pinned live there, so the restriction never changes whether
+    /// the design is inside the symbolic subset.
+    live: (Vec<bool>, Vec<bool>),
     /// Truthiness of program `id` at tick `t`, at `t * n_progs + id` once
     /// blasted. A pushed row never changes, so re-blasting a program at a
     /// tick would rebuild the same gates, which structural hashing turns
@@ -439,7 +441,6 @@ impl<'a> Engine<'a> {
         props: &'a [PropSym],
         opts: BmcOptions,
         trace: &TraceHandle,
-        live: Option<(Vec<bool>, Vec<bool>)>,
     ) -> Result<Self, BmcError> {
         if !cd.is_levelized() {
             return Err(BmcError::Unsupported(
@@ -472,7 +473,7 @@ impl<'a> Engine<'a> {
             state: SymState::init(cd),
             rows: Vec::new(),
             frame_inputs: Vec::new(),
-            live,
+            live: cd.sym_live(&prop_roots(props)),
             blasted: Vec::new(),
         })
     }
@@ -514,8 +515,8 @@ impl<'a> Engine<'a> {
             frame.push(sv);
         }
         self.frame_inputs.push(frame);
-        let comb_live = self.live.as_ref().map(|l| l.0.as_slice());
-        let seq_live = self.live.as_ref().map(|l| l.1.as_slice());
+        let comb_live = Some(self.live.0.as_slice());
+        let seq_live = Some(self.live.1.as_slice());
         settle_sym(&mut self.g, self.cd, &mut self.state, comb_live)?;
         self.rows.push(self.state.clone());
         self.blasted.resize(self.rows.len() * self.n_progs, None);
@@ -640,8 +641,8 @@ impl<'a> Engine<'a> {
     /// satisfiable under the bits fixed before it, else to 1. The result
     /// depends only on the set of violating input sequences — not on the
     /// CNF's shape, variable numbering or VSIDS history — so the witness
-    /// is identical across opt levels and engine revisions, and the
-    /// differential suites can compare counterexamples bit-for-bit.
+    /// is identical across engine revisions, and the differential suites
+    /// can compare counterexamples bit-for-bit.
     ///
     /// Only a bit that the last satisfying model sets to 1 costs a solver
     /// call. That model satisfies every bit fixed so far, so a bit it sets
@@ -892,14 +893,7 @@ pub fn check_traced(
     trace: &TraceHandle,
 ) -> Result<BmcVerdict, BmcError> {
     let props = compile_props(cd)?;
-    // Dead-logic elimination: restrict the unrolling to the assertion
-    // cone. Gated on the opt level so `OptLevel::None` stays the
-    // untouched reference unrolling; steps that might not bit-blast are
-    // pinned live inside `sym_live`, so the accept/reject decision is
-    // identical either way.
-    let live =
-        (cd.opt_level() == asv_sim::OptLevel::Full).then(|| cd.sym_live(&prop_roots(&props)));
-    Engine::new(cd, &props, opts, trace, live)?.run()
+    Engine::new(cd, &props, opts, trace)?.run()
 }
 
 /// Observability roots of the properties: every signal any compiled
@@ -929,44 +923,6 @@ fn prop_roots(props: &[PropSym]) -> Vec<SigId> {
         }
     }
     roots
-}
-
-/// Size metrics of a bounded unrolling (for `table_engines` and the
-/// README's before/after table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnrollStats {
-    /// AIG nodes after unrolling every frame and building the combined
-    /// fail cone.
-    pub aig_nodes: usize,
-}
-
-/// Unrolls the full bound (same schedule, cone restriction and property
-/// logic as [`check`]) and builds the combined fail cone — without
-/// encoding or solving it. The resulting size quantifies what the IR
-/// pipeline saves the SAT engine per design.
-///
-/// # Errors
-///
-/// As [`check`], minus anything solver-related.
-pub fn unroll_stats(cd: &CompiledDesign, opts: BmcOptions) -> Result<UnrollStats, BmcError> {
-    let props = compile_props(cd)?;
-    let live =
-        (cd.opt_level() == asv_sim::OptLevel::Full).then(|| cd.sym_live(&prop_roots(&props)));
-    let mut engine = Engine::new(cd, &props, opts, &TraceHandle::disabled(), live)?;
-    let max_len = opts.reset_cycles + opts.depth;
-    for _ in 0..max_len {
-        engine.push_frame()?;
-    }
-    let mut fail = NLit::FALSE;
-    for prop in &props {
-        for s in 0..max_len {
-            let (f, _) = engine.attempt_lits(prop, s, max_len)?;
-            fail = engine.g.or(fail, f);
-        }
-    }
-    Ok(UnrollStats {
-        aig_nodes: engine.g.len(),
-    })
 }
 
 #[cfg(test)]
@@ -1201,5 +1157,44 @@ endmodule
             })) => assert!(spent <= 512, "spent {spent} of a per-call budget of 512"),
             other => panic!("expected conflict exhaustion, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn unobserved_logic_adds_no_aig_nodes() {
+        // The assertion reads `s`, `a`, `b` and `r`; `prod`, a 16-bit
+        // multiplier over the same inputs, feeds no assertion, so the
+        // unrolling must leave it out: same verdict, same AIG.
+        let base = r#"
+module cone(input clk, input rst_n, input s, input [15:0] a, input [15:0] b,
+            output reg [15:0] r);
+  always @(posedge clk or negedge rst_n) begin
+    if (!rst_n) r <= 16'd0;
+    else if (s) r <= a & b;
+    else r <= a + b;
+  end
+  p: assert property (@(posedge clk) disable iff (!rst_n)
+    s |-> ##1 r == ($past(a) & $past(b)));
+endmodule
+"#;
+        let with_multiplier = base.replace(
+            "output reg [15:0] r);",
+            "output reg [15:0] r, output [15:0] prod);\n  assign prod = a * b;",
+        );
+        assert_ne!(with_multiplier, base);
+        let opts = BmcOptions {
+            depth: 6,
+            reset_cycles: 2,
+            ..BmcOptions::default()
+        };
+        let run = |src: &str| {
+            let tracer = asv_trace::Tracer::new();
+            let verdict = check_traced(&compiled(src), opts, &tracer.handle());
+            let nodes = asv_trace::CostCounters::from_events(&tracer.drain()).aig_nodes;
+            (verdict.expect("symbolic check"), nodes)
+        };
+        let (verdict, nodes) = run(base);
+        assert_eq!(verdict, BmcVerdict::Holds { vacuous: vec![] });
+        assert!(nodes > 0, "the blast spans must report their nodes");
+        assert_eq!(run(&with_multiplier), (verdict, nodes));
     }
 }

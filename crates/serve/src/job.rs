@@ -64,30 +64,27 @@ impl From<VerifyError> for VerdictError {
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyJob {
     design: Arc<Design>,
-    /// [`asv_sim::cache::design_hash`] of `design`, computed with the key.
-    design_hash: u64,
     verifier: Verifier,
     key: JobKey,
 }
 
-/// Memo key of a job: a 128-bit fingerprint of `(schema, design,
-/// verifier)`, made of two `DefaultHasher` halves that are
-/// domain-separated so they never cancel together.
+/// Memo key of a job: a 128-bit fingerprint of `(design, verifier)`,
+/// made of two `DefaultHasher` halves that are domain-separated so they
+/// never cancel together.
 ///
-/// Both halves hash the same inputs: the schema version, the
-/// design's 64-bit structural hash ([`asv_sim::cache::design_hash`]: the
-/// module's AST with spans excluded, which covers logic, property
-/// declarations and every assertion directive with its label and
-/// message, plus the resolved parameters), and the whole [`Verifier`].
-/// The `Verifier` covers depth, reset protocol, enumeration limit,
-/// stimulus budget, seed, engine selection and IR optimization level,
-/// so a mixed-opt workload can never alias one level's verdict to the
-/// other's.
+/// Both halves hash the same inputs: the design's 64-bit structural hash
+/// ([`asv_sim::cache::design_hash`]: the module's AST with spans
+/// excluded, which covers logic, property declarations and every
+/// assertion directive with its label and message, plus the resolved
+/// parameters), and the whole [`Verifier`]: depth, reset protocol,
+/// enumeration limit, stimulus budget, seed and engine selection. Keys
+/// live only in one process's verdict memo, so no key outlives a change
+/// to this key material.
 ///
 /// Jobs with equal keys get one verdict: every engine is deterministic
 /// in `(design, Verifier)`, so a wrong memo hit would be an *unsound
-/// verification result*. Two jobs that differ only in their verifier or
-/// schema collide with probability about 2⁻¹²⁸. The design, however,
+/// verification result*. Two jobs that differ only in their verifier
+/// collide with probability about 2⁻¹²⁸. The design, however,
 /// enters both halves as one 64-bit hash, so two distinct designs share
 /// a key with probability about 2⁻⁶⁴ per pair. That is the key's bound
 /// on design identity, and nothing re-checks full equality behind it.
@@ -99,23 +96,14 @@ pub struct JobKey(pub u128);
 const KEY_TAG_HI: u64 = 0x9E37_79B9_7F4A_7C15;
 const KEY_TAG_LO: u64 = 0xC2B2_AE3D_27D4_EB4F;
 
-/// Version of the key material, mixed into both halves of every
-/// [`JobKey`]. Bump it when a change to the key material must retire
-/// every key derived before it.
-const SCHEMA_VERSION: u32 = 1;
-
 impl VerifyJob {
     /// Creates a job (accepts an owned design or an `Arc` to one) and
-    /// computes its key under the current schema version. The schema is
-    /// mixed into both halves, so bumping it retires every key derived
-    /// under the old key material.
+    /// computes its key.
     pub fn new(design: impl Into<Arc<Design>>, verifier: Verifier) -> Self {
         let design = design.into();
-        let design_hash = asv_sim::cache::design_hash(&design);
-        let key = job_key(design_hash, &verifier, SCHEMA_VERSION);
+        let key = job_key(asv_sim::cache::design_hash(&design), &verifier);
         VerifyJob {
             design,
-            design_hash,
             verifier,
             key,
         }
@@ -136,21 +124,14 @@ impl VerifyJob {
     pub fn key(&self) -> JobKey {
         self.key
     }
-
-    /// The job's key recomputed under an explicit schema version (tests
-    /// use this to prove a bump actually separates keys).
-    pub fn key_with_schema(&self, schema: u32) -> JobKey {
-        job_key(self.design_hash, &self.verifier, schema)
-    }
 }
 
 /// The [`JobKey`] of the design with structural hash `design` and
-/// `verifier`, under `schema`.
-fn job_key(design: u64, verifier: &Verifier, schema: u32) -> JobKey {
+/// `verifier`.
+fn job_key(design: u64, verifier: &Verifier) -> JobKey {
     let half = |tag: u64| {
         let mut h = DefaultHasher::new();
         tag.hash(&mut h);
-        schema.hash(&mut h);
         design.hash(&mut h);
         verifier.hash(&mut h);
         h.finish()
@@ -225,20 +206,12 @@ mod tests {
                 ..v
             },
         );
-        let other_opt = VerifyJob::new(
-            base.design.clone(),
-            Verifier {
-                opt: asv_sva::bmc::OptLevel::None,
-                ..v
-            },
-        );
         for (name, job) in [
             ("logic", &other_logic),
             ("property", &other_prop),
             ("message", &with_message),
             ("engine", &other_engine),
             ("budget", &other_budget),
-            ("opt level", &other_opt),
         ] {
             assert_ne!(base.key(), job.key(), "{name} change must change the key");
         }
@@ -247,16 +220,5 @@ mod tests {
             other_message.key(),
             "an `$error` message edit must change the key"
         );
-    }
-
-    #[test]
-    fn schema_bump_retires_every_key() {
-        let job = VerifyJob::new(design("d", "d |-> ##1 q"), Verifier::default());
-        assert_eq!(job.key(), job.key_with_schema(SCHEMA_VERSION));
-        let bumped = job.key_with_schema(SCHEMA_VERSION + 1);
-        assert_ne!(job.key(), bumped, "a schema bump must separate keys");
-        // Both halves move independently — neither half may survive.
-        assert_ne!((job.key().0 >> 64) as u64, (bumped.0 >> 64) as u64);
-        assert_ne!(job.key().0 as u64, bumped.0 as u64);
     }
 }

@@ -14,7 +14,7 @@
 //!   check it with, hashed once, when the job is built, into a
 //!   [`JobKey`] of `(design, verifier)`: the design's AST with its
 //!   properties and assertion directives, and every verifier knob
-//!   (engine, bounds, budget, seed, opt level).
+//!   (engine, bounds, budget, seed).
 //! * **[`VerifyService`]** — runs a batch's pending jobs on the
 //!   workspace's one worker pool, [`asv_sim::pool::map`]: jobs are
 //!   claimed index-by-index from a shared atomic cursor (idle workers

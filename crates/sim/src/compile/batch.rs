@@ -249,8 +249,8 @@ impl LaneSink for OpsLanes<'_> {
 }
 
 /// Per-lane coverage maps (branch + toggle axes). Op tallies never land
-/// in a coverage map: maps must stay bit-identical across opt levels
-/// while optimized programs are shorter.
+/// in a coverage map: maps record what the design did, not how many ops
+/// its bytecode took.
 struct CovLanes<'a> {
     covs: &'a mut [CovMap],
 }
@@ -438,10 +438,6 @@ impl CompiledDesign {
         let errors: &mut [Option<SimError>] = ctx.errors;
 
         let base = stack.len();
-        for _ in 0..prog.n_tmps {
-            let n = stack.len();
-            stack.resize(n + K, Value::zero(1));
-        }
         frames.clear();
         let ops = &prog.ops;
         let mut exec = mask;
@@ -484,55 +480,6 @@ impl CompiledDesign {
                         kill(errors, alive, &mut exec, l, SimError::Eval(e));
                     });
                     stack.truncate(n - K);
-                }
-                Op::BinConst { op, rhs } => {
-                    let n = stack.len();
-                    let b = [*rhs; K];
-                    binary_slot::<K>(*op, &mut stack[n - K..], &b, exec, |l, e| {
-                        kill(errors, alive, &mut exec, l, SimError::Eval(e));
-                    });
-                }
-                Op::LoadBin { op, a, b } => {
-                    let pa = a.idx() * K;
-                    let pb = b.idx() * K;
-                    stack.extend_from_slice(&state[pa..pa + K]);
-                    let n = stack.len();
-                    binary_slot::<K>(
-                        *op,
-                        &mut stack[n - K..],
-                        &state[pb..pb + K],
-                        exec,
-                        |l, e| {
-                            kill(errors, alive, &mut exec, l, SimError::Eval(e));
-                        },
-                    );
-                }
-                Op::LoadBinConst { op, sig, rhs } => {
-                    let p = sig.idx() * K;
-                    stack.extend_from_slice(&state[p..p + K]);
-                    let n = stack.len();
-                    let b = [*rhs; K];
-                    binary_slot::<K>(*op, &mut stack[n - K..], &b, exec, |l, e| {
-                        kill(errors, alive, &mut exec, l, SimError::Eval(e));
-                    });
-                }
-                Op::LoadUnary { op, sig } => {
-                    let p = sig.idx() * K;
-                    stack.extend_from_slice(&state[p..p + K]);
-                    let n = stack.len();
-                    unary_slot::<K>(*op, &mut stack[n - K..]);
-                }
-                Op::StoreTmp(i) => {
-                    // Only emitted at unconditional positions, so the
-                    // whole slot (every lane) is current.
-                    let n = stack.len();
-                    let (head, top) = stack.split_at_mut(n - K);
-                    let t = base + *i as usize * K;
-                    head[t..t + K].copy_from_slice(top);
-                }
-                Op::LoadTmp(i) => {
-                    let t = base + *i as usize * K;
-                    stack.extend_from_within(t..t + K);
                 }
                 Op::JumpIfFalse(target) => {
                     let n = stack.len();
@@ -701,7 +648,7 @@ impl CompiledDesign {
                                 // Unreachable today (the default env always
                                 // rejects), kept for trait fidelity.
                                 let top = stack.len();
-                                if top == base + prog.n_tmps as usize * K {
+                                if top == base {
                                     let n = stack.len();
                                     stack.resize(n + K, Value::zero(1));
                                 }

@@ -6,17 +6,12 @@
 //! against live simulator state and (via `asv-sva`) property expressions
 //! against sampled traces.
 //!
-//! Programs come from two lowerings:
+//! Programs come from two lowerings of the same shape:
 //!
-//! * **Design expressions** are emitted from the optimized `asv-ir` form
-//!   (see [`super::lower`]); at `OptLevel::Full` the emitter additionally
-//!   materialises shared subexpressions into expression-local temporary
-//!   slots ([`Op::StoreTmp`]/[`Op::LoadTmp`]) and fuses common
-//!   load/constant/operator windows into superinstructions
-//!   ([`Op::LoadBin`], [`Op::LoadBinConst`], [`Op::BinConst`]).
+//! * **Design expressions** are emitted from the `asv-ir` form by tree
+//!   expansion (see [`super::lower`]).
 //! * **Property expressions** are compiled directly from the AST by
-//!   [`compile_expr`] (they run against traces, whose contents are
-//!   already optimization-invariant).
+//!   [`compile_expr`]; they run against traces.
 
 use crate::eval::{default_sys_call, EvalError};
 use crate::value::Value;
@@ -97,45 +92,6 @@ pub enum Op {
     /// Raise a compile-time-known error lazily, when (and only when) this
     /// operand would actually be evaluated.
     Fail(EvalError),
-    /// Copy the top of stack into temporary slot `i` (value stays on the
-    /// stack). Emitted by the CSE materialiser; only ever appears at
-    /// unconditional positions of a program.
-    StoreTmp(u32),
-    /// Push the value of temporary slot `i`.
-    LoadTmp(u32),
-    /// Fused `[…lhs…, Const, Binary]`: apply `op` with a constant rhs to
-    /// the top of stack.
-    BinConst {
-        /// Operator.
-        op: BinaryOp,
-        /// Constant right-hand operand.
-        rhs: Value,
-    },
-    /// Fused `[Load a, Load b, Binary]`.
-    LoadBin {
-        /// Operator.
-        op: BinaryOp,
-        /// Left signal.
-        a: SigId,
-        /// Right signal.
-        b: SigId,
-    },
-    /// Fused `[Load sig, Const, Binary]`.
-    LoadBinConst {
-        /// Operator.
-        op: BinaryOp,
-        /// Left signal.
-        sig: SigId,
-        /// Constant right-hand operand.
-        rhs: Value,
-    },
-    /// Fused `[Load sig, Unary]`.
-    LoadUnary {
-        /// Operator.
-        op: UnaryOp,
-        /// Operand signal.
-        sig: SigId,
-    },
 }
 
 /// A compiled expression: a postfix program plus nested sub-programs for
@@ -146,9 +102,6 @@ pub struct ExprProg {
     pub ops: Vec<Op>,
     /// Sub-programs referenced by [`Op::History`].
     pub subs: Vec<ExprProg>,
-    /// Number of temporary slots used by [`Op::StoreTmp`]/[`Op::LoadTmp`]
-    /// (0 for unoptimized programs).
-    pub n_tmps: u32,
 }
 
 impl ExprProg {
@@ -167,15 +120,8 @@ impl ExprProg {
             }
         };
         for op in &self.ops {
-            match op {
-                Op::Load(s) | Op::LoadBinConst { sig: s, .. } | Op::LoadUnary { sig: s, .. } => {
-                    push(*s, out)
-                }
-                Op::LoadBin { a, b, .. } => {
-                    push(*a, out);
-                    push(*b, out);
-                }
-                _ => {}
+            if let Op::Load(s) = op {
+                push(*s, out);
             }
         }
         for sub in &self.subs {
@@ -213,8 +159,7 @@ pub trait ExecEnv {
 ///
 /// `stack` is caller-provided scratch so hot loops don't allocate; it may
 /// be non-empty (nested evaluation) and is restored to its entry length on
-/// both success and error. Temporary slots live in the same scratch
-/// vector, below the program's operand area.
+/// both success and error.
 ///
 /// # Errors
 ///
@@ -226,9 +171,6 @@ pub fn run<E: ExecEnv + ?Sized>(
     stack: &mut Vec<Value>,
 ) -> Result<Value, EvalError> {
     let base = stack.len();
-    for _ in 0..prog.n_tmps {
-        stack.push(Value::zero(1));
-    }
     match run_inner(prog, env, stack, base) {
         Ok(v) => {
             stack.truncate(base);
@@ -261,27 +203,6 @@ fn run_inner<E: ExecEnv + ?Sized>(
                 let b = stack.pop().expect("binary rhs");
                 let a = stack.pop().expect("binary lhs");
                 stack.push(crate::eval::binary(*op, a, b)?);
-            }
-            Op::BinConst { op, rhs } => {
-                let a = stack.pop().expect("binary lhs");
-                stack.push(crate::eval::binary(*op, a, *rhs)?);
-            }
-            Op::LoadBin { op, a, b } => {
-                stack.push(crate::eval::binary(*op, env.load(*a), env.load(*b))?);
-            }
-            Op::LoadBinConst { op, sig, rhs } => {
-                stack.push(crate::eval::binary(*op, env.load(*sig), *rhs)?);
-            }
-            Op::LoadUnary { op, sig } => {
-                stack.push(crate::eval::unary(*op, env.load(*sig)));
-            }
-            Op::StoreTmp(i) => {
-                let v = *stack.last().expect("tmp source");
-                stack[base + *i as usize] = v;
-            }
-            Op::LoadTmp(i) => {
-                let v = stack[base + *i as usize];
-                stack.push(v);
             }
             Op::JumpIfFalse(target) => {
                 let c = stack.pop().expect("jump condition");
@@ -525,62 +446,5 @@ mod tests {
         let mut stack = vec![Value::bit(true)];
         assert!(run(&prog, &NoEnv, &mut stack).is_err());
         assert_eq!(stack.len(), 1, "scratch stack must be restored");
-    }
-
-    #[test]
-    fn tmp_slots_cache_and_replay_values() {
-        // (5 + 1) stored to tmp0, then tmp0 * tmp0.
-        let prog = ExprProg {
-            ops: vec![
-                Op::Const(Value::new(5, 8)),
-                Op::BinConst {
-                    op: BinaryOp::Add,
-                    rhs: Value::new(1, 8),
-                },
-                Op::StoreTmp(0),
-                Op::LoadTmp(0),
-                Op::Binary(BinaryOp::Mul),
-            ],
-            subs: Vec::new(),
-            n_tmps: 1,
-        };
-        let mut stack = Vec::new();
-        let v = run(&prog, &NoEnv, &mut stack).expect("run");
-        assert_eq!(v.bits(), 36);
-        assert!(stack.is_empty(), "tmp area is reclaimed");
-    }
-
-    #[test]
-    fn fused_ops_match_their_expanded_forms() {
-        struct TwoSigs;
-        impl ExecEnv for TwoSigs {
-            fn load(&self, sig: SigId) -> Value {
-                Value::new(u64::from(sig.0) + 3, 8)
-            }
-        }
-        let fused = ExprProg {
-            ops: vec![Op::LoadBin {
-                op: BinaryOp::Mul,
-                a: SigId(0),
-                b: SigId(1),
-            }],
-            ..ExprProg::default()
-        };
-        let plain = ExprProg {
-            ops: vec![
-                Op::Load(SigId(0)),
-                Op::Load(SigId(1)),
-                Op::Binary(BinaryOp::Mul),
-            ],
-            ..ExprProg::default()
-        };
-        let mut stack = Vec::new();
-        assert_eq!(
-            run(&fused, &TwoSigs, &mut stack),
-            run(&plain, &TwoSigs, &mut stack)
-        );
-        let mut sigs = Vec::new();
-        fused.collect_sigs(&mut sigs);
-        assert_eq!(sigs, vec![SigId(0), SigId(1)]);
     }
 }

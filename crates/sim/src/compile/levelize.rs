@@ -7,12 +7,9 @@
 //! interpreter's declaration-order fixpoint loop, preserving its
 //! semantics — including `SimError::CombDivergence` — exactly.
 //!
-//! The *verdict* (levelizable or not) is always computed on the raw
-//! (`OptLevel::None`) emission: optimization only ever removes
-//! dependencies, so a raw-levelizable design stays levelizable, but the
-//! reverse rewrite (e.g. `x & 0 → 0` breaking a false cycle) must not
-//! change which execution discipline — or which verification engine —
-//! a design gets at different opt levels.
+//! The verdict is structural: a false cycle such as `n = (n & 1'b0) | a`
+//! still counts as a cycle, because nothing folds the IR before it is
+//! scheduled.
 
 use super::{CLValue, CStmt, CombStep};
 use crate::compile::bytecode::ExprProg;
@@ -155,8 +152,8 @@ impl StepFx {
     }
 
     fn read_prog(&mut self, prog: &ExprProg) {
-        // `collect_sigs` descends into sub-programs and fused ops, so
-        // every op kind with signal reads feeds the dependency graph.
+        // `collect_sigs` descends into sub-programs, so every signal
+        // read feeds the dependency graph.
         prog.collect_sigs(&mut self.reads);
     }
 

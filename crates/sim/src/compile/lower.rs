@@ -1,38 +1,14 @@
 //! IR → bytecode emission.
 //!
-//! [`emit_design`] lowers an [`IrDesign`] (optimized or raw) into the
-//! executable [`CombStep`]/[`CStmt`]/[`ExprProg`] form. Raw emission is
-//! byte-identical to the historical direct AST lowering — the
-//! `OptLevel::None` reference form — while optimized emission adds two
-//! purely-mechanical program transforms:
-//!
-//! * **CSE materialisation** — the IR is a hash-consed DAG, so a shared
-//!   subexpression is one node used twice. A node whose every use in a
-//!   program sits at an *unconditional* position (never inside a ternary
-//!   arm) is evaluated at its first textual use, copied to an
-//!   expression-local temporary slot, and replayed from the slot at later
-//!   uses. First-use ordering is what makes this error-exact: a failing
-//!   shared node raises at exactly the point the tree-expanded program
-//!   would have raised.
-//! * **Superinstruction fusion** — the windows `[Load, Load, Binary]`,
-//!   `[Load, Const, Binary]` and `[…, Const, Binary]` collapse into one
-//!   fused op each, cutting dispatch and stack traffic on the settle hot
-//!   path. Jump targets are relocated; windows spanning a jump target are
-//!   never fused.
+//! [`emit_design`] lowers an [`IrDesign`] into the executable
+//! [`CombStep`]/[`CStmt`]/[`ExprProg`] form by plain tree expansion: a
+//! node the DAG shares is emitted again at each use, so every program has
+//! the shape the direct AST lowering of property expressions
+//! ([`super::bytecode::compile_expr`]) gives.
 
 use super::{CCaseArm, CLValue, CStmt, CombStep};
 use crate::compile::bytecode::{ExprProg, Op};
 use asv_ir::ir::{IrCaseArm, IrCombStep, IrDesign, IrExpr, IrLValue, IrStmt, NodeId};
-use std::collections::HashMap;
-
-/// Which program transforms emission applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EmitMode {
-    /// Plain tree expansion — byte-identical to the pre-IR lowering.
-    Raw,
-    /// CSE temporaries + superinstruction fusion.
-    Optimized,
-}
 
 /// The emitted executable design body.
 pub struct EmittedDesign {
@@ -42,9 +18,9 @@ pub struct EmittedDesign {
     pub seq: Vec<CStmt>,
 }
 
-/// Emits every program of the design in the given mode.
-pub fn emit_design(ir: &IrDesign, mode: EmitMode) -> EmittedDesign {
-    let mut e = Emitter { ir, mode };
+/// Emits every program of the design.
+pub fn emit_design(ir: &IrDesign) -> EmittedDesign {
+    let e = Emitter { ir };
     let comb = ir
         .comb
         .iter()
@@ -60,69 +36,13 @@ pub fn emit_design(ir: &IrDesign, mode: EmitMode) -> EmittedDesign {
     EmittedDesign { comb, seq }
 }
 
-/// Total `Op` count across a set of programs — the "bytecode length"
-/// metric reported by `table_engines` and the README.
-pub fn bytecode_len(comb: &[CombStep], seq: &[CStmt]) -> usize {
-    fn prog_len(p: &ExprProg) -> usize {
-        p.ops.len() + p.subs.iter().map(prog_len).sum::<usize>()
-    }
-    fn lv_len(lv: &CLValue) -> usize {
-        match lv {
-            CLValue::Bit { index, .. } => prog_len(index),
-            CLValue::Concat(parts) => parts.iter().map(lv_len).sum(),
-            _ => 0,
-        }
-    }
-    fn stmt_len(s: &CStmt) -> usize {
-        match s {
-            CStmt::Block(stmts) => stmts.iter().map(stmt_len).sum(),
-            CStmt::If {
-                cond,
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                prog_len(cond)
-                    + stmt_len(then_branch)
-                    + else_branch.as_ref().map_or(0, |e| stmt_len(e))
-            }
-            CStmt::Case {
-                scrutinee,
-                arms,
-                default,
-                ..
-            } => {
-                prog_len(scrutinee)
-                    + arms
-                        .iter()
-                        .map(|a| a.labels.iter().map(prog_len).sum::<usize>() + stmt_len(&a.body))
-                        .sum::<usize>()
-                    + default.as_ref().map_or(0, |d| stmt_len(d))
-            }
-            CStmt::Assign { lhs, rhs, .. } => lv_len(lhs) + prog_len(rhs),
-            CStmt::Empty => 0,
-        }
-    }
-    comb.iter()
-        .map(|s| match s {
-            CombStep::Assign { lhs, rhs } => lv_len(lhs) + prog_len(rhs),
-            CombStep::Block(b) => stmt_len(b),
-        })
-        .sum::<usize>()
-        + seq.iter().map(stmt_len).sum::<usize>()
-}
-
 /// Every constant value appearing in a set of emitted programs — the
-/// fuzzer's dictionary source. Harvested from the *raw* emission so the
-/// dictionary (and therefore every fuzzing campaign) is identical at all
-/// opt levels.
+/// fuzzer's dictionary source.
 pub fn harvest_consts(comb: &[CombStep], seq: &[CStmt]) -> Vec<u64> {
     fn prog(p: &ExprProg, out: &mut Vec<u64>) {
         for op in &p.ops {
-            match op {
-                Op::Const(v) => out.push(v.bits()),
-                Op::BinConst { rhs, .. } | Op::LoadBinConst { rhs, .. } => out.push(rhs.bits()),
-                _ => {}
+            if let Op::Const(v) = op {
+                out.push(v.bits());
             }
         }
         for sub in &p.subs {
@@ -193,11 +113,10 @@ pub fn harvest_consts(comb: &[CombStep], seq: &[CStmt]) -> Vec<u64> {
 
 struct Emitter<'a> {
     ir: &'a IrDesign,
-    mode: EmitMode,
 }
 
 impl Emitter<'_> {
-    fn lvalue(&mut self, lv: &IrLValue) -> CLValue {
+    fn lvalue(&self, lv: &IrLValue) -> CLValue {
         match lv {
             IrLValue::Whole(sig) => CLValue::Whole(*sig),
             IrLValue::Bit { sig, index } => CLValue::Bit {
@@ -216,7 +135,7 @@ impl Emitter<'_> {
         }
     }
 
-    fn stmt(&mut self, s: &IrStmt) -> CStmt {
+    fn stmt(&self, s: &IrStmt) -> CStmt {
         match s {
             IrStmt::Block(stmts) => CStmt::Block(stmts.iter().map(|st| self.stmt(st)).collect()),
             IrStmt::If {
@@ -261,30 +180,12 @@ impl Emitter<'_> {
     }
 
     /// Emits one root expression as a self-contained program.
-    fn program(&mut self, root: NodeId) -> ExprProg {
+    fn program(&self, root: NodeId) -> ExprProg {
         let mut prog = ExprProg::default();
-        match self.mode {
-            EmitMode::Raw => {
-                emit_node(self.ir, root, &mut prog);
-            }
-            EmitMode::Optimized => {
-                let shared = shared_unconditional(self.ir, root);
-                let mut cse = CseState {
-                    slot_of: shared,
-                    stored: HashMap::new(),
-                };
-                emit_node_cse(self.ir, root, &mut prog, &mut cse);
-                prog.n_tmps = cse.slot_of.len() as u32;
-                fuse(&mut prog);
-            }
-        }
+        emit_node(self.ir, root, &mut prog);
         prog
     }
 }
-
-// ---------------------------------------------------------------------------
-// Plain tree-expansion emission (the OptLevel::None reference form)
-// ---------------------------------------------------------------------------
 
 fn emit_node(ir: &IrDesign, id: NodeId, prog: &mut ExprProg) {
     match ir.arena.node(id) {
@@ -351,254 +252,15 @@ fn emit_node(ir: &IrDesign, id: NodeId, prog: &mut ExprProg) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// CSE-materialising emission (OptLevel::Full)
-// ---------------------------------------------------------------------------
-
-/// Finds compound nodes used ≥ 2 times under plain tree expansion of
-/// `root`, with every use at an unconditional position, and assigns each
-/// a temporary slot (in first-use order, so slot ids are deterministic).
-fn shared_unconditional(ir: &IrDesign, root: NodeId) -> HashMap<NodeId, u32> {
-    #[derive(Default)]
-    struct Scan {
-        count: HashMap<NodeId, usize>,
-        conditional: HashMap<NodeId, bool>,
-        first_use: Vec<NodeId>,
-    }
-    fn walk(ir: &IrDesign, id: NodeId, in_branch: bool, s: &mut Scan) {
-        let c = s.count.entry(id).or_insert(0);
-        *c += 1;
-        if *c == 1 {
-            s.first_use.push(id);
-        }
-        *s.conditional.entry(id).or_insert(false) |= in_branch;
-        match ir.arena.node(id) {
-            IrExpr::Const(_) | IrExpr::Load(_) | IrExpr::Fail(_) => {}
-            IrExpr::Unary(_, a) | IrExpr::Slice { base: a, .. } => walk(ir, *a, in_branch, s),
-            IrExpr::Binary(_, a, b)
-            | IrExpr::Repeat { count: a, value: b }
-            | IrExpr::BitIndex { base: a, index: b } => {
-                walk(ir, *a, in_branch, s);
-                walk(ir, *b, in_branch, s);
-            }
-            IrExpr::Select {
-                cond,
-                then_n,
-                else_n,
-            } => {
-                walk(ir, *cond, in_branch, s);
-                walk(ir, *then_n, true, s);
-                walk(ir, *else_n, true, s);
-            }
-            IrExpr::Concat(parts) => {
-                for p in parts {
-                    walk(ir, *p, in_branch, s);
-                }
-            }
-            IrExpr::SysCall { args, .. } => {
-                for a in args {
-                    walk(ir, *a, in_branch, s);
-                }
-            }
-        }
-    }
-    let mut s = Scan::default();
-    walk(ir, root, false, &mut s);
-    let mut slots = HashMap::new();
-    for id in &s.first_use {
-        let compound = !matches!(
-            ir.arena.node(*id),
-            IrExpr::Const(_) | IrExpr::Load(_) | IrExpr::Fail(_)
-        );
-        if compound && s.count[id] >= 2 && !s.conditional[id] {
-            let slot = slots.len() as u32;
-            slots.insert(*id, slot);
-        }
-    }
-    slots
-}
-
-struct CseState {
-    /// Slot assignment for cacheable shared nodes.
-    slot_of: HashMap<NodeId, u32>,
-    /// Slots already populated during this emission.
-    stored: HashMap<NodeId, u32>,
-}
-
-fn emit_node_cse(ir: &IrDesign, id: NodeId, prog: &mut ExprProg, cse: &mut CseState) {
-    if let Some(&slot) = cse.slot_of.get(&id) {
-        if let Some(&s) = cse.stored.get(&id) {
-            prog.ops.push(Op::LoadTmp(s));
-            return;
-        }
-        emit_node_cse_inner(ir, id, prog, cse);
-        prog.ops.push(Op::StoreTmp(slot));
-        cse.stored.insert(id, slot);
-        return;
-    }
-    emit_node_cse_inner(ir, id, prog, cse);
-}
-
-fn emit_node_cse_inner(ir: &IrDesign, id: NodeId, prog: &mut ExprProg, cse: &mut CseState) {
-    match ir.arena.node(id) {
-        IrExpr::Const(v) => prog.ops.push(Op::Const(*v)),
-        IrExpr::Load(sig) => prog.ops.push(Op::Load(*sig)),
-        IrExpr::Fail(e) => prog.ops.push(Op::Fail(e.clone())),
-        IrExpr::Unary(op, a) => {
-            emit_node_cse(ir, *a, prog, cse);
-            prog.ops.push(Op::Unary(*op));
-        }
-        IrExpr::Binary(op, a, b) => {
-            emit_node_cse(ir, *a, prog, cse);
-            emit_node_cse(ir, *b, prog, cse);
-            prog.ops.push(Op::Binary(*op));
-        }
-        IrExpr::Select {
-            cond,
-            then_n,
-            else_n,
-        } => {
-            emit_node_cse(ir, *cond, prog, cse);
-            let jif = prog.ops.len();
-            prog.ops.push(Op::JumpIfFalse(0));
-            emit_node_cse(ir, *then_n, prog, cse);
-            let jend = prog.ops.len();
-            prog.ops.push(Op::Jump(0));
-            let else_start = prog.ops.len() as u32;
-            emit_node_cse(ir, *else_n, prog, cse);
-            let end = prog.ops.len() as u32;
-            prog.ops[jif] = Op::JumpIfFalse(else_start);
-            prog.ops[jend] = Op::Jump(end);
-        }
-        IrExpr::Concat(parts) => {
-            for p in parts {
-                emit_node_cse(ir, *p, prog, cse);
-            }
-            prog.ops
-                .push(Op::ConcatN(u16::try_from(parts.len()).unwrap_or(u16::MAX)));
-        }
-        IrExpr::Repeat { count, value } => {
-            emit_node_cse(ir, *count, prog, cse);
-            prog.ops.push(Op::RepeatGuard);
-            emit_node_cse(ir, *value, prog, cse);
-            prog.ops.push(Op::Repeat);
-        }
-        IrExpr::BitIndex { base, index } => {
-            emit_node_cse(ir, *base, prog, cse);
-            emit_node_cse(ir, *index, prog, cse);
-            prog.ops.push(Op::BitIndex);
-        }
-        IrExpr::Slice { base, msb, lsb } => {
-            emit_node_cse(ir, *base, prog, cse);
-            prog.ops.push(Op::Slice(*msb, *lsb));
-        }
-        IrExpr::SysCall { name, args } => {
-            for a in args {
-                emit_node_cse(ir, *a, prog, cse);
-            }
-            prog.ops.push(Op::SysCall {
-                name: name.as_str().into(),
-                argc: u8::try_from(args.len()).unwrap_or(u8::MAX),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Superinstruction fusion
-// ---------------------------------------------------------------------------
-
-/// Fuses dispatch-heavy windows into single ops, relocating jump targets.
-/// Purely mechanical: each fused op computes exactly what its window
-/// computed, including error behaviour and evaluation order.
-fn fuse(prog: &mut ExprProg) {
-    for sub in &mut prog.subs {
-        fuse(sub);
-    }
-    let old = std::mem::take(&mut prog.ops);
-    // An op index is a fusion *barrier* when some jump lands on it: a
-    // fused window must not swallow a landing site.
-    let mut is_target = vec![false; old.len() + 1];
-    for op in &old {
-        match op {
-            Op::Jump(t) | Op::JumpIfFalse(t) => is_target[*t as usize] = true,
-            _ => {}
-        }
-    }
-    let mut map = vec![0u32; old.len() + 1];
-    let mut new: Vec<Op> = Vec::with_capacity(old.len());
-    let mut i = 0usize;
-    while i < old.len() {
-        map[i] = new.len() as u32;
-        let w3 = (!is_target[i + 1] && i + 2 < old.len() && !is_target[i + 2])
-            .then(|| (&old[i], &old[i + 1], &old[i + 2]));
-        if let Some((Op::Load(a), Op::Load(b), Op::Binary(op))) = w3 {
-            new.push(Op::LoadBin {
-                op: *op,
-                a: *a,
-                b: *b,
-            });
-            map[i + 1] = new.len() as u32 - 1;
-            map[i + 2] = new.len() as u32 - 1;
-            i += 3;
-            continue;
-        }
-        if let Some((Op::Load(sig), Op::Const(c), Op::Binary(op))) = w3 {
-            new.push(Op::LoadBinConst {
-                op: *op,
-                sig: *sig,
-                rhs: *c,
-            });
-            map[i + 1] = new.len() as u32 - 1;
-            map[i + 2] = new.len() as u32 - 1;
-            i += 3;
-            continue;
-        }
-        if i + 1 < old.len() && !is_target[i + 1] {
-            if let (Op::Const(c), Op::Binary(op)) = (&old[i], &old[i + 1]) {
-                new.push(Op::BinConst { op: *op, rhs: *c });
-                map[i + 1] = new.len() as u32 - 1;
-                i += 2;
-                continue;
-            }
-            if let (Op::Load(sig), Op::Unary(op)) = (&old[i], &old[i + 1]) {
-                new.push(Op::LoadUnary { op: *op, sig: *sig });
-                map[i + 1] = new.len() as u32 - 1;
-                i += 2;
-                continue;
-            }
-        }
-        new.push(old[i].clone());
-        i += 1;
-    }
-    map[old.len()] = new.len() as u32;
-    for op in &mut new {
-        match op {
-            Op::Jump(t) | Op::JumpIfFalse(t) => *t = map[*t as usize],
-            _ => {}
-        }
-    }
-    prog.ops = new;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::bytecode::{run, ExecEnv};
     use crate::value::Value;
-    use asv_ir::SigId;
     use asv_verilog::compile as velab;
 
-    struct CountingEnv;
-    impl ExecEnv for CountingEnv {
-        fn load(&self, sig: SigId) -> Value {
-            Value::new(u64::from(sig.0) + 1, 8)
-        }
-    }
-
-    fn programs(src: &str, mode: EmitMode) -> Vec<ExprProg> {
+    fn programs(src: &str) -> Vec<ExprProg> {
         let ir = IrDesign::from_design(&velab(src).expect("compile"));
-        let emitted = emit_design(&ir, mode);
+        let emitted = emit_design(&ir);
         emitted
             .comb
             .iter()
@@ -614,10 +276,9 @@ mod tests {
         let progs = programs(
             "module m #(parameter W = 5)(input s, input [7:0] a, output [7:0] y);\n\
              assign y = s ? a + W : a;\nendmodule",
-            EmitMode::Raw,
         );
-        // Exactly the historical stream: Load s, JumpIfFalse, Load a,
-        // Const 5, Binary Add, Jump, Load a.
+        // The tree-expanded stream, with the parameter folded: Load s,
+        // JumpIfFalse, Load a, Const 5, Binary Add, Jump, Load a.
         let ops = &progs[0].ops;
         assert!(matches!(ops[0], Op::Load(_)));
         assert!(matches!(ops[1], Op::JumpIfFalse(6)));
@@ -629,81 +290,6 @@ mod tests {
         ));
         assert!(matches!(ops[5], Op::Jump(7)));
         assert!(matches!(ops[6], Op::Load(_)));
-        assert_eq!(progs[0].n_tmps, 0);
-    }
-
-    #[test]
-    fn optimized_emission_fuses_windows_and_relocates_jumps() {
-        let progs = programs(
-            "module m(input s, input [7:0] a, input [7:0] b, output [7:0] y);\n\
-             assign y = s ? a + b : a + 8'd1;\nendmodule",
-            EmitMode::Optimized,
-        );
-        let ops = &progs[0].ops;
-        // Load s, JumpIfFalse(else), LoadBin(a+b), Jump(end), LoadBinConst(a+1)
-        assert!(matches!(ops[2], Op::LoadBin { .. }), "ops: {ops:?}");
-        assert!(matches!(ops[4], Op::LoadBinConst { .. }), "ops: {ops:?}");
-        let Op::JumpIfFalse(else_t) = ops[1] else {
-            panic!("jump expected");
-        };
-        assert_eq!(else_t, 4, "relocated else target");
-        // Equivalence against raw emission under a concrete env.
-        let raws = programs(
-            "module m(input s, input [7:0] a, input [7:0] b, output [7:0] y);\n\
-             assign y = s ? a + b : a + 8'd1;\nendmodule",
-            EmitMode::Raw,
-        );
-        let mut stack = Vec::new();
-        assert_eq!(
-            run(&progs[0], &CountingEnv, &mut stack),
-            run(&raws[0], &CountingEnv, &mut stack)
-        );
-    }
-
-    #[test]
-    fn shared_subexpressions_get_tmp_slots() {
-        let src = "module m(input [7:0] a, input [7:0] b, output [7:0] y);\n\
-             assign y = ((a ^ b) + 8'd1) & ((a ^ b) + 8'd1);\nendmodule";
-        let opt = programs(src, EmitMode::Optimized);
-        assert!(opt[0].n_tmps >= 1, "shared (a^b)+1 must be materialised");
-        assert!(
-            opt[0].ops.iter().any(|o| matches!(o, Op::LoadTmp(_))),
-            "second use replays from the slot: {:?}",
-            opt[0].ops
-        );
-        let raw = programs(src, EmitMode::Raw);
-        assert!(opt[0].ops.len() < raw[0].ops.len());
-        let mut stack = Vec::new();
-        assert_eq!(
-            run(&opt[0], &CountingEnv, &mut stack),
-            run(&raw[0], &CountingEnv, &mut stack)
-        );
-    }
-
-    #[test]
-    fn nodes_under_branches_are_not_cached() {
-        // `a + b` appears once unconditionally and once inside a ternary
-        // arm: caching would change which uses evaluate, so it must not
-        // get a slot.
-        let progs = programs(
-            "module m(input s, input [7:0] a, input [7:0] b, output [7:0] y);\n\
-             assign y = (s ? (a + b) : 8'd0) ^ (a + b);\nendmodule",
-            EmitMode::Optimized,
-        );
-        assert_eq!(progs[0].n_tmps, 0, "{:?}", progs[0].ops);
-    }
-
-    #[test]
-    fn harvested_constants_are_mode_invariant() {
-        let src = "module m(input [7:0] a, output [7:0] y, output z);\n\
-             assign y = (a & 8'hF0) | 8'h0A;\nassign z = a == 8'hA5;\nendmodule";
-        let ir = IrDesign::from_design(&velab(src).expect("compile"));
-        let raw = emit_design(&ir, EmitMode::Raw);
-        let opt = emit_design(&ir, EmitMode::Optimized);
-        assert_eq!(
-            harvest_consts(&raw.comb, &raw.seq),
-            harvest_consts(&opt.comb, &opt.seq)
-        );
-        assert!(harvest_consts(&raw.comb, &raw.seq).contains(&0xA5));
+        assert_eq!(ops.len(), 7);
     }
 }

@@ -3,36 +3,32 @@
 //!
 //! [`CompiledDesign::compile`] turns an elaborated [`Design`] into a form
 //! the simulator can execute without touching the AST again. Lowering is
-//! a three-stage pipeline, split across this module's children:
+//! a three-stage pipeline, split across this module's children, and runs
+//! each stage once per design:
 //!
-//! 1. **IR lowering & optimization** — the AST lowers to the hash-consed
-//!    word-level IR once; at [`OptLevel::Full`] (the default) the pass
-//!    pipeline in `asv_ir::opt` folds constants, simplifies algebra,
-//!    strength-reduces and copy-propagates. [`OptLevel::None`] keeps the
-//!    raw form alive as the bit-exact differential reference.
+//! 1. **IR lowering** — the AST lowers to the hash-consed word-level IR:
+//!    parameters fold to constants, branch sites are numbered, unresolvable
+//!    constructs become lazy `Fail` nodes, and every step gets its
+//!    sym-clean flag.
 //! 2. **Bytecode emission** ([`lower`]) — IR programs become postfix
-//!    [`Op`] streams ([`bytecode`]); optimized emission materialises
-//!    shared subexpressions into temporaries and fuses superinstructions.
+//!    [`Op`] streams ([`bytecode`]) by tree expansion.
 //! 3. **Levelized scheduling** (`levelize`) — combinational steps are
-//!    topologically sorted so settling is one ordered pass. The
-//!    *levelizability verdict* is always taken on the raw emission, so
-//!    optimization can never flip a design between the one-pass and
-//!    fixpoint disciplines (or between verification engines).
+//!    topologically sorted so settling is one ordered pass, or the design
+//!    keeps the fixpoint loop when no such order reproduces it.
 //!
 //! Every backend consumes this one compiled form: the simulator executes
 //! it, the `asv-sat` bit-blaster walks the same bytecode symbolically
 //! (through [`CompiledDesign::comb_steps`]/[`CompiledDesign::seq_blocks`]
 //! with [`CompiledDesign::sym_live`] masking logic outside the assertion
 //! cone), and the fuzzer reads branch-site ids and dictionary constants
-//! assigned here. Branch sites are allocated at IR lowering — before any
-//! pass — so coverage maps are identical at every opt level.
+//! assigned here.
 
 pub mod batch;
 pub mod bytecode;
 mod levelize;
 pub mod lower;
 
-pub use asv_ir::{param_value, OptLevel, SigId};
+pub use asv_ir::{param_value, SigId};
 pub use bytecode::{compile_expr, run, ExecEnv, ExprProg, HistoryKind, NameRef, Op};
 
 use crate::eval::EvalError;
@@ -166,10 +162,7 @@ pub struct CompiledDesign {
     seq: Vec<CStmt>,
     /// Number of branch sites allocated across all statements.
     branch_sites: u32,
-    /// The pipeline this design was lowered with.
-    opt: OptLevel,
-    /// Constants harvested from the *raw* emission (opt-level-invariant
-    /// fuzzer dictionary).
+    /// Every constant of the emitted programs (the fuzzer dictionary).
     dict_consts: Vec<u64>,
     /// Per comb step: statically guaranteed to bit-blast (see
     /// [`CompiledDesign::sym_live`]).
@@ -182,40 +175,26 @@ pub struct CompiledDesign {
 }
 
 impl CompiledDesign {
-    /// Lowers an elaborated design at the default (full) optimization
-    /// level. Never fails: unresolvable constructs compile to
-    /// instructions that raise the interpreter's runtime error when (and
-    /// only when) they execute.
+    /// Lowers an elaborated design. Never fails: unresolvable constructs
+    /// compile to instructions that raise the interpreter's runtime error
+    /// when (and only when) they execute.
     pub fn compile(design: &Design) -> Self {
-        Self::compile_opt(design, OptLevel::default())
+        Self::compile_traced(design, &asv_trace::NoTrace)
     }
 
-    /// [`CompiledDesign::compile`] with an explicit [`OptLevel`].
-    /// `OptLevel::None` reproduces the historical direct lowering
-    /// byte-for-byte; `OptLevel::Full` runs the IR pass pipeline. Both
-    /// forms are observationally identical (traces, errors, coverage,
-    /// verdicts) — the `differential_opt` suite is the enforcement.
-    pub fn compile_opt(design: &Design, opt: OptLevel) -> Self {
-        Self::compile_traced(design, opt, &asv_trace::NoTrace)
-    }
-
-    /// [`CompiledDesign::compile_opt`] emitting `sim.compile` /
-    /// `sim.opt` spans into `sink`. Monomorphized per sink: with
-    /// [`NoTrace`](asv_trace::NoTrace) (the `compile_opt` path) the
+    /// [`CompiledDesign::compile`] emitting one `sim.compile` span into
+    /// `sink`. Monomorphized per sink: with
+    /// [`NoTrace`](asv_trace::NoTrace) (the `compile` path) the
     /// instrumentation compiles to nothing, and the produced bytecode is
     /// identical whichever sink is passed — tracing observes lowering,
     /// it never participates in it.
-    pub fn compile_traced<S: asv_trace::TraceSink>(
-        design: &Design,
-        opt: OptLevel,
-        sink: &S,
-    ) -> Self {
+    pub fn compile_traced<S: asv_trace::TraceSink>(design: &Design, sink: &S) -> Self {
         let _span = sink.span(asv_trace::probe::SIM_COMPILE, asv_trace::SpanKind::Compile);
         crate::cache::count_lowering();
-        Self::compile_inner(design, opt, sink)
+        Self::compile_inner(design)
     }
 
-    fn compile_inner<S: asv_trace::TraceSink>(design: &Design, opt: OptLevel, sink: &S) -> Self {
+    fn compile_inner(design: &Design) -> Self {
         let names: Vec<String> = design.signals.keys().cloned().collect();
         let index: HashMap<String, SigId> = names
             .iter()
@@ -226,40 +205,10 @@ impl CompiledDesign {
         let init: Vec<Value> = widths.iter().map(|&w| Value::zero(w)).collect();
 
         let ir = IrDesign::from_design(design);
-        let branch_sites = ir.branch_sites;
         let (sym_clean_comb, sym_clean_seq) = ir.sym_clean_steps();
-
-        // Raw emission always happens: it supplies the levelizability
-        // verdict, the opt-invariant fuzzer dictionary, and (at
-        // OptLevel::None) the executable form itself.
-        let raw = lower::emit_design(&ir, lower::EmitMode::Raw);
-        let (raw_order, raw_lev) = levelize(&raw.comb, names.len());
-        let dict_consts = lower::harvest_consts(&raw.comb, &raw.seq);
-
-        let (comb, seq, order, levelized) = match opt {
-            OptLevel::None => (raw.comb, raw.seq, raw_order, raw_lev),
-            OptLevel::Full => {
-                let mut oir = ir;
-                {
-                    let _opt_span =
-                        sink.span(asv_trace::probe::SIM_OPT, asv_trace::SpanKind::OptPass);
-                    asv_ir::opt::optimize(&mut oir, raw_lev);
-                }
-                let ob = lower::emit_design(&oir, lower::EmitMode::Optimized);
-                let (o_order, o_lev) = levelize(&ob.comb, names.len());
-                // Optimization only removes dependencies, so a
-                // raw-levelizable design must stay levelizable; if the
-                // optimized schedule were ever rejected, the raw order is
-                // still a valid topological order for the (sparser)
-                // optimized dependency graph.
-                debug_assert!(
-                    o_lev || !raw_lev,
-                    "optimization must not break levelization"
-                );
-                let order = if o_lev { o_order } else { raw_order };
-                (ob.comb, ob.seq, order, raw_lev)
-            }
-        };
+        let lower::EmittedDesign { comb, seq } = lower::emit_design(&ir);
+        let (order, levelized) = levelize(&comb, names.len());
+        let dict_consts = lower::harvest_consts(&comb, &seq);
 
         let trace_header = Arc::new(TraceHeader::new(names.clone()));
         CompiledDesign {
@@ -272,8 +221,7 @@ impl CompiledDesign {
             order,
             levelized,
             seq,
-            branch_sites,
-            opt,
+            branch_sites: ir.branch_sites,
             dict_consts,
             sym_clean_comb,
             sym_clean_seq,
@@ -284,11 +232,6 @@ impl CompiledDesign {
     /// The elaborated design this was compiled from.
     pub fn design(&self) -> &Design {
         &self.design
-    }
-
-    /// The optimization level this design was lowered with.
-    pub fn opt_level(&self) -> OptLevel {
-        self.opt
     }
 
     /// Interned signal names, in state/trace column order.
@@ -319,8 +262,7 @@ impl CompiledDesign {
     }
 
     /// True when combinational logic settles in one levelized pass (the
-    /// fallback is the declaration-order fixpoint loop). Decided on the
-    /// raw lowering, so the answer is identical at every opt level.
+    /// fallback is the declaration-order fixpoint loop).
     pub fn is_levelized(&self) -> bool {
         self.levelized
     }
@@ -344,24 +286,16 @@ impl CompiledDesign {
     }
 
     /// Number of branch sites ([`CStmt::If`]/[`CStmt::Case`] arms)
-    /// allocated during lowering — the size of a [`crate::cover::CovMap`]'s
-    /// branch axis. Allocated on the IR before any pass runs, so the id
-    /// space (and every recorded hit) is identical at every opt level.
+    /// allocated during IR lowering — the size of a
+    /// [`crate::cover::CovMap`]'s branch axis.
     pub fn branch_sites(&self) -> u32 {
         self.branch_sites
     }
 
-    /// Every constant appearing in the *raw* bytecode of the design — the
-    /// fuzzer's dictionary. Harvested before optimization so fuzzing
-    /// campaigns are bit-identical across opt levels.
+    /// Every constant appearing in the bytecode of the design, sorted and
+    /// deduplicated — the fuzzer's dictionary.
     pub fn dict_consts(&self) -> &[u64] {
         &self.dict_consts
-    }
-
-    /// Total `Op` count across all programs of the compiled form (the
-    /// bytecode-length metric of `table_engines` and the README).
-    pub fn bytecode_len(&self) -> usize {
-        lower::bytecode_len(&self.comb, &self.seq)
     }
 
     /// Dead-logic elimination for the symbolic path: given observability
@@ -369,8 +303,9 @@ impl CompiledDesign {
     /// `(comb_live, seq_live)` masks of the steps a symbolic unrolling
     /// must execute. A step is live when it (transitively) feeds a root —
     /// or when it is not statically guaranteed to bit-blast, in which
-    /// case it is kept so that the symbolic engine's accept/reject
-    /// decision cannot differ between opt levels.
+    /// case it is kept so that the restriction never turns a design the
+    /// bit-blaster rejects into one it accepts. `asv_sat::engine` applies
+    /// these masks to every unrolling.
     ///
     /// The *simulation* path never uses these masks: every signal is
     /// observable through traces and toggle coverage, so the simulator
@@ -503,10 +438,6 @@ mod tests {
         CompiledDesign::compile(&velab(src).expect("compile"))
     }
 
-    fn compiled_at(src: &str, opt: OptLevel) -> CompiledDesign {
-        CompiledDesign::compile_opt(&velab(src).expect("compile"), opt)
-    }
-
     #[test]
     fn interns_signals_in_sorted_order() {
         let c = compiled("module m(input b, input a, output y);\nassign y = a & b;\nendmodule");
@@ -565,24 +496,19 @@ mod tests {
 
     #[test]
     fn ternary_only_evaluates_taken_branch() {
-        // Division by zero in the untaken branch must not error — at
-        // either opt level.
-        for opt in [OptLevel::None, OptLevel::Full] {
-            let c = compiled_at(
-                "module t(input s, input [3:0] a, input [3:0] b, output [3:0] y);\n\
-                 assign y = s ? a / b : a;\nendmodule",
-                opt,
-            );
-            let mut sim = Simulator::from_compiled(Arc::new(c));
-            sim.step(&[("s", 0), ("b", 0), ("a", 5)])
-                .expect("no div-by-zero");
-            assert_eq!(sim.value("y").map(Value::bits), Some(5));
-            assert_eq!(
-                sim.step(&[("s", 1)]),
-                Err(SimError::Eval(EvalError::DivideByZero)),
-                "at {opt}"
-            );
-        }
+        // Division by zero in the untaken branch must not error.
+        let c = compiled(
+            "module t(input s, input [3:0] a, input [3:0] b, output [3:0] y);\n\
+             assign y = s ? a / b : a;\nendmodule",
+        );
+        let mut sim = Simulator::from_compiled(Arc::new(c));
+        sim.step(&[("s", 0), ("b", 0), ("a", 5)])
+            .expect("no div-by-zero");
+        assert_eq!(sim.value("y").map(Value::bits), Some(5));
+        assert_eq!(
+            sim.step(&[("s", 1)]),
+            Err(SimError::Eval(EvalError::DivideByZero))
+        );
     }
 
     #[test]
@@ -596,42 +522,6 @@ mod tests {
         assert_eq!(sim.value("y").map(Value::bits), Some(7));
         assert_eq!(param_value(5).width(), 32);
         assert_eq!(param_value(u64::MAX).width(), 64);
-    }
-
-    #[test]
-    fn optimization_shortens_bytecode_without_changing_results() {
-        let src = "module m #(parameter W = 2)(input [7:0] a, input [7:0] b, output [7:0] x,\n\
-             output [7:0] y);\n\
-             wire [7:0] t;\n\
-             assign t = a;\n\
-             assign x = (t ^ b) & (t ^ b);\n\
-             assign y = (a * 8'd4) + (W * 8'd3 + 8'd0);\nendmodule";
-        let none = compiled_at(src, OptLevel::None);
-        let full = compiled_at(src, OptLevel::Full);
-        assert_eq!(none.opt_level(), OptLevel::None);
-        assert_eq!(full.opt_level(), OptLevel::Full);
-        assert!(
-            full.bytecode_len() < none.bytecode_len(),
-            "opt: {} vs raw: {}",
-            full.bytecode_len(),
-            none.bytecode_len()
-        );
-        assert_eq!(none.branch_sites(), full.branch_sites());
-        assert_eq!(none.dict_consts(), full.dict_consts());
-        let mut sn = Simulator::from_compiled(Arc::new(none));
-        let mut sf = Simulator::from_compiled(Arc::new(full));
-        for (av, bv) in [(3u64, 5u64), (0, 255), (170, 85)] {
-            for sim in [&mut sn, &mut sf] {
-                sim.step(&[("a", av), ("b", bv)]).expect("settle");
-            }
-            for name in sn.compiled().names() {
-                assert_eq!(
-                    sn.value(name),
-                    sf.value(name),
-                    "`{name}` diverged for a={av} b={bv}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -654,8 +544,8 @@ mod tests {
     #[test]
     fn sym_live_keeps_unclean_steps_alive() {
         // The division can't bit-blast: the step must stay live even
-        // though nothing observes it, so the symbolic engine rejects the
-        // design identically at every opt level.
+        // though nothing observes it, so the symbolic engine still
+        // rejects the design.
         let src = "module m(input clk, input [3:0] a, input [3:0] b, output reg [3:0] q,\n\
              output [3:0] dead);\n\
              assign dead = a / b;\n\
@@ -663,21 +553,5 @@ mod tests {
         let c = compiled(src);
         let (comb_live, _) = c.sym_live(&[c.sig("q").unwrap()]);
         assert_eq!(comb_live, vec![true], "unclean step is pinned live");
-    }
-
-    #[test]
-    fn levelization_verdict_is_opt_invariant() {
-        // `n & 1'b0` folds the self-cycle away at Full, but the design
-        // must stay on the fixpoint discipline (and outside the symbolic
-        // subset) at both levels.
-        let src = "module m(input a, output y);\nwire n;\n\
-             assign n = (n & 1'b0) | a;\nassign y = n;\nendmodule";
-        let none = compiled_at(src, OptLevel::None);
-        let full = compiled_at(src, OptLevel::Full);
-        assert!(!none.is_levelized());
-        assert!(
-            !full.is_levelized(),
-            "verdict must come from the raw structure"
-        );
     }
 }

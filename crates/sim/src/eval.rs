@@ -8,8 +8,8 @@
 use crate::value::Value;
 use asv_verilog::ast::{Expr, LValue};
 
-// The pure operator semantics live in `asv-ir` (the IR constant folder
-// must share them exactly); they are re-exported here so every historical
+// The pure operator semantics live in `asv-ir`, below every backend;
+// they are re-exported here so every historical
 // `asv_sim::eval::{unary, binary, …}` path keeps working.
 pub use asv_ir::eval::{binary, default_sys_call, unary, EvalError};
 

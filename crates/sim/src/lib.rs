@@ -3,7 +3,8 @@
 //! Cycle-accurate, 2-state RTL simulator for elaborated
 //! [`asv_verilog::Design`]s — the reproduction's substitute for the
 //! event-driven simulation step the AssertSolver paper performs with
-//! Icarus Verilog (substitution rationale in DESIGN.md).
+//! Icarus Verilog. Values are 2-state, not 4-state: every injected bug
+//! class is expressible without X/Z (see [`value`]).
 //!
 //! Two backends share identical semantics (see README "Simulation
 //! backends"): the compiled core in [`compile`] (interned signals,
@@ -51,7 +52,6 @@ pub mod stimulus;
 pub mod trace;
 pub use asv_ir::value;
 
-pub use asv_ir::OptLevel;
 pub use cancel::{Exhausted, Resource};
 pub use compile::batch::{run_stimulus_group, LaneBatch, LaneOutcome, LaneRun, LANES};
 pub use compile::{CompiledDesign, SigId};

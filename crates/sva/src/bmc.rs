@@ -42,8 +42,6 @@
 //! spent cap. Panics are not caught here: the
 //! verification service isolates each job behind its own barrier.
 
-pub use asv_sim::compile::OptLevel;
-
 use crate::monitor::{AssertionFailure, CheckOutcome, CompiledChecker, MonitorError};
 use asv_fuzz::{AssertionOracle, FuzzError, FuzzOptions, FuzzVerdict};
 use asv_sat::engine::{BmcError, BmcOptions, BmcVerdict};
@@ -272,13 +270,6 @@ pub struct Verifier {
     pub seed: u64,
     /// Engine selection.
     pub engine: Engine,
-    /// IR optimization level the design is compiled at. `Full` (default)
-    /// runs the `asv-ir` pass pipeline; `None` keeps the raw lowering as
-    /// the differential reference. Verdicts are bit-identical either way
-    /// (enforced by `tests/differential_opt.rs`); the service's job key
-    /// covers the level, so mixed-opt workloads never alias in its
-    /// verdict memo.
-    pub opt: OptLevel,
 }
 
 impl Default for Verifier {
@@ -290,7 +281,6 @@ impl Default for Verifier {
             random_runs: 48,
             seed: 0xA55E_7501,
             engine: Engine::Auto,
-            opt: OptLevel::Full,
         }
     }
 }
@@ -335,7 +325,7 @@ impl Verifier {
         if design.module.assertions().count() == 0 {
             return Err(VerifyError::NoAssertions);
         }
-        let compiled = Arc::new(CompiledDesign::compile_traced(design, self.opt, trace));
+        let compiled = Arc::new(CompiledDesign::compile_traced(design, trace));
         // State index == trace column: the checker can be built from the
         // compiled design's interner before any trace exists.
         let col = |name: &str| compiled.sig(name).map(|s| s.idx());
@@ -589,8 +579,7 @@ impl Verifier {
     ///
     /// Propagates [`SimError`].
     pub fn simulate(&self, design: &Design, stim: &Stimulus) -> Result<Trace, VerifyError> {
-        let mut sim =
-            Simulator::from_compiled(Arc::new(CompiledDesign::compile_opt(design, self.opt)));
+        let mut sim = Simulator::from_compiled(Arc::new(CompiledDesign::compile(design)));
         for t in 0..stim.len() {
             sim.step(&stim.cycle(t))?;
         }

@@ -4,10 +4,10 @@
 //!
 //! * [`monitor`] — runtime checking of properties over simulation traces,
 //!   producing the assertion-failure logs the repair model consumes;
-//! * [`bmc`] — a bounded verifier standing in for SymbiYosys
-//!   (substitution rationale in DESIGN.md), with a symbolic SAT-based
-//!   engine (`asv-sat`), exhaustive enumeration and the coverage-guided
-//!   fuzzer (`asv-fuzz`);
+//! * [`bmc`] — a bounded verifier standing in for SymbiYosys (README
+//!   "Verification engines" gives the rationale), with a symbolic
+//!   SAT-based engine (`asv-sat`), exhaustive enumeration and the
+//!   coverage-guided fuzzer (`asv-fuzz`);
 //! * [`mine`] — trace-driven invariant mining standing in for the paper's
 //!   LLM-based SVA generation;
 //! * [`eval`] — sampled-value evaluation with `$past`/`$rose`/`$fell`/

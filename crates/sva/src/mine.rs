@@ -2,7 +2,7 @@
 //! keeps only those the bounded verifier proves.
 //!
 //! This is the reproduction's substitute for Claude-3.5's SVA generation in
-//! the paper's Stage 2 (rationale in DESIGN.md): the paper validates every
+//! the paper's Stage 2. It suffices because the paper validates every
 //! LLM-proposed SVA with SymbiYosys anyway, so the generator only needs to
 //! *propose* plausible properties; the verifier is the arbiter either way.
 //!

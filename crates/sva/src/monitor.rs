@@ -1,7 +1,8 @@
 //! Runtime assertion monitor: checks SVA directives over a recorded trace
 //! and produces the failure logs the repair model consumes.
 //!
-//! Semantics (per DESIGN.md, matching the supported subset):
+//! Semantics, over the SVA subset listed in README "Verification
+//! engines":
 //!
 //! * Properties are evaluated at every tick of the property clock. The
 //!   simulator records one sample per tick, so each trace row is one

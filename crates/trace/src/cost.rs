@@ -3,7 +3,7 @@
 //!
 //! Wall time answers "how long did this take on this machine today";
 //! [`CostCounters`] answer "how much work did the system do" — bytecode
-//! ops dispatched, compiles and optimization passes run, AIG nodes
+//! ops dispatched, designs compiled, AIG nodes
 //! built, CDCL decisions/propagations/conflicts spent, fuzz rounds and
 //! stimuli consumed, memo hits. Because they count *work*, not
 //! time, they are bit-identical across worker counts and across reruns
@@ -31,8 +31,6 @@ pub struct CostCounters {
     pub ops: u64,
     /// Designs lowered (`sim.compile` spans).
     pub compiles: u64,
-    /// IR optimization passes run.
-    pub opt_passes: u64,
     /// AIG nodes built by the symbolic engine.
     pub aig_nodes: u64,
     /// CDCL solve calls (per-depth and vacuity queries).
@@ -74,7 +72,7 @@ pub struct CostCounters {
 }
 
 /// Number of counter fields (length of [`CostCounters::fields`]).
-pub const COUNTER_FIELDS: usize = 21;
+pub const COUNTER_FIELDS: usize = 20;
 
 impl CostCounters {
     /// Folds a drained event vector into counters. Order-insensitive:
@@ -87,7 +85,6 @@ impl CostCounters {
             c.ops = c.ops.saturating_add(e.cost.ops);
             match e.kind {
                 SpanKind::Compile => c.compiles += 1,
-                SpanKind::OptPass => c.opt_passes += 1,
                 SpanKind::AigBlast => {
                     c.aig_nodes = c.aig_nodes.saturating_add(e.cost.aig_nodes);
                 }
@@ -146,7 +143,6 @@ impl CostCounters {
         [
             ("ops", self.ops),
             ("compiles", self.compiles),
-            ("opt_passes", self.opt_passes),
             ("aig_nodes", self.aig_nodes),
             ("sat_solves", self.sat_solves),
             ("conflicts", self.conflicts),
@@ -172,7 +168,6 @@ impl CostCounters {
         [
             ("ops", &mut self.ops),
             ("compiles", &mut self.compiles),
-            ("opt_passes", &mut self.opt_passes),
             ("aig_nodes", &mut self.aig_nodes),
             ("sat_solves", &mut self.sat_solves),
             ("conflicts", &mut self.conflicts),
@@ -242,7 +237,6 @@ mod tests {
     fn events_fold_into_the_right_counters() {
         let events = vec![
             event(SpanKind::Compile, None, 0, Cost::default()),
-            event(SpanKind::OptPass, None, 0, Cost::default()),
             event(
                 SpanKind::AigBlast,
                 Some(EngineTag::Symbolic),
@@ -307,7 +301,6 @@ mod tests {
         ];
         let c = CostCounters::from_events(&events);
         assert_eq!(c.compiles, 1);
-        assert_eq!(c.opt_passes, 1);
         assert_eq!(c.aig_nodes, 40);
         assert_eq!(c.sat_solves, 1);
         assert_eq!((c.conflicts, c.decisions, c.propagations), (3, 9, 27));

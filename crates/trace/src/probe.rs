@@ -9,10 +9,8 @@
 //! stacks and the Chrome export key on span names) — do not rename one
 //! without updating its readers.
 
-/// Design lowering: one span per `CompiledDesign::compile_opt` call.
+/// Design lowering: one span per `CompiledDesign::compile` call.
 pub const SIM_COMPILE: &str = "sim.compile";
-/// The `asv-ir` optimization pass pipeline inside a `Full` compile.
-pub const SIM_OPT: &str = "sim.opt";
 /// SAT: bit-blasting one unrolled frame into the AIG.
 pub const SAT_BLAST: &str = "sat.blast";
 /// SAT: one CDCL solve call at a given depth.

@@ -4,11 +4,11 @@
 //! Trace events are flat — every span records independently, with job
 //! and engine attribution but no parent pointer. The stack structure is
 //! nevertheless recoverable, because the instrumentation hierarchy is
-//! fixed: a job span contains rung spans, a rung contains the engine
-//! children carrying its [`EngineTag`](crate::EngineTag), compiles
-//! contain opt passes. [`Profile::from_events`] rebuilds exactly that
-//! hierarchy — the same engine-tag (not time-containment) attribution
-//! rule `asv_serve::report::assemble_reports` uses.
+//! fixed: a job span contains rung spans, and a rung contains the engine
+//! children carrying its [`EngineTag`](crate::EngineTag).
+//! [`Profile::from_events`] rebuilds exactly that hierarchy — the same
+//! engine-tag (not time-containment) attribution rule
+//! `asv_serve::report::assemble_reports` uses.
 //!
 //! Two outputs:
 //!
@@ -43,8 +43,7 @@ pub struct Profile {
 
 /// The stack path of one event under the fixed instrumentation
 /// hierarchy. Job-attributed events nest under `serve.job`; engine
-/// children nest under their rung; opt passes nest under the compile
-/// that ran them.
+/// children nest under their rung.
 ///
 /// Rung frames are canonicalized to `rung.<engine slug>` so they always
 /// line up with their children's engine-tag segment — the enumeration
@@ -65,10 +64,6 @@ fn stack_of(e: &Event) -> String {
             }
             None => path.push_str(e.name),
         },
-        SpanKind::OptPass => {
-            path.push_str("sim.compile;");
-            path.push_str(e.name);
-        }
         SpanKind::Compile | SpanKind::MemoLookup => path.push_str(e.name),
         SpanKind::AigBlast
         | SpanKind::SatSolve
@@ -271,14 +266,15 @@ mod tests {
     }
 
     #[test]
-    fn opt_passes_nest_under_compile_and_jobless_events_stay_top_level() {
+    fn jobless_events_stay_top_level() {
         let events = vec![
             span("sim.compile", SpanKind::Compile, 0, None, 100),
-            span("sim.opt", SpanKind::OptPass, 0, None, 60),
+            span("serve.memo", SpanKind::MemoLookup, 0, None, 60),
         ];
         let p = Profile::from_events(&events);
-        assert_eq!(p.frame("sim.compile").unwrap().excl_ns, 40);
-        assert_eq!(p.frame("sim.compile;sim.opt").unwrap().incl_ns, 60);
+        assert_eq!(p.frame("sim.compile").unwrap().excl_ns, 100);
+        assert_eq!(p.frame("serve.memo").unwrap().incl_ns, 60);
+        assert!(p.frame("serve.job;sim.compile").is_none());
     }
 
     #[test]

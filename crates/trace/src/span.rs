@@ -31,34 +31,31 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum SpanKind {
-    /// Whole-design lowering (`CompiledDesign::compile_opt`).
+    /// Whole-design lowering (`CompiledDesign::compile`).
     Compile = 0,
-    /// The `asv-ir` optimization pipeline inside a `Full` compile.
-    OptPass = 1,
     /// Bit-blasting one unrolled frame into the AIG.
-    AigBlast = 2,
+    AigBlast = 1,
     /// One CDCL solve call (per depth, or a vacuity query).
-    SatSolve = 3,
+    SatSolve = 2,
     /// One fuzzing campaign round.
-    FuzzRound = 4,
+    FuzzRound = 3,
     /// An exhaustive-enumeration run over a stimulus set.
-    Enumeration = 5,
+    Enumeration = 4,
     /// Verdict-memo lookup.
-    MemoLookup = 6,
+    MemoLookup = 5,
     /// One rung: one engine's attempt at a check (carries an
     /// [`EndReason`] code).
-    Rung = 7,
+    Rung = 6,
     /// One whole job as the service executed it.
-    Job = 8,
+    Job = 7,
     /// A lane-batched simulation pass (`LaneBatch` stimulus groups).
-    Batch = 9,
+    Batch = 8,
 }
 
 impl SpanKind {
     /// Every kind, in discriminant order.
-    pub const ALL: [SpanKind; 10] = [
+    pub const ALL: [SpanKind; 9] = [
         SpanKind::Compile,
-        SpanKind::OptPass,
         SpanKind::AigBlast,
         SpanKind::SatSolve,
         SpanKind::FuzzRound,
@@ -73,7 +70,6 @@ impl SpanKind {
     pub fn slug(self) -> &'static str {
         match self {
             SpanKind::Compile => "compile",
-            SpanKind::OptPass => "opt_pass",
             SpanKind::AigBlast => "aig_blast",
             SpanKind::SatSolve => "sat_solve",
             SpanKind::FuzzRound => "fuzz_round",

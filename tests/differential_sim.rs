@@ -4,10 +4,12 @@
 //! For every datagen archetype at several size hints, and for a set of
 //! handwritten stress modules exercising the trickier lowering paths
 //! (concat lvalues, part selects, replication, ternaries, system calls,
-//! parameters, shifts), both backends run ≥ 64 cycles of seeded random
-//! stimulus and the full traces are compared value-for-value. Errors must
-//! agree too: a stimulus the oracle rejects (e.g. divide-by-zero) must be
-//! rejected identically by the compiled backend.
+//! parameters, shifts, constant operands, shared subexpressions, copy
+//! chains, false cycles, equal mux arms), both backends run ≥ 64 cycles
+//! of seeded random stimulus and the full traces are compared
+//! value-for-value. Errors must agree too: a stimulus the oracle rejects
+//! (e.g. divide-by-zero) must be rejected identically by the compiled
+//! backend.
 
 use asv_datagen::corpus::{Archetype, CorpusGen, SizeHint};
 use asv_sim::{AstSimulator, SimError, Simulator, StimulusGen, Trace};
@@ -182,6 +184,49 @@ fn stress_modules_are_bit_identical() {
             // Divide-by-zero whenever b == 0: errors must match exactly.
             "module m(input [3:0] a, input [3:0] b, output [3:0] y);\n\
              assign y = a / b;\nendmodule",
+        ),
+        (
+            "foldable_constants",
+            "module m #(parameter W = 3)(input [7:0] a, output [7:0] y, output [7:0] z);\n\
+             assign y = (a * 8'd4) + (W * 8'd2 + 8'd1);\n\
+             assign z = (a / 8'd8) ^ (a % 8'd16) ^ (a + 8'd0);\nendmodule",
+        ),
+        (
+            "shared_subexpressions",
+            "module m(input [7:0] a, input [7:0] b, output [7:0] x, output [7:0] y);\n\
+             assign x = ((a ^ b) + 8'd1) & ((a ^ b) + 8'd1);\n\
+             assign y = (a ^ b) | 8'h0F;\nendmodule",
+        ),
+        (
+            "copy_chains",
+            "module m(input [3:0] a, output [3:0] y);\n\
+             wire [3:0] t, u;\n\
+             assign t = a;\nassign u = t;\nassign y = u + 4'd1;\nendmodule",
+        ),
+        (
+            "false_cycle",
+            // A self-read that no value depends on still keeps the
+            // fixpoint loop.
+            "module m(input a, output y);\nwire n;\n\
+             assign n = (n & 1'b0) | a;\nassign y = n;\nendmodule",
+        ),
+        (
+            "mux_of_equal",
+            // Equal arms under a condition that can fault.
+            "module m(input s, input [3:0] a, input [3:0] b, output [3:0] y, output [3:0] z);\n\
+             assign y = s ? a : a;\nassign z = (a / b > 4'd0) ? b : b;\nendmodule",
+        ),
+        (
+            "branchy_coverage",
+            "module m(input clk, input [1:0] op, input [3:0] a, output reg [3:0] y);\n\
+             always @(posedge clk) begin\n\
+               case (op)\n\
+                 2'd0: y <= a + 4'd0;\n\
+                 2'd1: y <= a * 4'd2;\n\
+                 2'd2: y <= a & 4'd0;\n\
+                 default: y <= a ^ a;\n\
+               endcase\n\
+             end\nendmodule",
         ),
     ];
     for (name, src) in modules {

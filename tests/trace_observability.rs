@@ -16,7 +16,7 @@
 use asv_datagen::corpus::{Archetype, CorpusGen};
 use asv_mutation::inject::{apply, enumerate};
 use asv_serve::{AnswerTier, ServeOptions, VerifyJob, VerifyService};
-use asv_sim::{CompiledDesign, OptLevel};
+use asv_sim::CompiledDesign;
 use asv_sva::bmc::{Engine, Verifier};
 use asv_trace::{chrome_trace_json, NoTrace, TraceSink, Tracer};
 use asv_verilog::sema::Design;
@@ -89,13 +89,12 @@ fn verdicts_identical_with_tracing_on_and_off_across_workers() {
 #[test]
 fn compiled_bytecode_is_identical_under_notrace_and_live_tracer() {
     for design in archetype_designs() {
-        let silent = CompiledDesign::compile_traced(&design, OptLevel::Full, &NoTrace);
+        let silent = CompiledDesign::compile_traced(&design, &NoTrace);
         let tracer = Tracer::new();
-        let live = CompiledDesign::compile_traced(&design, OptLevel::Full, &tracer.handle());
+        let live = CompiledDesign::compile_traced(&design, &tracer.handle());
         // Deterministic projections of the lowered program (the HashMap
         // signal index is excluded: its Debug order is seeded per
         // instance, not per content).
-        assert_eq!(silent.bytecode_len(), live.bytecode_len());
         assert_eq!(
             format!(
                 "{:?}|{:?}|{:?}",
